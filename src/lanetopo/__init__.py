@@ -22,7 +22,6 @@ from .connect import (
     build_connected_gt,
     correlation_distances,
     merge_at_junction,
-    split_halves,
     split_halves_array,
 )
 from .geometry import (
@@ -31,9 +30,7 @@ from .geometry import (
     box_iou,
     chamfer,
     discrete_frechet,
-    giou,
     resample_array,
-    resample_uniform,
     widen_to_segment,
 )
 from .gradcheck import GradCheckResult, grad_check, run_gradcheck
@@ -86,17 +83,13 @@ from .training import (
     FitResult,
     GroupConfig,
     LossWeights,
-    assignment_cost,
     focal_loss,
     focal_loss_grad,
     hungarian,
     l1_loss,
-    lane_loss,
     match_group,
     sum_group_losses,
-    total_loss,
     toy_fit,
-    traffic_loss,
 )
 
 __version__ = TOOL_VERSION

@@ -27,7 +27,6 @@ from .nn import (
     layer_norm_backward,
     layer_norm_forward,
     mlp_backward,
-    mlp_forward,
     mlp_forward_cached,
     sigmoid,
     softmax_backward,

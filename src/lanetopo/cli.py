@@ -7,16 +7,15 @@ reproduced and compared byte for byte (manifest equality ignores wall time).
 
 Exit codes: 0 success, 1 check failure (gradcheck exceedance, fitdemo miss),
 2 input or contract error (schema violations are printed one per line).
+Directories are processed serially in sorted file order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from .serialize import (
     build_manifest,
     connected_list_to_dict,
     prediction_to_dict,
-    read_json,
     read_prediction,
     read_scene,
     report_to_dict,
@@ -50,9 +48,10 @@ from .serialize import (
     write_json,
     write_manifest,
     write_metrics_csv,
+    write_text,
 )
 from .synth import NoiseParams, SynthParams, generate_roundabout, generate_scene
-from .training import GroupConfig, LossWeights, toy_fit
+from .training import GroupConfig, toy_fit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,8 +63,16 @@ def _data_files(directory: Path) -> list[Path]:
                   if not p.name.endswith(".manifest.json"))
 
 
-def _default_workers() -> int:
-    return min(8, os.cpu_count() or 1)
+def _print_error(err: Exception, scene: str = "") -> None:
+    """One stderr line per problem; scene names the file in directory runs."""
+    if isinstance(err, SchemaError):
+        lines = err.violations
+    elif isinstance(err, json.JSONDecodeError):
+        lines = [f"invalid JSON: {err}"]
+    else:
+        lines = [str(err)]
+    for line in lines:
+        print(f"error: {scene}{line}", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -155,13 +162,16 @@ def cmd_predict(args) -> int:
         if not files:
             raise ValueError(f"no scene files in {scene_path}")
         out_path.mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_predict_one, f, out_path / f.name, cfg,
-                                   manifest_params) for f in files]
-            for fut in futures:
-                print(fut.result())
-    else:
-        print(_predict_one(scene_path, out_path, cfg, manifest_params))
+        failed = False
+        for f in files:
+            # a bad scene is reported and skipped; the others still get output
+            try:
+                print(_predict_one(f, out_path / f.name, cfg, manifest_params))
+            except (OSError, ValueError) as err:
+                _print_error(err, f"{f.name}: ")
+                failed = True
+        return EXIT_INPUT_ERROR if failed else EXIT_OK
+    print(_predict_one(scene_path, out_path, cfg, manifest_params))
     return EXIT_OK
 
 
@@ -185,28 +195,18 @@ def _eval_one(pred_path: Path, gt_path: Path, args) -> MetricReport:
     )
 
 
-def _mean_report(reports: list[MetricReport]) -> MetricReport:
-    def avg(values):
-        present = [v for v in values if v is not None]
-        return float(np.mean(present)) if present else None
-
-    blocks = [r.lane_segments for r in reports if r.lane_segments is not None]
-    block = None
-    if blocks:
-        block = LaneSegmentReport(
-            map=avg([b.map for b in blocks]),
-            ap_lane=avg([b.ap_lane for b in blocks]),
-            ap_ped=avg([b.ap_ped for b in blocks]),
-            top_lsls=avg([b.top_lsls for b in blocks]),
-        )
-    return MetricReport(
-        det_l=avg([r.det_l for r in reports]),
-        det_t=avg([r.det_t for r in reports]),
-        top_ll=avg([r.top_ll for r in reports]),
-        top_lt=avg([r.top_lt for r in reports]),
-        ols=avg([r.ols for r in reports]),
-        lane_segments=block,
-    )
+def _mean_report(reports: list, cls=MetricReport):
+    """Field-wise mean over the reports where each field is present (not None)."""
+    mean = {}
+    for f in dataclass_fields(cls):
+        present = [v for v in (getattr(r, f.name) for r in reports) if v is not None]
+        if not present:
+            mean[f.name] = None
+        elif f.name == "lane_segments":
+            mean[f.name] = _mean_report(present, LaneSegmentReport)
+        else:
+            mean[f.name] = float(np.mean(present))
+    return cls(**mean)
 
 
 def cmd_eval(args) -> int:
@@ -220,18 +220,18 @@ def cmd_eval(args) -> int:
         pred_files = _data_files(pred_path)
         if not pred_files:
             raise ValueError(f"no prediction files in {pred_path}")
-        jobs = []
-        for pf in pred_files:
-            gf = gt_path / pf.name
-            if not gf.exists():
-                raise ValueError(f"no ground-truth file for {pf.name} in {gt_path}")
-            jobs.append((pf, gf))
+        preds = {f.name for f in pred_files}
+        gts = {f.name for f in _data_files(gt_path)}
+        # every scene on either side must be scored; none is dropped silently
+        for missing, kind, where in ((preds - gts, "ground-truth", gt_path),
+                                     (gts - preds, "prediction", pred_path)):
+            if missing:
+                raise ValueError(f"no {kind} file for {', '.join(sorted(missing))} in {where}")
+        jobs = [(f, gt_path / f.name) for f in pred_files]
     else:
         jobs = [(pred_path, gt_path)]
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(_eval_one, pf, gf, args) for pf, gf in jobs]
-        rows = [(pf.stem, fut.result()) for (pf, _), fut in zip(jobs, futures)]
+    rows = [(pf.stem, _eval_one(pf, gf, args)) for pf, gf in jobs]
 
     mean = _mean_report([r for _, r in rows])
     doc = {
@@ -299,31 +299,19 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _load_weights(path) -> LossWeights:
-    d = read_json(path)
-    names = {f.name for f in dataclass_fields(LossWeights)}
-    unknown = set(d) - names
-    if unknown:
-        raise SchemaError([f"weights: unknown key '{k}'" for k in sorted(unknown)])
-    return LossWeights(**{k: float(v) for k, v in d.items()})
-
-
 def cmd_fitdemo(args) -> int:
     t0 = time.perf_counter()
     scene = read_scene(args.scene)
-    weights = _load_weights(args.weights) if args.weights else LossWeights()
     result = toy_fit(scene, steps=args.steps, lr=args.lr, seed=args.seed,
                      group=GroupConfig(k=args.groups))
 
     lines = ["step,loss"]
     lines += [f"{k},{loss:.9g}" for k, loss in enumerate(result.losses)]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(args.out, "\n".join(lines) + "\n")
     write_manifest(args.out, build_manifest(
         "fitdemo",
         {"steps": args.steps, "lr": args.lr, "groups": args.groups,
-         "max_loss": args.max_loss,
-         "weights": {f.name: getattr(weights, f.name)
-                     for f in dataclass_fields(weights)}},
+         "max_loss": args.max_loss},
         {"seed": args.seed}, [args.scene], [args.out],
         time.perf_counter() - t0))
 
@@ -397,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--lane-queries", type=int, default=300)
     p.add_argument("--traffic-queries", type=int, default=100)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -412,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-iou", type=float, default=TOP_IOU)
     p.add_argument("--lane-width", type=float, default=1.75,
                    help="width used to widen centerlines into lane segments")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
@@ -433,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", type=int, default=1)
     p.add_argument("--max-loss", type=float, default=0.05)
-    p.add_argument("--weights", default=None,
-                   help="LossWeights JSON, recorded in the manifest")
     p.set_defaults(func=cmd_fitdemo)
 
     return parser
@@ -444,15 +428,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as err:
-        for v in err.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except json.JSONDecodeError as err:
-        print(f"error: invalid JSON: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _print_error(err)
         return EXIT_INPUT_ERROR
 
 

@@ -57,16 +57,12 @@ def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
     return out
 
 
-def split_halves(conn: ConnectedLane) -> tuple[Polyline3D, Polyline3D]:
-    """Front and back halves of a connected lane, each resampled to N_P points.
+def split_halves_array(curve: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Front and back halves of a connected-lane curve, each resampled to n
+    points (default: the curve's own count).
 
     The split index is floor(N_P / 2); the midpoint is shared by both halves.
     """
-    h1, h2 = split_halves_array(conn.curve.points)
-    return Polyline3D(h1), Polyline3D(h2)
-
-
-def split_halves_array(curve: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     curve = np.asarray(curve, dtype=np.float64)
     n_pts = curve.shape[0]
     if n is None:

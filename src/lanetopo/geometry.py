@@ -52,11 +52,6 @@ def resample_array(pts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def resample_uniform(poly: Polyline3D, n: int) -> Polyline3D:
-    """Polyline resampled to n points uniform in arc length."""
-    return Polyline3D(resample_array(_as_points(poly), n))
-
-
 def avg_l1(a, b) -> float:
     """Mean L1 distance between index-aligned points of two equal-length polylines."""
     pa, pb = _as_points(a), _as_points(b)
@@ -138,18 +133,3 @@ def box_iou(a, b) -> float:
     inter = iw * ih
     union = _box_area(a) + _box_area(b) - inter
     return float(inter / union) if union > 0.0 else 0.0
-
-
-def giou(a, b) -> float:
-    """Generalized IoU: IoU minus the hull-excess penalty, in (-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    iw = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    ih = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = iw * ih
-    union = _box_area(a) + _box_area(b) - inter
-    hull = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
-    iou = inter / union if union > 0.0 else 0.0
-    if hull <= 0.0:
-        return float(iou)
-    return float(iou - (hull - union) / hull)

@@ -1,18 +1,21 @@
 """Finite-difference verification of the analytic backward passes.
 
-Each op wrapper exposes variables() (live views of every input and parameter
-array), forward(), and analytic_grads(). grad_check perturbs every entry of
-every variable with central differences of the scalar loss sum(y**2) and
-reports the worst relative error against the analytic gradient.
+Every checked backward pass is wrapped in one Op: variables() (live views of
+every input and parameter array), forward(), and analytic_grads(). grad_check
+perturbs every entry of every variable with central differences of the
+scalar loss sum(y**2) and reports the worst relative error against the
+analytic gradient.
 
-Seeded instances are screened so that no ReLU pre-activation sits within
-1e-3 of its kink: a central difference straddling a non-differentiable point
-measures nothing, so such draws are re-seeded deterministically.
+Seeded instances are screened so that no kink (a ReLU pre-activation, the
+mask floor, the focal-loss clamp) sits within 1e-3 of the sampled point: a
+central difference straddling a non-differentiable point measures nothing,
+so such draws are re-seeded deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,109 +31,45 @@ from .attention import (
     sigmoid_mask_backward,
     sigmoid_mask_forward,
 )
+from .heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, mlp_grad_vars
+from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
 
 
-class MlpOp:
-    name = "mlp_forward"
+@dataclass
+class Op:
+    """One differentiable op under check.
 
-    def __init__(self, params: MlpParams, x: np.ndarray):
-        self.params = params
-        self.x = x
+    arrays holds live views of every input and parameter array, by name;
+    forward_cached() returns (y, cache); backward(cache, gy) returns the
+    gradients keyed like arrays; kink_margin(cache) is the distance from the
+    sampled point to the nearest non-differentiable point.
+    """
+
+    name: str
+    arrays: dict[str, np.ndarray]
+    forward_cached: Callable
+    backward: Callable
+    kink_margin: Callable = lambda cache: np.inf
 
     def variables(self) -> dict[str, np.ndarray]:
-        return {"x": self.x, **self.params.variables("mlp")}
+        return self.arrays
 
     def forward(self) -> np.ndarray:
-        y, self._cache = mlp_forward_cached(self.params, self.x)
+        y, self._cache = self.forward_cached()
         return y
 
     def analytic_grads(self, gy: np.ndarray) -> dict[str, np.ndarray]:
-        gx, grads = mlp_backward(self.params, self._cache, gy)
-        return {"x": gx, **mlp_grad_vars("mlp", grads)}
+        return self.backward(self._cache, gy)
 
     def min_kink_margin(self) -> float:
-        _, (inputs, preacts) = mlp_forward_cached(self.params, self.x)
-        margins = [np.abs(z).min() for z in preacts[:-1] if z.size]
-        return float(min(margins)) if margins else np.inf
+        return self.kink_margin(self.forward_cached()[1])
 
 
-class SigmoidMaskOp:
-    name = "sigmoid_mask"
-
-    def __init__(self, params: SigmoidMaskParams, d: np.ndarray):
-        self.params = params
-        self.d = d
-
-    def variables(self) -> dict[str, np.ndarray]:
-        return {"d": self.d, **self.params.variables("mask")}
-
-    def forward(self) -> np.ndarray:
-        s, self._cache = sigmoid_mask_forward(self.params, self.d)
-        return s
-
-    def analytic_grads(self, gy: np.ndarray) -> dict[str, np.ndarray]:
-        gd, mlp_grads = sigmoid_mask_backward(self.params, self._cache, gy)
-        return {"d": gd, **mlp_grad_vars("mask", mlp_grads)}
-
-    def min_kink_margin(self) -> float:
-        _, (_, mlp_cache, sg) = sigmoid_mask_forward(self.params, self.d)
-        inputs, preacts = mlp_cache
-        margins = [np.abs(z).min() for z in preacts[:-1] if z.size]
-        # the clip floor is a kink too; keep the sigmoid away from it
-        margins.append(float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf)
-        return float(min(margins)) if margins else np.inf
-
-
-class SelfAttentionOp:
-    name = "self_attention"
-
-    def __init__(self, params: SelfAttentionParams, q: np.ndarray, p: np.ndarray):
-        self.params = params
-        self.q = q
-        self.p = p
-
-    def variables(self) -> dict[str, np.ndarray]:
-        return {"q": self.q, "p": self.p, **self.params.variables("attn")}
-
-    def forward(self) -> np.ndarray:
-        y, self._cache = self_attention_forward(self.params, self.q, self.p)
-        return y
-
-    def analytic_grads(self, gy: np.ndarray) -> dict[str, np.ndarray]:
-        gq, gp, grads = self_attention_backward(self.params, self._cache, gy)
-        out = {"q": gq, "p": gp}
-        out.update({f"attn.{k}": v for k, v in grads.items()})
-        return out
-
-    def min_kink_margin(self) -> float:
-        return np.inf
-
-
-class MaskedCrossAttentionOp:
-    name = "masked_cross_attention"
-
-    def __init__(self, params: CrossAttentionParams, q: np.ndarray, qc: np.ndarray, s: np.ndarray):
-        self.params = params
-        self.q = q
-        self.qc = qc
-        self.s = s
-
-    def variables(self) -> dict[str, np.ndarray]:
-        return {"q": self.q, "qc": self.qc, "s": self.s, **self.params.variables("tam")}
-
-    def forward(self) -> np.ndarray:
-        y, self._cache = masked_cross_attention_forward(self.params, self.q, self.qc, self.s)
-        return y
-
-    def analytic_grads(self, gy: np.ndarray) -> dict[str, np.ndarray]:
-        gq, gqc, gs, grads = masked_cross_attention_backward(self.params, self._cache, gy)
-        out = {"q": gq, "qc": gqc, "s": gs}
-        out.update({f"tam.{k}": v for k, v in grads.items()})
-        return out
-
-    def min_kink_margin(self) -> float:
-        return np.inf
+def _relu_margin(*mlp_caches) -> float:
+    """Smallest |pre-activation| feeding a ReLU in any of the MLP caches."""
+    margins = [np.abs(z).min() for _, preacts in mlp_caches for z in preacts[:-1] if z.size]
+    return float(min(margins)) if margins else np.inf
 
 
 @dataclass
@@ -181,7 +120,7 @@ KINK_MARGIN = 1e-3
 
 
 def _screened(build, seed: int, tries: int = 64):
-    """Build the op for seed, re-seeding until it clears the ReLU kink margin."""
+    """Build the op for seed, re-seeding until it clears the kink margin."""
     for k in range(tries):
         op = build(np.random.default_rng(seed + 1000 * k))
         if op.min_kink_margin() > KINK_MARGIN:
@@ -189,34 +128,103 @@ def _screened(build, seed: int, tries: int = 64):
     raise RuntimeError(f"no well-conditioned instance found from seed {seed}")
 
 
-def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list:
+def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
     """One seeded instance of each checked op kind."""
     dims = dims or ModelDims(c=8, n_heads=2)
     c = dims.c
 
     def mk_mlp(rng):
-        return MlpOp(MlpParams.init((c, c, 1), rng), rng.normal(size=(3, c)))
+        params, x = MlpParams.init((c, c, 1), rng), rng.normal(size=(3, c))
+
+        def backward(cache, gy):
+            gx, grads = mlp_backward(params, cache, gy)
+            return {"x": gx, **mlp_grad_vars("mlp", grads)}
+
+        return Op("mlp_forward", {"x": x, **params.variables("mlp")},
+                  lambda: mlp_forward_cached(params, x), backward, _relu_margin)
 
     def mk_mask(rng):
-        return SigmoidMaskOp(SigmoidMaskParams.init(c, rng),
-                             np.abs(rng.normal(size=(3, 2))) * 2.0)
+        params = SigmoidMaskParams.init(c, rng)
+        d = np.abs(rng.normal(size=(3, 2))) * 2.0
+
+        def backward(cache, gy):
+            gd, mlp_grads = sigmoid_mask_backward(params, cache, gy)
+            return {"d": gd, **mlp_grad_vars("mask", mlp_grads)}
+
+        def kink_margin(cache):
+            _, mlp_cache, sg = cache
+            # the clip floor is a kink too; keep the sigmoid away from it
+            floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
+            return min(_relu_margin(mlp_cache), floor)
+
+        return Op("sigmoid_mask", {"d": d, **params.variables("mask")},
+                  lambda: sigmoid_mask_forward(params, d), backward, kink_margin)
 
     def mk_self(rng):
-        return SelfAttentionOp(SelfAttentionParams.init(dims, rng),
-                               rng.normal(size=(3, c)), rng.normal(size=(3, c)))
+        params = SelfAttentionParams.init(dims, rng)
+        q, p = rng.normal(size=(3, c)), rng.normal(size=(3, c))
+
+        def backward(cache, gy):
+            gq, gp, grads = self_attention_backward(params, cache, gy)
+            return {"q": gq, "p": gp, **{f"attn.{k}": v for k, v in grads.items()}}
+
+        return Op("self_attention", {"q": q, "p": p, **params.variables("attn")},
+                  lambda: self_attention_forward(params, q, p), backward)
 
     def mk_cross(rng):
-        return MaskedCrossAttentionOp(
-            CrossAttentionParams.init(dims, rng),
-            rng.normal(size=(3, c)), rng.normal(size=(2, c)),
-            rng.uniform(0.05, 1.0, size=(3, 2)),
-        )
+        params = CrossAttentionParams.init(dims, rng)
+        q, qc = rng.normal(size=(3, c)), rng.normal(size=(2, c))
+        s = rng.uniform(0.05, 1.0, size=(3, 2))
+
+        def backward(cache, gy):
+            gq, gqc, gs, grads = masked_cross_attention_backward(params, cache, gy)
+            return {"q": gq, "qc": gqc, "s": gs, **{f"tam.{k}": v for k, v in grads.items()}}
+
+        return Op("masked_cross_attention",
+                  {"q": q, "qc": qc, "s": s, **params.variables("tam")},
+                  lambda: masked_cross_attention_forward(params, q, qc, s), backward)
+
+    def mk_ll_head(rng):
+        # three lanes, two connected-lane queries resolving to distinct
+        # (i, j) pairs, so no duplicate-max choice can sit at a tie
+        params = TopologyHeadParams.init(c, rng)
+        q_hat, qc_hat = rng.normal(size=(3, c)), rng.normal(size=(2, c))
+        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
+        ll_head = {k: v for k, v in params.variables().items()
+                   if not k.startswith("head.lt_")}
+
+        def backward(cache, gy):
+            gq, gqc, grads = predict_ll_backward(params, cache, gy, len(qc_hat))
+            return {"q_hat": gq, "qc_hat": gqc, **grads}
+
+        def kink_margin(cache):
+            _, _, cache_u1, cache_u2, cache_head_u, _, _, cache_m = cache
+            return _relu_margin(cache_u1, cache_u2, cache_head_u, *cache_m[:3])
+
+        return Op("predict_ll_backward", {"q_hat": q_hat, "qc_hat": qc_hat, **ll_head},
+                  lambda: predict_ll_cached(params, q_hat, qc_hat, pairs),
+                  backward, kink_margin)
+
+    def mk_focal(rng):
+        pred = rng.uniform(0.05, 0.95, size=(3, 4))
+        target = rng.integers(0, 2, size=(3, 4)).astype(float)
+
+        def kink_margin(cache):
+            # the clamp at [1e-7, 1 - 1e-7] is the only kink
+            return float(np.minimum(pred - FOCAL_CLAMP, 1.0 - FOCAL_CLAMP - pred).min())
+
+        return Op("focal_loss_grad", {"pred": pred},
+                  lambda: (focal_loss(pred, target, reduction="none"), None),
+                  lambda cache, gy: {"pred": gy * focal_loss_grad(pred, target)},
+                  kink_margin)
 
     return [
         _screened(mk_mlp, seed),
         _screened(mk_mask, seed + 1),
         _screened(mk_self, seed + 2),
         _screened(mk_cross, seed + 3),
+        _screened(mk_ll_head, seed + 4),
+        _screened(mk_focal, seed + 5),
     ]
 
 

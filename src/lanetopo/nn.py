@@ -1,9 +1,8 @@
 """Dense numeric primitives with hand-written backward passes.
 
 All parameters are float64 numpy arrays initialised from a seeded generator
-with the uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] convention. Forward
-functions come in two flavours: a plain one, and a *_cached one that records
-the intermediates the matching backward function needs.
+with the uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] convention. A *_cached
+forward also returns the intermediates its matching backward function needs.
 """
 
 from __future__ import annotations
@@ -55,13 +54,7 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    h = x
-    last = params.n_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if l != last:
-            h = np.maximum(h, 0.0)
-    return h
+    return mlp_forward_cached(params, x)[0]
 
 
 def mlp_forward_cached(params: MlpParams, x: np.ndarray):
@@ -104,12 +97,6 @@ def mlp_grad_vars(prefix: str, grads) -> dict[str, np.ndarray]:
         out[f"{prefix}.w{l}"] = gw
         out[f"{prefix}.b{l}"] = gb
     return out
-
-
-def apply_mlp_update(params: MlpParams, grads, lr: float) -> None:
-    for l, (gw, gb) in enumerate(grads):
-        params.weights[l] -= lr * gw
-        params.biases[l] -= lr * gb
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

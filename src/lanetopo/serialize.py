@@ -5,6 +5,9 @@ compact separators, and files end with one trailing newline, so the same
 data always serializes to the same bytes. Readers validate documents and
 raise SchemaError with the full violation list.
 
+Every file is written to a temporary name in its directory and renamed
+into place, so an interrupted or failed run leaves no partial file.
+
 Manifests record what produced an output file: the command, its parameters
 and seeds, and sha256 hashes of inputs and outputs. Wall time is recorded
 but excluded from equivalence checks.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +73,21 @@ def dumps(obj) -> str:
     return json.dumps(_walk(obj), separators=(",", ":")) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write text atomically: a temp file in the same directory, then os.replace,
+    so a failed run never leaves a partial file under the final name."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    write_text(path, dumps(obj))
 
 
 def read_json(path):
@@ -104,14 +121,10 @@ def prediction_to_dict(pred: Prediction) -> dict:
     }
 
 
-def connected_to_dict(conn: ConnectedLane) -> dict:
-    return {"source": list(conn.source), "curve": conn.curve.points}
-
-
 def connected_list_to_dict(items: list[ConnectedLane]) -> dict:
     return {
         "version": SCHEMA_VERSION,
-        "connected": [connected_to_dict(c) for c in items],
+        "connected": [{"source": list(c.source), "curve": c.curve.points} for c in items],
     }
 
 
@@ -212,25 +225,6 @@ def read_prediction(path, n_points: int | None = None) -> Prediction:
     return prediction_from_dict(read_json(path), n_points)
 
 
-def params_to_dict(named: dict[str, np.ndarray]) -> dict:
-    """Snapshot of named tensors: flat data plus shape, keys sorted."""
-    tensors = {}
-    for name in sorted(named):
-        arr = np.asarray(named[name], dtype=float)
-        tensors[name] = {"shape": list(arr.shape), "data": arr.reshape(-1)}
-    return {"version": SCHEMA_VERSION, "tensors": tensors}
-
-
-def params_from_dict(d) -> dict[str, np.ndarray]:
-    _require(d, ("tensors",), "params")
-    _check_version(d, "params")
-    out = {}
-    for name, entry in d["tensors"].items():
-        _require(entry, ("shape", "data"), f"tensor '{name}'")
-        out[name] = np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-    return out
-
-
 def _csv_cell(x) -> str:
     return "" if x is None else f"{float(x):.9g}"
 
@@ -238,25 +232,16 @@ def _csv_cell(x) -> str:
 def metrics_csv(rows: list[tuple[str, MetricReport]]) -> str:
     """Fixed-header CSV; lane-segment columns are empty when not evaluated."""
     lines = [CSV_HEADER]
-    for name, report in rows:
-        ls = report.lane_segments
-        lines.append(",".join([
-            name,
-            _csv_cell(report.det_l),
-            _csv_cell(report.det_t),
-            _csv_cell(report.top_ll),
-            _csv_cell(report.top_lt),
-            _csv_cell(report.ols),
-            _csv_cell(ls.map if ls is not None else None),
-            _csv_cell(ls.ap_lane if ls is not None else None),
-            _csv_cell(ls.ap_ped if ls is not None else None),
-            _csv_cell(ls.top_lsls if ls is not None else None),
-        ]))
+    for name, r in rows:
+        ls = r.lane_segments
+        segment = (ls.map, ls.ap_lane, ls.ap_ped, ls.top_lsls) if ls is not None else (None,) * 4
+        cells = (r.det_l, r.det_t, r.top_ll, r.top_lt, r.ols, *segment)
+        lines.append(",".join([name, *map(_csv_cell, cells)]))
     return "\n".join(lines) + "\n"
 
 
 def write_metrics_csv(path, rows) -> None:
-    Path(path).write_text(metrics_csv(rows), encoding="utf-8")
+    write_text(path, metrics_csv(rows))
 
 
 def report_to_dict(report: MetricReport) -> dict:

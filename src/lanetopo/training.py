@@ -1,9 +1,8 @@
 """Training machinery: losses, assignment, group strategy, and a toy fit loop.
 
-The loss tree mirrors the detection stack: per-task losses (lane, traffic,
-lane-lane topology, lane-traffic topology) combine with fixed weights, and
-each query group is assigned to ground truth independently with a Hungarian
-matcher, unmatched queries supervised as negatives.
+Each query group is assigned to ground truth independently with a Hungarian
+matcher, unmatched queries supervised as negatives, and the group-strategy
+loss is the exact sum of the per-group losses.
 """
 
 from __future__ import annotations
@@ -34,17 +33,10 @@ FOCAL_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Task weights and within-task term weights."""
+    """Weights of the classification and regression terms of the lane loss."""
 
-    lane: float = 1.0
-    traffic: float = 1.0
-    ll: float = 5.0
-    lt: float = 5.0
     lane_cls: float = 1.5
     lane_reg: float = 0.025
-    traffic_cls: float = 1.2
-    traffic_reg: float = 3.0
-    traffic_iou: float = 1.2
 
 
 @dataclass(frozen=True)
@@ -102,9 +94,8 @@ def l1_loss(a, b) -> float:
 def hungarian(cost) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment of min(n, m) pairs, sorted by row.
 
-    Rectangular inputs are padded to square with a large constant
-    (10x the largest magnitude), and pad pairs are dropped from the result;
-    the constant padding leaves the real sub-assignment unchanged.
+    Rectangular matrices go to scipy's solver as they are; it assigns every
+    row of the shorter side.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -114,20 +105,8 @@ def hungarian(cost) -> list[tuple[int, int]]:
         return []
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix has non-finite entries")
-    if n != m:
-        side = max(n, m)
-        pad = 10.0 * max(1.0, float(np.abs(cost).max()))
-        square = np.full((side, side), pad)
-        square[:n, :m] = cost
-        cost = square
     rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
-    pairs.sort()
-    return pairs
-
-
-def assignment_cost(cost, pairs) -> float:
-    return float(sum(cost[r][c] for r, c in pairs))
+    return sorted((int(r), int(c)) for r, c in zip(rows, cols))
 
 
 def match_group(scores, pred_lanes, gt_lanes, weights: LossWeights = LossWeights()):
@@ -167,23 +146,6 @@ def match_group(scores, pred_lanes, gt_lanes, weights: LossWeights = LossWeights
     return pairs, float(loss)
 
 
-def lane_loss(cls_term: float, reg_term: float, weights: LossWeights = LossWeights()) -> float:
-    return weights.lane_cls * cls_term + weights.lane_reg * reg_term
-
-
-def traffic_loss(cls_term: float, reg_term: float, iou_term: float,
-                 weights: LossWeights = LossWeights()) -> float:
-    return weights.traffic_cls * cls_term + weights.traffic_reg * reg_term \
-        + weights.traffic_iou * iou_term
-
-
-def total_loss(lane: float, traffic: float, ll: float, lt: float,
-               weights: LossWeights = LossWeights()) -> float:
-    """Top-level combination of the four task losses."""
-    return weights.lane * lane + weights.traffic * traffic \
-        + weights.ll * ll + weights.lt * lt
-
-
 def sum_group_losses(losses) -> float:
     """Group strategy total: exact sum of per-group losses."""
     return math.fsum(float(v) for v in losses)
@@ -197,13 +159,6 @@ class FitResult:
     head_params: TopologyHeadParams
     final_scores: np.ndarray
     target: np.ndarray
-
-    def variables(self) -> dict[str, np.ndarray]:
-        out = {}
-        out.update(self.mask_params.variables("mask"))
-        out.update(self.tam_params.variables("tam"))
-        out.update(self.head_params.variables())
-        return out
 
 
 def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,

@@ -56,7 +56,7 @@ def brute_force_assignment(cost):
     """Exhaustive minimum-cost assignment. Returns (pairs, total).
 
     Pairs come back sorted by row and the total is summed in that order, the
-    same order assignment_cost uses, so totals are comparable bit for bit.
+    order hungarian returns its pairs in, so totals are comparable bit for bit.
     Only sensible for sides up to about 7.
     """
     cost = np.asarray(cost, dtype=np.float64)

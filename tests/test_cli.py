@@ -121,11 +121,24 @@ class TestPredict:
         for name, seed in (("a.json", 0), ("b.json", 1)):
             assert run("synth", "--seed", seed, "--out", scenes / name) == 0
         preds = tmp_path / "preds"
-        assert run("predict", "--scene", scenes, "--out", preds,
-                   *self.small("--workers", 2)) == 0
+        assert run("predict", "--scene", scenes, "--out", preds, *self.small()) == 0
         assert sorted(p.name for p in preds.glob("*.json")
                       if not p.name.endswith(".manifest.json")) == ["a.json", "b.json"]
         read_prediction(preds / "a.json")
+
+    def test_corrupt_scene_in_directory_exits_2_and_others_get_output(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name, seed in (("a.json", 0), ("c.json", 1)):
+            assert run("synth", "--seed", seed, "--out", scenes / name) == 0
+        (scenes / "b.json").write_text("{not json", encoding="utf-8")
+        preds = tmp_path / "preds"
+        assert run("predict", "--scene", scenes, "--out", preds, *self.small()) == 2
+        assert "b.json: invalid JSON" in capsys.readouterr().err
+        assert sorted(p.name for p in preds.iterdir()) == [
+            "a.json", "a.json.manifest.json", "c.json", "c.json.manifest.json"]
+        read_prediction(preds / "a.json")
+        read_prediction(preds / "c.json")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         scene_path = tmp_path / "scene.json"
@@ -190,6 +203,21 @@ class TestEval:
         assert len(lines) == 4
         assert lines[-1].startswith("mean,")
 
+    def test_missing_prediction_exits_2(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        preds = tmp_path / "preds"
+        scenes.mkdir()
+        for name, seed in (("a.json", 0), ("b.json", 1), ("c.json", 2)):
+            assert run("synth", "--seed", seed, "--out", scenes / name) == 0
+        assert run("predict", "--scene", scenes, "--out", preds,
+                   "--channels", 16, "--heads", 2,
+                   "--lane-queries", 32, "--traffic-queries", 8) == 0
+        (preds / "b.json").unlink()
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", preds, "--gt", scenes, "--out", out) == 2
+        assert "no prediction file for b.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_dir_mismatch_exits_2(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
@@ -225,7 +253,7 @@ class TestGradcheckCommand:
         assert doc["max_rel_error"] < 1e-4
         assert {e["op"] for e in doc["ops"]} == {
             "mlp_forward", "sigmoid_mask", "self_attention",
-            "masked_cross_attention"}
+            "masked_cross_attention", "predict_ll_backward", "focal_loss_grad"}
         assert "pass" in capsys.readouterr().out
 
     def test_corrupted_gradient_fails(self, tmp_path, capsys):
@@ -261,25 +289,6 @@ class TestFitdemo:
                  "--steps", 5, "--max-loss", 1e-9)
         assert rc == 1
         assert "did not reach" in capsys.readouterr().out
-
-    def test_weights_file_recorded_in_manifest(self, tmp_path):
-        scene = self.scene_path(tmp_path)
-        weights = tmp_path / "weights.json"
-        write_json(weights, {"ll": 2.0})
-        out = tmp_path / "l.csv"
-        assert run("fitdemo", "--scene", scene, "--out", out,
-                   "--steps", 5, "--max-loss", 10.0, "--weights", weights) == 0
-        m = read_json(manifest_path_for(out))
-        assert m["params"]["weights"]["ll"] == 2.0
-
-    def test_unknown_weight_key_exits_2(self, tmp_path, capsys):
-        scene = self.scene_path(tmp_path)
-        weights = tmp_path / "weights.json"
-        write_json(weights, {"nonsense": 1.0})
-        rc = run("fitdemo", "--scene", scene, "--out", tmp_path / "l.csv",
-                 "--weights", weights)
-        assert rc == 2
-        assert "unknown key" in capsys.readouterr().err
 
 
 class TestInputErrors:

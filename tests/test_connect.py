@@ -92,31 +92,31 @@ class TestSplitHalves:
     def test_shared_midpoint(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves(conn)
+        h1, h2 = lt.split_halves_array(conn.curve.points)
         mid = conn.curve.points[5]
-        assert np.array_equal(h1.terminal, mid)
-        assert np.array_equal(h2.initial, mid)
+        assert np.array_equal(h1[-1], mid)
+        assert np.array_equal(h2[0], mid)
 
     def test_halves_recover_source_lanes_on_a_chain(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves(conn)
-        assert np.allclose(h1.points, scene.lanes[0].points, atol=1e-12)
-        assert np.allclose(h2.points, scene.lanes[1].points, atol=1e-12)
+        h1, h2 = lt.split_halves_array(conn.curve.points)
+        assert np.allclose(h1, scene.lanes[0].points, atol=1e-12)
+        assert np.allclose(h2, scene.lanes[1].points, atol=1e-12)
 
     def test_half_point_counts(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves(conn)
-        assert h1.n_points == h2.n_points == 11
+        h1, h2 = lt.split_halves_array(conn.curve.points)
+        assert h1.shape == h2.shape == (11, 3)
 
     def test_array_variant_matches(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
+        # each half is the curve up to / from index floor(N_P / 2), resampled
         h1, h2 = lt.split_halves_array(conn.curve.points)
-        p1, p2 = lt.split_halves(conn)
-        assert np.array_equal(h1, p1.points)
-        assert np.array_equal(h2, p2.points)
+        assert np.array_equal(h1, lt.resample_array(conn.curve.points[:6], 11))
+        assert np.array_equal(h2, lt.resample_array(conn.curve.points[5:], 11))
 
 
 class TestCorrelationDistances:

@@ -10,30 +10,29 @@ from oracles import avg_l1_loops, chamfer_loops, frechet_recursive, random_polyl
 
 class TestResample:
     def test_straight_line_three_points(self):
-        poly = lt.Polyline3D(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
-        out = lt.resample_uniform(poly, 3)
+        out = lt.resample_array(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]), 3)
         expected = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        assert np.array_equal(out.points, expected)
+        assert np.array_equal(out, expected)
 
     def test_l_shape_five_points(self):
         # two 4 m legs, arc positions {0, 2, 4, 6, 8}; the corner sits at 4
-        poly = lt.Polyline3D(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]]))
-        out = lt.resample_uniform(poly, 5)
+        pts = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
+        out = lt.resample_array(pts, 5)
         expected = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0],
                              [4.0, 2.0, 0.0], [4.0, 4.0, 0.0]])
-        assert np.allclose(out.points, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_identity_on_uniform_polyline(self):
         # binary-exact spacing, so interpolation targets hit the vertices
         poly = straight_lane(0.0, 20.0, 3.0, n=5)
-        out = lt.resample_uniform(poly, 5)
-        assert np.array_equal(out.points, poly.points)
+        out = lt.resample_array(poly.points, 5)
+        assert np.array_equal(out, poly.points)
 
     def test_identity_on_irrational_spacing(self):
         t = np.linspace(0.0, 1.0, 7)
         pts = np.stack([t * np.pi, t * np.e, np.zeros(7)], axis=1)
-        out = lt.resample_uniform(lt.Polyline3D(pts), 7)
-        assert np.allclose(out.points, pts, atol=1e-9)
+        out = lt.resample_array(pts, 7)
+        assert np.allclose(out, pts, atol=1e-9)
 
     def test_endpoints_are_preserved_exactly(self):
         rng = np.random.default_rng(3)
@@ -46,24 +45,24 @@ class TestResample:
     def test_output_count(self):
         poly = straight_lane(0.0, 10.0, 0.0, n=4)
         for n in (2, 3, 11, 40):
-            assert lt.resample_uniform(poly, n).n_points == n
+            assert lt.resample_array(poly.points, n).shape == (n, 3)
 
     def test_fewer_than_two_points_raises(self):
         poly = straight_lane(0.0, 10.0, 0.0, n=4)
         with pytest.raises(ValueError):
-            lt.resample_uniform(poly, 1)
+            lt.resample_array(poly.points, 1)
 
     def test_arc_length_preserved_when_vertices_hit_the_grid(self):
         # output points sit on the input curve, so length is preserved only
         # when every interior vertex lands on a target arc position; the
         # L shape with n = 5 and any straight line qualify
-        L = lt.Polyline3D(np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]]))
-        out = lt.resample_uniform(L, 5)
+        L = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
+        out = lt.resample_array(L, 5)
         assert abs(lt.arc_length(out) - lt.arc_length(L)) <= 1e-9 * lt.arc_length(L)
 
         line = straight_lane(0.0, 37.0, 2.0, n=3)
         for n in (2, 5, 16):
-            out = lt.resample_uniform(line, n)
+            out = lt.resample_array(line.points, n)
             assert abs(lt.arc_length(out) - lt.arc_length(line)) \
                 <= 1e-9 * lt.arc_length(line)
 
@@ -195,33 +194,6 @@ class TestBoxes:
 
     def test_iou_touching_edge_is_zero(self):
         assert lt.box_iou((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0)) == 0.0
-
-    def test_giou_identical(self):
-        assert lt.giou((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)) == 1.0
-
-    def test_giou_separated_unit_boxes(self):
-        # iou 0, hull area 3, union 2 -> 0 - (3 - 2) / 3
-        assert lt.giou((0.0, 0.0, 1.0, 1.0), (2.0, 0.0, 3.0, 1.0)) \
-            == pytest.approx(-1.0 / 3.0, abs=1e-12)
-
-    def test_giou_never_exceeds_iou(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            x0, y0, x1, y1 = rng.uniform(0, 10, 4)
-            a = (min(x0, x1), min(y0, y1), max(x0, x1) + 0.1, max(y0, y1) + 0.1)
-            x0, y0, x1, y1 = rng.uniform(0, 10, 4)
-            b = (min(x0, x1), min(y0, y1), max(x0, x1) + 0.1, max(y0, y1) + 0.1)
-            assert lt.giou(a, b) <= lt.box_iou(a, b) + 1e-12
-
-    def test_giou_range(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            x, y = rng.uniform(0, 10, 2)
-            a = (x, y, x + 1.0, y + 2.0)
-            x, y = rng.uniform(0, 10, 2)
-            b = (x, y, x + 2.0, y + 1.0)
-            g = lt.giou(a, b)
-            assert -1.0 <= g <= 1.0
 
 
 class TestWidenToSegment:

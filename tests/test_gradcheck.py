@@ -1,13 +1,15 @@
 """Finite-difference verification harness and the hand-written backwards."""
 
 import numpy as np
+import pytest
 
 import lanetopo as lt
 from lanetopo.attention import SigmoidMaskParams, sigmoid_mask_backward, sigmoid_mask_forward
-from lanetopo.gradcheck import KINK_MARGIN, build_standard_ops, grad_check, run_gradcheck
+from lanetopo.gradcheck import KINK_MARGIN, Op, build_standard_ops, grad_check, run_gradcheck
 from lanetopo.nn import MlpParams, mlp_backward, mlp_forward_cached
 
-OP_NAMES = {"mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention"}
+OP_NAMES = {"mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention",
+            "predict_ll_backward", "focal_loss_grad"}
 
 
 class NullOp:
@@ -29,7 +31,7 @@ class NullOp:
 class TestHarness:
     def test_all_ops_pass_on_a_small_run(self):
         results = run_gradcheck(seed=0, instances=3)
-        assert len(results) == 12
+        assert len(results) == 18
         assert {r.op for r in results} == OP_NAMES
         for r in results:
             assert not r.skipped
@@ -48,6 +50,12 @@ class TestHarness:
         assert all(r.max_rel_error > 1e-3 for r in bad)
         assert all(r.max_rel_error < 1e-4 for r in good)
 
+    @pytest.mark.parametrize("name", sorted(OP_NAMES))
+    def test_corruption_of_each_op_is_detected(self, name):
+        results = run_gradcheck(seed=0, instances=1, corrupt=name)
+        assert [r.max_rel_error > 1e-3 for r in results] == \
+            [r.op == name for r in results]
+
     def test_zero_entry_op_is_skipped_with_note(self):
         r = grad_check(NullOp())
         assert r.skipped
@@ -57,6 +65,32 @@ class TestHarness:
     def test_standard_ops_clear_the_kink_margin(self):
         for op in build_standard_ops(seed=42):
             assert op.min_kink_margin() > KINK_MARGIN
+
+
+class TestOpAdapter:
+    def ops(self):
+        return {op.name: op for op in build_standard_ops(seed=0)}
+
+    def test_variables_are_live_views(self):
+        op = self.ops()["mlp_forward"]
+        y = op.forward().copy()
+        op.variables()["x"] += 1.0
+        assert not np.array_equal(op.forward(), y)
+
+    def test_default_kink_margin_is_infinite(self):
+        op = Op("square", {"x": np.ones(2)}, lambda: (np.ones(2), None),
+                lambda cache, gy: {"x": gy})
+        assert op.min_kink_margin() == np.inf
+
+    def test_ll_head_op_checks_only_ll_head_parameters(self):
+        names = set(self.ops()["predict_ll_backward"].variables())
+        heads = {n.split(".")[1] for n in names if n.startswith("head.")}
+        assert heads == {"match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
+        assert names - {n for n in names if n.startswith("head.")} == {"q_hat", "qc_hat"}
+
+    def test_focal_op_predictions_clear_the_clamp(self):
+        pred = self.ops()["focal_loss_grad"].variables()["pred"]
+        assert pred.min() > 0.01 and pred.max() < 0.99
 
 
 class TestHandWrittenBackwards:

@@ -16,8 +16,6 @@ from lanetopo.serialize import (
     manifest_path_for,
     manifests_equivalent,
     metrics_csv,
-    params_from_dict,
-    params_to_dict,
     prediction_from_dict,
     prediction_to_dict,
     read_json,
@@ -148,15 +146,27 @@ class TestPredictionRoundTrip:
             prediction_from_dict(d, n_points=7)
 
 
-class TestParamsSnapshot:
-    def test_round_trip_bitwise_within_round9(self):
-        rng = np.random.default_rng(1)
-        named = {"mlp.w0": rng.normal(size=(3, 4)), "mlp.b0": rng.normal(size=4)}
-        back = params_from_dict(json.loads(dumps(params_to_dict(named))))
-        assert set(back) == set(named)
-        for k in named:
-            assert back[k].shape == named[k].shape
-            assert np.allclose(back[k], named[k], rtol=1e-8)
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        write_json(path, {"version": 1})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("lanetopo.serialize.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_json(path, {"version": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_overwrite_replaces_content(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"version": 1})
+        write_json(path, {"version": 2})
+        assert read_json(path) == {"version": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestMetricsCsv:
