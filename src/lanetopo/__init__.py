@@ -30,6 +30,7 @@ from .geometry import (
     box_iou,
     chamfer,
     discrete_frechet,
+    lane_segment_distance,
     resample_array,
     widen_to_segment,
 )
@@ -43,7 +44,6 @@ from .metrics import (
     det_t,
     evaluate,
     greedy_match,
-    lane_segment_distance,
     lane_segment_metrics,
     ols,
     rank_by_score,

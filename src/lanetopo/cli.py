@@ -33,6 +33,8 @@ from .metrics import (
     LaneSegmentReport,
     MetricReport,
     evaluate,
+    valid_distances,
+    valid_iou,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .serialize import (
@@ -40,6 +42,7 @@ from .serialize import (
     SchemaError,
     build_manifest,
     connected_list_to_dict,
+    manifest_path_for,
     prediction_to_dict,
     read_prediction,
     read_scene,
@@ -161,6 +164,9 @@ def cmd_predict(args) -> int:
         files = _data_files(scene_path)
         if not files:
             raise ValueError(f"no scene files in {scene_path}")
+        if out_path.resolve() == scene_path.resolve():
+            # outputs would replace the scenes, and a failed scene's file be removed
+            raise ValueError(f"output directory {out_path} is the scene directory")
         out_path.mkdir(parents=True, exist_ok=True)
         failed = False
         for f in files:
@@ -170,14 +176,24 @@ def cmd_predict(args) -> int:
             except (OSError, ValueError) as err:
                 _print_error(err, f"{f.name}: ")
                 failed = True
+                # an earlier run's output must not be scored as this scene's
+                for stale in (out_path / f.name, manifest_path_for(out_path / f.name)):
+                    stale.unlink(missing_ok=True)
         return EXIT_INPUT_ERROR if failed else EXIT_OK
     print(_predict_one(scene_path, out_path, cfg, manifest_params))
     return EXIT_OK
 
 
-def _eval_one(pred_path: Path, gt_path: Path, args) -> MetricReport:
-    scene = read_scene(gt_path)
-    pred = read_prediction(pred_path)
+def _read_or_report(read, path: Path):
+    """read(path), or None after printing its errors prefixed with the path."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as err:
+        _print_error(err, f"{path}: ")
+        return None
+
+
+def _eval_one(pred, scene, args) -> MetricReport:
     segments = (
         [widen_to_segment(l, args.lane_width) for l in pred.lanes],
         pred.lane_scores,
@@ -187,7 +203,7 @@ def _eval_one(pred_path: Path, gt_path: Path, args) -> MetricReport:
     )
     return evaluate(
         pred, scene,
-        det_l_thresholds=tuple(args.det_thresholds),
+        det_l_thresholds=args.det_thresholds,
         det_t_iou=args.det_iou,
         top_frechet=args.top_frechet,
         top_iou=args.top_iou,
@@ -231,7 +247,16 @@ def cmd_eval(args) -> int:
     else:
         jobs = [(pred_path, gt_path)]
 
-    rows = [(pf.stem, _eval_one(pf, gf, args)) for pf, gf in jobs]
+    rows, failed = [], False
+    for pf, gf in jobs:
+        # every unreadable file is reported; scoring stops at the first,
+        # since no report is written then
+        scene, pred = _read_or_report(read_scene, gf), _read_or_report(read_prediction, pf)
+        failed = failed or scene is None or pred is None
+        if not failed:
+            rows.append((pf.stem, _eval_one(pred, scene, args)))
+    if failed:
+        return EXIT_INPUT_ERROR
 
     mean = _mean_report([r for _, r in rows])
     doc = {
@@ -328,13 +353,17 @@ def cmd_fitdemo(args) -> int:
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected comma-separated numbers")
-    return values
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _checked(check, parse=float):
+    """argparse type: parse then check, so a bad value exits 2 with its message."""
+    def arg_type(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return arg_type
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,11 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="scene file or directory")
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--csv", default=None, help="CSV path (default: out with .csv)")
-    p.add_argument("--det-thresholds", type=_comma_floats,
+    p.add_argument("--det-thresholds", type=_checked(valid_distances, _comma_floats),
                    default=DET_L_THRESHOLDS, metavar="T1,T2,T3")
-    p.add_argument("--det-iou", type=float, default=DET_T_IOU)
-    p.add_argument("--top-frechet", type=float, default=TOP_FRECHET)
-    p.add_argument("--top-iou", type=float, default=TOP_IOU)
+    p.add_argument("--det-iou", type=_checked(valid_iou), default=DET_T_IOU)
+    p.add_argument("--top-frechet", type=_checked(lambda v: valid_distances((v,))[0]),
+                   default=TOP_FRECHET)
+    p.add_argument("--top-iou", type=_checked(valid_iou), default=TOP_IOU)
     p.add_argument("--lane-width", type=float, default=1.75,
                    help="width used to widen centerlines into lane segments")
     p.set_defaults(func=cmd_eval)

@@ -60,39 +60,160 @@ def avg_l1(a, b) -> float:
     return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
 
 
-def discrete_frechet(a, b) -> float:
-    """Discrete Frechet distance with the Euclidean point metric.
+# Pairs per batched kernel call: bounds the (pairs, n, m, 3) temporaries at a
+# few MB whatever the number of pairs.
+PAIR_CHUNK = 256
 
-    Standard coupling recurrence, filled iteratively:
-        ca[i, j] = max(d(i, j), min(ca[i-1, j], ca[i-1, j-1], ca[i, j-1]))
+
+def _point_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(k, n, m) Euclidean distances between the points of A (k, n, 3) and B (k, m, 3).
+
+    The norm reduces a C-contiguous (..., 3) difference array, so every
+    entry is bitwise the one a single pair's (n, m, 3) array gives.
     """
-    pa, pb = _as_points(a), _as_points(b)
-    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    n, m = d.shape
-    ca = np.empty((n, m))
-    ca[0, 0] = d[0, 0]
+    return np.linalg.norm(A[:, :, None, :] - B[:, None, :, :], axis=3)
+
+
+def _chunked(kernel, A, B) -> np.ndarray:
+    """kernel over the pairs (A[k], B[k]), PAIR_CHUNK pairs per call."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] \
+            or A.shape[2] != 3 or B.shape[2] != 3:
+        raise ValueError(f"expected (k, n, 3) and (k, m, 3) arrays, got {A.shape} and {B.shape}")
+    out = np.empty(A.shape[0])
+    for s in range(0, A.shape[0], PAIR_CHUNK):
+        out[s:s + PAIR_CHUNK] = kernel(A[s:s + PAIR_CHUNK], B[s:s + PAIR_CHUNK])
+    return out
+
+
+def _frechet_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # (n, m, k): each DP cell is a contiguous vector over the pairs
+    d = np.ascontiguousarray(_point_gaps(A, B).transpose(1, 2, 0))
+    n, m, _ = d.shape
+    ca = np.empty_like(d)
+    ca[:, 0] = np.maximum.accumulate(d[:, 0], axis=0)
+    ca[0, :] = np.maximum.accumulate(d[0, :], axis=0)
+    reach = np.empty(d.shape[2])
     for i in range(1, n):
-        ca[i, 0] = max(ca[i - 1, 0], d[i, 0])
-    for j in range(1, m):
-        ca[0, j] = max(ca[0, j - 1], d[0, j])
-    for i in range(1, n):
-        row = ca[i]
-        prev = ca[i - 1]
         for j in range(1, m):
-            reach = prev[j]
-            if prev[j - 1] < reach:
-                reach = prev[j - 1]
-            if row[j - 1] < reach:
-                reach = row[j - 1]
-            row[j] = reach if reach > d[i, j] else d[i, j]
-    return float(ca[-1, -1])
+            np.minimum(ca[i - 1, j], ca[i - 1, j - 1], out=reach)
+            np.minimum(reach, ca[i, j - 1], out=reach)
+            np.maximum(reach, d[i, j], out=ca[i, j])
+    return ca[-1, -1]
+
+
+def frechet_pairs(A, B) -> np.ndarray:
+    """Discrete Frechet distances of k polyline pairs, A (k, n, 3) against B (k, m, 3).
+
+    Standard coupling recurrence with the Euclidean point metric, run on
+    all pairs at once:
+        ca[i, j] = max(d(i, j), min(ca[i-1, j], ca[i-1, j-1], ca[i, j-1]))
+    Only max and min act on the point distances, so each result is exactly
+    one of them, the same float a per-pair loop returns.
+    """
+    return _chunked(_frechet_chunk, A, B)
+
+
+def discrete_frechet(a, b) -> float:
+    """Discrete Frechet distance of one pair of polylines (see frechet_pairs)."""
+    return float(frechet_pairs(_as_points(a)[None], _as_points(b)[None])[0])
+
+
+def _chamfer_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    d = _point_gaps(A, B)
+    return 0.5 * (d.min(axis=2).mean(axis=1) + d.min(axis=1).mean(axis=1))
+
+
+def chamfer_pairs(A, B) -> np.ndarray:
+    """Symmetric Chamfer distances of k point-set pairs, A (k, n, 3) against B (k, m, 3):
+    mean nearest-neighbour gap, averaged both ways."""
+    return _chunked(_chamfer_chunk, A, B)
 
 
 def chamfer(a, b) -> float:
-    """Symmetric Chamfer distance: mean nearest-neighbour gap, averaged both ways."""
-    pa, pb = _as_points(a), _as_points(b)
-    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    return 0.5 * (float(d.min(axis=1).mean()) + float(d.min(axis=0).mean()))
+    """Symmetric Chamfer distance of one pair of point sets (see chamfer_pairs)."""
+    return float(chamfer_pairs(_as_points(a)[None], _as_points(b)[None])[0])
+
+
+def endpoint_bound(a: list, b: list) -> np.ndarray:
+    """(len(a), len(b)) lower bounds on discrete_frechet(a[i], b[j]).
+
+    Every coupling starts at the first two points and ends at the last two,
+    so the distance is at least the larger of those two gaps. The gaps come
+    from the same norm arithmetic as the recurrence's first and last cells,
+    and the recurrence only takes max and min, so the bound never exceeds
+    the distance, bitwise.
+    """
+    def gaps(k):
+        pa = np.array([_as_points(p)[k] for p in a], dtype=np.float64).reshape(-1, 3)
+        pb = np.array([_as_points(p)[k] for p in b], dtype=np.float64).reshape(-1, 3)
+        return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+
+    return np.maximum(gaps(0), gaps(-1))
+
+
+def _stacks(polys: list):
+    """(indices, stacked (len, n, 3) array) for each point count n among polys."""
+    pts = [_as_points(p) for p in polys]
+    counts = np.array([len(p) for p in pts], dtype=int)
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        yield idx, np.stack([pts[i] for i in idx])
+
+
+def _pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
+    """kernel(a[i], b[j]) where keep[i, j], inf elsewhere. Pairs are grouped
+    by their (n, m) point counts: polylines of one list may differ in it."""
+    out = np.full(keep.shape, np.inf)
+    b_stacks = list(_stacks(b))
+    for ia, A in _stacks(a):
+        for ib, B in b_stacks:
+            p, g = np.nonzero(keep[np.ix_(ia, ib)])
+            if p.size:
+                out[ia[p], ib[g]] = kernel(A[p], B[g])
+    return out
+
+
+def frechet_matrix(a: list, b: list, cut: float) -> np.ndarray:
+    """(len(a), len(b)) discrete Frechet distances, exact below cut.
+
+    A pair whose endpoint bound reaches the cut is left at inf without
+    running the recurrence: its distance is at least the cut.
+    """
+    return _pair_matrix(frechet_pairs, a, b, endpoint_bound(a, b) < cut)
+
+
+def _boundaries(seg: LaneSegment) -> np.ndarray:
+    return np.concatenate([seg.left.points, seg.right.points])
+
+
+def lane_segment_distance(a: LaneSegment, b: LaneSegment) -> float:
+    """Mean of the boundary Chamfer distance and the centerline Frechet distance.
+
+    The boundary term concatenates left and right boundary points on each
+    side before the Chamfer computation.
+    """
+    d_lr = chamfer(_boundaries(a), _boundaries(b))
+    d_c = discrete_frechet(a.centerline.points, b.centerline.points)
+    return 0.5 * (d_lr + d_c)
+
+
+def segment_matrix(a: list[LaneSegment], b: list[LaneSegment], centerline: np.ndarray,
+                   cut: float) -> np.ndarray:
+    """(len(a), len(b)) lane_segment_distance, exact below cut; inf for pairs
+    of different categories.
+
+    centerline is the segments' centerline frechet_matrix, exact below
+    2 * cut. The distance is at least half the centerline term, so the
+    Chamfer term is only computed for pairs under that.
+    """
+    cat_a = np.array([s.category for s in a], dtype=object).reshape(-1, 1)
+    cat_b = np.array([s.category for s in b], dtype=object).reshape(1, -1)
+    keep = (cat_a == cat_b) & (centerline < 2.0 * cut)
+    d_lr = _pair_matrix(chamfer_pairs, [_boundaries(s) for s in a],
+                        [_boundaries(s) for s in b], keep)
+    return 0.5 * (d_lr + centerline)
 
 
 def widen_to_segment(poly, width: float, category: str = "lane") -> LaneSegment:

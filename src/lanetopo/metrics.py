@@ -6,7 +6,9 @@ Conventions used throughout:
   by input index), each ground-truth instance consumable once. A lane
   prediction is a true positive when its discrete Frechet distance to an
   unmatched ground-truth lane is below the threshold; a traffic prediction
-  needs box IoU at or above the threshold and the same category.
+  needs box IoU at or above the threshold and the same category. Among
+  the ground truths that qualify, the closest wins, the lowest index on a
+  tie.
 * Average precision interpolates precision at every achieved recall step
   (area under the precision/recall curve).
 * Topology scores are ranked per ground-truth vertex. An entry with score
@@ -14,15 +16,31 @@ Conventions used throughout:
   unmatched prediction count as false positives.
 * Vacuously perfect cases score 1.0: a metric with nothing to detect and
   nothing predicted is clean, not broken.
+
+Shared match context. `evaluate` builds the lane Frechet matrix, the
+traffic IoU matrix and each greedy matching once per scene; DET_l, DET_t,
+TOP_ll, TOP_lt and the lane-segment block all read them. The segments are
+widened from the same lanes, so the lane matrix is also their centerline term.
+
+Endpoint-bound pruning. A lane pair matches only below a threshold, so a
+pair whose distance is at least the largest threshold in use (the cut) can
+stay inf without changing any match. Every coupling pairs the first points
+and the last points of the two polylines, so the Frechet distance is at
+least the larger of those two gaps; they come from the DP's own arithmetic,
+and the DP only takes max and min, so the bound holds bitwise and pairs at
+or above the cut skip the DP. A lane-segment distance is the mean of a
+Chamfer term (>= 0) and the centerline distance, so its centerline cut is
+twice its largest threshold. Cuts come from the thresholds passed in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import box_iou, chamfer, discrete_frechet
+from .geometry import box_iou, frechet_matrix, segment_matrix
 from .scene import LaneSegment, Prediction, Scene
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
@@ -52,6 +70,22 @@ class MetricReport:
     lane_segments: LaneSegmentReport | None = None
 
 
+def valid_distances(values) -> tuple[float, ...]:
+    """values as floats; ValueError unless there is at least one and each is
+    finite and positive."""
+    values = tuple(map(float, values))
+    if not values or not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ValueError(f"distance thresholds must be finite and positive, got {values}")
+    return values
+
+
+def valid_iou(value) -> float:
+    """value as a float; ValueError unless 0 < value <= 1."""
+    if not 0.0 < (value := float(value)) <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {value}")
+    return value
+
+
 def average_precision(tp_flags, n_gt: int) -> float:
     """AP of a ranked true/false-positive list against n_gt ground truths."""
     if n_gt == 0:
@@ -77,75 +111,89 @@ def greedy_match(dist: np.ndarray, scores: np.ndarray, threshold: float,
 
     Predictions are visited in descending score; each takes the best still
     unmatched ground truth that clears the threshold (distance strictly
-    below it, or similarity at or above it). Returns (tp_flags in ranked
-    order, pred_to_gt map, ranked order).
+    below it, or similarity at or above it), the lowest index on a tie.
+    Returns (tp_flags in ranked order, pred_to_gt map, ranked order).
     """
-    n_pred, n_gt = dist.shape
+    dist = np.asarray(dist, dtype=np.float64)
     order = rank_by_score(scores)
-    taken = np.zeros(n_gt, dtype=bool)
-    pred_to_gt = np.full(n_pred, -1)
-    flags = []
-    for p in order:
-        best = -1
-        best_d = None
-        for g in range(n_gt):
-            if taken[g]:
-                continue
-            d = dist[p, g]
-            ok = (d < threshold) if better_below else (d >= threshold)
-            if not ok:
-                continue
-            if best < 0 or (d < best_d if better_below else d > best_d):
-                best, best_d = g, d
-        if best >= 0:
-            taken[best] = True
-            pred_to_gt[p] = best
-            flags.append(True)
-        else:
-            flags.append(False)
+    ok = dist < threshold if better_below else dist >= threshold
+    key = dist if better_below else -dist
+    free = np.ones(dist.shape[1], dtype=bool)
+    pred_to_gt = np.full(dist.shape[0], -1)
+    flags = np.zeros(order.size, dtype=bool)
+    for r in np.flatnonzero(ok[order].any(axis=1)):
+        p = order[r]
+        cand = np.flatnonzero(ok[p] & free)
+        if cand.size:
+            g = cand[np.argmin(key[p, cand])]  # first minimum: lowest index
+            free[g] = False
+            pred_to_gt[p] = g
+            flags[r] = True
     return flags, pred_to_gt, order
+
+
+def _lane_matches(pred: Prediction, scene: Scene, thresholds, cut: float):
+    """(Frechet matrix exact below cut, {threshold: greedy matching}), one
+    matching per distinct threshold."""
+    dist = frechet_matrix(pred.lanes, scene.lanes, cut)
+    return dist, {thr: greedy_match(dist, pred.lane_scores, thr) for thr in set(thresholds)}
+
+
+def _traffic_matches(pred: Prediction, scene: Scene, thresholds) -> dict:
+    """{threshold: greedy matching} by box IoU; boxes of different categories
+    get IoU -1 and never match."""
+    pt, gt = pred.traffic, scene.traffic
+    iou = np.array([[box_iou(pe.bbox, ge.bbox) if pe.category == ge.category else -1.0
+                     for ge in gt] for pe in pt]).reshape(len(pt), len(gt))
+    scores = [0.0 if el.score is None else el.score for el in pt]
+    return {thr: greedy_match(iou, scores, thr, better_below=False) for thr in set(thresholds)}
+
+
+def _mean_ap(matches, thresholds, n_gt: int) -> float:
+    """Mean over thresholds of the AP of each matching's ranked flags."""
+    return float(np.mean([average_precision(matches(thr)[0], n_gt) for thr in thresholds]))
+
+
+def _det_l(pred: Prediction, scene: Scene, lanes: dict, thresholds) -> float:
+    n_pred, n_gt = len(pred.lanes), len(scene.lanes)
+    if n_gt == 0:
+        return 1.0 if n_pred == 0 else 0.0
+    return _mean_ap(lanes.get, thresholds, n_gt) if n_pred else 0.0
+
+
+def _det_t(pred: Prediction, scene: Scene, match) -> float:
+    cats = sorted({el.category for el in scene.traffic})
+    if not cats:
+        return 1.0 if not pred.traffic else 0.0
+    flags, _, order = match
+    ranked = np.array([pred.traffic[p].category for p in order], dtype=object)
+    return float(np.mean([average_precision(
+        flags[ranked == cat], sum(el.category == cat for el in scene.traffic))
+        for cat in cats]))
+
+
+def _top(pred: Prediction, scene: Scene, kind: str, lane_match, traffic_match) -> float:
+    if kind not in ("ll", "lt"):
+        raise ValueError(f"kind must be 'll' or 'lt', got {kind!r}")
+    lane_to_gt = lane_match[1]
+    if kind == "ll":
+        return _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt)
+    return _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic_match[1])
 
 
 def det_l(pred: Prediction, scene: Scene,
           thresholds=DET_L_THRESHOLDS) -> float:
     """Lane detection score: AP over Frechet thresholds, averaged."""
-    n_pred, n_gt = len(pred.lanes), len(scene.lanes)
-    if n_gt == 0:
-        return 1.0 if n_pred == 0 else 0.0
-    if n_pred == 0:
-        return 0.0
-    dist = np.empty((n_pred, n_gt))
-    for p, lane in enumerate(pred.lanes):
-        for g, gt in enumerate(scene.lanes):
-            dist[p, g] = discrete_frechet(lane, gt)
-    aps = []
-    for thr in thresholds:
-        flags, _, _ = greedy_match(dist, pred.lane_scores, thr)
-        aps.append(average_precision(flags, n_gt))
-    return float(np.mean(aps))
+    thresholds = valid_distances(thresholds)
+    _, lanes = _lane_matches(pred, scene, thresholds, max(thresholds))
+    return _det_l(pred, scene, lanes, thresholds)
 
 
 def det_t(pred: Prediction, scene: Scene, iou_threshold: float = DET_T_IOU) -> float:
     """Traffic detection score: per-category AP at the IoU threshold, averaged
     over the categories present in the ground truth."""
-    cats = sorted({el.category for el in scene.traffic})
-    if not cats:
-        return 1.0 if not pred.traffic else 0.0
-    aps = []
-    for cat in cats:
-        gts = [el for el in scene.traffic if el.category == cat]
-        preds = [el for el in pred.traffic if el.category == cat]
-        if not preds:
-            aps.append(0.0)
-            continue
-        iou = np.empty((len(preds), len(gts)))
-        for p, pe in enumerate(preds):
-            for g, ge in enumerate(gts):
-                iou[p, g] = box_iou(pe.bbox, ge.bbox)
-        scores = np.array([el.score for el in preds], dtype=np.float64)
-        flags, _, _ = greedy_match(iou, scores, iou_threshold, better_below=False)
-        aps.append(average_precision(flags, len(gts)))
-    return float(np.mean(aps))
+    iou_threshold = valid_iou(iou_threshold)
+    return _det_t(pred, scene, _traffic_matches(pred, scene, (iou_threshold,))[iou_threshold])
 
 
 def _vertex_ap(gt_row: np.ndarray, score_row: np.ndarray | None,
@@ -163,11 +211,28 @@ def _vertex_ap(gt_row: np.ndarray, score_row: np.ndarray | None,
     if cols.size == 0:
         return 1.0 if n_gt_edges == 0 else 0.0
     order = cols[rank_by_score(score_row[cols])]
-    flags = []
-    for q in order:
-        w = int(col_to_gt[q])
-        flags.append(w >= 0 and gt_row[w] == 1.0)
+    flags = [w >= 0 and gt_row[w] == 1.0 for w in col_to_gt[order]]
     return average_precision(flags, n_gt_edges)
+
+
+def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
+                    row_to_gt: np.ndarray, col_to_gt: np.ndarray) -> float:
+    """Mean vertex AP over the ground-truth vertices with outgoing edges.
+
+    row_to_gt maps the rows of score_mat (predictions) to ground-truth
+    rows, col_to_gt its columns to ground-truth columns; -1 is unmatched.
+    """
+    gt_to_row = np.full(gt_adj.shape[0], -1)
+    rows = np.flatnonzero(row_to_gt >= 0)
+    gt_to_row[row_to_gt[rows]] = rows
+    vertices = np.flatnonzero(gt_adj.sum(axis=1) > 0)
+    if not vertices.size:
+        any_edge = score_mat.size and float(np.max(score_mat)) > 0.0
+        return 0.0 if any_edge else 1.0
+    aps = [_vertex_ap(gt_adj[v], score_mat[gt_to_row[v]] if gt_to_row[v] >= 0 else None,
+                      col_to_gt)
+           for v in vertices]
+    return float(np.mean(aps))
 
 
 def top_score(pred: Prediction, scene: Scene, kind: str,
@@ -179,57 +244,10 @@ def top_score(pred: Prediction, scene: Scene, kind: str,
     qualifying vertex contributes the AP of its ranked predicted edges; the
     score is the mean over vertices.
     """
-    if kind not in ("ll", "lt"):
-        raise ValueError(f"kind must be 'll' or 'lt', got {kind!r}")
-    n_pred, n_gt = len(pred.lanes), len(scene.lanes)
-
-    lane_map_gt = np.full(n_gt, -1)  # gt lane -> pred lane
-    if n_pred and n_gt:
-        dist = np.empty((n_pred, n_gt))
-        for p, lane in enumerate(pred.lanes):
-            for g, gt in enumerate(scene.lanes):
-                dist[p, g] = discrete_frechet(lane, gt)
-        _, pred_to_gt, _ = greedy_match(dist, pred.lane_scores, frechet_threshold)
-        for p, g in enumerate(pred_to_gt):
-            if g >= 0:
-                lane_map_gt[g] = p
-    lane_col_to_gt = np.full(n_pred, -1)
-    for g, p in enumerate(lane_map_gt):
-        if p >= 0:
-            lane_col_to_gt[p] = g
-
-    if kind == "ll":
-        gt_adj = scene.topo.ll
-        score_mat = pred.topo.ll
-        col_to_gt = lane_col_to_gt
-    else:
-        gt_adj = scene.topo.lt
-        score_mat = pred.topo.lt
-        n_pt, n_gtt = len(pred.traffic), len(scene.traffic)
-        col_to_gt = np.full(n_pt, -1)
-        if n_pt and n_gtt:
-            iou = np.empty((n_pt, n_gtt))
-            for p, pe in enumerate(pred.traffic):
-                for g, ge in enumerate(scene.traffic):
-                    same = pe.category == ge.category
-                    iou[p, g] = box_iou(pe.bbox, ge.bbox) if same else -1.0
-            scores = np.array([el.score if el.score is not None else 0.0
-                               for el in pred.traffic])
-            _, t_pred_to_gt, _ = greedy_match(iou, scores, iou_threshold,
-                                              better_below=False)
-            col_to_gt = t_pred_to_gt
-
-    vertices = [v for v in range(n_gt) if gt_adj[v].sum() > 0]
-    if not vertices:
-        any_edge = score_mat.size and float(np.max(score_mat)) > 0.0
-        return 0.0 if any_edge else 1.0
-
-    aps = []
-    for v in vertices:
-        p = int(lane_map_gt[v])
-        row = score_mat[p] if p >= 0 else None
-        aps.append(_vertex_ap(gt_adj[v], row, col_to_gt))
-    return float(np.mean(aps))
+    (frechet,), iou = valid_distances((frechet_threshold,)), valid_iou(iou_threshold)
+    _, lanes = _lane_matches(pred, scene, (frechet,), frechet)
+    return _top(pred, scene, kind, lanes[frechet],
+                _traffic_matches(pred, scene, (iou,))[iou])
 
 
 def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
@@ -240,17 +258,35 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
                    + np.sqrt(top_ll_score) + np.sqrt(top_lt_score))
 
 
-def lane_segment_distance(a: LaneSegment, b: LaneSegment) -> float:
-    """Mean of the boundary Chamfer distance and the centerline Frechet distance.
+def _lane_segment_report(preds, scores, gts, centerline, pred_topo, gt_topo,
+                         thresholds, top_threshold) -> LaneSegmentReport:
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if scores.shape[0] != len(preds):
+        raise ValueError(f"{len(preds)} segments but {scores.shape[0]} scores")
+    dist = segment_matrix(preds, gts, centerline, max(*thresholds, top_threshold))
 
-    The boundary term concatenates left and right boundary points on each
-    side before the Chamfer computation.
-    """
-    ab = np.concatenate([a.left.points, a.right.points])
-    bb = np.concatenate([b.left.points, b.right.points])
-    d_lr = chamfer(ab, bb)
-    d_c = discrete_frechet(a.centerline.points, b.centerline.points)
-    return 0.5 * (d_lr + d_c)
+    per_cat: dict[str, float | None] = {}
+    for cat in LS_CATEGORIES:
+        g_idx = [g for g, seg in enumerate(gts) if seg.category == cat]
+        p_idx = [p for p, seg in enumerate(preds) if seg.category == cat]
+        if not g_idx:
+            per_cat[cat] = None if not p_idx else 0.0
+            continue
+        sub, sub_scores = dist[np.ix_(p_idx, g_idx)], scores[p_idx]
+        per_cat[cat] = _mean_ap(lambda thr: greedy_match(sub, sub_scores, thr),
+                                thresholds, len(g_idx))
+
+    present = [v for v in per_cat.values() if v is not None]
+    mean_ap = float(np.mean(present)) if present else 1.0
+
+    top_lsls = None
+    if pred_topo is not None and gt_topo is not None:
+        _, pred_to_gt, _ = greedy_match(dist, scores, top_threshold)
+        top_lsls = _topology_score(gt_topo, pred_topo, pred_to_gt, pred_to_gt)
+
+    return LaneSegmentReport(map=mean_ap, ap_lane=per_cat["lane"],
+                             ap_ped=per_cat["pedestrian_crossing"],
+                             top_lsls=top_lsls)
 
 
 def lane_segment_metrics(preds: list[LaneSegment], scores, gts: list[LaneSegment],
@@ -264,70 +300,16 @@ def lane_segment_metrics(preds: list[LaneSegment], scores, gts: list[LaneSegment
     Categories absent from the ground truth report None and are excluded
     from the mean.
     """
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != len(preds):
-        raise ValueError(f"{len(preds)} segments but {scores.shape[0]} scores")
-
-    dist = np.empty((len(preds), len(gts)))
-    for p, ps in enumerate(preds):
-        for g, gs in enumerate(gts):
-            dist[p, g] = lane_segment_distance(ps, gs) \
-                if ps.category == gs.category else np.inf
-
-    per_cat: dict[str, float | None] = {}
-    for cat in LS_CATEGORIES:
-        g_idx = [g for g, seg in enumerate(gts) if seg.category == cat]
-        p_idx = [p for p, seg in enumerate(preds) if seg.category == cat]
-        if not g_idx:
-            per_cat[cat] = None if not p_idx else 0.0
-            continue
-        if not p_idx:
-            per_cat[cat] = 0.0
-            continue
-        sub = dist[np.ix_(p_idx, g_idx)]
-        sub_scores = scores[p_idx]
-        aps = []
-        for thr in thresholds:
-            flags, _, _ = greedy_match(sub, sub_scores, thr)
-            aps.append(average_precision(flags, len(g_idx)))
-        per_cat[cat] = float(np.mean(aps))
-
-    present = [v for v in per_cat.values() if v is not None]
-    mean_ap = float(np.mean(present)) if present else 1.0
-
-    top_lsls = None
-    if pred_topo is not None and gt_topo is not None:
-        top_lsls = _top_segments(preds, scores, gts, dist, pred_topo, gt_topo,
-                                 top_threshold)
-
-    return LaneSegmentReport(map=mean_ap, ap_lane=per_cat["lane"],
-                             ap_ped=per_cat["pedestrian_crossing"],
-                             top_lsls=top_lsls)
+    thresholds, (top_threshold,) = valid_distances(thresholds), valid_distances((top_threshold,))
+    centerline = frechet_matrix([s.centerline for s in preds], [s.centerline for s in gts],
+                                2.0 * max(*thresholds, top_threshold))
+    return _lane_segment_report(preds, scores, gts, centerline, pred_topo, gt_topo,
+                                thresholds, top_threshold)
 
 
-def _top_segments(preds, scores, gts, dist, pred_topo, gt_topo, threshold) -> float:
-    n_pred, n_gt = dist.shape
-    gt_to_pred = np.full(n_gt, -1)
-    if n_pred and n_gt:
-        _, pred_to_gt, _ = greedy_match(dist, scores, threshold)
-        for p, g in enumerate(pred_to_gt):
-            if g >= 0:
-                gt_to_pred[g] = p
-    col_to_gt = np.full(n_pred, -1)
-    for g, p in enumerate(gt_to_pred):
-        if p >= 0:
-            col_to_gt[p] = g
-
-    vertices = [v for v in range(n_gt) if gt_topo[v].sum() > 0]
-    if not vertices:
-        any_edge = pred_topo.size and float(np.max(pred_topo)) > 0.0
-        return 0.0 if any_edge else 1.0
-    aps = []
-    for v in vertices:
-        p = int(gt_to_pred[v])
-        row = pred_topo[p] if p >= 0 else None
-        aps.append(_vertex_ap(gt_topo[v], row, col_to_gt))
-    return float(np.mean(aps))
+def _same_points(segments: list[LaneSegment], lanes: list) -> bool:
+    return len(segments) == len(lanes) and all(
+        np.array_equal(s.centerline.points, lane.points) for s, lane in zip(segments, lanes))
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -339,16 +321,31 @@ def evaluate(pred: Prediction, scene: Scene,
     """Full metric report for one scene.
 
     lane_segments, when given, is (pred_segments, pred_scores, gt_segments,
-    pred_topo, gt_topo) and fills the optional lane-segment block.
+    pred_topo, gt_topo) and fills the optional lane-segment block. The
+    segments must be widened from pred.lanes and scene.lanes, in order: the
+    block reads its centerline distances from the lane matrix. Thresholds
+    that cannot be scored (non-finite or non-positive distances, IoU
+    outside (0, 1]) raise ValueError.
     """
-    d_l = det_l(pred, scene, det_l_thresholds)
-    d_t = det_t(pred, scene, det_t_iou)
-    t_ll = top_score(pred, scene, "ll", top_frechet, top_iou)
-    t_lt = top_score(pred, scene, "lt", top_frechet, top_iou)
-    block = None
+    det_l_thresholds = valid_distances(det_l_thresholds)
+    (top_frechet,) = valid_distances((top_frechet,))
+    det_t_iou, top_iou = valid_iou(det_t_iou), valid_iou(top_iou)
+    lane_cut = max(*det_l_thresholds, top_frechet)
     if lane_segments is not None:
         p_segs, p_scores, g_segs, p_topo, g_topo = lane_segments
-        block = lane_segment_metrics(p_segs, p_scores, g_segs, p_topo, g_topo)
+        if not (_same_points(p_segs, pred.lanes) and _same_points(g_segs, scene.lanes)):
+            raise ValueError("lane segment centerlines must be the prediction's "
+                             "and the scene's lanes, in order")
+        lane_cut = max(lane_cut, 2.0 * max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
+
+    lane_dist, lanes = _lane_matches(pred, scene, (*det_l_thresholds, top_frechet), lane_cut)
+    traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
+    d_l = _det_l(pred, scene, lanes, det_l_thresholds)
+    d_t = _det_t(pred, scene, traffic[det_t_iou])
+    t_ll, t_lt = (_top(pred, scene, kind, lanes[top_frechet], traffic[top_iou])
+                  for kind in ("ll", "lt"))
+    block = None if lane_segments is None else _lane_segment_report(
+        p_segs, p_scores, g_segs, lane_dist, p_topo, g_topo, LS_THRESHOLDS, LS_TOP_THRESHOLD)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)

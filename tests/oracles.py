@@ -1,8 +1,10 @@
 """Slow reference implementations the tests compare the library against.
 
 Everything here trades speed for obviousness: the Frechet distance is the
-literal recursive definition, distances are double loops, and assignment is
-full enumeration. None of this is imported by the package itself.
+literal recursive definition or a per-pair loop, distances are double
+loops, greedy matching visits one prediction and one ground truth at a
+time, and assignment is full enumeration. None of this is imported by the
+package itself.
 """
 
 import itertools
@@ -28,6 +30,64 @@ def frechet_recursive(a, b) -> float:
         return max(min(couple(i - 1, j), couple(i - 1, j - 1), couple(i, j - 1)), d)
 
     return couple(len(a) - 1, len(b) - 1)
+
+
+def frechet_loops(a, b) -> float:
+    """Discrete Frechet distance by the iterative coupling DP, one cell at a time."""
+    pa = np.asarray(a, dtype=np.float64)
+    pb = np.asarray(b, dtype=np.float64)
+    d = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    n, m = d.shape
+    ca = np.empty((n, m))
+    ca[0, 0] = d[0, 0]
+    for i in range(1, n):
+        ca[i, 0] = max(ca[i - 1, 0], d[i, 0])
+    for j in range(1, m):
+        ca[0, j] = max(ca[0, j - 1], d[0, j])
+    for i in range(1, n):
+        row = ca[i]
+        prev = ca[i - 1]
+        for j in range(1, m):
+            reach = prev[j]
+            if prev[j - 1] < reach:
+                reach = prev[j - 1]
+            if row[j - 1] < reach:
+                reach = row[j - 1]
+            row[j] = reach if reach > d[i, j] else d[i, j]
+    return float(ca[-1, -1])
+
+
+def greedy_match_loops(dist, scores, threshold, better_below=True):
+    """Greedy matching as a double loop over ranked predictions and ground truths.
+
+    Returns (tp_flags in ranked order, pred_to_gt, ranked order), like
+    lanetopo.greedy_match.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    n_pred, n_gt = dist.shape
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    taken = np.zeros(n_gt, dtype=bool)
+    pred_to_gt = np.full(n_pred, -1)
+    flags = []
+    for p in order:
+        best = -1
+        best_d = None
+        for g in range(n_gt):
+            if taken[g]:
+                continue
+            d = dist[p, g]
+            ok = (d < threshold) if better_below else (d >= threshold)
+            if not ok:
+                continue
+            if best < 0 or (d < best_d if better_below else d > best_d):
+                best, best_d = g, d
+        if best >= 0:
+            taken[best] = True
+            pred_to_gt[p] = best
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags, pred_to_gt, order
 
 
 def chamfer_loops(a, b) -> float:

@@ -140,6 +140,31 @@ class TestPredict:
         read_prediction(preds / "a.json")
         read_prediction(preds / "c.json")
 
+    def test_failed_scene_drops_earlier_output(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name, seed in (("a.json", 0), ("b.json", 1), ("c.json", 2)):
+            assert run("synth", "--seed", seed, "--out", scenes / name) == 0
+        preds = tmp_path / "preds"
+        assert run("predict", "--scene", scenes, "--out", preds, *self.small()) == 0
+        for name in ("b.json", "c.json"):
+            (scenes / name).write_text("{not json", encoding="utf-8")
+        assert run("predict", "--scene", scenes, "--out", preds, *self.small()) == 2
+        assert sorted(p.name for p in preds.iterdir()) == ["a.json", "a.json.manifest.json"]
+        # so a later eval cannot score the stale predictions
+        assert run("eval", "--pred", preds, "--gt", scenes,
+                   "--out", tmp_path / "r.json") == 2
+        assert "no prediction file for b.json, c.json" in capsys.readouterr().err
+
+    def test_output_into_the_scene_directory_exits_2(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        assert run("synth", "--seed", 0, "--out", scenes / "a.json") == 0
+        before = (scenes / "a.json").read_bytes()
+        assert run("predict", "--scene", scenes, "--out", scenes, *self.small()) == 2
+        assert "is the scene directory" in capsys.readouterr().err
+        assert (scenes / "a.json").read_bytes() == before
+
     def test_rerun_is_byte_identical(self, tmp_path):
         scene_path = tmp_path / "scene.json"
         write_chain(scene_path)
@@ -216,6 +241,45 @@ class TestEval:
         out = tmp_path / "report.json"
         assert run("eval", "--pred", preds, "--gt", scenes, "--out", out) == 2
         assert "no prediction file for b.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_unreadable_scene_is_named(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        preds = tmp_path / "preds"
+        scenes.mkdir()
+        for name, seed in (("a.json", 0), ("b.json", 1), ("c.json", 2)):
+            assert run("synth", "--seed", seed, "--out", scenes / name) == 0
+        assert run("predict", "--scene", scenes, "--out", preds,
+                   "--channels", 16, "--heads", 2,
+                   "--lane-queries", 32, "--traffic-queries", 8) == 0
+        for name in ("b.json", "c.json"):
+            (scenes / name).write_text("{not json", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert run("eval", "--pred", preds, "--gt", scenes, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert "b.json: invalid JSON" in err[0]
+        assert "c.json: invalid JSON" in err[1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--det-thresholds", "nan"), ("--det-thresholds", "-1"),
+        ("--det-thresholds", "1,0,3"), ("--det-thresholds", ","),
+        ("--top-frechet", "nan"), ("--top-frechet", "inf"), ("--top-frechet", "-2"),
+        ("--top-iou", "inf"), ("--top-iou", "0"), ("--det-iou", "1.5"), ("--det-iou", "nan"),
+    ])
+    def test_unscorable_threshold_exits_2(self, tmp_path, capsys, flag, value):
+        scene_path = tmp_path / "scene.json"
+        scene = write_chain(scene_path)
+        pred_path = tmp_path / "pred.json"
+        from lanetopo.serialize import prediction_to_dict
+        write_json(pred_path, prediction_to_dict(perfect_prediction(scene)))
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--pred", pred_path, "--gt", scene_path, "--out", out,
+                f"{flag}={value}")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_file_dir_mismatch_exits_2(self, tmp_path, capsys):

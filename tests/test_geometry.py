@@ -4,8 +4,22 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.geometry import (
+    PAIR_CHUNK,
+    chamfer_pairs,
+    endpoint_bound,
+    frechet_matrix,
+    frechet_pairs,
+    segment_matrix,
+)
 from conftest import straight_lane
-from oracles import avg_l1_loops, chamfer_loops, frechet_recursive, random_polyline
+from oracles import (
+    avg_l1_loops,
+    chamfer_loops,
+    frechet_loops,
+    frechet_recursive,
+    random_polyline,
+)
 
 
 class TestResample:
@@ -154,6 +168,80 @@ class TestDiscreteFrechet:
         a = straight_lane(0.0, 10.0, 0.0)
         b = straight_lane(0.0, 10.0, 2.0)
         assert lt.discrete_frechet(a, b) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestBatchedKernels:
+    """The batched pair kernels against the per-pair loop, bit for bit."""
+
+    def mixed_polylines(self, rng, count):
+        # lanes of one list need not share a point count
+        return [random_polyline(rng, int(rng.integers(2, 14)), scale=5.0)
+                for _ in range(count)]
+
+    def test_frechet_pairs_bitwise_equal_to_loops(self):
+        rng = np.random.default_rng(31)
+        for n, m in ((11, 11), (7, 11), (11, 4), (2, 2)):
+            k = PAIR_CHUNK + 3  # more than one chunk
+            a = rng.normal(0.0, 3.0, size=(k, n, 3))
+            b = rng.normal(0.0, 3.0, size=(k, m, 3))
+            got = frechet_pairs(a, b)
+            assert [float(x) for x in got] == [frechet_loops(x, y) for x, y in zip(a, b)]
+
+    def test_frechet_matrix_groups_mixed_shapes_and_prunes(self):
+        rng = np.random.default_rng(32)
+        a, b = self.mixed_polylines(rng, 14), self.mixed_polylines(rng, 11)
+        bound = endpoint_bound(a, b)
+        cut = float(np.median(bound))  # a cut equal to a bound prunes that pair
+        dense, pruned = frechet_matrix(a, b, np.inf), frechet_matrix(a, b, cut)
+        for i in range(14):
+            for j in range(11):
+                exact = frechet_loops(a[i], b[j])
+                assert dense[i, j] == exact
+                assert pruned[i, j] == (exact if bound[i, j] < cut else np.inf)
+        assert np.isinf(pruned).any() and np.isfinite(pruned).any()
+
+    def test_endpoint_bound_never_exceeds_distance(self):
+        rng = np.random.default_rng(33)
+        a, b = self.mixed_polylines(rng, 12), self.mixed_polylines(rng, 12)
+        bound = endpoint_bound(a, b)
+        exact = np.array([[frechet_loops(x, y) for y in b] for x in a])
+        assert np.all(bound <= exact)
+        # a pair whose coupling is tightest at an endpoint meets the bound exactly
+        line = straight_lane(0.0, 10.0, 0.0).points
+        shifted = line + np.array([0.0, 1.25, 0.0])
+        assert endpoint_bound([line], [shifted])[0, 0] == frechet_loops(line, shifted)
+
+    def test_chamfer_pairs_match_single_pairs_and_loops(self):
+        rng = np.random.default_rng(34)
+        a = rng.normal(0.0, 3.0, size=(PAIR_CHUNK + 5, 22, 3))
+        b = rng.normal(0.0, 3.0, size=(PAIR_CHUNK + 5, 9, 3))
+        got = chamfer_pairs(a, b)
+        for k in range(0, len(a), 17):
+            assert got[k] == lt.chamfer(a[k], b[k])
+            assert got[k] == pytest.approx(chamfer_loops(a[k], b[k]), rel=1e-12)
+
+    def test_segment_matrix_equals_per_pair_distance_below_cut(self):
+        rng = np.random.default_rng(35)
+
+        def segments(count):
+            return [lt.widen_to_segment(p, 1.5, category=("lane", "pedestrian_crossing")[k % 2])
+                    for k, p in enumerate(self.mixed_polylines(rng, count))]
+
+        a, b = segments(9), segments(8)
+        centerline = frechet_matrix([s.centerline for s in a], [s.centerline for s in b], np.inf)
+        cut = float(np.median(centerline)) / 2.0
+        dist = segment_matrix(a, b, centerline, cut)
+        for i, sa in enumerate(a):
+            for j, sb in enumerate(b):
+                exact = lt.lane_segment_distance(sa, sb)
+                if sa.category != sb.category or centerline[i, j] >= 2.0 * cut:
+                    assert dist[i, j] == np.inf and (sa.category != sb.category or exact >= cut)
+                else:
+                    assert dist[i, j] == exact
+
+    def test_mismatched_pair_counts_rejected(self):
+        with pytest.raises(ValueError):
+            frechet_pairs(np.zeros((3, 4, 3)), np.zeros((2, 4, 3)))
 
 
 class TestChamfer:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo import geometry, metrics
 from conftest import chain_scene, perfect_prediction, straight_lane
+from oracles import greedy_match_loops
 
 
 def three_lane_chain():
@@ -62,6 +64,26 @@ class TestRankByScore:
     def test_descending_with_stable_ties(self):
         order = lt.rank_by_score(np.array([0.5, 0.9, 0.5, 0.1]))
         assert list(order) == [1, 0, 2, 3]
+
+
+class TestGreedyMatch:
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_equals_loop_oracle_with_ties_and_inf(self, better_below):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n_pred, n_gt = (int(v) for v in rng.integers(0, 9, size=2))
+            # coarse values and scores give ties in both
+            dist = rng.integers(0, 6, size=(n_pred, n_gt)) / 2.0
+            dist[rng.random(dist.shape) < 0.2] = np.inf
+            dist[rng.random(dist.shape) < 0.05] = -np.inf
+            scores = rng.integers(0, 4, size=n_pred) / 3.0
+            thr = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+            flags, pred_to_gt, order = lt.greedy_match(dist, scores, thr, better_below)
+            ref_flags, ref_pred_to_gt, ref_order = greedy_match_loops(
+                dist, scores, thr, better_below)
+            assert list(flags) == ref_flags
+            assert np.array_equal(pred_to_gt, ref_pred_to_gt)
+            assert np.array_equal(order, ref_order)
 
 
 class TestDetL:
@@ -330,3 +352,91 @@ class TestEvaluate:
         ll[1, 2] = 0.0
         rep = lt.evaluate(scored_prediction(scene, ll=ll), scene)
         assert rep.top_ll < good.top_ll
+
+
+class TestPruning:
+    """Pruned evaluation against a dense one that runs every pair."""
+
+    def scene_and_prediction(self):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=5, seed=5))
+        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.3, drop_rate=0.1,
+                                                spurious_rate=0.1), seed=5)
+        # lanes of a prediction need not have the scene's point count; a lane
+        # slid 4 m along the road is past the DET_l thresholds but within the
+        # lane-segment ones; one moved 1.5 m sideways has an endpoint bound
+        # between the thresholds
+        shift = ([0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.0])
+        lanes = [lt.Polyline3D(lt.resample_array(lane.points, 7)) if k % 4 == 0
+                 else lt.Polyline3D(lane.points + shift[k % 4])
+                 for k, lane in enumerate(pred.lanes)]
+        return scene, replace(pred, lanes=lanes)
+
+    def report(self, pred, scene, **kwargs):
+        segments = ([lt.widen_to_segment(lane, 1.75) for lane in pred.lanes], pred.lane_scores,
+                    [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes],
+                    pred.topo.ll, scene.topo.ll)
+        return (lt.evaluate(pred, scene, **kwargs),
+                lt.evaluate(pred, scene, lane_segments=segments, **kwargs))
+
+    def test_pruned_equals_dense(self, monkeypatch):
+        scene, pred = self.scene_and_prediction()
+        bound = geometry.endpoint_bound(pred.lanes, scene.lanes)
+        # thresholds equal to some pair's endpoint bound, so the pair at the
+        # cut is pruned and the strict "<" must reject it all the same; then
+        # TOP's threshold far above DET_l's, so it alone sets the cut
+        exact = np.unique(bound[(bound > 0.4) & (bound < 2.5)])
+        runs = [dict(det_l_thresholds=(float(exact[0]), float(exact[exact.size // 2])),
+                     top_frechet=float(exact[-1])),
+                dict(det_l_thresholds=(0.5, 0.8), top_frechet=2.0),
+                dict()]
+        pruned = geometry.frechet_matrix(pred.lanes, scene.lanes, 3.0)
+        assert np.isinf(pruned).sum() > pruned.size // 2
+
+        def reports():
+            return [self.report(pred, scene, **kwargs) for kwargs in runs]
+
+        fast = reports()
+        # the dense run ignores every cut: all pairs go through the kernels
+        monkeypatch.setattr(metrics, "frechet_matrix",
+                            lambda a, b, cut: geometry.frechet_matrix(a, b, np.inf))
+        monkeypatch.setattr(metrics, "segment_matrix",
+                            lambda a, b, centerline, cut:
+                            geometry.segment_matrix(a, b, centerline, np.inf))
+        assert fast == reports()
+
+    def test_each_metric_alone_equals_evaluate(self):
+        # each public metric derives its own, smaller cut
+        scene, pred = self.scene_and_prediction()
+        plain, full = self.report(pred, scene, top_frechet=2.5)
+        assert lt.det_l(pred, scene) == plain.det_l
+        assert lt.det_t(pred, scene) == plain.det_t
+        assert lt.top_score(pred, scene, "ll", 2.5) == plain.top_ll
+        assert lt.top_score(pred, scene, "lt", 2.5) == plain.top_lt
+        segs = [lt.widen_to_segment(lane, 1.75) for lane in pred.lanes]
+        gts = [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes]
+        assert lt.lane_segment_metrics(segs, pred.lane_scores, gts, pred.topo.ll,
+                                       scene.topo.ll) == full.lane_segments
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(det_l_thresholds=(float("nan"),)),
+        dict(det_l_thresholds=(1.0, -1.0)),
+        dict(det_l_thresholds=()),
+        dict(top_frechet=float("nan")),
+        dict(top_frechet=0.0),
+        dict(top_frechet=float("inf")),
+        dict(top_iou=float("inf")),
+        dict(det_t_iou=0.0),
+        dict(top_iou=1.5),
+    ])
+    def test_unscorable_thresholds_raise(self, kwargs):
+        scene = chain_scene()
+        with pytest.raises(ValueError):
+            lt.evaluate(perfect_prediction(scene), scene, **kwargs)
+
+    def test_segments_must_be_widened_from_the_lanes(self):
+        scene = three_lane_chain()
+        pred = perfect_prediction(scene)
+        segs = [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes]
+        with pytest.raises(ValueError):
+            lt.evaluate(pred, scene, lane_segments=(segs[::-1], pred.lane_scores, segs,
+                                                    pred.topo.ll, scene.topo.ll))
