@@ -20,7 +20,7 @@ from .attention import (
 from .connect import (
     ConnectedLane,
     build_connected_gt,
-    correlation_distances,
+    half_distances,
     merge_at_junction,
     split_halves_array,
 )

@@ -7,7 +7,9 @@ reproduced and compared byte for byte (manifest equality ignores wall time).
 
 Exit codes: 0 success, 1 check failure (gradcheck exceedance, fitdemo miss),
 2 input or contract error (schema violations are printed one per line).
-Directories are processed serially in sorted file order.
+predict prints one stderr warning per scene whose lanes, connections or
+traffic elements its query budgets cut; the exit code and outputs stay as
+they are. Directories are processed serially in sorted file order.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def _predict_one(scene_path: Path, out_path: Path, cfg: PipelineConfig,
                  manifest_params: dict) -> str:
     t0 = time.perf_counter()
     scene = read_scene(scene_path)
-    pred = run_pipeline(scene, cfg)
+    pred = run_pipeline(scene, cfg, warn=lambda msg: print(
+        f"warning: {scene_path.name}: {msg}", file=sys.stderr))
     write_json(out_path, prediction_to_dict(pred))
     write_manifest(out_path, build_manifest(
         "predict", manifest_params,

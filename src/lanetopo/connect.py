@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import avg_l1, resample_array
+from .geometry import avg_l1_matrix, resample_array
 from .scene import JUNCTION_TOL, Polyline3D, Scene, junction_point
 
 
@@ -73,19 +73,19 @@ def split_halves_array(curve: np.ndarray, n: int | None = None) -> tuple[np.ndar
     return h1, h2
 
 
-def correlation_distances(lanes: list[Polyline3D], connected: list[ConnectedLane]) -> np.ndarray:
-    """Geometric correlation matrix D, shape (n_lanes, n_connected).
+def half_distances(lanes: list[Polyline3D],
+                   connected: list[ConnectedLane]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean L1 distances of every lane to the two halves of every connected
+    lane: (d_front, d_back), each of shape (n_lanes, n_connected).
 
-    D[i][c] is the smaller of the mean L1 distances between lane i and the
-    two halves of connected lane c. Small D means lane i is plausibly one
-    of c's source lanes.
+    Each connected lane is split and its halves resampled once. A small
+    d_front[i, c] marks lane i as a plausible predecessor of c, a small
+    d_back[i, c] as a plausible successor; their elementwise minimum is the
+    geometric correlation matrix D the cross-attention mask is built from.
     """
     n, m = len(lanes), len(connected)
-    d = np.zeros((n, m))
     if n == 0 or m == 0:
-        return d
-    halves = [split_halves_array(c.curve.points) for c in connected]
-    for i, lane in enumerate(lanes):
-        for c, (h1, h2) in enumerate(halves):
-            d[i, c] = min(avg_l1(lane.points, h1), avg_l1(lane.points, h2))
-    return d
+        return np.zeros((n, m)), np.zeros((n, m))
+    lane_pts = np.stack([lane.points for lane in lanes])
+    fronts, backs = zip(*(split_halves_array(c.curve.points) for c in connected))
+    return avg_l1_matrix(lane_pts, np.stack(fronts)), avg_l1_matrix(lane_pts, np.stack(backs))

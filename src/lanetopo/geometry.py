@@ -52,17 +52,38 @@ def resample_array(pts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def avg_l1(a, b) -> float:
-    """Mean L1 distance between index-aligned points of two equal-length polylines."""
-    pa, pb = _as_points(a), _as_points(b)
-    if pa.shape != pb.shape:
-        raise ValueError(f"point counts differ: {pa.shape} vs {pb.shape}")
-    return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
-
-
 # Pairs per batched kernel call: bounds the (pairs, n, m, 3) temporaries at a
 # few MB whatever the number of pairs.
 PAIR_CHUNK = 256
+
+
+def avg_l1_matrix(L, H) -> np.ndarray:
+    """(n, m) mean L1 distances between index-aligned points of every lane in
+    L (n, N, 3) and every polyline in H (m, N, 3).
+
+    Each entry sums |difference| over xyz, then averages over the N points.
+    Both reductions run over contiguous last axes, in the order one pair's
+    (N, 3) array reduces in, so every entry is bitwise the one-pair result.
+    Lanes go in chunks of PAIR_CHUNK // m (at least one), so no temporary
+    holds many more than PAIR_CHUNK pairs.
+    """
+    L = np.asarray(L, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
+    if L.ndim != 3 or H.ndim != 3 or L.shape[2] != 3 or H.shape[2] != 3:
+        raise ValueError(f"expected (n, N, 3) and (m, N, 3) arrays, got {L.shape} and {H.shape}")
+    if L.shape[1] != H.shape[1]:
+        raise ValueError(f"point counts differ: {L.shape[1]} vs {H.shape[1]}")
+    out = np.empty((L.shape[0], H.shape[0]))
+    rows = max(1, PAIR_CHUNK // max(1, H.shape[0]))
+    for s in range(0, L.shape[0], rows):
+        out[s:s + rows] = np.abs(L[s:s + rows, None] - H[None]).sum(axis=3).mean(axis=2)
+    return out
+
+
+def avg_l1(a, b) -> float:
+    """Mean L1 distance between index-aligned points of two equal-length
+    polylines (the one-pair call of avg_l1_matrix)."""
+    return float(avg_l1_matrix(_as_points(a)[None], _as_points(b)[None])[0, 0])
 
 
 def _point_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:

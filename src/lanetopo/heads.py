@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connect import ConnectedLane, split_halves_array
-from .geometry import avg_l1
 from .nn import (
     MlpParams,
     mlp_backward,
@@ -25,7 +23,6 @@ from .nn import (
     mlp_grad_vars,
     sigmoid,
 )
-from .scene import Polyline3D
 
 
 class MatchPair(NamedTuple):
@@ -36,23 +33,20 @@ class MatchPair(NamedTuple):
     j: int
 
 
-def match_connected(lanes: list[Polyline3D], connected: list[ConnectedLane]) -> list[MatchPair]:
+def match_connected(d_front: np.ndarray, d_back: np.ndarray) -> list[MatchPair]:
     """Resolve each connected lane to its best (predecessor, successor) pair.
 
-    i* minimises the mean L1 distance to the front half, j* to the back
-    half. np.argmin breaks ties toward the lower lane index.
+    d_front and d_back are the (n_lanes, n_connected) half distances of
+    connect.half_distances: i* minimises column c of d_front, j* column c of
+    d_back. np.argmin breaks ties toward the lower lane index.
     """
-    out: list[MatchPair] = []
-    if not connected:
-        return out
-    if not lanes:
+    n, m = np.shape(d_front)
+    if m == 0:
+        return []
+    if n == 0:
         raise ValueError("cannot match connected lanes against an empty lane list")
-    for c, conn in enumerate(connected):
-        h1, h2 = split_halves_array(conn.curve.points)
-        d1 = np.array([avg_l1(lane.points, h1) for lane in lanes])
-        d2 = np.array([avg_l1(lane.points, h2) for lane in lanes])
-        out.append(MatchPair(conn=c, i=int(np.argmin(d1)), j=int(np.argmin(d2))))
-    return out
+    best_i, best_j = np.argmin(d_front, axis=0), np.argmin(d_back, axis=0)
+    return [MatchPair(conn=c, i=int(i), j=int(j)) for c, (i, j) in enumerate(zip(best_i, best_j))]
 
 
 @dataclass

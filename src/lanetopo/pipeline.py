@@ -4,14 +4,18 @@ One decoder iteration: encode geometry into query features, run the shared
 intra-group self-attention over each query group, bias lane-to-connection
 cross-attention with the geometric correlation mask, then score lane-lane
 pairs (argmin-matched pairs through the matched branch) and lane-traffic
-pairs. Detection and segmentation stages of the full system (BEV feature
-extraction, deformable attention, the traffic-element GCN, iterative
-refinement) are out of scope here and the corresponding hand-offs are
-plain pass-throughs, marked below.
+pairs. The mean L1 distances between every lane and both halves of every
+connected lane are computed once per run, by one batched kernel: their
+column argmins are the matched pairs, and their elementwise minimum over
+the two halves is the mask input D. Detection and segmentation stages of
+the full system (BEV feature extraction, deformable attention, the
+traffic-element GCN, iterative refinement) are out of scope here and the
+corresponding hand-offs are plain pass-throughs, marked below.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,7 @@ from .attention import (
     self_attention,
     sigmoid_mask,
 )
-from .connect import ConnectedLane, build_connected_gt, correlation_distances
+from .connect import ConnectedLane, build_connected_gt, half_distances
 from .features import GeometryEncoder, box_values, lane_values
 from .heads import TopologyHeadParams, match_connected, predict_ll, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
@@ -87,35 +91,42 @@ def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
     )
 
 
-def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig()) -> Prediction:
+def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
+                 warn: Callable[[str], None] | None = None) -> Prediction:
     """Produce a Prediction for one scene.
 
     source="gt" passes the ground-truth geometry through; "perturbed" runs
-    the degradation model first. Lane and connection counts are truncated
-    to the query budgets. All emitted confidence and topology scores are
-    sigmoids, strictly inside (0, 1); the lane-lane diagonal is zeroed at
-    graph assembly.
+    the degradation model first. Either way the connection queries keep the
+    ground-truth source pair of the merge they were built from. Lane,
+    connection and traffic counts are truncated to the query budgets; warn,
+    if given, receives one message naming every count that was cut. All
+    emitted confidence and topology scores are sigmoids, strictly inside
+    (0, 1); the lane-lane diagonal is zeroed at graph assembly.
     """
     params = init_pipeline_params(cfg, scene.n_points)
 
+    connected = build_connected_gt(scene)
     if cfg.source == "gt":
         lanes = list(scene.lanes)
-        conn_curves = [c.curve for c in build_connected_gt(scene)]
     else:
-        degraded = perturb(scene, cfg.noise, cfg.noise_seed)
-        lanes = list(degraded.lanes)
-        # junctions no longer coincide after jitter, so connection queries
-        # are the ground-truth merges degraded with the same point noise
-        conn_rng = np.random.default_rng(cfg.noise_seed + 1)
-        conn_curves = []
-        for c in build_connected_gt(scene):
-            pts = c.curve.points
-            if cfg.noise.point_sigma > 0:
-                pts = pts + conn_rng.normal(0.0, cfg.noise.point_sigma, size=pts.shape)
-            conn_curves.append(Polyline3D(pts))
+        lanes = list(perturb(scene, cfg.noise, cfg.noise_seed).lanes)
+        if cfg.noise.point_sigma > 0:
+            # junctions no longer coincide after jitter, so connection queries
+            # are the ground-truth merges degraded with the same point noise
+            conn_rng = np.random.default_rng(cfg.noise_seed + 1)
+            sigma = cfg.noise.point_sigma
+            connected = [ConnectedLane(source=c.source, curve=Polyline3D(
+                             c.curve.points + conn_rng.normal(0.0, sigma, size=c.curve.points.shape)))
+                         for c in connected]
 
+    cut = [f"{budget} of {len(items)} {what}" for items, budget, what in (
+        (lanes, cfg.n_lane_queries, "lanes"),
+        (connected, cfg.n_lane_queries, "connected lanes"),
+        (scene.traffic, cfg.n_traffic_queries, "traffic elements")) if len(items) > budget]
+    if cut and warn is not None:
+        warn(f"query budget keeps {', '.join(cut)}")
     lanes = lanes[: cfg.n_lane_queries]
-    conn_curves = conn_curves[: cfg.n_lane_queries]
+    conn = connected[: cfg.n_lane_queries]
     traffic = list(scene.traffic)[: cfg.n_traffic_queries]
 
     n = len(lanes)
@@ -127,18 +138,17 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig()) -> Predic
     q = params.enc_lane.encode(lane_values(lanes))
     q_bar = self_attention(q, params.p_lane[:n], params.attn)
 
-    conn = [ConnectedLane(source=(-1, -1), curve=c) for c in conn_curves]
-    pairs = match_connected(lanes, conn)
+    d_front, d_back = half_distances(lanes, conn)
+    pairs = match_connected(d_front, d_back)
 
     if conn:
-        qc = params.enc_conn.encode(lane_values(conn_curves))
+        qc = params.enc_conn.encode(lane_values([c.curve for c in conn]))
         qc_hat = self_attention(qc, params.p_conn[: len(conn)], params.attn)
     else:
         qc_hat = np.zeros((0, cfg.dims.c))
 
     if conn and cfg.use_tam:
-        d = correlation_distances(lanes, conn)
-        s = sigmoid_mask(d, params.mask)
+        s = sigmoid_mask(np.minimum(d_front, d_back), params.mask)
         q_hat = masked_cross_attention(q_bar, qc_hat, s, params.tam)
     else:
         # ablation (or no connections): lane queries skip the masked

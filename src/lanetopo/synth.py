@@ -208,6 +208,25 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
                  topo=TopologyGraph(ll=ll, lt=lt), n_points=n_points)
 
 
+def blend_topology(topo: TopologyGraph, kept: np.ndarray, n_out: int,
+                   lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ll, lt) scores of a degraded prediction with n_out lanes, before flips.
+
+    Lane a < len(kept) is ground-truth lane kept[a]; its entries are the
+    ground truth blended toward 0.5 by lam. Every entry of a later (spurious)
+    lane is the blend of 0.
+    """
+    def blended(gt_val):
+        return (1.0 - lam) * gt_val + 0.5 * lam
+
+    k = len(kept)
+    ll = np.full((n_out, n_out), blended(0.0))
+    ll[:k, :k] = blended(topo.ll[np.ix_(kept, kept)])
+    lt = np.full((n_out, topo.lt.shape[1]), blended(0.0))
+    lt[:k] = blended(topo.lt[kept])
+    return ll, lt
+
+
 def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
     """Degraded copy of a scene posing as a prediction.
 
@@ -221,10 +240,10 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
     n = len(scene.lanes)
 
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
-    kept_idx = [i for i in range(n) if keep[i]]
+    kept = np.flatnonzero(keep)
 
     lanes: list[Polyline3D] = []
-    for i in kept_idx:
+    for i in kept:
         pts = scene.lanes[i].points
         jitter = rng.normal(0.0, noise.point_sigma, size=pts.shape) \
             if noise.point_sigma > 0 else 0.0
@@ -247,35 +266,14 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
     if noise.score_noise > 0:
         jitter = np.abs(rng.normal(0.0, noise.score_noise, size=n_out))
         scores = np.clip(1.0 - 0.3 * jitter, 0.05, 1.0)
-    for k in range(len(kept_idx), n_out):
+    for k in range(len(kept), n_out):
         scores[k] = rng.uniform(0.1, 0.5)  # spurious lanes rank low
 
-    lam = noise.score_noise
-
-    def blended(gt_val: float) -> float:
-        return (1.0 - lam) * gt_val + 0.5 * lam
-
-    ll = np.zeros((n_out, n_out))
-    for a, ia in enumerate(kept_idx):
-        for b, ib in enumerate(kept_idx):
-            ll[a, b] = blended(scene.topo.ll[ia, ib])
-    for a in range(n_out):
-        for b in range(n_out):
-            if a >= len(kept_idx) or b >= len(kept_idx):
-                ll[a, b] = blended(0.0)
+    ll, lt = blend_topology(scene.topo, kept, n_out, noise.score_noise)
     if noise.topo_flip_rate > 0:
         flip = rng.random(ll.shape) < noise.topo_flip_rate
         ll = np.where(flip, 1.0 - ll, ll)
     np.fill_diagonal(ll, 0.0)
-
-    n_traffic = len(scene.traffic)
-    lt = np.zeros((n_out, n_traffic))
-    for a, ia in enumerate(kept_idx):
-        for t in range(n_traffic):
-            lt[a, t] = blended(scene.topo.lt[ia, t])
-    for a in range(len(kept_idx), n_out):
-        for t in range(n_traffic):
-            lt[a, t] = blended(0.0)
     if noise.topo_flip_rate > 0 and lt.size:
         flip = rng.random(lt.shape) < noise.topo_flip_rate
         lt = np.where(flip, 1.0 - lt, lt)

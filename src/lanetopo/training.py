@@ -22,7 +22,7 @@ from .attention import (
     sigmoid_mask_backward,
     sigmoid_mask_forward,
 )
-from .connect import build_connected_gt, correlation_distances
+from .connect import build_connected_gt, half_distances
 from .features import GeometryEncoder, lane_values
 from .heads import TopologyHeadParams, match_connected, predict_ll_backward, predict_ll_cached
 from .nn import mlp_grad_vars
@@ -174,8 +174,9 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     group = group or GroupConfig(k=1)
     rng = np.random.default_rng(seed)
     connected = build_connected_gt(scene)
-    pairs = match_connected(scene.lanes, connected)
-    d = correlation_distances(scene.lanes, connected)
+    d_front, d_back = half_distances(scene.lanes, connected)
+    pairs = match_connected(d_front, d_back)
+    d = np.minimum(d_front, d_back)
     n = len(scene.lanes)
     target = scene.topo.ll.copy()
     off_diag = ~np.eye(n, dtype=bool)

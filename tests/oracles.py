@@ -3,14 +3,17 @@
 Everything here trades speed for obviousness: the Frechet distance is the
 literal recursive definition or a per-pair loop, distances are double
 loops, greedy matching visits one prediction and one ground truth at a
-time, and assignment is full enumeration. None of this is imported by the
-package itself.
+time, half distances are one scalar call per lane and half, topology
+blending visits one entry at a time, and assignment is full enumeration.
+None of this is imported by the package itself.
 """
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
+
+from lanetopo.connect import split_halves_array
 
 
 def frechet_recursive(a, b) -> float:
@@ -110,6 +113,77 @@ def avg_l1_loops(a, b) -> float:
     for pa, pb in zip(a, b):
         total += sum(abs(float(pa[k] - pb[k])) for k in range(pa.shape[0]))
     return total / len(a)
+
+
+def avg_l1_scalar(a, b) -> float:
+    """Mean L1 distance of one pair in numpy: the per-pair formula the batched
+    kernel must reproduce bit for bit."""
+    pa = np.asarray(a, dtype=np.float64)
+    pb = np.asarray(b, dtype=np.float64)
+    if pa.shape != pb.shape:
+        raise ValueError(f"point counts differ: {pa.shape} vs {pb.shape}")
+    return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
+
+
+def half_distances_loops(lanes, connected):
+    """(d_front, d_back) by one scalar mean-L1 call per lane and half."""
+    n, m = len(lanes), len(connected)
+    d_front, d_back = np.zeros((n, m)), np.zeros((n, m))
+    for c, conn in enumerate(connected):
+        h1, h2 = split_halves_array(conn.curve.points)
+        for i, lane in enumerate(lanes):
+            d_front[i, c] = avg_l1_scalar(lane.points, h1)
+            d_back[i, c] = avg_l1_scalar(lane.points, h2)
+    return d_front, d_back
+
+
+def correlation_distances_loops(lanes, connected):
+    """Mask input D, one pair at a time: the nearer half's mean L1 distance."""
+    d = np.zeros((len(lanes), len(connected)))
+    halves = [split_halves_array(c.curve.points) for c in connected]
+    for i, lane in enumerate(lanes):
+        for c, (h1, h2) in enumerate(halves):
+            d[i, c] = min(avg_l1_scalar(lane.points, h1), avg_l1_scalar(lane.points, h2))
+    return d
+
+
+def match_connected_loops(lanes, connected):
+    """(conn, i, j) per connected lane: argmin over the lanes of each half's
+    distance vector, built one lane at a time."""
+    if connected and not lanes:
+        raise ValueError("cannot match connected lanes against an empty lane list")
+    out = []
+    for c, conn in enumerate(connected):
+        h1, h2 = split_halves_array(conn.curve.points)
+        d1 = np.array([avg_l1_scalar(lane.points, h1) for lane in lanes])
+        d2 = np.array([avg_l1_scalar(lane.points, h2) for lane in lanes])
+        out.append((c, int(np.argmin(d1)), int(np.argmin(d2))))
+    return out
+
+
+def blend_topology_loops(topo, kept, n_out, lam):
+    """Pre-flip (ll, lt) of a degraded prediction, one entry at a time."""
+    def blended(gt_val):
+        return (1.0 - lam) * gt_val + 0.5 * lam
+
+    kept = list(kept)
+    n_traffic = topo.lt.shape[1]
+    ll = np.zeros((n_out, n_out))
+    for a, ia in enumerate(kept):
+        for b, ib in enumerate(kept):
+            ll[a, b] = blended(topo.ll[ia, ib])
+    for a in range(n_out):
+        for b in range(n_out):
+            if a >= len(kept) or b >= len(kept):
+                ll[a, b] = blended(0.0)
+    lt = np.zeros((n_out, n_traffic))
+    for a, ia in enumerate(kept):
+        for t in range(n_traffic):
+            lt[a, t] = blended(topo.lt[ia, t])
+    for a in range(len(kept), n_out):
+        for t in range(n_traffic):
+            lt[a, t] = blended(0.0)
+    return ll, lt
 
 
 def brute_force_assignment(cost):

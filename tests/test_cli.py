@@ -175,6 +175,20 @@ class TestPredict:
         assert run(*args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_truncating_budget_warns_on_stderr(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene = write_chain(scene_path)
+        full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+        assert run("predict", "--scene", scene_path, "--out", full, *self.small()) == 0
+        assert capsys.readouterr().err == ""
+        assert run("predict", "--scene", scene_path, "--out", cut, *self.small(),
+                   "--lane-queries", 1) == 0
+        assert capsys.readouterr().err == (
+            f"warning: scene.json: query budget keeps 1 of {len(scene.lanes)} lanes\n")
+        assert len(read_prediction(cut).lanes) == 1
+        m = read_json(manifest_path_for(cut))
+        assert m["params"]["lane_queries"] == 1
+
     def test_no_tam_runs(self, tmp_path):
         scene_path = tmp_path / "scene.json"
         write_chain(scene_path)

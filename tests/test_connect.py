@@ -1,11 +1,18 @@
-"""Connected-lane construction and the correlation distance matrix."""
+"""Connected-lane construction and the lane-to-half distance matrices."""
 
 import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.connect import ConnectedLane
+from lanetopo.geometry import PAIR_CHUNK
 from conftest import chain_scene, straight_lane
-from oracles import avg_l1_loops
+from oracles import (
+    avg_l1_loops,
+    correlation_distances_loops,
+    half_distances_loops,
+    random_polyline,
+)
 
 
 def tiny_chain(n_points=3):
@@ -119,16 +126,21 @@ class TestSplitHalves:
         assert np.array_equal(h2, lt.resample_array(conn.curve.points[5:], 11))
 
 
+def correlation(lanes, connected):
+    """The mask input D: each lane's distance to the nearer half."""
+    return np.minimum(*lt.half_distances(lanes, connected))
+
+
 class TestCorrelationDistances:
     def test_shape_and_empty(self):
         scene = tiny_chain(n_points=11)
-        d = lt.correlation_distances(scene.lanes, [])
+        d = correlation(scene.lanes, [])
         assert d.shape == (2, 0)
 
     def test_source_lane_distance_is_zero_on_a_chain(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)
-        d = lt.correlation_distances(scene.lanes, conn)
+        d = correlation(scene.lanes, conn)
         assert d.shape == (2, 1)
         # resampling rebuilds interior points only to float round-off
         assert d[0, 0] <= 1e-12
@@ -138,7 +150,7 @@ class TestCorrelationDistances:
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
                                                  split_prob=0.5, seed=4))
         conn = lt.build_connected_gt(scene)
-        d = lt.correlation_distances(scene.lanes, conn)
+        d = correlation(scene.lanes, conn)
         for c, cl in enumerate(conn):
             h1, h2 = lt.split_halves_array(cl.curve.points)
             for i, lane in enumerate(scene.lanes):
@@ -155,9 +167,70 @@ class TestCorrelationDistances:
             conn = lt.build_connected_gt(scene)
             if not conn:
                 continue
-            d = lt.correlation_distances(scene.lanes, conn)
+            d = correlation(scene.lanes, conn)
             for c, cl in enumerate(conn):
                 i, j = cl.source
                 best_pair = max(d[i, c], d[j, c])
                 others = [d[k, c] for k in range(len(scene.lanes)) if k not in (i, j)]
                 assert all(best_pair < o for o in others)
+
+
+def random_connected(rng, m, n_pts):
+    return [ConnectedLane(source=(-1, -1), curve=lt.Polyline3D(random_polyline(rng, n_pts)))
+            for _ in range(m)]
+
+
+def random_lanes(rng, n, n_pts):
+    return [lt.Polyline3D(random_polyline(rng, n_pts)) for _ in range(n)]
+
+
+class TestHalfDistances:
+    @pytest.mark.parametrize("n_pts", [3, 8, 11, 20])
+    @pytest.mark.parametrize("n, m", [(23, 17), (3, PAIR_CHUNK + 1), (40, 7)])
+    def test_bitwise_equal_to_loop_oracles(self, n_pts, n, m):
+        # every shape here has more than PAIR_CHUNK pairs and n != m
+        assert n * m > PAIR_CHUNK
+        rng = np.random.default_rng(n_pts * 100 + n)
+        lanes, conn = random_lanes(rng, n, n_pts), random_connected(rng, m, n_pts)
+        d_front, d_back = lt.half_distances(lanes, conn)
+        ref_front, ref_back = half_distances_loops(lanes, conn)
+        assert d_front.shape == d_back.shape == (n, m)
+        assert np.array_equal(d_front, ref_front)
+        assert np.array_equal(d_back, ref_back)
+        assert np.array_equal(np.minimum(d_front, d_back),
+                              correlation_distances_loops(lanes, conn))
+
+    def test_generated_scene_matches_loop_oracles(self):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=6, split_prob=0.5,
+                                                 merge_prob=0.5, seed=8))
+        conn = lt.build_connected_gt(scene)
+        got = lt.half_distances(scene.lanes, conn)
+        ref = half_distances_loops(scene.lanes, conn)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_two_point_curves_cannot_be_split(self):
+        # the back half of a 2-point curve is its last point alone
+        rng = np.random.default_rng(0)
+        lanes, conn = random_lanes(rng, 3, 2), random_connected(rng, 2, 2)
+        for fn in (lt.half_distances, half_distances_loops):
+            with pytest.raises(ValueError, match="zero-length"):
+                fn(lanes, conn)
+
+    def test_empty_sides_give_the_old_shapes(self):
+        rng = np.random.default_rng(1)
+        lanes, conn = random_lanes(rng, 4, 11), random_connected(rng, 3, 11)
+        for got, ref in ((lt.half_distances([], conn), half_distances_loops([], conn)),
+                         (lt.half_distances(lanes, []), half_distances_loops(lanes, []))):
+            assert [d.shape for d in got] == [d.shape for d in ref]
+        assert lt.half_distances([], conn)[0].shape == (0, 3)
+        assert lt.half_distances(lanes, [])[1].shape == (4, 0)
+
+    def test_mismatched_point_counts_raise(self):
+        rng = np.random.default_rng(2)
+        conn = random_connected(rng, 3, 7)
+        with pytest.raises(ValueError, match="point counts differ"):
+            lt.half_distances(random_lanes(rng, 4, 11), conn)
+        with pytest.raises(ValueError, match="point counts differ"):
+            half_distances_loops(random_lanes(rng, 4, 11), conn)
+        with pytest.raises(ValueError):
+            lt.half_distances(random_lanes(rng, 2, 7) + random_lanes(rng, 2, 11), conn)

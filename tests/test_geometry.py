@@ -6,6 +6,7 @@ import pytest
 import lanetopo as lt
 from lanetopo.geometry import (
     PAIR_CHUNK,
+    avg_l1_matrix,
     chamfer_pairs,
     endpoint_bound,
     frechet_matrix,
@@ -15,6 +16,7 @@ from lanetopo.geometry import (
 from conftest import straight_lane
 from oracles import (
     avg_l1_loops,
+    avg_l1_scalar,
     chamfer_loops,
     frechet_loops,
     frechet_recursive,
@@ -108,6 +110,36 @@ class TestAvgL1:
     def test_unequal_counts_raise(self):
         with pytest.raises(ValueError):
             lt.avg_l1(np.zeros((3, 3)), np.zeros((4, 3)))
+
+
+class TestAvgL1Matrix:
+    @pytest.mark.parametrize("n_pts", [2, 3, 8, 11, 20])
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 100), (5, PAIR_CHUNK + 44),
+                                      (PAIR_CHUNK + 44, 1), (23, 17)])
+    def test_bitwise_equal_to_scalar_pairs(self, n_pts, n, m):
+        # row chunks of PAIR_CHUNK // m lanes: a short last chunk, one lane
+        # per chunk when m > PAIR_CHUNK, and one full chunk plus a remainder
+        rng = np.random.default_rng(n_pts * 1000 + n)
+        L = np.stack([random_polyline(rng, n_pts) for _ in range(n)])
+        H = np.stack([random_polyline(rng, n_pts) for _ in range(m)])
+        expected = np.array([[avg_l1_scalar(a, b) for b in H] for a in L])
+        assert np.array_equal(avg_l1_matrix(L, H), expected)
+
+    def test_empty_sides_give_empty_shapes(self):
+        pts = np.zeros((2, 11, 3))
+        assert avg_l1_matrix(pts[:0], pts).shape == (0, 2)
+        assert avg_l1_matrix(pts, pts[:0]).shape == (2, 0)
+
+    def test_one_pair_call_is_avg_l1(self):
+        rng = np.random.default_rng(5)
+        a, b = random_polyline(rng, 11), random_polyline(rng, 11)
+        assert lt.avg_l1(a, b) == avg_l1_matrix(a[None], b[None])[0, 0] == avg_l1_scalar(a, b)
+
+    def test_mismatched_point_counts_raise(self):
+        with pytest.raises(ValueError, match="point counts differ"):
+            avg_l1_matrix(np.zeros((2, 11, 3)), np.zeros((3, 7, 3)))
+        with pytest.raises(ValueError, match="expected"):
+            avg_l1_matrix(np.zeros((11, 3)), np.zeros((3, 11, 3)))
 
 
 class TestDiscreteFrechet:

@@ -12,8 +12,10 @@ from lanetopo.heads import (
     predict_ll_backward,
     predict_ll_cached,
 )
+from lanetopo.geometry import PAIR_CHUNK, avg_l1_matrix
 from lanetopo.nn import MlpParams, mlp_forward
 from conftest import chain_scene, straight_lane
+from oracles import avg_l1_scalar, match_connected_loops, random_polyline
 
 
 def zero_mlp(widths):
@@ -31,11 +33,15 @@ def zero_head(c):
     )
 
 
+def match(lanes, connected):
+    return lt.match_connected(*lt.half_distances(lanes, connected))
+
+
 class TestMatchConnected:
     def test_chain_pair_recovered(self):
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
-        pairs = lt.match_connected(scene.lanes, conn)
+        pairs = match(scene.lanes, conn)
         assert pairs == [MatchPair(conn=0, i=0, j=1)]
 
     def test_recovery_on_generated_scenes(self):
@@ -44,34 +50,79 @@ class TestMatchConnected:
                                                      split_prob=0.4, merge_prob=0.4,
                                                      seed=seed))
             conn = lt.build_connected_gt(scene)
-            pairs = lt.match_connected(scene.lanes, conn)
+            pairs = match(scene.lanes, conn)
             assert [(p.i, p.j) for p in pairs] == [c.source for c in conn]
 
     def test_tie_breaks_toward_lower_index(self):
         lane = straight_lane(0.0, 20.0, 5.0)
         lanes = [lane, lt.Polyline3D(lane.points.copy())]
         curve = straight_lane(0.0, 20.0, 0.0)
-        pairs = lt.match_connected(lanes, [ConnectedLane(source=(-1, -1), curve=curve)])
+        pairs = match(lanes, [ConnectedLane(source=(-1, -1), curve=curve)])
         assert pairs == [MatchPair(conn=0, i=0, j=0)]
 
     def test_index_covariance_under_reordering(self):
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
         far = straight_lane(0.0, 10.0, 40.0)
-        assert lt.match_connected([scene.lanes[0], scene.lanes[1], far], conn) \
+        assert match([scene.lanes[0], scene.lanes[1], far], conn) \
             == [MatchPair(conn=0, i=0, j=1)]
-        assert lt.match_connected([scene.lanes[1], scene.lanes[0], far], conn) \
+        assert match([scene.lanes[1], scene.lanes[0], far], conn) \
             == [MatchPair(conn=0, i=1, j=0)]
 
     def test_empty_connected_gives_empty_list(self):
         scene = chain_scene()
-        assert lt.match_connected(scene.lanes, []) == []
+        assert match(scene.lanes, []) == []
 
     def test_empty_lane_list_raises(self):
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
         with pytest.raises(ValueError, match="empty lane list"):
-            lt.match_connected([], conn)
+            match([], conn)
+
+
+class TestMatchConnectedOracle:
+    @pytest.mark.parametrize("n_pts", [3, 8, 11, 20])
+    def test_bitwise_equal_to_loop_oracle(self, n_pts):
+        rng = np.random.default_rng(n_pts)
+        lanes = [lt.Polyline3D(random_polyline(rng, n_pts)) for _ in range(23)]
+        conn = [ConnectedLane(source=(-1, -1), curve=lt.Polyline3D(random_polyline(rng, n_pts)))
+                for _ in range(PAIR_CHUNK // 10 + 3)]
+        assert match(lanes, conn) == match_connected_loops(lanes, conn)
+
+    def test_two_point_distances_match_the_argmin(self):
+        # 2-point curves cannot be split, so feed the kernel's matrices directly
+        rng = np.random.default_rng(3)
+        L = np.stack([random_polyline(rng, 2) for _ in range(30)])
+        H1 = np.stack([random_polyline(rng, 2) for _ in range(20)])
+        H2 = np.stack([random_polyline(rng, 2) for _ in range(20)])
+        pairs = lt.match_connected(avg_l1_matrix(L, H1), avg_l1_matrix(L, H2))
+        expected = [(c, int(np.argmin([avg_l1_scalar(a, H1[c]) for a in L])),
+                     int(np.argmin([avg_l1_scalar(a, H2[c]) for a in L])))
+                    for c in range(20)]
+        assert pairs == expected
+
+    def test_exact_ties_across_chunks_pick_the_lower_index(self):
+        # every lane appears twice, the copies PAIR_CHUNK lanes apart, so the
+        # tied minima fall in different row chunks of the kernel
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=3, split_prob=0.4,
+                                                 merge_prob=0.4, seed=1))
+        conn = lt.build_connected_gt(scene)
+        far = [straight_lane(0.0, 20.0, 100.0 + 5.0 * k) for k in range(PAIR_CHUNK)]
+        lanes = list(scene.lanes) + far + list(scene.lanes)
+        d_front, _ = lt.half_distances(lanes, conn)
+        k = len(scene.lanes) + len(far)
+        assert np.array_equal(d_front[:len(scene.lanes)], d_front[k:])
+        pairs = match(lanes, conn)
+        assert [(p.i, p.j) for p in pairs] == [c.source for c in conn]
+        assert pairs == match_connected_loops(lanes, conn)
+
+    def test_empty_sides_behave_like_the_oracle(self):
+        scene = chain_scene()
+        conn = lt.build_connected_gt(scene)
+        assert match(scene.lanes, []) == match_connected_loops(scene.lanes, []) == []
+        for fn in (match, match_connected_loops):
+            with pytest.raises(ValueError, match="empty lane list"):
+                fn([], conn)
 
 
 class TestPredictLl:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo import pipeline
+from lanetopo.connect import half_distances
 from lanetopo.features import lane_values
 from lanetopo.pipeline import init_pipeline_params
 from conftest import chain_scene
@@ -99,6 +101,38 @@ class TestGtSource:
         pred = lt.run_pipeline(grid_scene, cfg)
         assert len(pred.traffic) == 1
         assert pred.topo.lt.shape == (len(grid_scene.lanes), 1)
+
+    def test_truncation_is_reported_once_with_counts(self, grid_scene):
+        n, m = len(grid_scene.lanes), int(grid_scene.topo.ll.sum())
+        t = len(grid_scene.traffic)
+        assert m > 2 and t > 1
+        messages = []
+        quiet = lt.run_pipeline(grid_scene, small_cfg(n_lane_queries=2,
+                                                      n_traffic_queries=1))
+        pred = lt.run_pipeline(grid_scene, small_cfg(n_lane_queries=2, n_traffic_queries=1),
+                               warn=messages.append)
+        assert messages == [f"query budget keeps 2 of {n} lanes, 2 of {m} connected lanes, "
+                            f"1 of {t} traffic elements"]
+        assert np.array_equal(pred.topo.ll, quiet.topo.ll)
+        lt.run_pipeline(grid_scene, small_cfg(), warn=messages.append)
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("source, noise", [
+        ("gt", lt.NoiseParams()),
+        ("perturbed", lt.NoiseParams(point_sigma=0.3, drop_rate=0.2)),
+    ])
+    def test_connection_queries_keep_their_source_pairs(self, grid_scene, monkeypatch,
+                                                        source, noise):
+        seen = []
+
+        def spy(lanes, connected):
+            seen.extend(c.source for c in connected)
+            return half_distances(lanes, connected)
+
+        monkeypatch.setattr(pipeline, "half_distances", spy)
+        lt.run_pipeline(grid_scene, small_cfg(source=source, noise=noise, noise_seed=2))
+        assert seen == [c.source for c in lt.build_connected_gt(grid_scene)]
+        assert seen
 
 
 class TestAblation:

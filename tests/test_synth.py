@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.synth import blend_topology
 from conftest import perfect_prediction
+from oracles import blend_topology_loops
 
 
 class TestSynthParams:
@@ -232,3 +234,32 @@ class TestPerturb:
         harsh = lt.evaluate(lt.perturb(scene, lt.NoiseParams(point_sigma=4.0), seed=0),
                             scene)
         assert harsh.ols <= mild.ols
+
+
+class TestBlendTopology:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0 / 3.0, 0.7, 1.0])
+    def test_bitwise_equal_to_loop_oracle(self, lam):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
+                                                 merge_prob=0.5, n_traffic=4, seed=9))
+        n = len(scene.lanes)
+        rng = np.random.default_rng(1)
+        for kept, n_spurious in ((np.arange(n), 0), (np.flatnonzero(rng.random(n) < 0.6), 5),
+                                 (np.arange(0), 3), (np.arange(0), 0)):
+            n_out = len(kept) + n_spurious
+            ll, lt_ = blend_topology(scene.topo, kept, n_out, lam)
+            ref_ll, ref_lt = blend_topology_loops(scene.topo, kept, n_out, lam)
+            assert ll.shape == (n_out, n_out) and lt_.shape == (n_out, 4)
+            assert np.array_equal(ll, ref_ll)
+            assert np.array_equal(lt_, ref_lt)
+
+    def test_perturb_without_flips_is_the_oracle_blend(self):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
+                                                 n_traffic=3, seed=10))
+        lam = 0.35
+        pred = lt.perturb(scene, lt.NoiseParams(spurious_rate=0.3, score_noise=lam), seed=2)
+        n = len(scene.lanes)
+        assert len(pred.lanes) > n
+        ref_ll, ref_lt = blend_topology_loops(scene.topo, range(n), len(pred.lanes), lam)
+        np.fill_diagonal(ref_ll, 0.0)
+        assert np.array_equal(pred.topo.ll, ref_ll)
+        assert np.array_equal(pred.topo.lt, ref_lt)
