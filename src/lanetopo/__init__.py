@@ -3,7 +3,7 @@
 Desk-scale reference implementation of a driving-scene topology stack:
 synthetic lane-graph scenes, ground-truth connected-lane construction,
 attention numerics with hand-written verified gradients, argmin-matched
-topology heads, Hungarian set matching with focal losses, and an
+topology heads, Hungarian assignment, focal losses, and an
 OpenLane-V2-style metric suite, all tied together by a deterministic
 CLI harness.
 """
@@ -82,12 +82,9 @@ from .synth import (
 from .training import (
     FitResult,
     GroupConfig,
-    LossWeights,
     focal_loss,
     focal_loss_grad,
     hungarian,
-    l1_loss,
-    match_group,
     sum_group_losses,
     toy_fit,
 )

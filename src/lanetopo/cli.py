@@ -6,7 +6,8 @@ command, parameters, seeds, and input/output hashes, so runs can be
 reproduced and compared byte for byte (manifest equality ignores wall time).
 
 Exit codes: 0 success, 1 check failure (gradcheck exceedance, fitdemo miss),
-2 input or contract error (schema violations are printed one per line).
+2 input or contract error (schema violations are printed one per line; a
+nonzero noise flag under predict --source gt, which would change nothing).
 predict prints one stderr warning per scene whose lanes, connections or
 traffic elements its query budgets cut; the exit code and outputs stay as
 they are. Directories are processed serially in sorted file order.
@@ -120,6 +121,11 @@ def cmd_connected(args) -> int:
     return EXIT_OK
 
 
+# predict flags that only --source perturbed reads
+NOISE_FLAGS = ("point_sigma", "drop_rate", "spurious_rate", "score_noise",
+               "topo_flip_rate", "noise_seed")
+
+
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         dims=ModelDims(c=args.channels, n_heads=args.heads),
@@ -152,6 +158,12 @@ def _predict_one(scene_path: Path, out_path: Path, cfg: PipelineConfig,
 
 
 def cmd_predict(args) -> int:
+    if args.source == "gt":
+        # a flag the run cannot read must not be recorded as if it had acted
+        inert = [f"--{name.replace('_', '-')}" for name in NOISE_FLAGS if getattr(args, name)]
+        if inert:
+            raise ValueError(f"{', '.join(inert)} change nothing under --source gt; "
+                             "use --source perturbed")
     cfg = _pipeline_config(args)
     manifest_params = {
         "channels": args.channels, "heads": args.heads,

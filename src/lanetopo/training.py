@@ -1,8 +1,7 @@
-"""Training machinery: losses, assignment, group strategy, and a toy fit loop.
+"""Training machinery: focal loss, Hungarian assignment, and a toy fit loop.
 
-Each query group is assigned to ground truth independently with a Hungarian
-matcher, unmatched queries supervised as negatives, and the group-strategy
-loss is the exact sum of the per-group losses.
+toy_fit supervises the lane-lane topology scores with a focal loss; with k
+replicated query groups its loss is the exact sum of the per-group losses.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .attention import (
     CrossAttentionParams,
@@ -29,14 +27,6 @@ from .nn import mlp_grad_vars
 from .scene import Scene
 
 FOCAL_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the classification and regression terms of the lane loss."""
-
-    lane_cls: float = 1.5
-    lane_reg: float = 0.025
 
 
 @dataclass(frozen=True)
@@ -82,21 +72,16 @@ def focal_loss_grad(pred, target, alpha: float = 0.25, gamma: float = 2.0):
     return g * inside
 
 
-def l1_loss(a, b) -> float:
-    """Mean absolute difference over all coordinates of two point sets."""
-    pa = a.points if hasattr(a, "points") else np.asarray(a, dtype=np.float64)
-    pb = b.points if hasattr(b, "points") else np.asarray(b, dtype=np.float64)
-    if pa.shape != pb.shape:
-        raise ValueError(f"shapes differ: {pa.shape} vs {pb.shape}")
-    return float(np.abs(pa - pb).mean()) if pa.size else 0.0
-
-
 def hungarian(cost) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment of min(n, m) pairs, sorted by row.
 
     Rectangular matrices go to scipy's solver as they are; it assigns every
-    row of the shorter side.
+    row of the shorter side. scipy.optimize is imported here, on the first
+    call, rather than with the module: no CLI command assigns, and the
+    import alone costs about 0.2 s of process start-up.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2D, got shape {cost.shape}")
@@ -107,43 +92,6 @@ def hungarian(cost) -> list[tuple[int, int]]:
         raise ValueError("cost matrix has non-finite entries")
     rows, cols = linear_sum_assignment(cost)
     return sorted((int(r), int(c)) for r, c in zip(rows, cols))
-
-
-def match_group(scores, pred_lanes, gt_lanes, weights: LossWeights = LossWeights()):
-    """Assign one query group to ground truth and compute its lane loss.
-
-    Cost of (query p, gt g) is lane_cls * focal(score_p, 1) +
-    lane_reg * l1(lane_p, lane_g). Matched queries are supervised as
-    positives with the regression term; unmatched queries as negatives.
-    Returns (pairs, loss).
-    """
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    n_pred, n_gt = len(scores), len(gt_lanes)
-    if len(pred_lanes) != n_pred:
-        raise ValueError(f"{n_pred} scores but {len(pred_lanes)} lanes")
-
-    if n_pred == 0:
-        return [], 0.0
-
-    if n_gt == 0:
-        loss = weights.lane_cls * focal_loss(scores, np.zeros(n_pred))
-        return [], float(loss)
-
-    cost = np.empty((n_pred, n_gt))
-    pos_cost = focal_loss(scores, np.ones(n_pred), reduction="none")
-    for p in range(n_pred):
-        for g in range(n_gt):
-            cost[p, g] = weights.lane_cls * pos_cost[p] \
-                + weights.lane_reg * l1_loss(pred_lanes[p], gt_lanes[g])
-
-    pairs = hungarian(cost)
-    targets = np.zeros(n_pred)
-    for p, _ in pairs:
-        targets[p] = 1.0
-    loss_cls = focal_loss(scores, targets)
-    loss_reg = float(np.mean([l1_loss(pred_lanes[p], gt_lanes[g]) for p, g in pairs]))
-    loss = weights.lane_cls * loss_cls + weights.lane_reg * loss_reg
-    return pairs, float(loss)
 
 
 def sum_group_losses(losses) -> float:

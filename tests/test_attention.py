@@ -1,10 +1,13 @@
 """Numeric core: MLP, layer norm, softmax, sigmoid mask, attention blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit as sigmoid
+from scipy.special import expit
 
 import lanetopo as lt
+from lanetopo import nn
 from lanetopo.attention import (
     CrossAttentionParams,
     SelfAttentionParams,
@@ -101,6 +104,55 @@ class TestSoftmax:
         assert s[0, 0] == pytest.approx(1.0)
 
 
+class TestSigmoid:
+    """nn.sigmoid against scipy's expit, the oracle, to a tolerance set from float64."""
+
+    MAX_ULP = 4
+    MAX_ABS = 2.3e-16
+
+    def test_within_tolerance_of_expit(self):
+        rng = np.random.default_rng(2024)
+        x = np.concatenate([
+            rng.uniform(-740.0, 740.0, 600_000),
+            rng.normal(0.0, 8.0, 400_000),
+            # around exp(-x) = 2**53, where 1 + exp(-x) rounds hardest
+            rng.uniform(-40.0, -34.0, 200_000),
+            [-740.0, 740.0],
+        ])
+        got, want = nn.sigmoid(x), expit(x)
+        assert np.all(got >= 0.0) and np.all(want >= 0.0)
+        # same-sign float64 values are ordered like their bit patterns
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= self.MAX_ULP
+        assert np.abs(got - want).max() <= self.MAX_ABS
+
+    def test_exact_values_at_the_ends(self):
+        assert nn.sigmoid(0.0) == 0.5
+        assert nn.sigmoid(-0.0) == 0.5
+        assert nn.sigmoid(np.inf) == 1.0
+        assert nn.sigmoid(-np.inf) == 0.0
+        assert nn.sigmoid(-750.0) == 0.0
+        assert np.isnan(nn.sigmoid(np.nan))
+
+    def test_shapes_and_dtype(self):
+        cases = [(0.25, ()), (np.array(-1.5), ()), ([0.0, 1.0, -2.0], (3,)),
+                 (np.arange(6).reshape(2, 3), (2, 3))]
+        for x, shape in cases:
+            out = nn.sigmoid(x)
+            assert np.shape(out) == shape
+            assert out.dtype == np.float64
+            assert np.array_equal(out, nn.sigmoid(np.asarray(x, dtype=np.float64)))
+
+    def test_overflow_raises_no_warning(self):
+        x = np.array([-1000.0, -750.0, -710.0, 0.0, 710.0, 1000.0,
+                      np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nn.sigmoid(x)
+        assert np.array_equal(out[:3], np.zeros(3))
+        assert np.isnan(out[-1])
+
+
 class TestSigmoidMask:
     def test_zero_distance_through_identity_mlp(self):
         params = affine_mask_params(1.0, 0.0)
@@ -136,7 +188,7 @@ class TestSigmoidMask:
         params = SigmoidMaskParams.init(8, rng)
         d = rng.uniform(0.0, 5.0, size=(4, 4))
         logits = mlp_forward(params.mlp, d.reshape(-1, 1)).reshape(4, 4)
-        expected = np.clip(sigmoid(logits), MASK_EPS, 1.0)
+        expected = np.clip(nn.sigmoid(logits), MASK_EPS, 1.0)
         assert np.array_equal(lt.sigmoid_mask(d, params), expected)
 
 

@@ -198,6 +198,35 @@ class TestPredict:
         m = read_json(manifest_path_for(out))
         assert m["params"]["use_tam"] is False
 
+    NOISE = (("--point-sigma", 0.3), ("--drop-rate", 0.1), ("--spurious-rate", 0.2),
+             ("--score-noise", 0.3), ("--topo-flip-rate", 0.05), ("--noise-seed", 4))
+
+    def test_noise_flags_under_gt_source_exit_2(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        out = tmp_path / "pred.json"
+        for flag, value in self.NOISE:
+            assert run("predict", "--scene", scene_path, "--out", out,
+                       flag, value, *self.small()) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flag in err
+            assert "--source gt" in err
+            assert not out.exists()
+        every = [str(tok) for pair in self.NOISE for tok in pair]
+        assert run("predict", "--scene", scene_path, "--out", out, "--source", "gt",
+                   *every, *self.small()) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag, _ in self.NOISE)
+        assert err.count("\n") == 1
+
+    def test_zero_noise_flags_under_gt_source_are_accepted(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        out = tmp_path / "pred.json"
+        zeros = [str(tok) for flag, _ in self.NOISE for tok in (flag, 0)]
+        assert run("predict", "--scene", scene_path, "--out", out, *zeros,
+                   *self.small()) == 0
+
 
 class TestEval:
     def test_perfect_prediction_scores_ones(self, tmp_path, capsys):

@@ -75,26 +75,6 @@ class TestFocalLoss:
         assert np.array_equal(g, np.zeros(2))
 
 
-class TestL1Loss:
-    def test_identical_is_zero(self):
-        lane = straight_lane(0.0, 10.0, 0.0)
-        assert lt.l1_loss(lane, lane) == 0.0
-
-    def test_unit_offset_everywhere(self):
-        a = straight_lane(0.0, 10.0, 0.0)
-        b = lt.Polyline3D(a.points + np.array([1.0, 1.0, 1.0]))
-        assert lt.l1_loss(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_raw_arrays(self):
-        a = np.zeros((3, 3))
-        b = np.full((3, 3), 2.0)
-        assert lt.l1_loss(a, b) == 2.0
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="differ"):
-            lt.l1_loss(np.zeros((3, 3)), np.zeros((4, 3)))
-
-
 class TestHungarian:
     def test_diagonally_dominant_picks_identity(self):
         cost = np.full((3, 3), 10.0)
@@ -149,56 +129,6 @@ class TestHungarian:
             perm = rng.permutation(10)
             alt = sum(cost[r, perm[r]] for r in range(10))
             assert optimal <= alt + 1e-12
-
-
-class TestMatchGroup:
-    def test_perfect_predictions_match_identity_with_tiny_loss(self):
-        lanes = [straight_lane(0.0, 10.0, 3.0 * k) for k in range(3)]
-        pairs, loss = lt.match_group(np.ones(3), lanes, lanes)
-        assert pairs == [(0, 0), (1, 1), (2, 2)]
-        assert 0.0 <= loss < 1e-12
-
-    def test_zero_gt_is_pure_negative_supervision(self):
-        scores = np.array([0.9, 0.2])
-        lanes = [straight_lane(0.0, 10.0, 0.0), straight_lane(0.0, 10.0, 3.0)]
-        pairs, loss = lt.match_group(scores, lanes, [])
-        assert pairs == []
-        weights = lt.LossWeights()
-        assert loss == pytest.approx(
-            weights.lane_cls * lt.focal_loss(scores, np.zeros(2)), abs=1e-15)
-
-    def test_zero_predictions(self):
-        gt = [straight_lane(0.0, 10.0, 0.0)]
-        assert lt.match_group(np.zeros(0), [], gt) == ([], 0.0)
-
-    def test_score_lane_count_mismatch_raises(self):
-        with pytest.raises(ValueError, match="scores"):
-            lt.match_group(np.ones(2), [straight_lane(0.0, 10.0, 0.0)], [])
-
-    def test_composed_oracle_three_preds_two_gt(self):
-        rng = np.random.default_rng(5)
-        scores = rng.uniform(0.1, 0.9, size=3)
-        preds = [straight_lane(0.0, 10.0, y) for y in (0.0, 3.1, 6.2)]
-        gts = [straight_lane(0.0, 10.0, y) for y in (3.0, 6.0)]
-        weights = lt.LossWeights()
-
-        pos = lt.focal_loss(scores, np.ones(3), reduction="none")
-        cost = np.empty((3, 2))
-        for p in range(3):
-            for g in range(2):
-                cost[p, g] = weights.lane_cls * pos[p] \
-                    + weights.lane_reg * lt.l1_loss(preds[p], gts[g])
-        expect_pairs, _ = brute_force_assignment(cost)
-        targets = np.zeros(3)
-        for p, _ in expect_pairs:
-            targets[p] = 1.0
-        reg = float(np.mean([lt.l1_loss(preds[p], gts[g]) for p, g in expect_pairs]))
-        expect_loss = weights.lane_cls * lt.focal_loss(scores, targets) \
-            + weights.lane_reg * reg
-
-        pairs, loss = lt.match_group(scores, preds, gts)
-        assert pairs == expect_pairs
-        assert loss == pytest.approx(expect_loss, abs=1e-12)
 
 
 class TestGroupStrategy:
