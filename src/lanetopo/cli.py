@@ -9,8 +9,11 @@ Exit codes: 0 success, 1 check failure (gradcheck exceedance, fitdemo miss),
 2 input or contract error (schema violations are printed one per line; a
 nonzero noise flag under predict --source gt, which would change nothing).
 predict prints one stderr warning per scene whose lanes, connections or
-traffic elements its query budgets cut; the exit code and outputs stay as
-they are. Directories are processed serially in sorted file order.
+traffic elements its query budgets cut, and one per run when --score-noise
+or --topo-flip-rate is nonzero (they change nothing, so its manifest omits
+them); the exit code and outputs stay as they are. eval checks
+--lane-width like its thresholds, at parse time. Directories are processed
+serially in sorted file order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .attention import ModelDims
 from .connect import build_connected_gt
-from .geometry import widen_to_segment
+from .geometry import valid_width
 from .gradcheck import run_gradcheck
 from .metrics import (
     DET_L_THRESHOLDS,
@@ -124,6 +127,13 @@ def cmd_connected(args) -> int:
 # predict flags that only --source perturbed reads
 NOISE_FLAGS = ("point_sigma", "drop_rate", "spurious_rate", "score_noise",
                "topo_flip_rate", "noise_seed")
+# noise flags that only perturb the scores and topology of the degraded
+# prediction, which the pipeline replaces with its own: they change nothing
+SCORE_NOISE_FLAGS = ("score_noise", "topo_flip_rate")
+
+
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -160,18 +170,22 @@ def _predict_one(scene_path: Path, out_path: Path, cfg: PipelineConfig,
 def cmd_predict(args) -> int:
     if args.source == "gt":
         # a flag the run cannot read must not be recorded as if it had acted
-        inert = [f"--{name.replace('_', '-')}" for name in NOISE_FLAGS if getattr(args, name)]
+        inert = [_flag(name) for name in NOISE_FLAGS if getattr(args, name)]
         if inert:
             raise ValueError(f"{', '.join(inert)} change nothing under --source gt; "
                              "use --source perturbed")
     cfg = _pipeline_config(args)
+    inert = [_flag(name) for name in SCORE_NOISE_FLAGS if getattr(args, name)]
+    if inert:
+        # recorded nowhere: the manifest lists only parameters that act
+        print(f"warning: {', '.join(inert)} change nothing: predict keeps only the "
+              "perturbed lanes and scores them with the pipeline", file=sys.stderr)
     manifest_params = {
         "channels": args.channels, "heads": args.heads,
         "lane_queries": args.lane_queries, "traffic_queries": args.traffic_queries,
         "source": args.source, "use_tam": not args.no_tam,
         "point_sigma": args.point_sigma, "drop_rate": args.drop_rate,
-        "spurious_rate": args.spurious_rate, "score_noise": args.score_noise,
-        "topo_flip_rate": args.topo_flip_rate,
+        "spurious_rate": args.spurious_rate,
     }
     scene_path = Path(args.scene)
     out_path = Path(args.out)
@@ -209,20 +223,13 @@ def _read_or_report(read, path: Path):
 
 
 def _eval_one(pred, scene, args) -> MetricReport:
-    segments = (
-        [widen_to_segment(l, args.lane_width) for l in pred.lanes],
-        pred.lane_scores,
-        [widen_to_segment(l, args.lane_width) for l in scene.lanes],
-        pred.topo.ll,
-        scene.topo.ll,
-    )
     return evaluate(
         pred, scene,
         det_l_thresholds=args.det_thresholds,
         det_t_iou=args.det_iou,
         top_frechet=args.top_frechet,
         top_iou=args.top_iou,
-        lane_segments=segments,
+        lane_width=args.lane_width,
     )
 
 
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-frechet", type=_checked(lambda v: valid_distances((v,))[0]),
                    default=TOP_FRECHET)
     p.add_argument("--top-iou", type=_checked(valid_iou), default=TOP_IOU)
-    p.add_argument("--lane-width", type=float, default=1.75,
+    p.add_argument("--lane-width", type=_checked(valid_width), default=1.75,
                    help="width used to widen centerlines into lane segments")
     p.set_defaults(func=cmd_eval)
 

@@ -6,9 +6,11 @@ Polyline3D or a raw (n, 3) array; internal callers mostly pass arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .scene import LaneSegment, Polyline3D
+from .scene import DUPLICATE_POINTS, NON_FINITE, LaneSegment, Polyline3D
 
 
 def _as_points(poly) -> np.ndarray:
@@ -89,10 +91,15 @@ def avg_l1(a, b) -> float:
 def _point_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(k, n, m) Euclidean distances between the points of A (k, n, 3) and B (k, m, 3).
 
-    The norm reduces a C-contiguous (..., 3) difference array, so every
-    entry is bitwise the one a single pair's (n, m, 3) array gives.
+    Each is sqrt((dx^2 + dy^2) + dz^2), summed left to right as numpy sums
+    fewer than 8 terms, so it is bitwise np.linalg.norm of the difference,
+    without the norm's reduction loop over every point pair.
     """
-    return np.linalg.norm(A[:, :, None, :] - B[:, None, :, :], axis=3)
+    d = A.transpose(2, 0, 1)[:, :, :, None] - B.transpose(2, 0, 1)[:, :, None, :]
+    d *= d
+    gaps = d[0] + d[1]
+    gaps += d[2]
+    return np.sqrt(gaps, out=gaps)
 
 
 def _chunked(kernel, A, B) -> np.ndarray:
@@ -205,7 +212,8 @@ def frechet_matrix(a: list, b: list, cut: float) -> np.ndarray:
     return _pair_matrix(frechet_pairs, a, b, endpoint_bound(a, b) < cut)
 
 
-def _boundaries(seg: LaneSegment) -> np.ndarray:
+def segment_boundaries(seg: LaneSegment) -> np.ndarray:
+    """The segment's left then right boundary points, (2n, 3)."""
     return np.concatenate([seg.left.points, seg.right.points])
 
 
@@ -215,49 +223,83 @@ def lane_segment_distance(a: LaneSegment, b: LaneSegment) -> float:
     The boundary term concatenates left and right boundary points on each
     side before the Chamfer computation.
     """
-    d_lr = chamfer(_boundaries(a), _boundaries(b))
+    d_lr = chamfer(segment_boundaries(a), segment_boundaries(b))
     d_c = discrete_frechet(a.centerline.points, b.centerline.points)
     return 0.5 * (d_lr + d_c)
 
 
-def segment_matrix(a: list[LaneSegment], b: list[LaneSegment], centerline: np.ndarray,
-                   cut: float) -> np.ndarray:
+def segment_matrix(a, cat_a, b, cat_b, centerline: np.ndarray, cut: float) -> np.ndarray:
     """(len(a), len(b)) lane_segment_distance, exact below cut; inf for pairs
     of different categories.
 
-    centerline is the segments' centerline frechet_matrix, exact below
-    2 * cut. The distance is at least half the centerline term, so the
-    Chamfer term is only computed for pairs under that.
+    a and b hold each segment's boundary points, left then right, (2n, 3)
+    per segment: a (k, 2n, 3) stack, or a list when point counts differ.
+    cat_a and cat_b are the segments' categories. centerline is the
+    segments' centerline frechet_matrix, exact below 2 * cut. The distance
+    is at least half the centerline term, so the Chamfer term is only
+    computed for pairs under that.
     """
-    cat_a = np.array([s.category for s in a], dtype=object).reshape(-1, 1)
-    cat_b = np.array([s.category for s in b], dtype=object).reshape(1, -1)
-    keep = (cat_a == cat_b) & (centerline < 2.0 * cut)
-    d_lr = _pair_matrix(chamfer_pairs, [_boundaries(s) for s in a],
-                        [_boundaries(s) for s in b], keep)
+    same = np.array(cat_a, dtype=str).reshape(-1, 1) == np.array(cat_b, dtype=str).reshape(1, -1)
+    d_lr = _pair_matrix(chamfer_pairs, a, b, same & (centerline < 2.0 * cut))
     return 0.5 * (d_lr + centerline)
 
 
-def widen_to_segment(poly, width: float, category: str = "lane") -> LaneSegment:
-    """Lane segment with boundaries offset width/2 to each side of the centerline.
+def valid_width(width) -> float:
+    """width as a float; ValueError unless it is finite and positive."""
+    if not (math.isfinite(width := float(width)) and width > 0.0):
+        raise ValueError(f"lane width must be finite and positive, got {width}")
+    return width
+
+
+def _invalid(B: np.ndarray) -> np.ndarray:
+    """(k, 2) flags per polyline of B (k, n, 3): non-finite, consecutive duplicates."""
+    return np.stack([~np.isfinite(B).all(axis=(1, 2)),
+                     (B[:, 1:] == B[:, :-1]).all(axis=2).any(axis=1)], axis=1)
+
+
+def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right boundaries of the lanes P (k, n, 3), offset width/2 to
+    each side of each centerline.
 
     Offsets follow the horizontal normal of the tangent (central differences);
-    near-vertical tangents fall back to the +y direction.
+    near-vertical tangents fall back to the +y direction. Every step is
+    elementwise or reduces one point's xyz, so each lane's boundaries are
+    bitwise the ones it gets alone. A boundary that Polyline3D would reject
+    (non-finite, or with consecutive duplicate points) raises its ValueError,
+    for the first such lane, left boundary before right.
     """
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width}")
-    pts = _as_points(poly)
-    tan = np.gradient(pts, axis=0)
-    normal = np.stack([-tan[:, 1], tan[:, 0], np.zeros(len(pts))], axis=1)
-    norms = np.linalg.norm(normal, axis=1, keepdims=True)
-    fallback = np.tile([0.0, 1.0, 0.0], (len(pts), 1))
-    normal = np.where(norms > 1e-12, normal / np.maximum(norms, 1e-12), fallback)
+    width = valid_width(width)
+    P = np.asarray(P, dtype=np.float64)
+    tan = np.gradient(P, axis=1)
+    normal = np.stack([-tan[..., 1], tan[..., 0], np.zeros(P.shape[:2])], axis=-1)
+    norms = np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal = np.where(norms > 1e-12, normal / np.maximum(norms, 1e-12), [0.0, 1.0, 0.0])
     half = 0.5 * width
-    return LaneSegment(
-        centerline=Polyline3D(pts),
-        left=Polyline3D(pts + half * normal),
-        right=Polyline3D(pts - half * normal),
-        category=category,
-    )
+    left, right = P + half * normal, P - half * normal
+    # per lane: left non-finite, left duplicates, right non-finite, right duplicates
+    bad = np.concatenate([_invalid(left), _invalid(right)], axis=1)
+    if bad.any():
+        raise ValueError((NON_FINITE, DUPLICATE_POINTS)[np.argwhere(bad)[0, 1] % 2])
+    return left, right
+
+
+def lane_boundaries(lanes: list, width: float) -> list[np.ndarray]:
+    """Each lane's left then right boundary points, (2n, 3), from one widen
+    call per point count."""
+    out = [None] * len(lanes)
+    for idx, P in _stacks(lanes):
+        for k, bounds in zip(idx, np.concatenate(widen(P, width), axis=1)):
+            out[k] = bounds
+    return out
+
+
+def widen_to_segment(poly, width: float, category: str = "lane") -> LaneSegment:
+    """Lane segment with boundaries offset width/2 to each side of the
+    centerline (the one-lane call of widen)."""
+    pts = _as_points(poly)
+    left, right = widen(pts[None], width)
+    return LaneSegment(centerline=Polyline3D(pts), left=Polyline3D(left[0]),
+                       right=Polyline3D(right[0]), category=category)
 
 
 def _box_area(box: np.ndarray) -> float:

@@ -19,8 +19,9 @@ Conventions used throughout:
 
 Shared match context. `evaluate` builds the lane Frechet matrix, the
 traffic IoU matrix and each greedy matching once per scene; DET_l, DET_t,
-TOP_ll, TOP_lt and the lane-segment block all read them. The segments are
-widened from the same lanes, so the lane matrix is also their centerline term.
+TOP_ll, TOP_lt and the lane-segment block all read them. `evaluate` widens
+the segments from the same lanes, all of them in one array pass per point
+count, so the lane matrix is also their centerline term.
 
 Endpoint-bound pruning. A lane pair matches only below a threshold, so a
 pair whose distance is at least the largest threshold in use (the cut) can
@@ -40,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import box_iou, frechet_matrix, segment_matrix
+from .geometry import (
+    box_iou,
+    frechet_matrix,
+    lane_boundaries,
+    segment_boundaries,
+    segment_matrix,
+    valid_width,
+)
 from .scene import LaneSegment, Prediction, Scene
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
@@ -196,28 +204,38 @@ def det_t(pred: Prediction, scene: Scene, iou_threshold: float = DET_T_IOU) -> f
     return _det_t(pred, scene, _traffic_matches(pred, scene, (iou_threshold,))[iou_threshold])
 
 
-def _vertex_ap(gt_row: np.ndarray, score_row: np.ndarray | None,
-               col_to_gt: np.ndarray | None) -> float:
-    """AP of one vertex's outgoing predicted edges against its GT edges.
+def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray,
+                col_to_gt: np.ndarray) -> np.ndarray:
+    """AP of each matched vertex's outgoing predicted edges against its GT edges.
 
-    score_row is the matched prediction's score row (None when the vertex
-    is unmatched); col_to_gt maps prediction columns to GT columns (-1 for
-    unmatched endpoints, which makes their edges false positives).
+    gt_rows (V, G) are the vertices' binary GT rows, each with an edge;
+    score_rows (V, C) their matched predictions' score rows, where an entry
+    that is not positive is no edge. col_to_gt maps prediction columns to GT
+    columns (-1 for unmatched endpoints, which makes their edges false
+    positives). Each AP is average_precision of the row's ranked flags, bit
+    for bit: ranks past the row's last edge get precision 0, which no
+    interpolated precision falls below, and rows are summed in groups of
+    equal true-positive count, so each sum runs over its own values in rank
+    order.
     """
-    n_gt_edges = int(gt_row.sum())
-    if score_row is None:
-        return 0.0
-    cols = np.nonzero(score_row > 0.0)[0]
-    if cols.size == 0:
-        return 1.0 if n_gt_edges == 0 else 0.0
-    order = cols[rank_by_score(score_row[cols])]
-    flags = [w >= 0 and gt_row[w] == 1.0 for w in col_to_gt[order]]
-    return average_precision(flags, n_gt_edges)
+    order = np.argsort(-score_rows, axis=1, kind="stable")  # rank_by_score, per row
+    edge = np.take_along_axis(score_rows, order, axis=1) > 0.0  # the ranked edges come first
+    w = col_to_gt[order]
+    flags = edge & (w >= 0) & (np.take_along_axis(gt_rows, w, axis=1) == 1.0)
+    precision = np.where(edge, np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1), 0.0)
+    p_interp = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    n_tp = flags.sum(axis=1)
+    aps = np.zeros(len(flags))
+    for t in np.unique(n_tp[n_tp > 0]):
+        rows = np.flatnonzero(n_tp == t)
+        aps[rows] = p_interp[rows][flags[rows]].reshape(-1, t).sum(axis=1)
+    return aps / gt_rows.sum(axis=1).astype(int)
 
 
 def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
                     row_to_gt: np.ndarray, col_to_gt: np.ndarray) -> float:
-    """Mean vertex AP over the ground-truth vertices with outgoing edges.
+    """Mean vertex AP over the ground-truth vertices with outgoing edges; an
+    unmatched vertex scores 0.
 
     row_to_gt maps the rows of score_mat (predictions) to ground-truth
     rows, col_to_gt its columns to ground-truth columns; -1 is unmatched.
@@ -229,9 +247,10 @@ def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
     if not vertices.size:
         any_edge = score_mat.size and float(np.max(score_mat)) > 0.0
         return 0.0 if any_edge else 1.0
-    aps = [_vertex_ap(gt_adj[v], score_mat[gt_to_row[v]] if gt_to_row[v] >= 0 else None,
-                      col_to_gt)
-           for v in vertices]
+    aps = np.zeros(vertices.size)
+    matched = np.flatnonzero(gt_to_row[vertices] >= 0)
+    aps[matched] = _vertex_aps(gt_adj[vertices[matched]],
+                               score_mat[gt_to_row[vertices[matched]]], col_to_gt)
     return float(np.mean(aps))
 
 
@@ -258,23 +277,26 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
                    + np.sqrt(top_ll_score) + np.sqrt(top_lt_score))
 
 
-def _lane_segment_report(preds, scores, gts, centerline, pred_topo, gt_topo,
-                         thresholds, top_threshold) -> LaneSegmentReport:
+def _lane_segment_report(preds, pred_cats, scores, gts, gt_cats, centerline,
+                         pred_topo, gt_topo, thresholds, top_threshold) -> LaneSegmentReport:
+    """The lane-segment block from each segment's boundary points and category
+    (see segment_matrix) and the centerline frechet_matrix."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if scores.shape[0] != len(preds):
         raise ValueError(f"{len(preds)} segments but {scores.shape[0]} scores")
-    dist = segment_matrix(preds, gts, centerline, max(*thresholds, top_threshold))
+    pred_cats, gt_cats = np.array(pred_cats, dtype=str), np.array(gt_cats, dtype=str)
+    dist = segment_matrix(preds, pred_cats, gts, gt_cats, centerline,
+                          max(*thresholds, top_threshold))
 
     per_cat: dict[str, float | None] = {}
     for cat in LS_CATEGORIES:
-        g_idx = [g for g, seg in enumerate(gts) if seg.category == cat]
-        p_idx = [p for p, seg in enumerate(preds) if seg.category == cat]
-        if not g_idx:
-            per_cat[cat] = None if not p_idx else 0.0
+        g_idx, p_idx = np.flatnonzero(gt_cats == cat), np.flatnonzero(pred_cats == cat)
+        if not g_idx.size:
+            per_cat[cat] = None if not p_idx.size else 0.0
             continue
         sub, sub_scores = dist[np.ix_(p_idx, g_idx)], scores[p_idx]
         per_cat[cat] = _mean_ap(lambda thr: greedy_match(sub, sub_scores, thr),
-                                thresholds, len(g_idx))
+                                thresholds, g_idx.size)
 
     present = [v for v in per_cat.values() if v is not None]
     mean_ap = float(np.mean(present)) if present else 1.0
@@ -303,13 +325,10 @@ def lane_segment_metrics(preds: list[LaneSegment], scores, gts: list[LaneSegment
     thresholds, (top_threshold,) = valid_distances(thresholds), valid_distances((top_threshold,))
     centerline = frechet_matrix([s.centerline for s in preds], [s.centerline for s in gts],
                                 2.0 * max(*thresholds, top_threshold))
-    return _lane_segment_report(preds, scores, gts, centerline, pred_topo, gt_topo,
-                                thresholds, top_threshold)
-
-
-def _same_points(segments: list[LaneSegment], lanes: list) -> bool:
-    return len(segments) == len(lanes) and all(
-        np.array_equal(s.centerline.points, lane.points) for s, lane in zip(segments, lanes))
+    return _lane_segment_report(
+        [segment_boundaries(s) for s in preds], [s.category for s in preds], scores,
+        [segment_boundaries(s) for s in gts], [s.category for s in gts], centerline,
+        pred_topo, gt_topo, thresholds, top_threshold)
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -317,25 +336,25 @@ def evaluate(pred: Prediction, scene: Scene,
              det_t_iou: float = DET_T_IOU,
              top_frechet: float = TOP_FRECHET,
              top_iou: float = TOP_IOU,
-             lane_segments: tuple | None = None) -> MetricReport:
+             lane_width: float | None = None) -> MetricReport:
     """Full metric report for one scene.
 
-    lane_segments, when given, is (pred_segments, pred_scores, gt_segments,
-    pred_topo, gt_topo) and fills the optional lane-segment block. The
-    segments must be widened from pred.lanes and scene.lanes, in order: the
-    block reads its centerline distances from the lane matrix. Thresholds
-    that cannot be scored (non-finite or non-positive distances, IoU
-    outside (0, 1]) raise ValueError.
+    lane_width, when given, fills the optional lane-segment block: the
+    lanes of pred and scene are widened into "lane" segments of that width
+    (see widen), ranked by pred.lane_scores, and their topology is
+    pred.topo.ll against scene.topo.ll. The block reads its centerline
+    distances from the lane matrix. A lane width that is not finite and
+    positive, and thresholds that cannot be scored (non-finite or
+    non-positive distances, IoU outside (0, 1]), raise ValueError.
     """
     det_l_thresholds = valid_distances(det_l_thresholds)
     (top_frechet,) = valid_distances((top_frechet,))
     det_t_iou, top_iou = valid_iou(det_t_iou), valid_iou(top_iou)
     lane_cut = max(*det_l_thresholds, top_frechet)
-    if lane_segments is not None:
-        p_segs, p_scores, g_segs, p_topo, g_topo = lane_segments
-        if not (_same_points(p_segs, pred.lanes) and _same_points(g_segs, scene.lanes)):
-            raise ValueError("lane segment centerlines must be the prediction's "
-                             "and the scene's lanes, in order")
+    if lane_width is not None:
+        lane_width = valid_width(lane_width)
+        p_bounds = lane_boundaries(pred.lanes, lane_width)
+        g_bounds = lane_boundaries(scene.lanes, lane_width)
         lane_cut = max(lane_cut, 2.0 * max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
 
     lane_dist, lanes = _lane_matches(pred, scene, (*det_l_thresholds, top_frechet), lane_cut)
@@ -344,8 +363,10 @@ def evaluate(pred: Prediction, scene: Scene,
     d_t = _det_t(pred, scene, traffic[det_t_iou])
     t_ll, t_lt = (_top(pred, scene, kind, lanes[top_frechet], traffic[top_iou])
                   for kind in ("ll", "lt"))
-    block = None if lane_segments is None else _lane_segment_report(
-        p_segs, p_scores, g_segs, lane_dist, p_topo, g_topo, LS_THRESHOLDS, LS_TOP_THRESHOLD)
+    block = None if lane_width is None else _lane_segment_report(
+        p_bounds, ["lane"] * len(p_bounds), pred.lane_scores,
+        g_bounds, ["lane"] * len(g_bounds), lane_dist,
+        pred.topo.ll, scene.topo.ll, LS_THRESHOLDS, LS_TOP_THRESHOLD)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)

@@ -18,6 +18,11 @@ JUNCTION_TOL = 0.01
 
 DEFAULT_N_POINTS = 11
 
+# Polyline3D's messages for coordinates it rejects; batched kernels that
+# build boundary polylines as arrays raise the same text.
+NON_FINITE = "polyline has non-finite coordinates"
+DUPLICATE_POINTS = "polyline has consecutive duplicate points"
+
 
 @dataclass(frozen=True)
 class Polyline3D:
@@ -32,9 +37,9 @@ class Polyline3D:
         if pts.shape[0] < 2:
             raise ValueError("polyline needs at least 2 points")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("polyline has non-finite coordinates")
+            raise ValueError(NON_FINITE)
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
-            raise ValueError("polyline has consecutive duplicate points")
+            raise ValueError(DUPLICATE_POINTS)
         object.__setattr__(self, "points", pts)
 
     @property

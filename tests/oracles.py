@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: the Frechet distance is the
 literal recursive definition or a per-pair loop, distances are double
 loops, greedy matching visits one prediction and one ground truth at a
 time, half distances are one scalar call per lane and half, topology
-blending visits one entry at a time, and assignment is full enumeration.
-None of this is imported by the package itself.
+blending visits one entry at a time, lanes are widened one at a time into
+validated polylines, vertex APs rank a Python list of flags per vertex,
+and assignment is full enumeration. None of this is imported by the
+package itself.
 """
 
 import itertools
@@ -14,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from lanetopo.connect import split_halves_array
+from lanetopo.metrics import average_precision, rank_by_score
+from lanetopo.scene import Polyline3D
 
 
 def frechet_recursive(a, b) -> float:
@@ -184,6 +188,52 @@ def blend_topology_loops(topo, kept, n_out, lam):
         for t in range(n_traffic):
             lt[a, t] = blended(0.0)
     return ll, lt
+
+
+def widen_loops(lanes, width):
+    """(left, right) boundary points per lane, one lane at a time, each
+    boundary validated by Polyline3D (whose ValueError it raises)."""
+    out = []
+    for lane in lanes:
+        pts = np.asarray(getattr(lane, "points", lane), dtype=np.float64)
+        tan = np.gradient(pts, axis=0)
+        normal = np.stack([-tan[:, 1], tan[:, 0], np.zeros(len(pts))], axis=1)
+        norms = np.linalg.norm(normal, axis=1, keepdims=True)
+        fallback = np.tile([0.0, 1.0, 0.0], (len(pts), 1))
+        normal = np.where(norms > 1e-12, normal / np.maximum(norms, 1e-12), fallback)
+        half = 0.5 * width
+        out.append((Polyline3D(pts + half * normal).points,
+                    Polyline3D(pts - half * normal).points))
+    return out
+
+
+def vertex_ap_loops(gt_row, score_row, col_to_gt):
+    """AP of one vertex's ranked predicted edges, flags built one edge at a time.
+
+    score_row is None for an unmatched vertex; col_to_gt maps prediction
+    columns to ground-truth columns, -1 for unmatched.
+    """
+    n_gt_edges = int(gt_row.sum())
+    if score_row is None:
+        return 0.0
+    cols = np.nonzero(score_row > 0.0)[0]
+    if cols.size == 0:
+        return 1.0 if n_gt_edges == 0 else 0.0
+    order = cols[rank_by_score(score_row[cols])]
+    flags = [w >= 0 and gt_row[w] == 1.0 for w in col_to_gt[order]]
+    return average_precision(flags, n_gt_edges)
+
+
+def topology_score_loops(gt_adj, score_mat, row_to_gt, col_to_gt):
+    """Mean vertex_ap_loops over the ground-truth vertices with outgoing edges;
+    a GT without edges scores 1.0 unless some score is positive."""
+    gt_to_row = {int(g): r for r, g in enumerate(row_to_gt) if g >= 0}
+    aps = [vertex_ap_loops(gt_adj[v], score_mat[gt_to_row[v]] if v in gt_to_row else None,
+                           col_to_gt)
+           for v in range(gt_adj.shape[0]) if gt_adj[v].sum() > 0]
+    if not aps:
+        return 0.0 if score_mat.size and score_mat.max() > 0.0 else 1.0
+    return float(np.mean(aps))
 
 
 def brute_force_assignment(cost):

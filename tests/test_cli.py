@@ -1,5 +1,7 @@
 """End-to-end CLI runs, exercised in process through main()."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,27 @@ class TestPredict:
         m = read_json(manifest_path_for(out))
         assert m["params"]["use_tam"] is False
 
+    def test_score_noise_flags_warn_and_stay_out_of_the_manifest(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        plain, noisy = tmp_path / "plain.json", tmp_path / "noisy.json"
+        perturbed = ("--source", "perturbed", "--point-sigma", 0.2) + self.small()
+        assert run("predict", "--scene", scene_path, "--out", plain, *perturbed) == 0
+        assert capsys.readouterr().err == ""
+        assert run("predict", "--scene", scene_path, "--out", noisy, *perturbed,
+                   "--score-noise", 0.3, "--topo-flip-rate", 0.2) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        assert "--score-noise" in err[0] and "--topo-flip-rate" in err[0]
+        assert noisy.read_bytes() == plain.read_bytes()
+        params = read_json(manifest_path_for(noisy))["params"]
+        assert "score_noise" not in params and "topo_flip_rate" not in params
+        assert params == read_json(manifest_path_for(plain))["params"]
+        assert run("predict", "--scene", scene_path, "--out", noisy, *perturbed,
+                   "--topo-flip-rate", 0.2) == 0
+        err = capsys.readouterr().err
+        assert "--topo-flip-rate" in err and "--score-noise" not in err
+
     NOISE = (("--point-sigma", 0.3), ("--drop-rate", 0.1), ("--spurious-rate", 0.2),
              ("--score-noise", 0.3), ("--topo-flip-rate", 0.05), ("--noise-seed", 4))
 
@@ -324,6 +347,45 @@ class TestEval:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_unusable_lane_width_exits_2_before_reading(self, tmp_path, capsys, value):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                # neither file exists: the flag is rejected before any is read
+                run("eval", "--pred", tmp_path / "pred.json", "--gt", tmp_path / "scene.json",
+                    "--out", out, f"--lane-width={value}")
+        assert exc.value.code == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith(("usage:", " "))]
+        assert len(err) == 1
+        assert "--lane-width" in err[0] and "lane width must be finite and positive" in err[0]
+        assert not out.exists()
+
+    def test_eval_builds_no_polyline_beyond_its_inputs(self, tmp_path, monkeypatch):
+        # the lane-segment block widens lanes as arrays; a per-lane object
+        # path would build three more polylines per lane
+        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
+        assert run("synth", "--corridors", 6, "--segments", 12, "--seed", 3,
+                   "--out", scene_path) == 0
+        assert run("predict", "--scene", scene_path, "--out", pred_path,
+                   "--source", "perturbed", "--point-sigma", 0.3, "--drop-rate", 0.1) == 0
+        n_lanes = len(read_scene(scene_path).lanes) + len(read_prediction(pred_path).lanes)
+        built = []
+        check = lt.Polyline3D.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(lt.Polyline3D, "__post_init__", counted)
+        assert run("eval", "--pred", pred_path, "--gt", scene_path,
+                   "--out", tmp_path / "report.json") == 0
+        assert n_lanes > 100
+        assert len(built) == n_lanes
+        assert read_json(tmp_path / "report.json")["scenes"]["pred"]["lane_segments"] is not None
 
     def test_file_dir_mismatch_exits_2(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"

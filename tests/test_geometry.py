@@ -6,12 +6,16 @@ import pytest
 import lanetopo as lt
 from lanetopo.geometry import (
     PAIR_CHUNK,
+    _point_gaps,
     avg_l1_matrix,
     chamfer_pairs,
     endpoint_bound,
     frechet_matrix,
     frechet_pairs,
+    lane_boundaries,
+    segment_boundaries,
     segment_matrix,
+    widen,
 )
 from conftest import straight_lane
 from oracles import (
@@ -21,6 +25,7 @@ from oracles import (
     frechet_loops,
     frechet_recursive,
     random_polyline,
+    widen_loops,
 )
 
 
@@ -210,6 +215,17 @@ class TestBatchedKernels:
         return [random_polyline(rng, int(rng.integers(2, 14)), scale=5.0)
                 for _ in range(count)]
 
+    def test_point_gaps_bitwise_equal_to_norm(self):
+        # coordinates over many magnitudes, so the order of the xyz sum shows
+        rng = np.random.default_rng(30)
+        a = rng.normal(size=(40, 9, 3)) * np.exp(rng.normal(0.0, 6.0, size=(40, 9, 3)))
+        b = rng.normal(size=(40, 5, 3)) * np.exp(rng.normal(0.0, 6.0, size=(40, 5, 3)))
+        expected = np.linalg.norm(a[:, :, None, :] - b[:, None, :, :], axis=3)
+        assert _point_gaps(a, b).tobytes() == expected.tobytes()
+        for k in range(0, 40, 7):
+            single = np.linalg.norm(a[k][:, None, :] - b[k][None, :, :], axis=2)
+            assert _point_gaps(a[k:k + 1], b[k:k + 1])[0].tobytes() == single.tobytes()
+
     def test_frechet_pairs_bitwise_equal_to_loops(self):
         rng = np.random.default_rng(31)
         for n, m in ((11, 11), (7, 11), (11, 4), (2, 2)):
@@ -262,7 +278,9 @@ class TestBatchedKernels:
         a, b = segments(9), segments(8)
         centerline = frechet_matrix([s.centerline for s in a], [s.centerline for s in b], np.inf)
         cut = float(np.median(centerline)) / 2.0
-        dist = segment_matrix(a, b, centerline, cut)
+        dist = segment_matrix([segment_boundaries(s) for s in a], [s.category for s in a],
+                              [segment_boundaries(s) for s in b], [s.category for s in b],
+                              centerline, cut)
         for i, sa in enumerate(a):
             for j, sb in enumerate(b):
                 exact = lt.lane_segment_distance(sa, sb)
@@ -345,3 +363,69 @@ class TestWidenToSegment:
         off_r = np.linalg.norm(seg.right.points - pts, axis=1)
         assert np.allclose(off_l, 1.5, atol=1e-9)
         assert np.allclose(off_r, 1.5, atol=1e-9)
+
+
+class TestWidenKernel:
+    """The batched widen kernel against the per-lane loop, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(lanes, width):
+        expected = widen_loops(lanes, width)
+        got = lane_boundaries(lanes, width)
+        assert len(got) == len(expected)
+        for bounds, (left, right) in zip(got, expected):
+            assert bounds.tobytes() == np.concatenate([left, right]).tobytes()
+
+    def test_mixed_point_counts(self):
+        rng = np.random.default_rng(40)
+        counts = [3, 7, 11, 20, 7, 3, 20, 11, 11]
+        lanes = [lt.Polyline3D(random_polyline(rng, n, scale=30.0)) for n in counts]
+        for width in (0.5, 1.75, 3.3):
+            self.assert_bitwise(lanes, width)
+        # one stack of equal point counts, straight through the kernel
+        stack = np.stack([lane.points for lane in lanes if lane.n_points == 11])
+        left, right = widen(stack, 1.75)
+        for k, (l_loop, r_loop) in enumerate(widen_loops(stack, 1.75)):
+            assert np.array_equal(left[k], l_loop) and np.array_equal(right[k], r_loop)
+
+    def test_near_vertical_tangent_falls_back_to_plus_y(self):
+        # a vertical rise between two flat runs: the middle tangents have
+        # (almost) no horizontal component
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0],
+                        [1e-14, 0.0, 3.0], [1.0, 0.0, 3.0]])
+        self.assert_bitwise([pts, straight_lane(0.0, 10.0, 2.0, n=5)], 2.0)
+        left, right = widen(pts[None], 2.0)
+        assert np.array_equal(left[0, 1], pts[1] + [0.0, 1.0, 0.0])
+        assert np.array_equal(right[0, 1], pts[1] - [0.0, 1.0, 0.0])
+
+    def test_collapsed_boundary_raises_the_polyline_error(self):
+        # a V whose two middle points' left offsets land on the same point:
+        # normals (0.6, 0.8) and (-0.6, 0.8), offset 5 from (0, 0) and (6, 0)
+        vee = np.array([[-2.0, 6.0, 0.0], [0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [8.0, 6.0, 0.0]])
+        good = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0], [15.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as loop_err:
+            widen_loops([good, vee], 10.0)
+        assert str(loop_err.value) == "polyline has consecutive duplicate points"
+        for lanes in ([vee], [good, vee], [vee, good]):
+            with pytest.raises(ValueError) as kernel_err:
+                lane_boundaries(lanes, 10.0)
+            assert str(kernel_err.value) == str(loop_err.value)
+        with pytest.raises(ValueError, match=str(loop_err.value)):
+            lt.widen_to_segment(vee, 10.0)
+        self.assert_bitwise([good, vee], 9.0)
+
+    def test_overflowing_boundary_raises_the_polyline_error(self):
+        # a lane along y at the edge of the float range: its right boundary
+        # (offset along +x) overflows to inf, its left one does not
+        edge = np.array([[1.7e308, 0.0, 0.0], [1.7e308, 1.0, 0.0], [1.7e308, 2.0, 0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as loop_err:
+                widen_loops([edge], 1e308)
+            with pytest.raises(ValueError) as kernel_err:
+                lane_boundaries([straight_lane(0.0, 1.0, 0.0), edge], 1e308)
+        assert str(kernel_err.value) == str(loop_err.value) == "polyline has non-finite coordinates"
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_width_raises(self, width):
+        with pytest.raises(ValueError, match="lane width must be finite and positive"):
+            lane_boundaries([straight_lane(0.0, 10.0, 0.0)], width)

@@ -8,7 +8,7 @@ import pytest
 import lanetopo as lt
 from lanetopo import geometry, metrics
 from conftest import chain_scene, perfect_prediction, straight_lane
-from oracles import greedy_match_loops
+from oracles import greedy_match_loops, topology_score_loops
 
 
 def three_lane_chain():
@@ -237,6 +237,41 @@ class TestTopScore:
             lt.top_score(perfect_prediction(scene), scene, "xx")
 
 
+class TestTopologyScoreOracle:
+    """The array vertex APs against one Python list of flags per vertex."""
+
+    @staticmethod
+    def mapping(rng, n_from, n_to):
+        """Random partial injection: -1 for about a third of the entries."""
+        out = np.full(n_from, -1)
+        picked = rng.permutation(n_to)[:n_from]
+        hit = rng.random(n_from) < 0.67
+        out[np.flatnonzero(hit)[:picked.size]] = picked[:hit.sum()]
+        return out
+
+    def test_bitwise_on_seeded_random_matrices(self):
+        rng = np.random.default_rng(50)
+        checked = 0
+        for trial in range(300):
+            n_gt, n_pred = int(rng.integers(1, 16)), int(rng.integers(0, 16))
+            m_gt, m_pred = int(rng.integers(1, 24)), int(rng.integers(0, 24))
+            # dense rows give vertices with 8 or more true positives, where
+            # the per-row sums leave numpy's sequential summation
+            gt = (rng.random((n_gt, m_gt)) < rng.choice([0.1, 0.4, 0.9])).astype(float)
+            if trial % 10 == 0:
+                gt[:] = 0.0  # a GT with no edges
+            # scores on a coarse grid tie often; about a quarter are 0 (no edge)
+            scores = np.round(rng.random((n_pred, m_pred)) * 4.0) / 4.0
+            if n_pred:
+                scores[rng.random(n_pred) < 0.2] = 0.0  # all-zero score rows
+            row_to_gt, col_to_gt = self.mapping(rng, n_pred, n_gt), self.mapping(rng, m_pred, m_gt)
+            got = metrics._topology_score(gt, scores, row_to_gt, col_to_gt)
+            expected = topology_score_loops(gt, scores, row_to_gt, col_to_gt)
+            assert got == expected and type(got) is float
+            checked += got not in (0.0, 1.0)
+        assert checked > 100
+
+
 class TestOls:
     def test_perfect_and_zero(self):
         assert lt.ols(1.0, 1.0, 1.0, 1.0) == 1.0
@@ -331,10 +366,7 @@ class TestEvaluate:
     def test_lane_segment_block(self):
         scene = three_lane_chain()
         pred = perfect_prediction(scene)
-        segs = [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes]
-        rep = lt.evaluate(pred, scene,
-                          lane_segments=(segs, pred.lane_scores, segs,
-                                         pred.topo.ll, scene.topo.ll))
+        rep = lt.evaluate(pred, scene, lane_width=1.75)
         assert rep.lane_segments is not None
         assert rep.lane_segments.map == 1.0
 
@@ -372,11 +404,8 @@ class TestPruning:
         return scene, replace(pred, lanes=lanes)
 
     def report(self, pred, scene, **kwargs):
-        segments = ([lt.widen_to_segment(lane, 1.75) for lane in pred.lanes], pred.lane_scores,
-                    [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes],
-                    pred.topo.ll, scene.topo.ll)
         return (lt.evaluate(pred, scene, **kwargs),
-                lt.evaluate(pred, scene, lane_segments=segments, **kwargs))
+                lt.evaluate(pred, scene, lane_width=1.75, **kwargs))
 
     def test_pruned_equals_dense(self, monkeypatch):
         scene, pred = self.scene_and_prediction()
@@ -400,8 +429,8 @@ class TestPruning:
         monkeypatch.setattr(metrics, "frechet_matrix",
                             lambda a, b, cut: geometry.frechet_matrix(a, b, np.inf))
         monkeypatch.setattr(metrics, "segment_matrix",
-                            lambda a, b, centerline, cut:
-                            geometry.segment_matrix(a, b, centerline, np.inf))
+                            lambda a, cat_a, b, cat_b, centerline, cut:
+                            geometry.segment_matrix(a, cat_a, b, cat_b, centerline, np.inf))
         assert fast == reports()
 
     def test_each_metric_alone_equals_evaluate(self):
@@ -433,10 +462,8 @@ class TestPruning:
         with pytest.raises(ValueError):
             lt.evaluate(perfect_prediction(scene), scene, **kwargs)
 
-    def test_segments_must_be_widened_from_the_lanes(self):
-        scene = three_lane_chain()
-        pred = perfect_prediction(scene)
-        segs = [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes]
-        with pytest.raises(ValueError):
-            lt.evaluate(pred, scene, lane_segments=(segs[::-1], pred.lane_scores, segs,
-                                                    pred.topo.ll, scene.topo.ll))
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unscorable_lane_width_raises(self, width):
+        scene = chain_scene()
+        with pytest.raises(ValueError, match="lane width must be finite and positive"):
+            lt.evaluate(perfect_prediction(scene), scene, lane_width=width)
