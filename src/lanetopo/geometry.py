@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .scene import DUPLICATE_POINTS, NON_FINITE, LaneSegment, Polyline3D
+from .scene import FLAWS, LaneSegment, Polyline3D, polyline_flaws
 
 
 def _as_points(poly) -> np.ndarray:
@@ -251,12 +251,6 @@ def valid_width(width) -> float:
     return width
 
 
-def _invalid(B: np.ndarray) -> np.ndarray:
-    """(k, 2) flags per polyline of B (k, n, 3): non-finite, consecutive duplicates."""
-    return np.stack([~np.isfinite(B).all(axis=(1, 2)),
-                     (B[:, 1:] == B[:, :-1]).all(axis=2).any(axis=1)], axis=1)
-
-
 def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right boundaries of the lanes P (k, n, 3), offset width/2 to
     each side of each centerline.
@@ -277,9 +271,9 @@ def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * width
     left, right = P + half * normal, P - half * normal
     # per lane: left non-finite, left duplicates, right non-finite, right duplicates
-    bad = np.concatenate([_invalid(left), _invalid(right)], axis=1)
+    bad = np.concatenate([polyline_flaws(left), polyline_flaws(right)], axis=1)
     if bad.any():
-        raise ValueError((NON_FINITE, DUPLICATE_POINTS)[np.argwhere(bad)[0, 1] % 2])
+        raise ValueError(FLAWS[np.argwhere(bad)[0, 1] % 2])
     return left, right
 
 

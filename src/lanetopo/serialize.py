@@ -1,9 +1,21 @@
 """JSON and CSV serialization with byte-stable formatting.
 
-Every float is rounded to 9 significant digits before writing, JSON uses
-compact separators, and files end with one trailing newline, so the same
-data always serializes to the same bytes. Readers validate documents and
-raise SchemaError with the full violation list.
+Every float is rounded to 9 significant digits before writing (round9),
+JSON uses compact separators, and files end with one trailing newline, so
+the same data always serializes to the same bytes. Readers validate
+documents and raise SchemaError with the full violation list.
+
+The JSON writer formats each float array in one "%.9g" pass over its
+values instead of rounding and re-printing every float. That is exact:
+two different decimals of at most 9 significant digits never round to the
+same normal double, so repr(round9(x)) has the digits of "%.9g" % x, and
+only the layout can differ. An integral value under 1e9 is written with
+"%.1f", which keeps repr's ".0" ("1.0", "-0.0") where "%.9g" drops it.
+Values "%.9g" writes in exponent form from 1e9 (repr waits until 1e16),
+values it rounds to an integer, subnormals, NaN and +-inf are written one
+by one as json.dumps writes round9 of them. A numpy mask finds a superset
+of those, so every other value costs one "%.9g". The reader checks the
+lanes that share a point count as one (k, n, 3) stack.
 
 Every file is written to a temporary name in its directory and renamed
 into place, so an interrupted or failed run leaves no partial file.
@@ -18,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +38,13 @@ import numpy as np
 from .connect import ConnectedLane
 from .metrics import MetricReport
 from .scene import (
+    FLAWS,
     Polyline3D,
     Prediction,
     Scene,
     TopologyGraph,
     TrafficElement,
+    polyline_flaws,
     validate_prediction,
     validate_scene,
 )
@@ -53,24 +68,98 @@ def round9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _walk(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+# below the smallest normal double fewer than 9 digits can be significant
+_TINY = float(np.finfo(np.float64).tiny)
+
+# smaller float arrays are written value by value: the array pass costs
+# about 30 us whatever the size, one value about 2 us
+_ONE_PASS_MIN = 16
+
+# json.dumps's text of the floats repr writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# the format of each value, by kind, all four bytes wide so that a whole
+# template is built as one byte array: "%.9g"; "%.1f" for an integral value
+# under 1e9, where "%.9g" drops repr's ".0"; "%-1s" for a value passed as
+# its exact text (never padded: that text has at least 3 characters)
+_SPECS = np.frombuffer(b"%.9g%.1f%-1s", dtype=np.uint8).reshape(3, 4)
+
+
+def _nest(parts: list[str], shape: tuple) -> str:
+    """Join the texts of the last-axis rows into nested JSON lists of shape."""
+    for n in reversed(shape):
+        parts = ["[" + ",".join(parts[k:k + n]) + "]" for k in range(0, len(parts), n)]
+    return parts[0]
+
+
+def _float_text(x) -> str:
+    """JSON text of round9(x), as json.dumps writes that float."""
+    text = repr(round9(x))
+    return _NON_FINITE.get(text, text)
+
+
+def _float_array(a: np.ndarray) -> str:
+    """JSON text of a float array of at least _ONE_PASS_MIN values, each
+    written as round9 writes it (module docstring)."""
+    x = a.astype(np.float64, copy=False).reshape(-1, a.shape[-1])
+    n, m = x.shape
+    with np.errstate(invalid="ignore"):
+        mag = np.abs(x)
+        off = np.abs(x - np.rint(x))
+        whole = (off == 0.0) & (mag < 1e9)
+        # the values "%.9g" writes as repr does: normal, and further than a
+        # relative 1e-8 from an integer, so finite, under 1e9 and not
+        # rounded to an integer by "%.9g"
+        plain = (off > mag * 1e-8) & (mag >= _TINY)
+    kind = 2 - whole - 2 * plain
+    cells = np.empty((n, m, 5), dtype=np.uint8)
+    cells[..., :4] = _SPECS[kind]
+    cells[..., 4] = ord(",")
+    cells[:, -1, 4] = ord("]")
+    rows = cells.tobytes().decode("ascii")
+    width = 5 * m
+    template = _nest(["[" + rows[i:i + width] for i in range(0, n * width, width)],
+                     a.shape[:-1])
+    values = x.ravel().tolist()
+    for k in np.flatnonzero(kind == 2).tolist():
+        values[k] = _float_text(values[k])
+    return template % tuple(values)
+
+
+def _json(obj) -> str:
+    """Compact JSON text of obj with every float rounded by round9.
+
+    Tuples and arrays are lists, numpy scalars their Python values, and
+    dict keys are str()-ed, as json.dumps would write the same data after
+    the rounding.
+    """
     if isinstance(obj, (float, np.floating)):
-        return round9(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return _float_text(obj)
     if isinstance(obj, np.ndarray):
-        return _walk(obj.tolist())
+        if obj.dtype.kind == "f" and obj.size >= _ONE_PASS_MIN:
+            return _float_array(obj)
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [_walk(v) for v in obj]
+        if len(obj) > 1 and all(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                                and v.shape == obj[0].shape for v in obj):
+            # such a list has its stack's text, written in one pass
+            return _json(np.stack(obj))
+        return "[" + ",".join([_json(v) for v in obj]) + "]"
     if isinstance(obj, dict):
-        return {str(k): _walk(v) for k, v in obj.items()}
-    return obj
+        items = {str(k): v for k, v in obj.items()}
+        return "{" + ",".join([_string(k) + ":" + _json(v) for k, v in items.items()]) + "}"
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    # None; anything else raises json's TypeError
+    return json.dumps(obj)
 
 
 def dumps(obj) -> str:
-    return json.dumps(_walk(obj), separators=(",", ":")) + "\n"
+    return _json(obj) + "\n"
 
 
 def write_text(path, text: str) -> None:
@@ -136,18 +225,61 @@ def _require(d, keys, what: str) -> None:
         raise SchemaError([f"{what} is missing key '{k}'" for k in missing])
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: true and 1.0 are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_version(d: dict, what: str) -> None:
-    if d.get("version") != SCHEMA_VERSION:
-        raise SchemaError([f"{what}: unsupported version {d.get('version')!r}"])
+    v = d.get("version")
+    if not _is_int(v) or v != SCHEMA_VERSION:
+        raise SchemaError([f"{what}: unsupported version {v!r}"])
+
+
+def _parse_lane(k: int, pts) -> Polyline3D:
+    try:
+        return Polyline3D(np.asarray(pts, dtype=float))
+    except (TypeError, ValueError) as err:
+        raise SchemaError([f"lane {k}: {err}"]) from err
+
+
+def _lane_stacks(items):
+    """[(lane indices, (k, n, 3) float array)] per point count n >= 2, or
+    None when the lanes do not all stack into that shape."""
+    if not isinstance(items, list):
+        return None
+    groups: dict[int, list[int]] = {}
+    try:
+        for k, pts in enumerate(items):
+            groups.setdefault(len(pts), []).append(k)
+        stacks = [(idx, np.asarray([items[k] for k in idx], dtype=np.float64))
+                  for idx in groups.values()]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if all(P.ndim == 3 and P.shape[1] >= 2 and P.shape[2] == 3 for _, P in stacks):
+        return stacks
+    return None
 
 
 def _parse_lanes(items) -> list[Polyline3D]:
-    lanes = []
-    for k, pts in enumerate(items):
-        try:
-            lanes.append(Polyline3D(np.asarray(pts, dtype=float)))
-        except (TypeError, ValueError) as err:
-            raise SchemaError([f"lane {k}: {err}"]) from err
+    """One Polyline3D per lane, checked one stack per point count; the
+    lowest-indexed bad lane raises Polyline3D's message. A list that does
+    not stack is read lane by lane, so its error is Polyline3D's own."""
+    stacks = _lane_stacks(items)
+    if stacks is None:
+        return [_parse_lane(k, pts) for k, pts in enumerate(items)]
+    bad = []
+    for idx, P in stacks:
+        flawed = np.argwhere(polyline_flaws(P))
+        if flawed.size:
+            bad.append((idx[flawed[0, 0]], FLAWS[flawed[0, 1]]))
+    if bad:
+        k, message = min(bad)
+        raise SchemaError([f"lane {k}: {message}"])
+    lanes = [None] * len(items)
+    for idx, P in stacks:
+        for k, pts in zip(idx, P):
+            lanes[k] = Polyline3D.unchecked(pts)
     return lanes
 
 
@@ -190,10 +322,12 @@ def _parse_topo(d, n_lanes: int, n_traffic: int) -> TopologyGraph:
 def scene_from_dict(d) -> Scene:
     _require(d, ("n_points", "lanes", "traffic", "topo"), "scene")
     _check_version(d, "scene")
+    if not _is_int(d["n_points"]):
+        raise SchemaError([f"scene: n_points must be an integer, got {d['n_points']!r}"])
     lanes = _parse_lanes(d["lanes"])
     traffic = _parse_traffic(d["traffic"], need_score=False)
     topo = _parse_topo(d["topo"], len(lanes), len(traffic))
-    scene = Scene(lanes=lanes, traffic=traffic, topo=topo, n_points=int(d["n_points"]))
+    scene = Scene(lanes=lanes, traffic=traffic, topo=topo, n_points=d["n_points"])
     violations = validate_scene(scene)
     if violations:
         raise SchemaError(violations)
@@ -271,8 +405,8 @@ def build_manifest(command: str, params: dict, seeds: dict,
     the record does not depend on where the working tree lives."""
     return {
         "command": command,
-        "params": _walk(params),
-        "seeds": _walk(seeds),
+        "params": dict(params),
+        "seeds": dict(seeds),
         "inputs": [{"path": Path(p).name, "sha256": sha256_file(p)} for p in inputs],
         "outputs": [{"path": Path(p).name, "sha256": sha256_file(p)} for p in outputs],
         "tool_version": TOOL_VERSION,

@@ -6,11 +6,13 @@ loops, greedy matching visits one prediction and one ground truth at a
 time, half distances are one scalar call per lane and half, topology
 blending visits one entry at a time, lanes are widened one at a time into
 validated polylines, vertex APs rank a Python list of flags per vertex,
-and assignment is full enumeration. None of this is imported by the
-package itself.
+assignment is full enumeration, JSON is written by rounding every float
+on its own before json.dumps, and lanes are read one validated polyline
+at a time. None of this is imported by the package itself.
 """
 
 import itertools
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from lanetopo.connect import split_halves_array
 from lanetopo.metrics import average_precision, rank_by_score
 from lanetopo.scene import Polyline3D
+from lanetopo.serialize import round9
 
 
 def frechet_recursive(a, b) -> float:
@@ -234,6 +237,40 @@ def topology_score_loops(gt_adj, score_mat, row_to_gt, col_to_gt):
     if not aps:
         return 0.0 if score_mat.size and score_mat.max() > 0.0 else 1.0
     return float(np.mean(aps))
+
+
+def walk(obj):
+    """obj as plain JSON data: every float rounded by round9, numpy values
+    and tuples made Python ones, dict keys str()-ed."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return round9(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return walk(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [walk(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): walk(v) for k, v in obj.items()}
+    return obj
+
+
+def dumps_walk(obj) -> str:
+    """The JSON text lanetopo.serialize.dumps must write, one float at a time."""
+    return json.dumps(walk(obj), separators=(",", ":")) + "\n"
+
+
+def parse_lanes_loops(items):
+    """The first error of reading items one validated Polyline3D at a time,
+    as 'lane k: message', or None when every lane reads."""
+    for k, pts in enumerate(items):
+        try:
+            Polyline3D(np.asarray(pts, dtype=float))
+        except (TypeError, ValueError) as err:
+            return f"lane {k}: {err}"
+    return None
 
 
 def brute_force_assignment(cost):

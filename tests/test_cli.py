@@ -373,14 +373,21 @@ class TestEval:
         assert run("predict", "--scene", scene_path, "--out", pred_path,
                    "--source", "perturbed", "--point-sigma", 0.3, "--drop-rate", 0.1) == 0
         n_lanes = len(read_scene(scene_path).lanes) + len(read_prediction(pred_path).lanes)
+        # every polyline built, checked one by one or read from a checked stack
         built = []
         check = lt.Polyline3D.__post_init__
+        unchecked = lt.Polyline3D.unchecked.__func__
 
         def counted(self):
             built.append(1)
             check(self)
 
+        def counted_unchecked(cls, points):
+            built.append(1)
+            return unchecked(cls, points)
+
         monkeypatch.setattr(lt.Polyline3D, "__post_init__", counted)
+        monkeypatch.setattr(lt.Polyline3D, "unchecked", classmethod(counted_unchecked))
         assert run("eval", "--pred", pred_path, "--gt", scene_path,
                    "--out", tmp_path / "report.json") == 0
         assert n_lanes > 100
@@ -473,3 +480,19 @@ class TestInputErrors:
                  "--out", tmp_path / "c.json")
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", None), ("n_points", [11]), ("n_points", 11.7), ("n_points", "11"),
+        ("n_points", True), ("version", True), ("version", 1.0),
+    ])
+    def test_malformed_integer_field_exits_2(self, tmp_path, capsys, field, value):
+        scene_path = tmp_path / "scene.json"
+        d = scene_to_dict(chain_scene())
+        d[field] = value
+        write_json(scene_path, d)
+        rc = run("predict", "--scene", scene_path, "--out", tmp_path / "p.json")
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and field in lines[0]
+        assert not (tmp_path / "p.json").exists()

@@ -137,6 +137,25 @@ class TestValidateScene:
         msgs = lt.validate_scene(bad)
         assert any("topology ll: shape" in m for m in msgs)
 
+    def test_every_message_in_order(self):
+        # four lanes end to end along +x, 10 m each; edges from 0 to 1 and
+        # from 1 to 2 join, the others do not, one by just over the tolerance
+        lanes = [straight_lane(10.0 * k, 10.0 * k + 10.0, 0.0) for k in range(3)]
+        lanes.append(straight_lane(10.0 + 1.00001 * lt.JUNCTION_TOL, 25.0, 0.0))
+        ll = np.zeros((4, 4))
+        ll[0, 1] = ll[1, 2] = ll[1, 3] = ll[2, 0] = ll[3, 3] = ll[1, 1] = 1.0
+        ll[0, 3] = 0.5
+        scene = lt.Scene(lanes=lanes, traffic=[],
+                         topo=lt.TopologyGraph(ll=ll, lt=np.zeros((4, 0))))
+        assert lt.validate_scene(scene) == [
+            "topology ll[0][3] = np.float64(0.5) is not binary",
+            "topology ll: self-connection at lane 1",
+            "topology ll: self-connection at lane 3",
+            "topology ll[0][3]=1 but endpoints are 0.0100 m apart (tolerance 0.01)",
+            "topology ll[1][3]=1 but endpoints are 9.9900 m apart (tolerance 0.01)",
+            "topology ll[2][0]=1 but endpoints are 30.0000 m apart (tolerance 0.01)",
+        ]
+
     def test_multiple_violations_all_reported(self):
         scene = chain_scene()
         scene.topo.ll[0, 0] = 1.0
@@ -180,6 +199,22 @@ class TestValidatePrediction:
         pred.topo.ll[1, 1] = 0.2
         msgs = lt.validate_prediction(pred)
         assert any("self-connection score at lane 1" in m for m in msgs)
+
+    def test_every_score_and_diagonal_message_in_order(self):
+        lanes = [straight_lane(0.0, 10.0, float(k)) for k in range(5)]
+        ll = np.zeros((5, 5))
+        ll[0, 0] = ll[3, 3] = 0.25
+        pred = lt.Prediction(lanes=lanes,
+                             lane_scores=np.array([1.5, np.nan, 0.0, -0.25, np.inf]),
+                             traffic=[], topo=lt.TopologyGraph(ll=ll, lt=np.zeros((5, 0))))
+        assert lt.validate_prediction(pred) == [
+            "lane 0: score np.float64(1.5) outside [0, 1]",
+            "lane 1: score np.float64(nan) outside [0, 1]",
+            "lane 3: score np.float64(-0.25) outside [0, 1]",
+            "lane 4: score np.float64(inf) outside [0, 1]",
+            "topology ll: self-connection score at lane 0",
+            "topology ll: self-connection score at lane 3",
+        ]
 
     def test_topology_out_of_range_reported(self):
         scene = chain_scene()

@@ -12,6 +12,7 @@ from lanetopo.serialize import (
     SCHEMA_VERSION,
     SchemaError,
     build_manifest,
+    connected_list_to_dict,
     dumps,
     manifest_path_for,
     manifests_equivalent,
@@ -30,6 +31,7 @@ from lanetopo.serialize import (
     write_manifest,
 )
 from conftest import chain_scene, perfect_prediction
+from oracles import dumps_walk, parse_lanes_loops
 
 
 class TestRound9:
@@ -62,6 +64,171 @@ class TestDumps:
         s = dumps({"x": 1.0 / 3.0})
         assert "0.333333333" in s
         assert "3333333333" not in s
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestWriterOracle:
+    """dumps against the oracle that rounds and prints one float at a time."""
+
+    # both sides of 1e9 (where "%.9g" turns to exponent form) and of 1e16
+    # (where repr does), values "%.9g" rounds to an integer, the subnormal
+    # range, and the ends of the double range
+    EDGES = _signed([
+        999999999.0, 999999999.4, 999999999.5, 999999999.6, 1e9,
+        np.nextafter(1e9, 0.0), np.nextafter(1e9, 2e9), 1234567890.0, 1234567894.9,
+        1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16), 9999999999999998.0,
+        1.23456789e17, 99999999.96, 123456789.4, 100000000.5, 12345678.999999999,
+        0.99999999996, 9.99999999951, 99999.9999996, 1e8, 0.0, 1.0, 42.0,
+        1e-4, 9.99999999999e-5, 1e-5, 0.1, 1.0 / 3.0,
+        5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0),
+        2.2250738585072014e-308, 2.2250738585072014e-300, 1.7976931348623157e308,
+    ])
+
+    @staticmethod
+    def check(obj):
+        assert dumps(obj) == dumps_walk(obj)
+
+    def test_seeded_magnitudes_negatives_and_integers(self):
+        rng = np.random.default_rng(2024)
+        x = 10.0 ** rng.uniform(-300.0, 300.0, 20000) * rng.choice([-1.0, 1.0], 20000)
+        ints = rng.integers(-2 * 10**9, 2 * 10**9, 2000).astype(float)
+        near = rng.integers(-10**6, 10**6, 2000) + rng.uniform(-1e-7, 1e-7, 2000)
+        ninedigit = np.array([float(f"{v:.9g}") for v in rng.normal(0.0, 50.0, 2000)])
+        values = np.concatenate([x, ints, near, ninedigit, [0.0, -0.0, 1.0, -1.0]])
+        self.check(values)
+        self.check(values.reshape(-1, 4))
+        self.check(values[:24].reshape(2, 3, 4))
+        self.check(values[::500].tolist())
+
+    def test_layout_edges(self):
+        self.check(self.EDGES)
+        self.check(self.EDGES.reshape(2, -1))
+        self.check([float(v) for v in self.EDGES])
+        self.check(self.EDGES[np.abs(self.EDGES) < 3e38].astype(np.float32))
+
+    def test_non_finite(self):
+        values = np.array([np.nan, np.inf, -np.inf, 0.5, -0.0])
+        self.check(values)
+        self.check(np.stack([values, values[::-1]]))
+        self.check({"x": float("nan"), "y": [np.float32("inf"), -np.inf]})
+        assert dumps([np.nan, np.inf, -np.inf]) == "[NaN,Infinity,-Infinity]\n"
+
+    @pytest.mark.parametrize("obj", [
+        np.float64(0.1), np.float32(1.0 / 3.0), np.float16(0.1), np.array(2.5),
+        np.array(-0.0), np.array([0.1]), np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)),
+        np.arange(24, dtype=float).reshape(2, 3, 4) / 7.0, np.arange(6).reshape(2, 3),
+        np.array([[True, False]]), np.int64(-3), np.uint8(200), np.bool_(False),
+        True, None, "caf\u00e9 \"quoted\"\n", (1.0, [2, (3.5,)]),
+        [np.ones((2, 3)), np.ones((2, 3)) / 3.0], [np.ones((2, 3)), np.ones((3, 3))],
+        [np.ones(3), np.arange(3)], [np.ones(3, dtype=np.float32), np.full(3, 0.1)],
+        [np.array(0.5), np.array(1.5)], [np.zeros((0, 3)), np.zeros((0, 3))],
+        {1: 0.5, 2.5: [1, 2], True: None, None: "x", (1, 2): np.eye(2)},
+        {1: "shadowed", "1": "kept"}, {"a": {"b": {0: np.eye(2) / 3.0}}},
+    ], ids=lambda obj: type(obj).__name__)
+    def test_shapes_and_types(self, obj):
+        self.check(obj)
+
+    def test_unserializable_raises_json_error(self):
+        for obj in ({1, 2}, 1j, np.array([1j]), [object()]):
+            with pytest.raises(TypeError) as ours:
+                dumps(obj)
+            with pytest.raises(TypeError) as oracle:
+                dumps_walk(obj)
+            assert str(ours.value) == str(oracle.value)
+
+    def test_every_document(self, tmp_path):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
+                                                 n_traffic=3, seed=4))
+        cfg = lt.PipelineConfig(source="perturbed",
+                                noise=lt.NoiseParams(point_sigma=0.3, drop_rate=0.1))
+        pred = lt.run_pipeline(scene, cfg)
+        out = tmp_path / "pred.json"
+        write_json(out, prediction_to_dict(pred))
+        report = lt.evaluate(pred, scene, lane_width=3.5)
+        for doc in (scene_to_dict(scene), prediction_to_dict(pred),
+                    connected_list_to_dict(lt.build_connected_gt(scene)),
+                    report_to_dict(report),
+                    build_manifest("predict", {"point_sigma": 0.3, "use_tam": True},
+                                   {"noise_seed": np.int64(0)}, [], [out], 0.123456789123)):
+            self.check(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# name, point counts, edits (lane, point, new point): point None replaces
+# the whole lane, and a new point "dup" repeats the point before it
+LANE_CASES = [
+    ("wrong inner shape", (11, 11, 11), [(1, None, [[0.0, 1.0]] * 11)]),
+    ("all lanes two wide", (5, 5), [(0, None, [[k, 0.0] for k in range(5)]),
+                                    (1, None, [[k, 1.0] for k in range(5)])]),
+    ("one point", (11, 11), [(1, None, [[0.0, 1.0, 2.0]])]),
+    ("empty lane", (11, 11), [(0, None, [])]),
+    ("lane not a list", (11, 11), [(1, None, 5.0)]),
+    ("non-finite", (11, 11, 11), [(2, 4, [0.0, NAN, 1.0])]),
+    ("infinite", (11, 11), [(0, 0, [INF, 0.0, 0.0])]),
+    ("duplicates", (11, 11, 11), [(1, 4, "dup")]),
+    ("duplicate and non-finite in one lane", (11, 11),
+     [(1, 3, "dup"), (1, 7, [NAN, 0.0, 0.0])]),
+    ("ragged lane", (11, 11, 11), [(1, 5, [1.0, 2.0])]),
+    ("two bad lanes", (11, 11, 11, 11), [(3, 1, [NAN, 0.0, 0.0]), (1, 1, "dup")]),
+    ("lower bad lane in the smaller group", (11, 7, 11, 7),
+     [(2, 5, "dup"), (1, 6, [0.0, 0.0, NAN])]),
+    ("lower bad lane in the larger group", (11, 7, 11, 7),
+     [(0, 10, "dup"), (3, 2, [0.0, 0.0, NAN])]),
+]
+
+
+def _lanes(*counts):
+    rng = np.random.default_rng(sum(counts))
+    return [np.cumsum(rng.uniform(0.5, 1.5, (n, 3)), axis=0).tolist() for n in counts]
+
+
+def _prediction_doc(lanes):
+    n = len(lanes)
+    return {"version": SCHEMA_VERSION, "lanes": lanes, "lane_scores": [0.5] * n,
+            "traffic": [], "topo": {"ll": [[0.0] * n for _ in range(n)],
+                                    "lt": [[] for _ in range(n)]}}
+
+
+class TestLaneReader:
+    """Lanes read as stacks keep the per-lane reader's first error."""
+
+    @pytest.mark.parametrize("counts, edits", [case[1:] for case in LANE_CASES],
+                             ids=[case[0] for case in LANE_CASES])
+    def test_first_error_is_the_per_lane_one(self, counts, edits):
+        lanes = _lanes(*counts)
+        for k, i, new in edits:
+            if i is None:
+                lanes[k] = new
+            else:
+                lanes[k][i] = list(lanes[k][i - 1]) if new == "dup" else new
+        expected = parse_lanes_loops(lanes)
+        assert expected is not None
+        with pytest.raises(SchemaError) as err:
+            prediction_from_dict(_prediction_doc(lanes))
+        assert err.value.violations == [expected]
+
+    def test_lanes_that_are_not_a_list(self):
+        d = _prediction_doc(_lanes(11, 11))
+        d["lanes"] = {"a": 1}
+        with pytest.raises(SchemaError) as err:
+            prediction_from_dict(d)
+        assert err.value.violations == [parse_lanes_loops({"a": 1})]
+
+    def test_mixed_point_counts_read_and_read_back_byte_identical(self, tmp_path):
+        lanes = _lanes(7, 11, 7, 20, 11)
+        path = tmp_path / "pred.json"
+        write_json(path, _prediction_doc(lanes))
+        pred = read_prediction(path)
+        assert [lane.n_points for lane in pred.lanes] == [7, 11, 7, 20, 11]
+        for lane, pts in zip(pred.lanes, lanes):
+            assert lane.points.dtype == np.float64 and lane.points.flags.c_contiguous
+            assert np.array_equal(lane.points, [[round9(v) for v in p] for p in pts])
+        assert dumps(prediction_to_dict(pred)) == path.read_text()
 
 
 class TestSceneRoundTrip:
