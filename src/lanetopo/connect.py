@@ -4,6 +4,12 @@ A connected lane is the merge of a predecessor lane and a successor lane at
 their shared junction: the two point lists are concatenated with the junction
 counted once (2*N_P - 1 points) and then resampled back to N_P points. The
 halves of the merged curve are what lane queries are correlated against.
+
+Every step runs on (k, n, 3) stacks: all edges are merged with one
+concatenate and resampled in one resample_rows call per pair of point
+counts, and all connected lanes are split at one index and their halves
+resampled as two stacks. Each row is bitwise what the one-curve-at-a-time
+construction gives (tests/oracles.py), and errors name the same first edge.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import avg_l1_matrix, resample_array
-from .scene import JUNCTION_TOL, Polyline3D, Scene, junction_point
+from .geometry import ZERO_LENGTH, avg_l1_matrix, resample_rows, resample_stack, stacks_by_count
+from .scene import FLAWS, JUNCTION_TOL, Polyline3D, Scene, junction_gaps, polyline_flaws
 
 
 @dataclass(frozen=True)
@@ -33,44 +39,76 @@ def merge_at_junction(a: Polyline3D, b: Polyline3D) -> np.ndarray:
     return np.concatenate([a.points, b.points[1:]], axis=0)
 
 
+def _merged_stacks(lanes: list[Polyline3D], rows: np.ndarray, cols: np.ndarray):
+    """(edge positions, merged stack) for each pair of point counts among the
+    edges from lanes[rows[e]] to lanes[cols[e]]: each row is
+    merge_at_junction of the edge's two lanes."""
+    stacks = list(stacks_by_count(lanes))
+    group = np.empty(len(lanes), dtype=int)
+    pos = np.empty(len(lanes), dtype=int)
+    for g, (idx, _) in enumerate(stacks):
+        group[idx], pos[idx] = g, np.arange(len(idx))
+    key = group[rows] * len(stacks) + group[cols]
+    for u in np.unique(key):
+        sel = np.flatnonzero(key == u)
+        A, B = stacks[u // len(stacks)][1], stacks[u % len(stacks)][1]
+        yield sel, np.concatenate([A[pos[rows[sel]]], B[pos[cols[sel]], 1:]], axis=1)
+
+
 def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
     """All ground-truth connected lanes, in row-major order of the ll matrix.
 
     Each pair marked in ll is merged at its junction and resampled to the
-    scene's point count. A marked pair whose endpoints do not coincide
-    within the junction tolerance is a contract violation and raises.
+    scene's point count, one resample_rows call per pair of point counts.
+    A marked pair whose endpoints do not coincide within the junction
+    tolerance is a contract violation and raises; so does a merged curve
+    that cannot be resampled or that Polyline3D would reject. The first
+    such edge in row-major order raises, with the message a one-edge-at-a-
+    time build would give.
     """
+    rows, cols = np.nonzero(scene.topo.ll)
+    gaps = junction_gaps(scene.lanes, rows, cols)
+    # edges past the first open junction are never merged
+    k = gaps[0][0] if gaps else len(rows)
     out: list[ConnectedLane] = []
-    ll = scene.topo.ll
-    for i, j in zip(*np.nonzero(ll)):
-        i, j = int(i), int(j)
-        a, b = scene.lanes[i], scene.lanes[j]
-        if junction_point(a, b) is None:
-            gap = float(np.linalg.norm(a.terminal - b.initial))
-            raise ValueError(
-                f"lanes ({i}, {j}) are marked connected but their junction is "
-                f"{gap:.4f} m apart (tolerance {JUNCTION_TOL})"
-            )
-        merged = merge_at_junction(a, b)
-        curve = Polyline3D(resample_array(merged, scene.n_points))
-        out.append(ConnectedLane(source=(i, j), curve=curve))
+    if k:
+        parts = [(sel, *resample_rows(merged, scene.n_points))
+                 for sel, merged in _merged_stacks(scene.lanes, rows[:k], cols[:k])]
+        curves = np.empty((k, scene.n_points, 3))
+        zero = np.empty(k, dtype=bool)
+        for sel, resampled, zero_len in parts:
+            curves[sel], zero[sel] = resampled, zero_len
+        # per edge: zero length, then the polyline flaws in Polyline3D's order
+        bad = np.argwhere(np.column_stack([zero, polyline_flaws(curves)]))
+        if bad.size:
+            raise ValueError((ZERO_LENGTH, *FLAWS)[bad[0, 1]])
+        out = [ConnectedLane(source=(int(i), int(j)), curve=Polyline3D.unchecked(c))
+               for i, j, c in zip(rows, cols, curves)]
+    if gaps:
+        raise ValueError(
+            f"lanes ({rows[k]}, {cols[k]}) are marked connected but their junction is "
+            f"{gaps[0][1]:.4f} m apart (tolerance {JUNCTION_TOL})"
+        )
     return out
+
+
+def _halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Front and back halves of every curve of C (k, N_P, 3), split at index
+    floor(N_P / 2) and resampled to n points; the midpoint is in both."""
+    mid = C.shape[1] // 2
+    return resample_stack(C[:, : mid + 1], n), resample_stack(C[:, mid:], n)
 
 
 def split_halves_array(curve: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Front and back halves of a connected-lane curve, each resampled to n
-    points (default: the curve's own count).
+    points (default: the curve's own count); the one-curve call of the
+    split half_distances makes.
 
     The split index is floor(N_P / 2); the midpoint is shared by both halves.
     """
     curve = np.asarray(curve, dtype=np.float64)
-    n_pts = curve.shape[0]
-    if n is None:
-        n = n_pts
-    mid = n_pts // 2
-    h1 = resample_array(curve[: mid + 1], n)
-    h2 = resample_array(curve[mid:], n)
-    return h1, h2
+    h1, h2 = _halves(curve[None], curve.shape[0] if n is None else n)
+    return h1[0], h2[0]
 
 
 def half_distances(lanes: list[Polyline3D],
@@ -78,14 +116,16 @@ def half_distances(lanes: list[Polyline3D],
     """Mean L1 distances of every lane to the two halves of every connected
     lane: (d_front, d_back), each of shape (n_lanes, n_connected).
 
-    Each connected lane is split and its halves resampled once. A small
-    d_front[i, c] marks lane i as a plausible predecessor of c, a small
-    d_back[i, c] as a plausible successor; their elementwise minimum is the
-    geometric correlation matrix D the cross-attention mask is built from.
+    All connected lanes are split at the same index and their fronts and
+    backs resampled as two stacks. A small d_front[i, c] marks lane i as a
+    plausible predecessor of c, a small d_back[i, c] as a plausible
+    successor; their elementwise minimum is the geometric correlation
+    matrix D the cross-attention mask is built from.
     """
     n, m = len(lanes), len(connected)
     if n == 0 or m == 0:
         return np.zeros((n, m)), np.zeros((n, m))
     lane_pts = np.stack([lane.points for lane in lanes])
-    fronts, backs = zip(*(split_halves_array(c.curve.points) for c in connected))
-    return avg_l1_matrix(lane_pts, np.stack(fronts)), avg_l1_matrix(lane_pts, np.stack(backs))
+    C = np.stack([c.curve.points for c in connected])
+    fronts, backs = _halves(C, C.shape[1])
+    return avg_l1_matrix(lane_pts, fronts), avg_l1_matrix(lane_pts, backs)

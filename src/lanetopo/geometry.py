@@ -30,44 +30,91 @@ def arc_length(poly) -> float:
     return float(cumulative_lengths(_as_points(poly))[-1])
 
 
-def resample_array(pts: np.ndarray, n: int) -> np.ndarray:
-    """Resample a point array to n points uniform in arc length.
+ZERO_LENGTH = "cannot resample a zero-length polyline"
 
-    The first and last points are preserved exactly; interior points are
-    linear interpolations on the original chords.
+
+def resample_rows(P, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(resample_stack(P, m), flags of the zero-length rows), raising for
+    none of those rows.
+
+    A zero-length row's points are not meaningful; callers that order
+    several per-row errors read the flags instead of catching one error.
+    A stack of empty rows (n = 0) still raises.
     """
-    if n < 2:
-        raise ValueError(f"resample target must be >= 2 points, got {n}")
-    pts = np.asarray(pts, dtype=np.float64)
-    cum = cumulative_lengths(pts)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("cannot resample a zero-length polyline")
-    targets = total * np.arange(n) / (n - 1)
-    out = np.empty((n, 3))
-    for k in range(3):
-        out[:, k] = np.interp(targets, cum, pts[:, k])
+    if m < 2:
+        raise ValueError(f"resample target must be >= 2 points, got {m}")
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 3 or P.shape[2] != 3:
+        raise ValueError(f"expected a (k, n, 3) array, got {P.shape}")
+    k, n = P.shape[:2]
+    if n == 0 and k:
+        raise ValueError(ZERO_LENGTH)
+    seg = np.linalg.norm(np.diff(P, axis=1), axis=2)
+    cum = np.concatenate([np.zeros((k, 1)), np.cumsum(seg, axis=1)], axis=1)
+    total = cum[:, -1]
+    x = total[:, None] * np.arange(m) / (m - 1)
+    # np.interp's knot for x: the last one at or below it (cum never falls)
+    j = (cum[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+    jn = np.minimum(j + 1, n - 1)
+    rows = np.arange(k)[:, None]
+    c0, c1 = cum[rows, j], cum[rows, jn]
+    y0, y1 = P[rows, j], P[rows, jn]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = (y1 - y0) / (c1 - c0)[..., None] * (x - c0)[..., None] + y0
+    # a knot hit (even a -0.0 one) or the last knot takes the knot's value,
+    # as in np.interp. Its retry for a nan interpolant never fires here: a
+    # finite total bounds every |dy| / dx near 1, and an infinite one leaves
+    # only nan targets, which stay nan, and last-knot hits.
+    out = np.where(((x == c0) | (j == n - 1))[..., None], y0, out)
     # np.interp is exact at the table ends, but pin the endpoints anyway so
     # downstream junction checks can rely on bitwise equality.
-    out[0] = pts[0]
-    out[-1] = pts[-1]
+    out[:, 0] = P[:, 0]
+    out[:, -1] = P[:, -1]
+    return out, total <= 0.0
+
+
+def resample_stack(P, m: int) -> np.ndarray:
+    """Resample each polyline of a (k, n, 3) stack to m points uniform in arc
+    length, (k, m, 3).
+
+    Row by row this is np.interp of each coordinate against the chord
+    lengths, at targets total * arange(m) / (m - 1): the same norms and
+    cumsum, the same knot search, and np.interp's own formula
+    slope * (x - x_j) + y_j, so every row is bitwise the per-axis result.
+    The first and last points are preserved exactly. A zero-length row
+    raises.
+    """
+    out, zero = resample_rows(P, m)
+    if zero.any():
+        raise ValueError(ZERO_LENGTH)
     return out
+
+
+def resample_array(pts: np.ndarray, n: int) -> np.ndarray:
+    """Resample a point array to n points uniform in arc length (the one-row
+    call of resample_stack)."""
+    return resample_stack(np.asarray(pts, dtype=np.float64)[None], n)[0]
 
 
 # Pairs per batched kernel call: bounds the (pairs, n, m, 3) temporaries at a
 # few MB whatever the number of pairs.
 PAIR_CHUNK = 256
 
+# Pairs per avg_l1_matrix chunk: its temporaries are (pairs, N) arrays, a few
+# hundred KB at N = 11. Measured on the 169-lane grid (169 x 161 pairs), a
+# call takes ~3.3 ms at 1024-4096 and ~5-6 ms at 256 or at 16384 and above.
+L1_CHUNK = 4096
+
 
 def avg_l1_matrix(L, H) -> np.ndarray:
     """(n, m) mean L1 distances between index-aligned points of every lane in
     L (n, N, 3) and every polyline in H (m, N, 3).
 
-    Each entry sums |difference| over xyz, then averages over the N points.
-    Both reductions run over contiguous last axes, in the order one pair's
-    (N, 3) array reduces in, so every entry is bitwise the one-pair result.
-    Lanes go in chunks of PAIR_CHUNK // m (at least one), so no temporary
-    holds many more than PAIR_CHUNK pairs.
+    Each entry sums |dx| + |dy| + |dz| left to right, as numpy sums one
+    pair's three coordinates, then averages over the N points along the
+    contiguous last axis, so every entry is bitwise the one-pair result.
+    Lanes go in chunks of L1_CHUNK // m (at least one), so no temporary
+    holds many more than L1_CHUNK pairs.
     """
     L = np.asarray(L, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -75,10 +122,16 @@ def avg_l1_matrix(L, H) -> np.ndarray:
         raise ValueError(f"expected (n, N, 3) and (m, N, 3) arrays, got {L.shape} and {H.shape}")
     if L.shape[1] != H.shape[1]:
         raise ValueError(f"point counts differ: {L.shape[1]} vs {H.shape[1]}")
+    # (3, lanes, N): each coordinate's differences end in a contiguous N axis
+    Lx, Ly, Lz = L.transpose(2, 0, 1)
+    Hx, Hy, Hz = H.transpose(2, 0, 1)
     out = np.empty((L.shape[0], H.shape[0]))
-    rows = max(1, PAIR_CHUNK // max(1, H.shape[0]))
+    rows = max(1, L1_CHUNK // max(1, H.shape[0]))
     for s in range(0, L.shape[0], rows):
-        out[s:s + rows] = np.abs(L[s:s + rows, None] - H[None]).sum(axis=3).mean(axis=2)
+        d = np.abs(Lx[s:s + rows, None] - Hx)
+        d += np.abs(Ly[s:s + rows, None] - Hy)
+        d += np.abs(Lz[s:s + rows, None] - Hz)
+        out[s:s + rows] = d.mean(axis=2)
     return out
 
 
@@ -181,7 +234,7 @@ def endpoint_bound(a: list, b: list) -> np.ndarray:
     return np.maximum(gaps(0), gaps(-1))
 
 
-def _stacks(polys: list):
+def stacks_by_count(polys: list):
     """(indices, stacked (len, n, 3) array) for each point count n among polys."""
     pts = [_as_points(p) for p in polys]
     counts = np.array([len(p) for p in pts], dtype=int)
@@ -194,8 +247,8 @@ def _pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
     """kernel(a[i], b[j]) where keep[i, j], inf elsewhere. Pairs are grouped
     by their (n, m) point counts: polylines of one list may differ in it."""
     out = np.full(keep.shape, np.inf)
-    b_stacks = list(_stacks(b))
-    for ia, A in _stacks(a):
+    b_stacks = list(stacks_by_count(b))
+    for ia, A in stacks_by_count(a):
         for ib, B in b_stacks:
             p, g = np.nonzero(keep[np.ix_(ia, ib)])
             if p.size:
@@ -281,7 +334,7 @@ def lane_boundaries(lanes: list, width: float) -> list[np.ndarray]:
     """Each lane's left then right boundary points, (2n, 3), from one widen
     call per point count."""
     out = [None] * len(lanes)
-    for idx, P in _stacks(lanes):
+    for idx, P in stacks_by_count(lanes):
         for k, bounds in zip(idx, np.concatenate(widen(P, width), axis=1)):
             out[k] = bounds
     return out

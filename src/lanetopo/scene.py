@@ -176,6 +176,27 @@ def junction_point(a: Polyline3D, b: Polyline3D, tol: float = JUNCTION_TOL):
     return None
 
 
+def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]]:
+    """(e, gap) for each edge e from lanes[rows[e]] to lanes[cols[e]] that
+    has no junction_point, in edge order, with its endpoint gap.
+
+    Every edge is screened in one array pass with a margin, then each
+    flagged edge is measured as junction_point measures it, so the verdict
+    and the gap are the per-edge norm's.
+    """
+    if not len(rows):
+        return []
+    ends = np.array([lane.terminal for lane in lanes])
+    starts = np.array([lane.initial for lane in lanes])
+    d = ends[rows] - starts[cols]
+    out = []
+    for e in np.flatnonzero(np.sqrt((d * d).sum(axis=1)) > 0.5 * JUNCTION_TOL):
+        gap = float(np.linalg.norm(lanes[rows[e]].terminal - lanes[cols[e]].initial))
+        if gap > JUNCTION_TOL:
+            out.append((int(e), gap))
+    return out
+
+
 def validate_scene(scene: Scene) -> list[str]:
     """Check scene-level invariants; return one message per violation.
 
@@ -209,21 +230,11 @@ def validate_scene(scene: Scene) -> list[str]:
         rows, cols = np.nonzero(ll)
         off = rows != cols
         rows, cols = rows[off], cols[off]
-        if rows.size:
-            # screen every edge in one pass with a margin, then measure each
-            # flagged edge as junction_point does, so the verdict and the
-            # printed gap are the per-edge norm's
-            ends = np.array([lane.terminal for lane in scene.lanes])
-            starts = np.array([lane.initial for lane in scene.lanes])
-            d = ends[rows] - starts[cols]
-            far = np.sqrt((d * d).sum(axis=1)) > 0.5 * JUNCTION_TOL
-            for i, j in zip(rows[far], cols[far]):
-                gap = float(np.linalg.norm(scene.lanes[i].terminal - scene.lanes[j].initial))
-                if gap > JUNCTION_TOL:
-                    out.append(
-                        f"topology ll[{i}][{j}]=1 but endpoints are {gap:.4f} m apart "
-                        f"(tolerance {JUNCTION_TOL})"
-                    )
+        for e, gap in junction_gaps(scene.lanes, rows, cols):
+            out.append(
+                f"topology ll[{rows[e]}][{cols[e]}]=1 but endpoints are {gap:.4f} m apart "
+                f"(tolerance {JUNCTION_TOL})"
+            )
     return out
 
 

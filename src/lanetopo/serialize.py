@@ -239,7 +239,7 @@ def _check_version(d: dict, what: str) -> None:
 def _parse_lane(k: int, pts) -> Polyline3D:
     try:
         return Polyline3D(np.asarray(pts, dtype=float))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError([f"lane {k}: {err}"]) from err
 
 
@@ -295,7 +295,7 @@ def _parse_traffic(items, need_score: bool) -> list[TrafficElement]:
                 category=str(d["category"]),
                 score=float(d["score"]) if "score" in d else None,
             ))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise SchemaError([f"traffic element {k}: {err}"]) from err
     return out
 
@@ -305,7 +305,7 @@ def _parse_topo(d, n_lanes: int, n_traffic: int) -> TopologyGraph:
     try:
         ll = np.asarray(d["ll"], dtype=float)
         lt = np.asarray(d["lt"], dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError([f"topo: {err}"]) from err
     # JSON cannot distinguish (0, 0) from (0, k) matrices; restore the
     # expected empty shapes instead of failing shape validation later
@@ -340,7 +340,7 @@ def prediction_from_dict(d, n_points: int | None = None) -> Prediction:
     lanes = _parse_lanes(d["lanes"])
     try:
         scores = np.asarray(d["lane_scores"], dtype=float).reshape(-1)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError([f"lane_scores: {err}"]) from err
     traffic = _parse_traffic(d["traffic"], need_score=True)
     topo = _parse_topo(d["topo"], len(lanes), len(traffic))

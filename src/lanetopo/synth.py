@@ -15,14 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import stacks_by_count
 from .scene import (
     DEFAULT_N_POINTS,
+    FLAWS,
     JUNCTION_TOL,
     Polyline3D,
     Prediction,
     Scene,
     TopologyGraph,
     TrafficElement,
+    polyline_flaws,
 )
 
 TRAFFIC_CATEGORIES = ("traffic_light", "stop_sign", "speed_limit", "yield_sign")
@@ -242,12 +245,21 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
     kept = np.flatnonzero(keep)
 
-    lanes: list[Polyline3D] = []
-    for i in kept:
-        pts = scene.lanes[i].points
-        jitter = rng.normal(0.0, noise.point_sigma, size=pts.shape) \
-            if noise.point_sigma > 0 else 0.0
-        lanes.append(Polyline3D(pts + jitter))
+    lanes: list[Polyline3D] = [None] * len(kept)
+    if len(kept):
+        kept_pts = [scene.lanes[i].points for i in kept]
+        flat = np.concatenate(kept_pts)
+        # one draw over every kept point: the stream of one draw per lane
+        flat = flat + (rng.normal(0.0, noise.point_sigma, size=flat.shape)
+                       if noise.point_sigma > 0 else 0.0)
+        bad = np.zeros((len(kept), 2), dtype=bool)
+        pieces = np.split(flat, np.cumsum([len(p) for p in kept_pts])[:-1])
+        for idx, P in stacks_by_count(pieces):
+            bad[idx] = polyline_flaws(P)
+            for k, pts in zip(idx, P):
+                lanes[k] = Polyline3D.unchecked(pts)
+        if bad.any():
+            raise ValueError(FLAWS[np.argwhere(bad)[0, 1]])
 
     n_spurious = int(rng.poisson(noise.spurious_rate * n)) if noise.spurious_rate > 0 else 0
     if n_spurious:

@@ -3,9 +3,11 @@
 Everything here trades speed for obviousness: the Frechet distance is the
 literal recursive definition or a per-pair loop, distances are double
 loops, greedy matching visits one prediction and one ground truth at a
-time, half distances are one scalar call per lane and half, topology
-blending visits one entry at a time, lanes are widened one at a time into
-validated polylines, vertex APs rank a Python list of flags per vertex,
+time, curves are resampled one coordinate at a time with np.interp,
+connected lanes are merged and validated one edge at a time and split one
+curve at a time, half distances are one scalar call per lane and half, topology
+blending visits one entry at a time, lanes are jittered and widened one at
+a time into validated polylines, vertex APs rank a Python list of flags per vertex,
 assignment is full enumeration, JSON is written by rounding every float
 on its own before json.dumps, and lanes are read one validated polyline
 at a time. None of this is imported by the package itself.
@@ -17,9 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from lanetopo.connect import split_halves_array
+from lanetopo.connect import ConnectedLane, merge_at_junction
+from lanetopo.geometry import cumulative_lengths
 from lanetopo.metrics import average_precision, rank_by_score
-from lanetopo.scene import Polyline3D
+from lanetopo.scene import JUNCTION_TOL, Polyline3D, junction_point
 from lanetopo.serialize import round9
 
 
@@ -132,12 +135,59 @@ def avg_l1_scalar(a, b) -> float:
     return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
 
 
+def resample_loops(pts, n):
+    """Resample one point array to n points uniform in arc length: np.interp
+    of each coordinate against the chord lengths, endpoints pinned."""
+    if n < 2:
+        raise ValueError(f"resample target must be >= 2 points, got {n}")
+    pts = np.asarray(pts, dtype=np.float64)
+    cum = cumulative_lengths(pts)
+    total = cum[-1]
+    if total <= 0.0:
+        raise ValueError("cannot resample a zero-length polyline")
+    targets = total * np.arange(n) / (n - 1)
+    out = np.empty((n, 3))
+    for k in range(3):
+        out[:, k] = np.interp(targets, cum, pts[:, k])
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return out
+
+
+def split_halves_loops(curve, n=None):
+    """Front and back halves of one curve, split at floor(N_P / 2) and each
+    resampled to n points by resample_loops."""
+    curve = np.asarray(curve, dtype=np.float64)
+    mid = curve.shape[0] // 2
+    n = curve.shape[0] if n is None else n
+    return resample_loops(curve[: mid + 1], n), resample_loops(curve[mid:], n)
+
+
+def build_connected_gt_loops(scene):
+    """Connected lanes one ll edge at a time, in row-major order: check the
+    junction, merge, resample with resample_loops and validate the curve as
+    a Polyline3D, raising at the first edge that fails."""
+    out = []
+    for i, j in zip(*np.nonzero(scene.topo.ll)):
+        i, j = int(i), int(j)
+        a, b = scene.lanes[i], scene.lanes[j]
+        if junction_point(a, b) is None:
+            gap = float(np.linalg.norm(a.terminal - b.initial))
+            raise ValueError(
+                f"lanes ({i}, {j}) are marked connected but their junction is "
+                f"{gap:.4f} m apart (tolerance {JUNCTION_TOL})"
+            )
+        curve = Polyline3D(resample_loops(merge_at_junction(a, b), scene.n_points))
+        out.append(ConnectedLane(source=(i, j), curve=curve))
+    return out
+
+
 def half_distances_loops(lanes, connected):
     """(d_front, d_back) by one scalar mean-L1 call per lane and half."""
     n, m = len(lanes), len(connected)
     d_front, d_back = np.zeros((n, m)), np.zeros((n, m))
     for c, conn in enumerate(connected):
-        h1, h2 = split_halves_array(conn.curve.points)
+        h1, h2 = split_halves_loops(conn.curve.points)
         for i, lane in enumerate(lanes):
             d_front[i, c] = avg_l1_scalar(lane.points, h1)
             d_back[i, c] = avg_l1_scalar(lane.points, h2)
@@ -147,7 +197,7 @@ def half_distances_loops(lanes, connected):
 def correlation_distances_loops(lanes, connected):
     """Mask input D, one pair at a time: the nearer half's mean L1 distance."""
     d = np.zeros((len(lanes), len(connected)))
-    halves = [split_halves_array(c.curve.points) for c in connected]
+    halves = [split_halves_loops(c.curve.points) for c in connected]
     for i, lane in enumerate(lanes):
         for c, (h1, h2) in enumerate(halves):
             d[i, c] = min(avg_l1_scalar(lane.points, h1), avg_l1_scalar(lane.points, h2))
@@ -161,7 +211,7 @@ def match_connected_loops(lanes, connected):
         raise ValueError("cannot match connected lanes against an empty lane list")
     out = []
     for c, conn in enumerate(connected):
-        h1, h2 = split_halves_array(conn.curve.points)
+        h1, h2 = split_halves_loops(conn.curve.points)
         d1 = np.array([avg_l1_scalar(lane.points, h1) for lane in lanes])
         d2 = np.array([avg_l1_scalar(lane.points, h2) for lane in lanes])
         out.append((c, int(np.argmin(d1)), int(np.argmin(d2))))
@@ -191,6 +241,21 @@ def blend_topology_loops(topo, kept, n_out, lam):
         for t in range(n_traffic):
             lt[a, t] = blended(0.0)
     return ll, lt
+
+
+def perturb_lanes_loops(scene, noise, seed=0):
+    """perturb's kept lanes, jittered one lane at a time with one normal draw
+    each and validated as a Polyline3D (whose ValueError it raises)."""
+    rng = np.random.default_rng(seed)
+    n = len(scene.lanes)
+    keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
+    out = []
+    for i in np.flatnonzero(keep):
+        pts = scene.lanes[i].points
+        jitter = rng.normal(0.0, noise.point_sigma, size=pts.shape) \
+            if noise.point_sigma > 0 else 0.0
+        out.append(Polyline3D(pts + jitter).points)
+    return out
 
 
 def widen_loops(lanes, width):

@@ -496,3 +496,35 @@ class TestInputErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command, where", [
+        ("predict", "lane 0"), ("predict", "traffic element 0"), ("predict", "topo"),
+        ("eval", "lane_scores"),
+    ])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, command, where):
+        # 10**400 is a valid JSON integer that no float holds
+        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
+        scene = write_chain(scene_path)
+        from lanetopo.serialize import prediction_to_dict
+        write_json(pred_path, prediction_to_dict(perfect_prediction(scene)))
+        doc = read_json(pred_path if command == "eval" else scene_path)
+        if where == "lane 0":
+            doc["lanes"][0][0][0] = 10**400
+        elif where == "traffic element 0":
+            doc["traffic"][0]["bbox"][0] = 10**400
+        elif where == "topo":
+            doc["topo"]["ll"][0][1] = 10**400
+        else:
+            doc["lane_scores"][0] = 10**400
+        write_json(pred_path if command == "eval" else scene_path, doc)
+        out = tmp_path / "out.json"
+        if command == "eval":
+            rc = run("eval", "--pred", pred_path, "--gt", scene_path, "--out", out)
+        else:
+            rc = run("predict", "--scene", scene_path, "--out", out)
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and f"{where}: " in lines[0]
+        assert "too large" in lines[0]
+        assert not out.exists()

@@ -5,13 +5,16 @@ import pytest
 
 import lanetopo as lt
 from lanetopo.connect import ConnectedLane
-from lanetopo.geometry import PAIR_CHUNK
+from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK
+from lanetopo.scene import JUNCTION_TOL
 from conftest import chain_scene, straight_lane
 from oracles import (
     avg_l1_loops,
+    build_connected_gt_loops,
     correlation_distances_loops,
     half_distances_loops,
     random_polyline,
+    split_halves_loops,
 )
 
 
@@ -95,6 +98,107 @@ class TestBuildConnectedGt:
             assert c.curve.n_points == scene.n_points
 
 
+def assert_same_connected(got, ref):
+    assert [c.source for c in got] == [c.source for c in ref]
+    assert all(np.array_equal(a.curve.points, b.curve.points) for a, b in zip(got, ref))
+    assert all(type(c.source[0]) is int and type(c.source[1]) is int for c in got)
+
+
+def lane_through(*pts):
+    return lt.Polyline3D(np.array(pts, dtype=np.float64))
+
+
+def segment(p, q, n):
+    """n points from p to q, both kept bitwise."""
+    pts = p + np.linspace(0.0, 1.0, n)[:, None] * (q - p)
+    pts[0], pts[-1] = p, q
+    return lt.Polyline3D(pts)
+
+
+def edge_scene(lanes, edges, n_points=3):
+    ll = np.zeros((len(lanes), len(lanes)))
+    for i, j in edges:
+        ll[i, j] = 1.0
+    return lt.Scene(lanes=lanes, traffic=[],
+                    topo=lt.TopologyGraph(ll=ll, lt=np.zeros((len(lanes), 0))),
+                    n_points=n_points)
+
+
+class TestBuildConnectedGtOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_scenes(self, seed):
+        for scene in (lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4,
+                                                       split_prob=0.5, merge_prob=0.5,
+                                                       n_points=5 + 3 * seed, seed=seed)),
+                      lt.generate_roundabout(n_arms=3 + seed, n_points=4 + seed, seed=seed)):
+            assert_same_connected(lt.build_connected_gt(scene), build_connected_gt_loops(scene))
+
+    def test_mixed_point_counts(self):
+        # a Scene built directly: a chain of lanes of 5, 3 and 8 points and
+        # a branch, merged in four pairings of counts and resampled to 7
+        counts = [5, 3, 8, 5, 3, 8, 5]
+        knots = [np.array([10.0 * k, 0.3 * k * k, 0.1 * k]) for k in range(len(counts) + 1)]
+        lanes = [segment(knots[k], knots[k + 1], n) for k, n in enumerate(counts)]
+        lanes.append(segment(knots[1], np.array([15.0, -6.0, 0.0]), 8))
+        edges = [(0, 1), (0, 7)] + [(k, k + 1) for k in range(1, len(counts) - 1)]
+        scene = edge_scene(lanes, edges, n_points=7)
+        got = lt.build_connected_gt(scene)
+        assert_same_connected(got, build_connected_gt_loops(scene))
+        assert [c.source for c in got] == sorted(edges)
+        n_of = [lane.n_points for lane in lanes]
+        assert {(n_of[i], n_of[j]) for i, j in edges} == {(5, 3), (5, 8), (3, 8), (8, 5)}
+
+    def test_junction_gap_at_the_tolerance_and_one_ulp_above(self):
+        # the gap is the x offset alone: sqrt(x * x) is x exactly
+        a = lane_through([-10.0, 0.0, 0.0], [-5.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        for x, joined in ((JUNCTION_TOL, True), (np.nextafter(JUNCTION_TOL, 1.0), False)):
+            b = lane_through([x, 0.0, 0.0], [5.0, 1.0, 0.0], [10.0, 2.0, 0.0])
+            scene = edge_scene([a, b], [(0, 1)])
+            assert float(np.linalg.norm(b.initial - a.terminal)) == x
+            assert (lt.junction_point(a, b) is not None) == joined
+            if joined:
+                assert_same_connected(lt.build_connected_gt(scene),
+                                      build_connected_gt_loops(scene))
+            else:
+                with pytest.raises(ValueError, match=r"\(0, 1\).*0\.0100 m apart"):
+                    lt.build_connected_gt(scene)
+                with pytest.raises(ValueError, match=r"\(0, 1\).*0\.0100 m apart"):
+                    build_connected_gt_loops(scene)
+            assert (lt.validate_scene(scene) == []) == joined
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
+    def test_first_failing_edge_raises_its_own_error(self, order):
+        # three broken edges: a merged curve whose chords underflow to zero
+        # length, one whose chords overflow so the resampled points repeat,
+        # and an open junction; whichever comes first in row-major order
+        # raises, with the message a one-edge-at-a-time build gives
+        tiny = [lane_through([0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [2e-170, 0.0, 0.0]),
+                lane_through([2e-170, 0.0, 0.0], [3e-170, 0.0, 0.0], [4e-170, 0.0, 0.0])]
+        huge = [lane_through([-1.5e308, 9.0, 0.0], [0.0, 9.0, 0.0], [1.5e308, 9.0, 0.0]),
+                lane_through([1.5e308, 9.0, 0.0], [1.6e308, 9.0, 0.0], [1.7e308, 9.0, 0.0])]
+        open_ = [straight_lane(0.0, 10.0, 50.0, n=3), straight_lane(20.0, 30.0, 50.0, n=3)]
+        pairs = [tiny, huge, open_]
+        lanes = [lane for k in order for lane in pairs[k]]
+        scene = edge_scene(lanes, [(0, 1), (2, 3), (4, 5)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as ref:
+                build_connected_gt_loops(scene)
+            with pytest.raises(ValueError) as got:
+                lt.build_connected_gt(scene)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(("cannot resample a zero-length polyline",
+                                          "polyline has consecutive duplicate points",
+                                          "lanes (0, 1)")[order[0]])
+
+    @pytest.mark.parametrize("n_points", [1, 0, -1])
+    def test_too_few_points_raise_like_the_oracle(self, n_points):
+        scene = chain_scene(n_points=3, with_traffic=False)
+        scene = lt.Scene(lanes=scene.lanes, traffic=[], topo=scene.topo, n_points=n_points)
+        for fn in (lt.build_connected_gt, build_connected_gt_loops):
+            with pytest.raises(ValueError, match=f">= 2 points, got {n_points}"):
+                fn(scene)
+
+
 class TestSplitHalves:
     def test_shared_midpoint(self):
         scene = tiny_chain(n_points=11)
@@ -124,6 +228,8 @@ class TestSplitHalves:
         h1, h2 = lt.split_halves_array(conn.curve.points)
         assert np.array_equal(h1, lt.resample_array(conn.curve.points[:6], 11))
         assert np.array_equal(h2, lt.resample_array(conn.curve.points[5:], 11))
+        for got, ref in zip((h1, h2), split_halves_loops(conn.curve.points)):
+            assert np.array_equal(got, ref)
 
 
 def correlation(lanes, connected):
@@ -186,9 +292,13 @@ def random_lanes(rng, n, n_pts):
 
 class TestHalfDistances:
     @pytest.mark.parametrize("n_pts", [3, 8, 11, 20])
-    @pytest.mark.parametrize("n, m", [(23, 17), (3, PAIR_CHUNK + 1), (40, 7)])
+    @pytest.mark.parametrize("n, m", [(23, 17), (3, PAIR_CHUNK + 1), (40, 7),
+                                      (L1_CHUNK // 17 + 3, 17), (3, L1_CHUNK + 1),
+                                      (2 * (L1_CHUNK // 7) + 5, 7)])
     def test_bitwise_equal_to_loop_oracles(self, n_pts, n, m):
-        # every shape here has more than PAIR_CHUNK pairs and n != m
+        # n != m and more than PAIR_CHUNK pairs everywhere; the last three
+        # shapes have more than L1_CHUNK pairs, so the kernel's row chunks
+        # end short, hold one lane each, or fill twice before a remainder
         assert n * m > PAIR_CHUNK
         rng = np.random.default_rng(n_pts * 100 + n)
         lanes, conn = random_lanes(rng, n, n_pts), random_connected(rng, m, n_pts)

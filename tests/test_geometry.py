@@ -5,6 +5,7 @@ import pytest
 
 import lanetopo as lt
 from lanetopo.geometry import (
+    L1_CHUNK,
     PAIR_CHUNK,
     _point_gaps,
     avg_l1_matrix,
@@ -13,6 +14,7 @@ from lanetopo.geometry import (
     frechet_matrix,
     frechet_pairs,
     lane_boundaries,
+    resample_stack,
     segment_boundaries,
     segment_matrix,
     widen,
@@ -25,6 +27,7 @@ from oracles import (
     frechet_loops,
     frechet_recursive,
     random_polyline,
+    resample_loops,
     widen_loops,
 )
 
@@ -95,6 +98,99 @@ class TestResample:
             assert lt.arc_length(out) <= lt.arc_length(pts) + 1e-12
 
 
+def same_floats(a, b):
+    """Equal values, nan where nan, and the same sign on every zero."""
+    keep = ~np.isnan(a)
+    return np.array_equal(a, b, equal_nan=True) and \
+        np.array_equal(np.signbit(a[keep]), np.signbit(b[keep]))
+
+
+def assert_rows_are_the_oracle(P, m):
+    got = resample_stack(P, m)
+    assert got.shape == (len(P), m, 3)
+    for row, pts in zip(got, P):
+        assert same_floats(row, resample_loops(pts, m))
+
+
+class TestResampleStack:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bitwise_equal_to_the_per_axis_oracle(self, scale):
+        rng = np.random.default_rng(int(scale * 1000) + 7)
+        for n in range(2, 26):
+            for m in range(2, 26):
+                walk = np.cumsum(rng.normal(0.0, scale, size=(4, n, 3)), axis=1)
+                jumps = rng.uniform(-scale, scale, size=(3, n, 3))
+                assert_rows_are_the_oracle(np.concatenate([walk, jumps]), m)
+
+    def test_targets_on_the_knots(self):
+        # chords of 0.25 along x: every knot and target is binary-exact, so
+        # where m - 1 divides n - 1 each target lands on a knot, where -0.0
+        # stays -0.0; the slanted row's chords are sqrt(0.3125), whose sums
+        # round
+        for n in range(2, 26):
+            t = np.arange(n, dtype=np.float64) * 0.25
+            P = np.stack([np.stack([t, np.full(n, -0.0), np.full(n, -3.0)], axis=1),
+                          np.stack([t, 2.0 * t, np.zeros(n)], axis=1)])
+            for m in range(2, 26):
+                assert_rows_are_the_oracle(P, m)
+        hits = resample_stack(P[:, :9], 5)[0]
+        assert np.array_equal(hits, P[0, :9:2])
+
+    def test_near_zero_segment(self):
+        rng = np.random.default_rng(4)
+        for n in (3, 4, 11, 25):
+            P = rng.normal(0.0, 5.0, size=(6, n, 3))
+            for k, tiny in enumerate((1e-9, 1e-12, 1e-15, 1e-300, 5e-324, 1e-13)):
+                P[k, 1] = P[k, 0] + tiny
+            for m in (2, 3, 11, 25):
+                assert_rows_are_the_oracle(P, m)
+
+    def test_extreme_and_non_finite_coordinates(self):
+        # chords that underflow to zero or overflow to inf, and inf or nan
+        # coordinates: nan targets, infinite totals and zero lengths must
+        # come out as np.interp gives them, row by row
+        rng = np.random.default_rng(8)
+        exps = [-320, -200, -160, 0, 150, 300, 307, 308]
+        with np.errstate(all="ignore"):
+            for trial in range(600):
+                n, m = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+                P = rng.normal(size=(n, 3)) * 10.0 ** rng.choice(exps, size=(n, 3))
+                if trial % 3 == 0:
+                    P[rng.integers(n), rng.integers(3)] = rng.choice([np.inf, -np.inf, np.nan])
+                if trial % 4 == 0:
+                    P[:, 2] = 0.0
+                try:
+                    ref = resample_loops(P, m)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=str(err)):
+                        resample_stack(P[None], m)
+                    continue
+                assert same_floats(resample_stack(P[None], m)[0], ref)
+
+    def test_errors_match_the_oracle(self):
+        rng = np.random.default_rng(5)
+        P = rng.normal(size=(3, 5, 3))
+        for m in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"got {m}"):
+                resample_loops(P[0], m)
+            with pytest.raises(ValueError, match=f"got {m}"):
+                resample_stack(P, m)
+        # one zero-length row fails the whole stack, as its own call would
+        P[1] = P[1, 0]
+        with pytest.raises(ValueError, match="zero-length"):
+            resample_loops(P[1], 4)
+        with pytest.raises(ValueError, match="zero-length"):
+            resample_stack(P, 4)
+        with pytest.raises(ValueError, match="zero-length"):
+            resample_stack(P[1:2, :1], 4)
+
+    def test_resample_array_is_the_one_row_call(self):
+        pts = random_polyline(np.random.default_rng(6), 9)
+        assert np.array_equal(lt.resample_array(pts, 13), resample_stack(pts[None], 13)[0])
+        assert np.array_equal(lt.resample_array(pts, 13), resample_loops(pts, 13))
+        assert resample_stack(np.zeros((0, 9, 3)), 4).shape == (0, 4, 3)
+
+
 class TestAvgL1:
     def test_identical_is_zero(self):
         pts = random_polyline(np.random.default_rng(0), 5)
@@ -120,10 +216,13 @@ class TestAvgL1:
 class TestAvgL1Matrix:
     @pytest.mark.parametrize("n_pts", [2, 3, 8, 11, 20])
     @pytest.mark.parametrize("n, m", [(1, 1), (7, 100), (5, PAIR_CHUNK + 44),
-                                      (PAIR_CHUNK + 44, 1), (23, 17)])
+                                      (PAIR_CHUNK + 44, 1), (23, 17),
+                                      (7, 1000), (5, L1_CHUNK + 44),
+                                      (L1_CHUNK + 44, 1), (L1_CHUNK // 17 + 10, 17)])
     def test_bitwise_equal_to_scalar_pairs(self, n_pts, n, m):
-        # row chunks of PAIR_CHUNK // m lanes: a short last chunk, one lane
-        # per chunk when m > PAIR_CHUNK, and one full chunk plus a remainder
+        # small shapes in one row chunk, then row chunks of L1_CHUNK // m
+        # lanes: a short last chunk, one lane per chunk when m > L1_CHUNK,
+        # and one full chunk plus a remainder
         rng = np.random.default_rng(n_pts * 1000 + n)
         L = np.stack([random_polyline(rng, n_pts) for _ in range(n)])
         H = np.stack([random_polyline(rng, n_pts) for _ in range(m)])

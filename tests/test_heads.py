@@ -12,7 +12,7 @@ from lanetopo.heads import (
     predict_ll_backward,
     predict_ll_cached,
 )
-from lanetopo.geometry import PAIR_CHUNK, avg_l1_matrix
+from lanetopo.geometry import L1_CHUNK, avg_l1_matrix
 from lanetopo.nn import MlpParams, mlp_forward
 from conftest import chain_scene, straight_lane
 from oracles import avg_l1_scalar, match_connected_loops, random_polyline
@@ -86,7 +86,7 @@ class TestMatchConnectedOracle:
         rng = np.random.default_rng(n_pts)
         lanes = [lt.Polyline3D(random_polyline(rng, n_pts)) for _ in range(23)]
         conn = [ConnectedLane(source=(-1, -1), curve=lt.Polyline3D(random_polyline(rng, n_pts)))
-                for _ in range(PAIR_CHUNK // 10 + 3)]
+                for _ in range(L1_CHUNK // 10 + 3)]
         assert match(lanes, conn) == match_connected_loops(lanes, conn)
 
     def test_two_point_distances_match_the_argmin(self):
@@ -102,12 +102,12 @@ class TestMatchConnectedOracle:
         assert pairs == expected
 
     def test_exact_ties_across_chunks_pick_the_lower_index(self):
-        # every lane appears twice, the copies PAIR_CHUNK lanes apart, so the
-        # tied minima fall in different row chunks of the kernel
+        # every lane appears twice, the copies more than L1_CHUNK lanes
+        # apart, so the tied minima fall in different row chunks of the kernel
         scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=3, split_prob=0.4,
                                                  merge_prob=0.4, seed=1))
         conn = lt.build_connected_gt(scene)
-        far = [straight_lane(0.0, 20.0, 100.0 + 5.0 * k) for k in range(PAIR_CHUNK)]
+        far = [straight_lane(0.0, 20.0, 100.0 + 5.0 * k) for k in range(L1_CHUNK)]
         lanes = list(scene.lanes) + far + list(scene.lanes)
         d_front, _ = lt.half_distances(lanes, conn)
         k = len(scene.lanes) + len(far)

@@ -6,7 +6,7 @@ import pytest
 import lanetopo as lt
 from lanetopo.synth import blend_topology
 from conftest import perfect_prediction
-from oracles import blend_topology_loops
+from oracles import blend_topology_loops, perturb_lanes_loops
 
 
 class TestSynthParams:
@@ -217,6 +217,55 @@ class TestPerturb:
         assert np.array_equal(a.topo.ll, b.topo.ll)
         assert any(not np.array_equal(x.points, y.points)
                    for x, y in zip(a.lanes, c.lanes))
+
+    @pytest.mark.parametrize("sigma, drop", [(0.0, 0.0), (0.3, 0.0), (0.3, 0.3), (2.0, 0.9)])
+    def test_jitter_is_the_per_lane_oracle(self, sigma, drop):
+        # one draw over the kept stack is the stream of one draw per kept lane
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
+                                                 merge_prob=0.5, seed=12))
+        noise = lt.NoiseParams(point_sigma=sigma, drop_rate=drop, spurious_rate=0.2,
+                               score_noise=0.1)
+        for seed in range(3):
+            got = [lane.points for lane in lt.perturb(scene, noise, seed).lanes]
+            ref = perturb_lanes_loops(scene, noise, seed)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert len(got) >= len(ref)
+
+    def test_mixed_point_counts_and_signed_zeros_match_the_oracle(self):
+        lanes = [lt.Polyline3D(np.array([[0.0, -0.0, 0.0], [5.0, 0.0, -0.0]])),
+                 lt.Polyline3D(np.stack([np.linspace(5.0, 9.0, 7), np.zeros(7), np.zeros(7)], 1)),
+                 lt.Polyline3D(np.stack([np.linspace(0.0, 3.0, 4), np.ones(4), -np.ones(4)], 1))]
+        scene = lt.Scene(lanes=lanes, traffic=[],
+                         topo=lt.TopologyGraph(ll=np.zeros((3, 3)), lt=np.zeros((3, 0))))
+        for sigma in (0.0, 0.25):
+            noise = lt.NoiseParams(point_sigma=sigma)
+            got = [lane.points for lane in lt.perturb(scene, noise, 4).lanes]
+            ref = perturb_lanes_loops(scene, noise, 4)
+            assert [p.shape for p in got] == [(2, 3), (7, 3), (4, 3)]
+            # bitwise, and -0.0 + 0.0 is 0.0 on both sides
+            assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                       for a, b in zip(got, ref))
+
+    def test_a_flawed_jittered_lane_raises_the_oracle_message(self):
+        # jitter that overflows a lane to inf, and jitter that rounds a lane
+        # whose x steps are one ulp (and whose y and z ulps are far larger)
+        # onto itself, so two consecutive points coincide; lanes of 5, 6
+        # and 20 points, so each stacks apart from the others
+        big = np.stack([np.linspace(1.0e308, 1.7e308, 5), np.zeros(5), np.zeros(5)], 1)
+        ulp = np.stack([1.0e20 + 16384.0 * np.arange(20), np.full(20, 1.0e22),
+                        np.full(20, 1.0e22)], 1)
+        ok = np.stack([np.linspace(0.0, 10.0, 6), np.zeros(6), np.zeros(6)], 1)
+        for lanes, sigma in (([ok, big], 1.0e308), ([ok, ulp, big], 1.0e4),
+                             ([big, ulp, ok], 1.0e4)):
+            scene = lt.Scene(lanes=[lt.Polyline3D(p) for p in lanes], traffic=[],
+                             topo=lt.TopologyGraph(ll=np.zeros((len(lanes),) * 2),
+                                                   lt=np.zeros((len(lanes), 0))))
+            noise = lt.NoiseParams(point_sigma=sigma)
+            with pytest.raises(ValueError) as ref, np.errstate(over="ignore"):
+                perturb_lanes_loops(scene, noise, 0)
+            with pytest.raises(ValueError) as got, np.errstate(over="ignore"):
+                lt.perturb(scene, noise, 0)
+            assert str(got.value) == str(ref.value)
 
     def test_perturbed_output_is_a_valid_prediction(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
