@@ -237,7 +237,12 @@ def endpoint_bound(a: list, b: list) -> np.ndarray:
 def stacks_by_count(polys: list):
     """(indices, stacked (len, n, 3) array) for each point count n among polys."""
     pts = [_as_points(p) for p in polys]
-    counts = np.array([len(p) for p in pts], dtype=int)
+    counts = [len(p) for p in pts]
+    if len(set(counts)) == 1:
+        # one point count, the usual case: one stack, no grouping
+        yield np.arange(len(pts)), np.stack(pts)
+        return
+    counts = np.array(counts, dtype=int)
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
         yield idx, np.stack([pts[i] for i in idx])

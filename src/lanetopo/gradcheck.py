@@ -31,7 +31,13 @@ from .attention import (
     sigmoid_mask_backward,
     sigmoid_mask_forward,
 )
-from .heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
+from .heads import (
+    MatchPair,
+    TopologyHeadParams,
+    pair_preacts,
+    predict_ll_backward,
+    predict_ll_cached,
+)
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, mlp_grad_vars
 from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
 
@@ -152,9 +158,10 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
             return {"d": gd, **mlp_grad_vars("mask", mlp_grads)}
 
         def kink_margin(cache):
-            _, mlp_cache, sg = cache
+            _, sg = cache
             # the clip floor is a kink too; keep the sigmoid away from it
             floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
+            _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
             return min(_relu_margin(mlp_cache), floor)
 
         return Op("sigmoid_mask", {"d": d, **params.variables("mask")},
@@ -198,8 +205,11 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
             return {"q_hat": gq, "qc_hat": gqc, **grads}
 
         def kink_margin(cache):
-            _, _, cache_u1, cache_u2, cache_head_u, _, _, cache_m = cache
-            return _relu_margin(cache_u1, cache_u2, cache_head_u, *cache_m[:3])
+            m = cache.matched
+            pair_margin = min(float(np.abs(z).min())
+                              for _, z in pair_preacts(cache.za, cache.zb))
+            return min(pair_margin, _relu_margin(cache.cache_u1, cache.cache_u2,
+                                                 m.cache_m1, m.cache_m2, m.cache_head))
 
         return Op("predict_ll_backward", {"q_hat": q_hat, "qc_hat": qc_hat, **ll_head},
                   lambda: predict_ll_cached(params, q_hat, qc_hat, pairs),

@@ -113,6 +113,13 @@ def mlp_backward(params: MlpParams, cache, gy: np.ndarray):
     return g, grads
 
 
+def add_mlp_grads(total, grads):
+    """Layerwise sum of two mlp_backward gradient lists; total may be None."""
+    if total is None:
+        return grads
+    return [(gw + hw, gb + hb) for (gw, gb), (hw, hb) in zip(total, grads)]
+
+
 def mlp_grad_vars(prefix: str, grads) -> dict[str, np.ndarray]:
     out = {}
     for l, (gw, gb) in enumerate(grads):

@@ -151,6 +151,19 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
 
     losses: list[float] = []
     use_tam = len(connected) > 0
+    target_off = target[off_diag]
+    # the live parameter arrays, updated in place every step
+    params = head_params.variables()
+    if use_tam:
+        params.update(tam_params.variables("tam"))
+        params.update(mask_params.variables("mask"))
+
+    def accumulate(acc, grads, prefix=""):
+        # the first group's gradients are taken as they are, not added to 0.0
+        for k, v in grads.items():
+            k = prefix + k
+            acc[k] = acc[k] + v if k in acc else v
+
     scores = np.zeros((n, n))
     for _ in range(steps):
         group_losses = []
@@ -163,31 +176,22 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
                 q_hat = q
             scores, cache_h = predict_ll_cached(head_params, q_hat, qc, pairs)
 
-            loss = focal_loss(scores[off_diag], target[off_diag])
-            group_losses.append(loss)
+            scores_off = scores[off_diag]
+            group_losses.append(focal_loss(scores_off, target_off))
 
             g_scores = np.zeros_like(scores)
-            g_scores[off_diag] = focal_loss_grad(scores[off_diag], target[off_diag]) / n_terms
+            g_scores[off_diag] = focal_loss_grad(scores_off, target_off) / n_terms
             gq_hat, _, head_grads = predict_ll_backward(
                 head_params, cache_h, g_scores, len(connected))
-            for k, v in head_grads.items():
-                acc[k] = acc.get(k, 0.0) + v
+            accumulate(acc, head_grads)
             if use_tam:
                 _, _, gs, tam_grads = masked_cross_attention_backward(
                     tam_params, cache_t, gq_hat)
                 _, mask_grads = sigmoid_mask_backward(mask_params, cache_s, gs)
-                for k, v in tam_grads.items():
-                    acc[f"tam.{k}"] = acc.get(f"tam.{k}", 0.0) + v
-                for k, v in mlp_grad_vars("mask", mask_grads).items():
-                    acc[k] = acc.get(k, 0.0) + v
+                accumulate(acc, tam_grads, "tam.")
+                accumulate(acc, mlp_grad_vars("mask", mask_grads))
 
         losses.append(sum_group_losses(group_losses))
-
-        params = {}
-        params.update(head_params.variables())
-        if use_tam:
-            params.update(tam_params.variables("tam"))
-            params.update(mask_params.variables("mask"))
         for name, grad in acc.items():
             params[name] -= lr * grad
 

@@ -1,16 +1,19 @@
 """Slow reference implementations the tests compare the library against.
 
-Everything here trades speed for obviousness: the Frechet distance is the
-literal recursive definition or a per-pair loop, distances are double
-loops, greedy matching visits one prediction and one ground truth at a
-time, curves are resampled one coordinate at a time with np.interp,
-connected lanes are merged and validated one edge at a time and split one
-curve at a time, half distances are one scalar call per lane and half, topology
-blending visits one entry at a time, lanes are jittered and widened one at
-a time into validated polylines, vertex APs rank a Python list of flags per vertex,
-assignment is full enumeration, JSON is written by rounding every float
-on its own before json.dumps, and lanes are read one validated polyline
-at a time. None of this is imported by the package itself.
+Everything here trades speed for obviousness: the Frechet distance is
+the literal recursive definition or a per-pair loop, distances are
+double loops, greedy matching visits one prediction and one ground truth
+at a time, curves are resampled one coordinate at a time with np.interp,
+connected lanes are merged and validated one edge at a time and split
+one curve at a time, half distances are one scalar call per lane and
+half, the topology heads run on concatenated (pairs, 2c) pair features
+and resolve and scatter matched candidates one at a time, topology
+blending visits one entry at a time, lanes are jittered and widened one
+at a time into validated polylines, vertex APs rank a Python list of
+flags per vertex, assignment is full enumeration, JSON is written by
+rounding every float on its own before json.dumps, and lanes are read
+one validated polyline at a time. None of this is imported by the
+package itself.
 """
 
 import itertools
@@ -22,6 +25,7 @@ import numpy as np
 from lanetopo.connect import ConnectedLane, merge_at_junction
 from lanetopo.geometry import cumulative_lengths
 from lanetopo.metrics import average_precision, rank_by_score
+from lanetopo.nn import mlp_backward, mlp_forward, mlp_forward_cached, mlp_grad_vars, sigmoid
 from lanetopo.scene import JUNCTION_TOL, Polyline3D, junction_point
 from lanetopo.serialize import round9
 
@@ -202,6 +206,101 @@ def correlation_distances_loops(lanes, connected):
         for c, (h1, h2) in enumerate(halves):
             d[i, c] = min(avg_l1_scalar(lane.points, h1), avg_l1_scalar(lane.points, h2))
     return d
+
+
+def pair_features(left, right):
+    """All-pairs concatenation: (n, c) x (m, c) -> (n*m, 2c), row-major in (i, j)."""
+    n, c = left.shape
+    m = right.shape[0]
+    feat = np.empty((n, m, 2 * c))
+    feat[:, :, :c] = left[:, None, :]
+    feat[:, :, c:] = right[None, :, :]
+    return feat.reshape(n * m, 2 * c)
+
+
+def predict_ll_concat(params, q_hat, qc_hat, pairs):
+    """The lane-lane head on the concatenated (n*n, 2c) pair features, one
+    matched candidate at a time: (scores, cache)."""
+    n = q_hat.shape[0]
+    u1, cache_u1 = mlp_forward_cached(params.unmatch_i, q_hat)
+    u2, cache_u2 = mlp_forward_cached(params.unmatch_j, q_hat)
+    logit_u, cache_head_u = mlp_forward_cached(params.ll_score, pair_features(u1, u2))
+    scores = sigmoid(logit_u.reshape(n, n))
+
+    matched = {}
+    cache_m = None
+    if pairs:
+        xi = np.stack([qc_hat[p.conn] + q_hat[p.i] for p in pairs])
+        xj = np.stack([qc_hat[p.conn] + q_hat[p.j] for p in pairs])
+        m1, cache_m1 = mlp_forward_cached(params.match_i, xi)
+        m2, cache_m2 = mlp_forward_cached(params.match_j, xj)
+        logit_m, cache_head_m = mlp_forward_cached(params.ll_score,
+                                                   np.concatenate([m1, m2], axis=1))
+        s_m = sigmoid(logit_m.reshape(-1))
+        # duplicates of one (i, j) keep the maximum, the first on a tie
+        for k, p in enumerate(pairs):
+            key = (p.i, p.j)
+            if key not in matched or s_m[k] > s_m[matched[key]]:
+                matched[key] = k
+        for (i, j), k in matched.items():
+            scores[i, j] = s_m[k]
+        cache_m = (cache_m1, cache_m2, cache_head_m, s_m)
+
+    return scores, (n, scores, cache_u1, cache_u2, cache_head_u, pairs, matched, cache_m)
+
+
+def predict_ll_concat_backward(params, cache, g_scores, n_conn):
+    """Gradients of predict_ll_concat wrt q_hat, qc_hat and the head
+    parameters, scattered one matched candidate at a time."""
+    n, scores, cache_u1, cache_u2, cache_head_u, pairs, matched, cache_m = cache
+    c = params.match_i.weights[0].shape[0]
+
+    g_logit = g_scores * scores * (1.0 - scores)
+    g_logit_u = g_logit.copy()
+    for (i, j) in matched:
+        g_logit_u[i, j] = 0.0
+
+    gfeat_u, grads_head_u = mlp_backward(params.ll_score, cache_head_u,
+                                         g_logit_u.reshape(n * n, 1))
+    gfeat_u = gfeat_u.reshape(n, n, 2 * c)
+    gq_u1, grads_u1 = mlp_backward(params.unmatch_i, cache_u1, gfeat_u[:, :, :c].sum(axis=1))
+    gq_u2, grads_u2 = mlp_backward(params.unmatch_j, cache_u2, gfeat_u[:, :, c:].sum(axis=0))
+
+    gq = gq_u1 + gq_u2
+    gqc = np.zeros((n_conn, c))
+    grads = {
+        **mlp_grad_vars("head.unmatch_i", grads_u1),
+        **mlp_grad_vars("head.unmatch_j", grads_u2),
+        **mlp_grad_vars("head.ll_score", grads_head_u),
+    }
+    if pairs:
+        cache_m1, cache_m2, cache_head_m, s_m = cache_m
+        g_logit_m = np.zeros_like(s_m)
+        for (i, j), k in matched.items():
+            g_logit_m[k] = g_scores[i, j] * s_m[k] * (1.0 - s_m[k])
+        gfeat_m, grads_head_m = mlp_backward(params.ll_score, cache_head_m,
+                                             g_logit_m.reshape(-1, 1))
+        gxi, grads_m1 = mlp_backward(params.match_i, cache_m1, gfeat_m[:, :c])
+        gxj, grads_m2 = mlp_backward(params.match_j, cache_m2, gfeat_m[:, c:])
+        for k, p in enumerate(pairs):
+            gq[p.i] += gxi[k]
+            gq[p.j] += gxj[k]
+            gqc[p.conn] += gxi[k] + gxj[k]
+        grads.update(mlp_grad_vars("head.match_i", grads_m1))
+        grads.update(mlp_grad_vars("head.match_j", grads_m2))
+        for key, g in mlp_grad_vars("head.ll_score", grads_head_m).items():
+            grads[key] = grads[key] + g
+    return gq, gqc, grads
+
+
+def predict_lt_concat(q_hat, qt, params):
+    """The lane-traffic head on the concatenated (n*t, 2c) pair features."""
+    n, t = q_hat.shape[0], qt.shape[0]
+    if t == 0:
+        return np.zeros((n, 0))
+    lf = mlp_forward(params.lt_lane, q_hat)
+    tf = mlp_forward(params.lt_traffic, qt)
+    return sigmoid(mlp_forward(params.lt_score, pair_features(lf, tf)).reshape(n, t))
 
 
 def match_connected_loops(lanes, connected):

@@ -11,16 +11,21 @@ from lanetopo import nn
 from lanetopo.attention import (
     CrossAttentionParams,
     SelfAttentionParams,
+    MASK_BLOCK,
     SigmoidMaskParams,
     masked_cross_attention_forward,
     self_attention_forward,
+    sigmoid_mask_backward,
+    sigmoid_mask_forward,
 )
 from lanetopo.nn import (
     MASK_EPS,
     LN_EPS,
     MlpParams,
     layer_norm_forward,
+    mlp_backward,
     mlp_forward,
+    mlp_forward_cached,
     softmax_rows,
 )
 
@@ -190,6 +195,53 @@ class TestSigmoidMask:
         logits = mlp_forward(params.mlp, d.reshape(-1, 1)).reshape(4, 4)
         expected = np.clip(nn.sigmoid(logits), MASK_EPS, 1.0)
         assert np.array_equal(lt.sigmoid_mask(d, params), expected)
+
+
+class TestBlockedSigmoidMask:
+    """The mask MLP runs on blocks of MASK_BLOCK entries of D."""
+
+    SIZES = [MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, 2 * MASK_BLOCK + 3]
+
+    @staticmethod
+    def case(size, widths):
+        rng = np.random.default_rng(size + len(widths))
+        params = SigmoidMaskParams(mlp=MlpParams.init(widths, rng))
+        return params, rng.uniform(0.0, 10.0, size=(1, size)), rng.normal(size=(1, size))
+
+    @pytest.mark.parametrize("widths", [(1, 1), (1, 8, 1)])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_forward_is_bitwise_the_one_shot_pass(self, size, widths):
+        params, d, _ = self.case(size, widths)
+        logits = mlp_forward(params.mlp, d.reshape(-1, 1)).reshape(d.shape)
+        expected = np.clip(nn.sigmoid(logits), MASK_EPS, 1.0)
+        assert np.array_equal(lt.sigmoid_mask(d, params), expected)
+
+    @pytest.mark.parametrize("widths", [(1, 1), (1, 8, 1)])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_backward_matches_the_one_shot_pass(self, size, widths):
+        # equal to rounding: the parameter gradients are summed block by
+        # block, and a short last block may take a different matmul kernel
+        # for gd (each array within 1e-12 of its largest entry)
+        params, d, gs = self.case(size, widths)
+        _, cache = sigmoid_mask_forward(params, d)
+        gd, grads = sigmoid_mask_backward(params, cache, gs)
+        sg = cache[1]
+        g_logits = gs.reshape(-1, 1) * sg * (1.0 - sg) * (sg >= MASK_EPS)
+        _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
+        want_gd, want = mlp_backward(params.mlp, mlp_cache, g_logits)
+        pairs = [(gd, want_gd.reshape(d.shape))]
+        pairs += [(g, w) for layer, want_layer in zip(grads, want)
+                  for g, w in zip(layer, want_layer)]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_empty_distance_matrix(self):
+        params, _, _ = self.case(3, (1, 8, 1))
+        s, cache = sigmoid_mask_forward(params, np.zeros((4, 0)))
+        assert s.shape == (4, 0)
+        gd, _ = sigmoid_mask_backward(params, cache, np.zeros((4, 0)))
+        assert gd.shape == (4, 0)
 
 
 def dense_self_attention(params: SelfAttentionParams, q, p):

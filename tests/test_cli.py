@@ -440,6 +440,16 @@ class TestGradcheckCommand:
         assert read_json(out)["pass"] is False
         assert "FAIL" in capsys.readouterr().out
 
+    def test_corrupted_ll_head_gradient_fails(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = run("gradcheck", "--instances", 1, "--out", out,
+                 "--corrupt", "predict_ll_backward")
+        assert rc == 1
+        doc = read_json(out)
+        assert doc["pass"] is False
+        assert [e["op"] for e in doc["ops"] if e["max_rel_error"] > 1e-3] \
+            == ["predict_ll_backward"]
+
 
 class TestFitdemo:
     def scene_path(self, tmp_path):

@@ -17,6 +17,7 @@ from lanetopo.geometry import (
     resample_stack,
     segment_boundaries,
     segment_matrix,
+    stacks_by_count,
     widen,
 )
 from conftest import straight_lane
@@ -528,3 +529,35 @@ class TestWidenKernel:
     def test_unusable_width_raises(self, width):
         with pytest.raises(ValueError, match="lane width must be finite and positive"):
             lane_boundaries([straight_lane(0.0, 10.0, 0.0)], width)
+
+
+class TestStacksByCount:
+    def grouped(self, polys):
+        # the grouping by np.unique, whatever the counts
+        counts = np.array([len(p) for p in polys])
+        groups = [np.flatnonzero(counts == n) for n in np.unique(counts)]
+        return [(idx, np.stack([polys[i] for i in idx])) for idx in groups]
+
+    def assert_same(self, got, want):
+        assert len(got) == len(want)
+        for (gi, gp), (wi, wp) in zip(got, want):
+            assert gi.dtype == wi.dtype
+            assert np.array_equal(gi, wi)
+            assert np.array_equal(gp, wp)
+
+    def test_one_count_is_one_stack(self):
+        rng = np.random.default_rng(0)
+        polys = [random_polyline(rng, 6) for _ in range(5)]
+        got = list(stacks_by_count(polys))
+        assert len(got) == 1
+        self.assert_same(got, self.grouped(polys))
+
+    def test_mixed_counts_group_by_count(self):
+        rng = np.random.default_rng(1)
+        polys = [random_polyline(rng, n) for n in (5, 3, 5, 7, 3)]
+        got = list(stacks_by_count(polys))
+        assert [len(i) for i, _ in got] == [2, 2, 1]
+        self.assert_same(got, self.grouped(polys))
+
+    def test_empty_list_yields_nothing(self):
+        assert list(stacks_by_count([])) == []

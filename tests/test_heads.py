@@ -1,12 +1,16 @@
 """Argmin pair matching and the two-branch topology scoring heads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
 
 import lanetopo as lt
+from lanetopo import heads
 from lanetopo.connect import ConnectedLane
 from lanetopo.heads import (
+    PAIR_BLOCK,
     MatchPair,
     TopologyHeadParams,
     predict_ll_backward,
@@ -15,7 +19,14 @@ from lanetopo.heads import (
 from lanetopo.geometry import L1_CHUNK, avg_l1_matrix
 from lanetopo.nn import MlpParams, mlp_forward
 from conftest import chain_scene, straight_lane
-from oracles import avg_l1_scalar, match_connected_loops, random_polyline
+from oracles import (
+    avg_l1_scalar,
+    match_connected_loops,
+    predict_ll_concat,
+    predict_ll_concat_backward,
+    predict_lt_concat,
+    random_polyline,
+)
 
 
 def zero_mlp(widths):
@@ -275,3 +286,188 @@ class TestPredictLlBackward:
                 fd = (lp - lm) / (2.0 * eps)
                 rel = abs(fd - gflat[idx]) / max(1.0, abs(fd), abs(gflat[idx]))
                 assert rel < 1e-4, f"{name}[{idx}]: fd={fd} analytic={gflat[idx]}"
+
+
+# The factored first layer sums the a and b halves of each dot product
+# separately, and the backward sums the hidden-layer gradient per row block,
+# so both heads agree with the concatenated ones to rounding only: scores
+# within 1e-15 absolute (1.1e-16 seen), every gradient array within 1e-12
+# of its largest entry (6.8e-15 seen).
+SCORE_TOL = dict(rtol=0.0, atol=1e-15)
+GRAD_TOL = 1e-12
+
+# blocks of ROWS rows, and grids one row short of a block, one row past it,
+# and three rows past two blocks
+ROWS = 5
+EDGE_ROWS = [ROWS - 1, ROWS + 1, 2 * ROWS + 3]
+
+
+def ll_case(n, n_conn, c, seed):
+    rng = np.random.default_rng(seed)
+    params = TopologyHeadParams.init(c, rng)
+    q, qc = rng.normal(size=(n, c)), rng.normal(size=(n_conn, c))
+    pairs = [MatchPair(conn=int(rng.integers(n_conn)), i=int(rng.integers(n)),
+                       j=int(rng.integers(n))) for _ in range(n_conn)]
+    return params, q, qc, pairs
+
+
+def assert_grads_close(got, want):
+    gq, gqc, grads = got
+    oq, oqc, ograds = want
+    assert list(grads) == list(ograds)
+    for key, a, b in [("q", gq, oq), ("qc", gqc, oqc)] + [(k, grads[k], ograds[k]) for k in grads]:
+        assert a.shape == b.shape, key
+        assert np.abs(a - b).max() <= GRAD_TOL * np.abs(b).max(), key
+
+
+class TestFactoredHeadsMatchConcatOracle:
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_ll_forward_and_backward_across_block_edges(self, monkeypatch, n):
+        monkeypatch.setattr(heads, "PAIR_BLOCK", ROWS * n)
+        params, q, qc, pairs = ll_case(n, 3, 6, seed=n)
+        scores, cache = predict_ll_cached(params, q, qc, pairs)
+        oscores, ocache = predict_ll_concat(params, q, qc, pairs)
+        np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
+        g = np.random.default_rng(n + 100).normal(size=(n, n))
+        assert_grads_close(predict_ll_backward(params, cache, g, len(qc)),
+                           predict_ll_concat_backward(params, ocache, g, len(qc)))
+
+    def test_ll_past_the_real_block(self):
+        n = 50
+        assert n * n > PAIR_BLOCK
+        params, q, qc, pairs = ll_case(n, 20, 8, seed=1)
+        scores, cache = predict_ll_cached(params, q, qc, pairs)
+        oscores, ocache = predict_ll_concat(params, q, qc, pairs)
+        np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
+        g = np.random.default_rng(2).normal(size=(n, n))
+        assert_grads_close(predict_ll_backward(params, cache, g, len(qc)),
+                           predict_ll_concat_backward(params, ocache, g, len(qc)))
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_lt_across_block_edges(self, monkeypatch, n, t):
+        monkeypatch.setattr(heads, "PAIR_BLOCK", ROWS * t)
+        rng = np.random.default_rng(10 * n + t)
+        params = TopologyHeadParams.init(6, rng)
+        q, qt = rng.normal(size=(n, 6)), rng.normal(size=(t, 6))
+        np.testing.assert_allclose(lt.predict_lt(q, qt, params),
+                                   predict_lt_concat(q, qt, params), **SCORE_TOL)
+
+    def test_cache_holds_no_pair_hidden_layer(self):
+        n, c = 7, 6
+        params, q, qc, pairs = ll_case(n, 3, c, seed=3)
+        _, cache = predict_ll_cached(params, q, qc, pairs)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        # the largest array kept is the (n, n) score matrix itself
+        assert max(a.size for a in arrays(cache)) == n * n
+
+
+class TestMatchedBranchIsTheLoopOracle:
+    """Index arrays resolve and scatter the matched candidates bitwise as
+    the one-candidate-at-a-time loops do."""
+
+    def collide(self, seed):
+        # 60 candidates on 4 lanes: nearly every (i, j) repeats, and rows 0
+        # and 1 of qc are equal, so the candidates (0, i, j) and (1, i, j)
+        # tie exactly; conn order varies, so the lowest index is not
+        # always conn 0
+        rng = np.random.default_rng(seed)
+        c, n = 6, 4
+        params = TopologyHeadParams.init(c, rng)
+        q = rng.normal(size=(n, c))
+        qc = rng.normal(size=(3, c))
+        qc[1] = qc[0]
+        pairs = [MatchPair(conn=int(rng.integers(3)), i=int(rng.integers(n)),
+                           j=int(rng.integers(n))) for _ in range(60)]
+        return params, q, qc, pairs
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_on_collisions_and_exact_ties(self, seed):
+        params, q, qc, pairs = self.collide(seed)
+        scores, cache = predict_ll_cached(params, q, qc, pairs)
+        oscores, ocache = predict_ll_concat(params, q, qc, pairs)
+        win = {(p.i, p.j) for p in pairs}
+        assert len(win) < len(pairs)
+        i, j = np.array(sorted(win)).T
+        assert np.array_equal(scores[i, j], oscores[i, j])
+        # winners: the oracle's dict of (i, j) -> first maximal candidate
+        assert sorted(cache.matched.win.tolist()) == sorted(ocache[6].values())
+        # a gradient on the matched entries only leaves the unmatched
+        # branch at exact zeros, so every gradient is comparable bitwise
+        g = np.zeros_like(scores)
+        g[i, j] = np.random.default_rng(seed).normal(size=len(i))
+        gq, gqc, grads = predict_ll_backward(params, cache, g, len(qc))
+        oq, oqc, ograds = predict_ll_concat_backward(params, ocache, g, len(qc))
+        assert np.array_equal(gq, oq)
+        assert np.array_equal(gqc, oqc)
+        assert list(grads) == list(ograds)
+        for key in grads:
+            assert np.array_equal(grads[key], ograds[key]), key
+
+    def test_tie_goes_to_the_lower_candidate_index(self):
+        params, q, qc, _ = self.collide(0)
+        for first, second in ((0, 1), (1, 0)):
+            pairs = [MatchPair(conn=first, i=2, j=3), MatchPair(conn=second, i=2, j=3)]
+            scores, cache = predict_ll_cached(params, q, qc, pairs)
+            assert cache.matched.win.tolist() == [0]
+            g = np.zeros_like(scores)
+            g[2, 3] = 1.0
+            _, gqc, _ = predict_ll_backward(params, cache, g, len(qc))
+            assert np.any(gqc[first] != 0.0)
+            assert np.all(gqc[second] == 0.0)
+
+
+class TestPairHeadMemory:
+    def test_predict_ll_peak_is_far_below_the_pair_tensor(self):
+        n, c = 400, 32
+        params, q, qc, pairs = ll_case(n, n - 10, c, seed=4)
+        predict_ll_cached(params, q, qc, pairs)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            lt.predict_ll(q, qc, pairs, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair_tensor = n * n * 2 * c * 8
+        # the (n, n) scores and logits plus a few (PAIR_BLOCK, c) blocks
+        assert peak < pair_tensor / 10, (peak, pair_tensor)
+
+
+class TestPredictLlBackwardPastOneBlock:
+    def test_central_differences_on_sampled_entries(self):
+        n, n_conn, c = 48, 12, 6
+        assert n * n > PAIR_BLOCK
+        params, q, qc, pairs = ll_case(n, n_conn, c, seed=21)
+        pairs += pairs[:4]  # some duplicate candidates too
+
+        def loss():
+            s, _ = predict_ll_cached(params, q, qc, pairs)
+            return float(np.sum(s ** 2))
+
+        scores, cache = predict_ll_cached(params, q, qc, pairs)
+        gq, gqc, grads = predict_ll_backward(params, cache, 2.0 * scores, n_conn)
+        checked = {"q": (q, gq), "qc": (qc, gqc)}
+        for key in ("head.ll_score.w0", "head.ll_score.b0", "head.ll_score.w1",
+                    "head.unmatch_i.w0", "head.unmatch_j.b1", "head.match_i.w0"):
+            checked[key] = (params.variables()[key], grads[key])
+        rng = np.random.default_rng(22)
+        eps = 1e-6
+        for name, (arr, g) in checked.items():
+            flat, gflat = arr.reshape(-1), np.asarray(g).reshape(-1)
+            for idx in rng.choice(flat.size, size=min(8, flat.size), replace=False):
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                lp = loss()
+                flat[idx] = orig - eps
+                lm = loss()
+                flat[idx] = orig
+                fd = (lp - lm) / (2.0 * eps)
+                rel = abs(fd - gflat[idx]) / max(1.0, abs(fd), abs(gflat[idx]))
+                assert rel < 1e-5, f"{name}[{idx}]: fd={fd} analytic={gflat[idx]}"
