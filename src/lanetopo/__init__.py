@@ -15,7 +15,6 @@ from .attention import (
     SigmoidMaskParams,
     masked_cross_attention,
     self_attention,
-    sigmoid_mask,
 )
 from .connect import (
     ConnectedLane,
@@ -35,7 +34,7 @@ from .geometry import (
     widen_to_segment,
 )
 from .gradcheck import GradCheckResult, grad_check, run_gradcheck
-from .heads import TopologyHeadParams, match_connected, predict_ll, predict_lt
+from .heads import TopologyHeadParams, match_connected, predict_lt
 from .metrics import (
     LaneSegmentReport,
     MetricReport,
@@ -81,11 +80,9 @@ from .synth import (
 )
 from .training import (
     FitResult,
-    GroupConfig,
     focal_loss,
     focal_loss_grad,
     hungarian,
-    sum_group_losses,
     toy_fit,
 )
 

@@ -9,10 +9,11 @@ Two blocks live here, both pure numpy with analytic backward passes:
   connected-lane queries whose logits are biased by log(S), where S is a
   sigmoid mask derived from the geometric correlation matrix.
 
-The mask path (sigmoid_mask) is an elementwise MLP + sigmoid with a numeric
-floor so the log never sees 0. The MLP runs over blocks of D's entries, so
-its hidden layer is never held for all of them at once. One parameter set
-serves every layer that needs the mask; callers share the instance.
+The mask path (sigmoid_mask_forward) is an elementwise MLP + sigmoid with a
+numeric floor so the log never sees 0. The MLP runs over blocks of D's
+entries, so its hidden layer is never held for all of them at once. One
+parameter set serves every layer that needs the mask; callers share the
+instance.
 """
 
 from __future__ import annotations
@@ -211,11 +212,6 @@ def sigmoid_mask_backward(params: SigmoidMaskParams, cache, gs: np.ndarray):
         gd[rows], grads = mlp_backward(params.mlp, mlp_cache, g_logits[rows])
         mlp_grads = add_mlp_grads(mlp_grads, grads)
     return gd.reshape(d.shape), mlp_grads
-
-
-def sigmoid_mask(d: np.ndarray, params: SigmoidMaskParams) -> np.ndarray:
-    s, _ = sigmoid_mask_forward(params, d)
-    return s
 
 
 @dataclass

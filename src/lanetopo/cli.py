@@ -12,8 +12,9 @@ predict prints one stderr warning per scene whose lanes, connections or
 traffic elements its query budgets cut, and one per run when --score-noise
 or --topo-flip-rate is nonzero (they change nothing, so its manifest omits
 them); the exit code and outputs stay as they are. eval checks
---lane-width like its thresholds, at parse time. Directories are processed
-serially in sorted file order.
+--lane-width like its thresholds, gradcheck its --instances, --eps, --tol
+and --corrupt, and fitdemo its --steps, all at parse time. Directories are
+processed serially in sorted file order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .attention import ModelDims
 from .connect import build_connected_gt
 from .geometry import valid_width
-from .gradcheck import run_gradcheck
+from .gradcheck import OP_NAMES, run_gradcheck
 from .metrics import (
     DET_L_THRESHOLDS,
     DET_T_IOU,
@@ -60,7 +61,7 @@ from .serialize import (
     write_text,
 )
 from .synth import NoiseParams, SynthParams, generate_roundabout, generate_scene
-from .training import GroupConfig, toy_fit
+from .training import toy_fit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -349,16 +350,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_fitdemo(args) -> int:
     t0 = time.perf_counter()
     scene = read_scene(args.scene)
-    result = toy_fit(scene, steps=args.steps, lr=args.lr, seed=args.seed,
-                     group=GroupConfig(k=args.groups))
+    result = toy_fit(scene, steps=args.steps, lr=args.lr, seed=args.seed)
 
     lines = ["step,loss"]
     lines += [f"{k},{loss:.9g}" for k, loss in enumerate(result.losses)]
     write_text(args.out, "\n".join(lines) + "\n")
     write_manifest(args.out, build_manifest(
         "fitdemo",
-        {"steps": args.steps, "lr": args.lr, "groups": args.groups,
-         "max_loss": args.max_loss},
+        {"steps": args.steps, "lr": args.lr, "max_loss": args.max_loss},
         {"seed": args.seed}, [args.scene], [args.out],
         time.perf_counter() - t0))
 
@@ -376,6 +375,18 @@ def cmd_fitdemo(args) -> int:
 
 def _comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _at_least_one(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _positive(v: float) -> float:
+    if not (np.isfinite(v) and v > 0):
+        raise ValueError(f"must be finite and > 0, got {v}")
+    return v
 
 
 def _checked(check, parse=float):
@@ -455,21 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--instances", type=_checked(_at_least_one, int), default=20)
+    p.add_argument("--eps", type=_checked(_positive), default=1e-5)
+    p.add_argument("--tol", type=_checked(_positive), default=1e-4)
     p.add_argument("--out", default="gradcheck_report.json")
-    p.add_argument("--corrupt", default=None, metavar="OP",
-                   help="fault injection: offset OP's analytic gradient")
+    p.add_argument("--corrupt", default=None, choices=OP_NAMES,
+                   help="fault injection: offset this op's analytic gradient")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("fitdemo", help="fit the topology head to one scene")
+    p = sub.add_parser("fitdemo", help="fit the topology stack to one scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True, help="loss-trajectory CSV path")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_checked(_at_least_one, int), default=500)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--groups", type=int, default=1)
     p.add_argument("--max-loss", type=float, default=0.05)
     p.set_defaults(func=cmd_fitdemo)
 

@@ -39,7 +39,12 @@ from .heads import (
     predict_ll_cached,
 )
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, mlp_grad_vars
+from .pipeline import TopologyStack
 from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
+
+# the checked ops, in the order build_standard_ops returns them
+OP_NAMES = ("mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention",
+            "predict_ll_backward", "focal_loss_grad", "topology_stack")
 
 
 @dataclass
@@ -76,6 +81,28 @@ def _relu_margin(*mlp_caches) -> float:
     """Smallest |pre-activation| feeding a ReLU in any of the MLP caches."""
     margins = [np.abs(z).min() for _, preacts in mlp_caches for z in preacts[:-1] if z.size]
     return float(min(margins)) if margins else np.inf
+
+
+def _mask_margin(params: SigmoidMaskParams, cache) -> float:
+    """Kink margin of a sigmoid_mask_forward cache: its MLP's ReLUs and the
+    clip floor, which is a kink too."""
+    d, sg = cache
+    floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
+    _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
+    return min(_relu_margin(mlp_cache), floor)
+
+
+def _ll_margin(cache) -> float:
+    """Kink margin of a predict_ll_cached cache with a matched branch."""
+    m = cache.matched
+    pair_margin = min(float(np.abs(z).min()) for _, z in pair_preacts(cache.za, cache.zb))
+    return min(pair_margin, _relu_margin(cache.cache_u1, cache.cache_u2,
+                                         m.cache_m1, m.cache_m2, m.cache_head))
+
+
+def _ll_variables(variables: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """variables without the lane-traffic head, which the ll scores never read."""
+    return {k: v for k, v in variables.items() if not k.startswith("head.lt_")}
 
 
 @dataclass
@@ -157,15 +184,9 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
             gd, mlp_grads = sigmoid_mask_backward(params, cache, gy)
             return {"d": gd, **mlp_grad_vars("mask", mlp_grads)}
 
-        def kink_margin(cache):
-            _, sg = cache
-            # the clip floor is a kink too; keep the sigmoid away from it
-            floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
-            _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
-            return min(_relu_margin(mlp_cache), floor)
-
         return Op("sigmoid_mask", {"d": d, **params.variables("mask")},
-                  lambda: sigmoid_mask_forward(params, d), backward, kink_margin)
+                  lambda: sigmoid_mask_forward(params, d), backward,
+                  lambda cache: _mask_margin(params, cache))
 
     def mk_self(rng):
         params = SelfAttentionParams.init(dims, rng)
@@ -197,23 +218,15 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         params = TopologyHeadParams.init(c, rng)
         q_hat, qc_hat = rng.normal(size=(3, c)), rng.normal(size=(2, c))
         pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
-        ll_head = {k: v for k, v in params.variables().items()
-                   if not k.startswith("head.lt_")}
 
         def backward(cache, gy):
             gq, gqc, grads = predict_ll_backward(params, cache, gy, len(qc_hat))
             return {"q_hat": gq, "qc_hat": gqc, **grads}
 
-        def kink_margin(cache):
-            m = cache.matched
-            pair_margin = min(float(np.abs(z).min())
-                              for _, z in pair_preacts(cache.za, cache.zb))
-            return min(pair_margin, _relu_margin(cache.cache_u1, cache.cache_u2,
-                                                 m.cache_m1, m.cache_m2, m.cache_head))
-
-        return Op("predict_ll_backward", {"q_hat": q_hat, "qc_hat": qc_hat, **ll_head},
+        return Op("predict_ll_backward",
+                  {"q_hat": q_hat, "qc_hat": qc_hat, **_ll_variables(params.variables())},
                   lambda: predict_ll_cached(params, q_hat, qc_hat, pairs),
-                  backward, kink_margin)
+                  backward, _ll_margin)
 
     def mk_focal(rng):
         pred = rng.uniform(0.05, 0.95, size=(3, 4))
@@ -228,14 +241,30 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
                   lambda cache, gy: {"pred": gy * focal_loss_grad(pred, target)},
                   kink_margin)
 
-    return [
-        _screened(mk_mlp, seed),
-        _screened(mk_mask, seed + 1),
-        _screened(mk_self, seed + 2),
-        _screened(mk_cross, seed + 3),
-        _screened(mk_ll_head, seed + 4),
-        _screened(mk_focal, seed + 5),
-    ]
+    def mk_stack(rng):
+        # the ll scores through the shared mask -> cross-attention -> ll head
+        # forward and backward: three lanes, two connected lanes with
+        # distinct (i, j) pairs, as in mk_ll_head
+        stack = TopologyStack.init(dims, rng)
+        q, qc = rng.normal(size=(3, c)), rng.normal(size=(2, c))
+        d = np.abs(rng.normal(size=(3, 2))) * 2.0
+        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
+
+        def forward_cached():
+            _, ll, cache = stack.forward(q, qc, d, pairs, True)
+            return ll, cache
+
+        def backward(cache, gy):
+            gq, gqc, gd, grads = stack.backward(cache, gy)
+            return {"q": gq, "qc": gqc, "d": gd, **grads}
+
+        return Op("topology_stack",
+                  {"q": q, "qc": qc, "d": d, **_ll_variables(stack.variables())},
+                  forward_cached, backward,
+                  lambda cache: min(_mask_margin(stack.mask, cache.mask), _ll_margin(cache.ll)))
+
+    builders = (mk_mlp, mk_mask, mk_self, mk_cross, mk_ll_head, mk_focal, mk_stack)
+    return [_screened(build, seed + k) for k, build in enumerate(builders)]
 
 
 def run_gradcheck(seed: int = 0, instances: int = 20, eps: float = 1e-5,
@@ -245,6 +274,8 @@ def run_gradcheck(seed: int = 0, instances: int = 20, eps: float = 1e-5,
     corrupt names an op whose analytic gradients get a deliberate offset;
     it exists so the failure path of the harness can be exercised.
     """
+    if corrupt is not None and corrupt not in OP_NAMES:
+        raise ValueError(f"no checked op named {corrupt!r}; ops: {', '.join(OP_NAMES)}")
     results = []
     for k in range(instances):
         for op in build_standard_ops(seed + 10_000 * k):

@@ -95,9 +95,9 @@ class TopologyHeadParams:
 
 # Lane pairs per row block of a pair head's hidden layer: the (pairs, c)
 # temporaries stay at 512 KB at c = 32 whatever the lane count. Measured with
-# c = 32 (169 x 169 / 823 x 823 pairs, 2 vCPU, numpy 2.4.6), predict_ll takes
-# 3.4 / 57 ms at 1024 and 2048 pairs, 3.8 / 59 ms at 4096, 4.1 / 67 ms at
-# 8192, and 5.8 / 170 ms in one block; the concatenated head took 10 / 470 ms.
+# c = 32 (169 x 169 / 823 x 823 pairs, 2 vCPU, numpy 2.4.6), the ll head
+# takes 3.4 / 57 ms at 1024 and 2048 pairs, 3.8 / 59 ms at 4096, 4.1 / 67 ms
+# at 8192, and 5.8 / 170 ms in one block; the concatenated head took 10 / 470 ms.
 PAIR_BLOCK = 2048
 
 
@@ -174,7 +174,7 @@ def _max_per_pair(key: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class MatchedCache(NamedTuple):
-    """The matched branch of predict_ll: row k of pairs is candidate k's
+    """The matched branch of predict_ll_cached: row k of pairs is candidate k's
     (conn, i, j); win lists the candidates that own their (i, j) entry."""
 
     pairs: np.ndarray
@@ -226,12 +226,6 @@ def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
         matched = MatchedCache(idx, win, cache_m1, cache_m2, cache_head)
 
     return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched)
-
-
-def predict_ll(q_hat: np.ndarray, qc_hat: np.ndarray, pairs: list[MatchPair],
-               params: TopologyHeadParams) -> np.ndarray:
-    scores, _ = predict_ll_cached(params, q_hat, qc_hat, pairs)
-    return scores
 
 
 def predict_ll_backward(params: TopologyHeadParams, cache: LlCache,

@@ -1,10 +1,14 @@
 """End-to-end inference pipeline at desk scale.
 
 One decoder iteration: encode geometry into query features, run the shared
-intra-group self-attention over each query group, bias lane-to-connection
-cross-attention with the geometric correlation mask, then score lane-lane
-pairs (argmin-matched pairs through the matched branch) and lane-traffic
-pairs. The mean L1 distances between every lane and both halves of every
+intra-group self-attention over each query group, then run the
+TopologyStack: bias lane-to-connection cross-attention with the geometric
+correlation mask, and score lane-lane pairs (argmin-matched pairs through
+the matched branch) from the refined lane queries. Lane-traffic pairs are
+scored last, from the same queries. The stack has one cached forward and
+one backward; toy_fit trains through the same two calls.
+
+The mean L1 distances between every lane and both halves of every
 connected lane are computed once per run, by one batched kernel: their
 column argmins are the matched pairs, and their elementwise minimum over
 the two halves is the mask input D. Detection and segmentation stages of
@@ -17,22 +21,22 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import attention, heads
 from .attention import (
     CrossAttentionParams,
     ModelDims,
     SelfAttentionParams,
     SigmoidMaskParams,
-    masked_cross_attention,
     self_attention,
-    sigmoid_mask,
 )
 from .connect import ConnectedLane, build_connected_gt, half_distances
 from .features import GeometryEncoder, box_values, lane_values
-from .heads import TopologyHeadParams, match_connected, predict_ll, predict_lt
-from .nn import MlpParams, mlp_forward, sigmoid
+from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
+from .nn import MlpParams, mlp_forward, mlp_grad_vars, sigmoid
 from .scene import (
     FLAWS,
     Polyline3D,
@@ -63,6 +67,71 @@ class PipelineConfig:
             raise ValueError("query budgets must be >= 1")
 
 
+class StackCache(NamedTuple):
+    """What TopologyStack.backward reads; mask and tam are None when the
+    cross-attention was skipped."""
+
+    mask: tuple | None
+    tam: tuple | None
+    ll: LlCache
+    n_conn: int
+
+
+@dataclass
+class TopologyStack:
+    """The layers lanes and their topology share: correlation mask, masked
+    cross-attention (TAM) and topology heads.
+
+    The layer functions are looked up on their home modules at call time,
+    so a wrapper installed there (perfbench's per-layer tracer) sees every
+    call.
+    """
+
+    mask: SigmoidMaskParams
+    tam: CrossAttentionParams
+    heads: TopologyHeadParams
+
+    @classmethod
+    def init(cls, dims: ModelDims, rng: np.random.Generator) -> "TopologyStack":
+        return cls(mask=SigmoidMaskParams.init(dims.c, rng),
+                   tam=CrossAttentionParams.init(dims, rng),
+                   heads=TopologyHeadParams.init(dims.c, rng))
+
+    def variables(self) -> dict[str, np.ndarray]:
+        return {**self.heads.variables(), **self.tam.variables("tam"),
+                **self.mask.variables("mask")}
+
+    def forward(self, q: np.ndarray, qc: np.ndarray, d: np.ndarray,
+                pairs: list[MatchPair], use_tam: bool):
+        """(q_hat, ll, cache): lane queries refined by the masked
+        cross-attention over the connected queries qc, with S = mask(d), and
+        the lane-lane scores of q_hat.
+
+        Without use_tam (the ablation) or without connected lanes, lane
+        queries skip the cross-attention and pass through unchanged.
+        """
+        mask_cache = tam_cache = None
+        q_hat = q
+        if use_tam and len(qc):
+            s, mask_cache = attention.sigmoid_mask_forward(self.mask, d)
+            q_hat, tam_cache = attention.masked_cross_attention_forward(self.tam, q, qc, s)
+        ll, ll_cache = heads.predict_ll_cached(self.heads, q_hat, qc, pairs)
+        return q_hat, ll, StackCache(mask_cache, tam_cache, ll_cache, len(qc))
+
+    def backward(self, cache: StackCache, g_ll: np.ndarray):
+        """(gq, gqc, gd, grads keyed like variables()) for the gradient g_ll
+        of the lane-lane scores; gqc sums the TAM's and the ll head's parts."""
+        gq, gqc, grads = heads.predict_ll_backward(self.heads, cache.ll, g_ll, cache.n_conn)
+        if cache.tam is None:
+            return gq, gqc, np.zeros((len(gq), cache.n_conn)), grads
+        gq, gqc_tam, gs, tam_grads = attention.masked_cross_attention_backward(
+            self.tam, cache.tam, gq)
+        gd, mask_grads = attention.sigmoid_mask_backward(self.mask, cache.mask, gs)
+        grads.update((f"tam.{k}", v) for k, v in tam_grads.items())
+        grads.update(mlp_grad_vars("mask", mask_grads))
+        return gq, gqc_tam + gqc, gd, grads
+
+
 @dataclass
 class PipelineParams:
     enc_lane: GeometryEncoder
@@ -72,9 +141,7 @@ class PipelineParams:
     p_conn: np.ndarray
     p_traffic: np.ndarray
     attn: SelfAttentionParams
-    mask: SigmoidMaskParams
-    tam: CrossAttentionParams
-    heads: TopologyHeadParams
+    stack: TopologyStack
     conf_lane: MlpParams
     conf_traffic: MlpParams
 
@@ -91,9 +158,7 @@ def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
         p_conn=rng.normal(0.0, 0.5, size=(cfg.n_lane_queries, c)),
         p_traffic=rng.normal(0.0, 0.5, size=(cfg.n_traffic_queries, c)),
         attn=SelfAttentionParams.init(cfg.dims, rng),
-        mask=SigmoidMaskParams.init(c, rng),
-        tam=CrossAttentionParams.init(cfg.dims, rng),
-        heads=TopologyHeadParams.init(c, rng),
+        stack=TopologyStack.init(cfg.dims, rng),
         conf_lane=MlpParams.init((c, c, 1), rng),
         conf_traffic=MlpParams.init((c, c, 1), rng),
     )
@@ -159,20 +224,13 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     else:
         qc_hat = np.zeros((0, cfg.dims.c))
 
-    if conn and cfg.use_tam:
-        s = sigmoid_mask(np.minimum(d_front, d_back), params.mask)
-        q_hat = masked_cross_attention(q_bar, qc_hat, s, params.tam)
-    else:
-        # ablation (or no connections): lane queries skip the masked
-        # cross-attention and pass through unchanged
-        q_hat = q_bar
+    q_hat, ll, _ = params.stack.forward(q_bar, qc_hat, np.minimum(d_front, d_back),
+                                        pairs, cfg.use_tam)
+    np.fill_diagonal(ll, 0.0)
 
     # a full system would refine queries with BEV deformable attention and a
     # traffic-element GCN at this point; both stages are pass-throughs here
     lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
-
-    ll = predict_ll(q_hat, qc_hat, pairs, params.heads)
-    np.fill_diagonal(ll, 0.0)
 
     if traffic:
         qt = params.enc_traffic.encode(box_values(traffic))
@@ -181,7 +239,7 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
         out_traffic = [TrafficElement(bbox=el.bbox, category=el.category,
                                       score=float(t_scores[k]))
                        for k, el in enumerate(traffic)]
-        lt = predict_lt(q_hat, qt_bar, params.heads)
+        lt = predict_lt(q_hat, qt_bar, params.stack.heads)
     else:
         out_traffic = []
         lt = np.zeros((n, 0))

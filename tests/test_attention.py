@@ -161,19 +161,19 @@ class TestSigmoid:
 class TestSigmoidMask:
     def test_zero_distance_through_identity_mlp(self):
         params = affine_mask_params(1.0, 0.0)
-        s = lt.sigmoid_mask(np.zeros((2, 3)), params)
+        s = sigmoid_mask_forward(params, np.zeros((2, 3)))[0]
         assert np.array_equal(s, np.full((2, 3), 0.5))
 
     def test_saturated_negative_logit_clamps_at_floor(self):
         params = affine_mask_params(0.0, -30.0)
-        s = lt.sigmoid_mask(np.array([[1.0, 7.0]]), params)
+        s = sigmoid_mask_forward(params, np.array([[1.0, 7.0]]))[0]
         assert np.array_equal(s, np.full((1, 2), MASK_EPS))
 
     def test_values_stay_in_clamp_range(self):
         rng = np.random.default_rng(7)
         params = SigmoidMaskParams.init(8, rng)
         d = np.abs(rng.normal(0.0, 20.0, size=(5, 6)))
-        s = lt.sigmoid_mask(d, params)
+        s = sigmoid_mask_forward(params, d)[0]
         assert np.all(s >= MASK_EPS)
         assert np.all(s <= 1.0)
 
@@ -181,11 +181,11 @@ class TestSigmoidMask:
         rng = np.random.default_rng(8)
         params = SigmoidMaskParams.init(8, rng)
         d = rng.uniform(0.0, 10.0, size=(3, 4))
-        s = lt.sigmoid_mask(d, params)
+        s = sigmoid_mask_forward(params, d)[0]
         for i in range(3):
             for j in range(4):
                 # batched and single-row matmuls may differ in the last ulp
-                single = lt.sigmoid_mask(np.array([[d[i, j]]]), params)
+                single = sigmoid_mask_forward(params, np.array([[d[i, j]]]))[0]
                 assert s[i, j] == pytest.approx(single[0, 0], rel=1e-14, abs=0.0)
 
     def test_matches_direct_composition(self):
@@ -194,7 +194,7 @@ class TestSigmoidMask:
         d = rng.uniform(0.0, 5.0, size=(4, 4))
         logits = mlp_forward(params.mlp, d.reshape(-1, 1)).reshape(4, 4)
         expected = np.clip(nn.sigmoid(logits), MASK_EPS, 1.0)
-        assert np.array_equal(lt.sigmoid_mask(d, params), expected)
+        assert np.array_equal(sigmoid_mask_forward(params, d)[0], expected)
 
 
 class TestBlockedSigmoidMask:
@@ -214,7 +214,7 @@ class TestBlockedSigmoidMask:
         params, d, _ = self.case(size, widths)
         logits = mlp_forward(params.mlp, d.reshape(-1, 1)).reshape(d.shape)
         expected = np.clip(nn.sigmoid(logits), MASK_EPS, 1.0)
-        assert np.array_equal(lt.sigmoid_mask(d, params), expected)
+        assert np.array_equal(sigmoid_mask_forward(params, d)[0], expected)
 
     @pytest.mark.parametrize("widths", [(1, 1), (1, 8, 1)])
     @pytest.mark.parametrize("size", SIZES)
@@ -337,8 +337,8 @@ class TestMaskedCrossAttention:
         params = CrossAttentionParams.init(lt.ModelDims(c=c, n_heads=2), rng)
         q = rng.normal(size=(n, c))
         qc = rng.normal(size=(m, c))
-        s = lt.sigmoid_mask(np.abs(rng.normal(size=(n, m))),
-                            SigmoidMaskParams.init(c, rng))
+        d = np.abs(rng.normal(size=(n, m)))
+        s = sigmoid_mask_forward(SigmoidMaskParams.init(c, rng), d)[0]
         return params, q, qc, s
 
     def test_matches_dense_oracle(self):

@@ -429,7 +429,8 @@ class TestGradcheckCommand:
         assert doc["max_rel_error"] < 1e-4
         assert {e["op"] for e in doc["ops"]} == {
             "mlp_forward", "sigmoid_mask", "self_attention",
-            "masked_cross_attention", "predict_ll_backward", "focal_loss_grad"}
+            "masked_cross_attention", "predict_ll_backward", "focal_loss_grad",
+            "topology_stack"}
         assert "pass" in capsys.readouterr().out
 
     def test_corrupted_gradient_fails(self, tmp_path, capsys):
@@ -449,6 +450,30 @@ class TestGradcheckCommand:
         assert doc["pass"] is False
         assert [e["op"] for e in doc["ops"] if e["max_rel_error"] > 1e-3] \
             == ["predict_ll_backward"]
+
+    def gradcheck_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run("gradcheck", "--out", out, f"{flag}={value}")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
+    def test_unusable_eps_exits_2(self, tmp_path, capsys, value):
+        self.gradcheck_exits_2(tmp_path, capsys, "--eps", value)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_unusable_tol_exits_2(self, tmp_path, capsys, value):
+        self.gradcheck_exits_2(tmp_path, capsys, "--tol", value)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_unusable_instances_exits_2(self, tmp_path, capsys, value):
+        self.gradcheck_exits_2(tmp_path, capsys, "--instances", value)
+
+    @pytest.mark.parametrize("value", ["typo", "sigmoid_mask_forward", ""])
+    def test_corrupting_an_unchecked_op_exits_2(self, tmp_path, capsys, value):
+        self.gradcheck_exits_2(tmp_path, capsys, "--corrupt", value)
 
 
 class TestFitdemo:
@@ -475,6 +500,16 @@ class TestFitdemo:
                  "--steps", 5, "--max-loss", 1e-9)
         assert rc == 1
         assert "did not reach" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_fewer_than_one_step_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "l.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("fitdemo", "--scene", self.scene_path(tmp_path), "--out", out,
+                f"--steps={value}")
+        assert exc.value.code == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInputErrors:

@@ -5,11 +5,18 @@ import pytest
 
 import lanetopo as lt
 from lanetopo.attention import SigmoidMaskParams, sigmoid_mask_backward, sigmoid_mask_forward
-from lanetopo.gradcheck import KINK_MARGIN, Op, build_standard_ops, grad_check, run_gradcheck
+from lanetopo.gradcheck import (
+    KINK_MARGIN,
+    OP_NAMES as BUILT_OP_NAMES,
+    Op,
+    build_standard_ops,
+    grad_check,
+    run_gradcheck,
+)
 from lanetopo.nn import MlpParams, mlp_backward, mlp_forward_cached
 
 OP_NAMES = {"mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention",
-            "predict_ll_backward", "focal_loss_grad"}
+            "predict_ll_backward", "focal_loss_grad", "topology_stack"}
 
 
 class NullOp:
@@ -31,7 +38,7 @@ class NullOp:
 class TestHarness:
     def test_all_ops_pass_on_a_small_run(self):
         results = run_gradcheck(seed=0, instances=3)
-        assert len(results) == 18
+        assert len(results) == 21
         assert {r.op for r in results} == OP_NAMES
         for r in results:
             assert not r.skipped
@@ -55,6 +62,14 @@ class TestHarness:
         results = run_gradcheck(seed=0, instances=1, corrupt=name)
         assert [r.max_rel_error > 1e-3 for r in results] == \
             [r.op == name for r in results]
+
+    def test_ops_are_built_in_the_order_of_their_names(self):
+        assert set(BUILT_OP_NAMES) == OP_NAMES
+        assert [op.name for op in build_standard_ops(seed=0)] == list(BUILT_OP_NAMES)
+
+    def test_corrupting_an_unknown_op_raises(self):
+        with pytest.raises(ValueError, match="typo"):
+            run_gradcheck(seed=0, instances=1, corrupt="typo")
 
     def test_zero_entry_op_is_skipped_with_note(self):
         r = grad_check(NullOp())
@@ -87,6 +102,12 @@ class TestOpAdapter:
         heads = {n.split(".")[1] for n in names if n.startswith("head.")}
         assert heads == {"match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
         assert names - {n for n in names if n.startswith("head.")} == {"q_hat", "qc_hat"}
+
+    def test_stack_op_checks_its_inputs_and_every_ll_score_layer(self):
+        names = set(self.ops()["topology_stack"].variables())
+        assert {n.split(".")[0] for n in names} == {"q", "qc", "d", "head", "tam", "mask"}
+        heads = {n.split(".")[1] for n in names if n.startswith("head.")}
+        assert heads == {"match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
 
     def test_focal_op_predictions_clear_the_clamp(self):
         pred = self.ops()["focal_loss_grad"].variables()["pred"]

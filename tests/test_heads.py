@@ -143,7 +143,7 @@ class TestPredictLl:
         q = rng.normal(size=(n, c))
         qc = rng.normal(size=(2, c))
         pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=2, j=3)]
-        scores = lt.predict_ll(q, qc, pairs, zero_head(c))
+        scores = predict_ll_cached(zero_head(c), q, qc, pairs)[0]
         assert np.array_equal(scores, np.full((n, n), 0.5))
 
     def test_unmatched_branch_composition(self):
@@ -151,7 +151,7 @@ class TestPredictLl:
         rng = np.random.default_rng(1)
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(n, c))
-        scores = lt.predict_ll(q, np.zeros((0, c)), [], params)
+        scores = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
         u1 = mlp_forward(params.unmatch_i, q)
         u2 = mlp_forward(params.unmatch_j, q)
         for i in range(n):
@@ -167,7 +167,7 @@ class TestPredictLl:
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(1, c))
         pair = MatchPair(conn=0, i=0, j=2)
-        scores = lt.predict_ll(q, qc, [pair], params)
+        scores = predict_ll_cached(params, q, qc, [pair])[0]
         m1 = mlp_forward(params.match_i, (qc[0] + q[0])[None, :])
         m2 = mlp_forward(params.match_j, (qc[0] + q[2])[None, :])
         logit = mlp_forward(params.ll_score, np.concatenate([m1, m2], axis=1))[0, 0]
@@ -179,8 +179,8 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(1, c))
-        base = lt.predict_ll(q, np.zeros((0, c)), [], params)
-        with_pair = lt.predict_ll(q, qc, [MatchPair(conn=0, i=0, j=2)], params)
+        base = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
+        with_pair = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=0, j=2)])[0]
         assert with_pair[0, 2] != base[0, 2]
         mask = np.ones((3, 3), dtype=bool)
         mask[0, 2] = False
@@ -192,10 +192,10 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(2, c))
-        solo0 = lt.predict_ll(q, qc, [MatchPair(conn=0, i=1, j=2)], params)[1, 2]
-        solo1 = lt.predict_ll(q, qc, [MatchPair(conn=1, i=1, j=2)], params)[1, 2]
-        both = lt.predict_ll(q, qc, [MatchPair(conn=0, i=1, j=2),
-                                     MatchPair(conn=1, i=1, j=2)], params)[1, 2]
+        solo0 = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=1, j=2)])[0][1, 2]
+        solo1 = predict_ll_cached(params, q, qc, [MatchPair(conn=1, i=1, j=2)])[0][1, 2]
+        both = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=1, j=2),
+                                                 MatchPair(conn=1, i=1, j=2)])[0][1, 2]
         assert both == max(solo0, solo1)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -205,7 +205,7 @@ class TestPredictLl:
         q = rng.normal(size=(5, c))
         qc = rng.normal(size=(2, c))
         pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=3, j=4)]
-        scores = lt.predict_ll(q, qc, pairs, params)
+        scores = predict_ll_cached(params, q, qc, pairs)[0]
         assert np.all(scores > 0.0)
         assert np.all(scores < 1.0)
 
@@ -215,7 +215,7 @@ class TestPredictLl:
         rng = np.random.default_rng(6)
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(2, c))
-        scores = lt.predict_ll(q, np.zeros((0, c)), [], params)
+        scores = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
         assert scores[0, 0] != 0.0
 
 
@@ -431,7 +431,7 @@ class TestPairHeadMemory:
         predict_ll_cached(params, q, qc, pairs)  # warm caches and imports
         tracemalloc.start()
         try:
-            lt.predict_ll(q, qc, pairs, params)
+            predict_ll_cached(params, q, qc, pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
-"""End-to-end pipeline: shapes, score contracts, ablation, determinism."""
+"""End-to-end pipeline: shapes, score contracts, ablation, determinism, and the
+shared topology stack."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,17 @@ import pytest
 import lanetopo as lt
 from lanetopo import pipeline
 from lanetopo.connect import half_distances
+from lanetopo.attention import (
+    CrossAttentionParams,
+    SigmoidMaskParams,
+    masked_cross_attention_backward,
+    masked_cross_attention_forward,
+    sigmoid_mask_backward,
+    sigmoid_mask_forward,
+)
 from lanetopo.features import lane_values
-from lanetopo.pipeline import init_pipeline_params
+from lanetopo.heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
+from lanetopo.pipeline import TopologyStack, init_pipeline_params
 from conftest import chain_scene
 
 
@@ -32,7 +42,7 @@ class TestConfig:
         a = init_pipeline_params(cfg, 11)
         b = init_pipeline_params(cfg, 11)
         assert np.array_equal(a.attn.wq, b.attn.wq)
-        assert np.array_equal(a.heads.ll_score.weights[0], b.heads.ll_score.weights[0])
+        assert np.array_equal(a.stack.heads.ll_score.weights[0], b.stack.heads.ll_score.weights[0])
         c = init_pipeline_params(lt.PipelineConfig(dims=cfg.dims, param_seed=1,
                                                    n_lane_queries=32,
                                                    n_traffic_queries=16), 11)
@@ -78,7 +88,7 @@ class TestGtSource:
         params = init_pipeline_params(cfg, bare.n_points)
         q = params.enc_lane.encode(lane_values(bare.lanes))
         q_bar = lt.self_attention(q, params.p_lane[:2], params.attn)
-        expected = lt.predict_ll(q_bar, np.zeros((0, cfg.dims.c)), [], params.heads)
+        expected, _ = predict_ll_cached(params.stack.heads, q_bar, np.zeros((0, cfg.dims.c)), [])
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(pred.topo.ll, expected)
 
@@ -185,3 +195,63 @@ class TestPerturbedSource:
                         noise_seed=1)
         pred = lt.run_pipeline(grid_scene, cfg)
         assert lt.validate_prediction(pred, grid_scene.n_points) == []
+
+
+class TestTopologyStack:
+    """The one mask -> cross-attention -> ll head chain of predict and fit."""
+
+    @staticmethod
+    def case(seed=0, n=4, m=3, c=8):
+        rng = np.random.default_rng(seed)
+        stack = TopologyStack.init(lt.ModelDims(c=c, n_heads=2), rng)
+        q, qc = rng.normal(size=(n, c)), rng.normal(size=(m, c))
+        d = np.abs(rng.normal(size=(n, m))) * 2.0
+        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=2, i=1, j=3)]
+        return stack, q, qc, d, pairs
+
+    def test_init_draws_mask_then_tam_then_heads(self):
+        dims = lt.ModelDims(c=8, n_heads=2)
+        stack = TopologyStack.init(dims, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        parts = (SigmoidMaskParams.init(8, rng).variables("mask"),
+                 CrossAttentionParams.init(dims, rng).variables("tam"),
+                 TopologyHeadParams.init(8, rng).variables())
+        want = {k: v for part in parts for k, v in part.items()}
+        got = stack.variables()
+        assert sorted(got) == sorted(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_forward_is_bitwise_the_layer_chain(self):
+        stack, q, qc, d, pairs = self.case()
+        q_hat, ll, _ = stack.forward(q, qc, d, pairs, True)
+        s, _ = sigmoid_mask_forward(stack.mask, d)
+        want_q, _ = masked_cross_attention_forward(stack.tam, q, qc, s)
+        want_ll, _ = predict_ll_cached(stack.heads, want_q, qc, pairs)
+        assert np.array_equal(q_hat, want_q)
+        assert np.array_equal(ll, want_ll)
+
+    @pytest.mark.parametrize("use_tam, m", [(False, 3), (True, 0)])
+    def test_skipped_cross_attention_passes_queries_through(self, use_tam, m):
+        stack, q, qc, d, pairs = self.case()
+        qc, d, pairs = qc[:m], d[:, :m], pairs[:1] if m else []
+        q_hat, ll, cache = stack.forward(q, qc, d, pairs, use_tam)
+        assert q_hat is q
+        assert np.array_equal(ll, predict_ll_cached(stack.heads, q, qc, pairs)[0])
+        gq, gqc, gd, grads = stack.backward(cache, np.ones_like(ll))
+        assert gq.shape == q.shape and gqc.shape == qc.shape
+        assert np.array_equal(gd, np.zeros(d.shape))
+        assert not any(k.startswith(("tam.", "mask.")) for k in grads)
+
+    def test_backward_sums_both_connected_query_paths(self):
+        stack, q, qc, d, pairs = self.case(seed=1)
+        _, ll, cache = stack.forward(q, qc, d, pairs, True)
+        g_ll = np.random.default_rng(2).normal(size=ll.shape)
+        gq, gqc, gd, grads = stack.backward(cache, g_ll)
+        gq_hat, gqc_head, _ = predict_ll_backward(stack.heads, cache.ll, g_ll, len(qc))
+        want_gq, gqc_tam, gs, _ = masked_cross_attention_backward(stack.tam, cache.tam, gq_hat)
+        want_gd, _ = sigmoid_mask_backward(stack.mask, cache.mask, gs)
+        assert np.array_equal(gq, want_gq)
+        assert np.array_equal(gqc, gqc_tam + gqc_head)
+        assert np.array_equal(gd, want_gd)
+        names = set(stack.variables())
+        assert set(grads) == {k for k in names if not k.startswith("head.lt_")}

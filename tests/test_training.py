@@ -1,4 +1,4 @@
-"""Losses, assignment, group strategy, and the single-scene fit demo."""
+"""Losses, assignment, and the single-scene fit demo."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.pipeline import TopologyStack
 from lanetopo.training import FOCAL_CLAMP
 from conftest import chain_scene, straight_lane
 from oracles import brute_force_assignment
@@ -131,39 +132,21 @@ class TestHungarian:
             assert optimal <= alt + 1e-12
 
 
-class TestGroupStrategy:
-    def test_identical_groups_sum_exactly(self):
-        x = 0.12345678901234567
-        assert lt.sum_group_losses([x] * 6) == 6.0 * x
-
-    def test_fsum_avoids_accumulation_error(self):
-        vals = [0.1] * 10
-        assert lt.sum_group_losses(vals) == 1.0
-        assert sum(vals) != 1.0  # the naive sum drifts; the point of fsum
-
-    def test_empty_sum_is_zero(self):
-        assert lt.sum_group_losses([]) == 0.0
-
-    def test_group_config_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            lt.GroupConfig(k=0)
-        with pytest.raises(ValueError, match="seeds"):
-            lt.GroupConfig(k=3, seeds=(1, 2))
-        assert lt.GroupConfig().k == 6
-
-
 class TestToyFit:
     def test_zero_learning_rate_freezes_the_loss(self):
         result = lt.toy_fit(chain_scene(), steps=5, lr=0.0, seed=0)
         assert len(result.losses) == 5
         assert all(v == result.losses[0] for v in result.losses)
+        # the stack is drawn first from the fit seed and left as drawn
+        fresh = TopologyStack.init(lt.ModelDims(c=16, n_heads=4), np.random.default_rng(0))
+        got, want = result.stack.variables(), fresh.variables()
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
 
-    def test_replicated_groups_scale_the_frozen_loss_exactly(self):
-        scene = chain_scene()
-        single = lt.toy_fit(scene, steps=3, lr=0.0, seed=0)
-        triple = lt.toy_fit(scene, steps=3, lr=0.0, seed=0, group=lt.GroupConfig(k=3))
-        for a, b in zip(single.losses, triple.losses):
-            assert b == 3.0 * a
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_fewer_than_one_step_raises(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            lt.toy_fit(chain_scene(), steps=steps)
 
     def test_loss_decreases_on_a_chain(self):
         result = lt.toy_fit(chain_scene(), steps=60, lr=0.05, seed=0)
