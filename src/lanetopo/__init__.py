@@ -16,23 +16,8 @@ from .attention import (
     masked_cross_attention,
     self_attention,
 )
-from .connect import (
-    ConnectedLane,
-    build_connected_gt,
-    half_distances,
-    merge_at_junction,
-    split_halves_array,
-)
-from .geometry import (
-    arc_length,
-    avg_l1,
-    box_iou,
-    chamfer,
-    discrete_frechet,
-    lane_segment_distance,
-    resample_array,
-    widen_to_segment,
-)
+from .connect import ConnectedLane, build_connected_gt, half_distances
+from .geometry import avg_l1, box_iou, chamfer, discrete_frechet
 from .gradcheck import GradCheckResult, grad_check, run_gradcheck
 from .heads import TopologyHeadParams, match_connected, predict_lt
 from .metrics import (
@@ -40,24 +25,19 @@ from .metrics import (
     MetricReport,
     average_precision,
     det_l,
-    det_t,
     evaluate,
     greedy_match,
-    lane_segment_metrics,
     ols,
     rank_by_score,
-    top_score,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .scene import (
     JUNCTION_TOL,
-    LaneSegment,
     Polyline3D,
     Prediction,
     Scene,
     TopologyGraph,
     TrafficElement,
-    junction_point,
     validate_prediction,
     validate_scene,
 )

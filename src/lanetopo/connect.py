@@ -30,19 +30,11 @@ class ConnectedLane:
     curve: Polyline3D
 
 
-def merge_at_junction(a: Polyline3D, b: Polyline3D) -> np.ndarray:
-    """Concatenate a and b sharing the junction point once.
-
-    The junction coordinate is a's terminal point; b's initial point is
-    dropped. For two N_P-point lanes the result has 2*N_P - 1 points.
-    """
-    return np.concatenate([a.points, b.points[1:]], axis=0)
-
-
 def _merged_stacks(lanes: list[Polyline3D], rows: np.ndarray, cols: np.ndarray):
     """(edge positions, merged stack) for each pair of point counts among the
-    edges from lanes[rows[e]] to lanes[cols[e]]: each row is
-    merge_at_junction of the edge's two lanes."""
+    edges from lanes[rows[e]] to lanes[cols[e]]: each row is the edge's
+    predecessor followed by its successor without the successor's first
+    point, so the junction is counted once."""
     stacks = list(stacks_by_count(lanes))
     group = np.empty(len(lanes), dtype=int)
     pos = np.empty(len(lanes), dtype=int)
@@ -97,18 +89,6 @@ def _halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     floor(N_P / 2) and resampled to n points; the midpoint is in both."""
     mid = C.shape[1] // 2
     return resample_stack(C[:, : mid + 1], n), resample_stack(C[:, mid:], n)
-
-
-def split_halves_array(curve: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Front and back halves of a connected-lane curve, each resampled to n
-    points (default: the curve's own count); the one-curve call of the
-    split half_distances makes.
-
-    The split index is floor(N_P / 2); the midpoint is shared by both halves.
-    """
-    curve = np.asarray(curve, dtype=np.float64)
-    h1, h2 = _halves(curve[None], curve.shape[0] if n is None else n)
-    return h1[0], h2[0]
 
 
 def half_distances(lanes: list[Polyline3D],

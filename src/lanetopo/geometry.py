@@ -10,24 +10,13 @@ import math
 
 import numpy as np
 
-from .scene import FLAWS, LaneSegment, Polyline3D, polyline_flaws
+from .scene import FLAWS, Polyline3D, polyline_flaws
 
 
 def _as_points(poly) -> np.ndarray:
     if isinstance(poly, Polyline3D):
         return poly.points
     return np.asarray(poly, dtype=np.float64)
-
-
-def cumulative_lengths(pts: np.ndarray) -> np.ndarray:
-    """Cumulative chord lengths, starting at 0."""
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def arc_length(poly) -> float:
-    """Total chord length of the polyline."""
-    return float(cumulative_lengths(_as_points(poly))[-1])
 
 
 ZERO_LENGTH = "cannot resample a zero-length polyline"
@@ -88,12 +77,6 @@ def resample_stack(P, m: int) -> np.ndarray:
     if zero.any():
         raise ValueError(ZERO_LENGTH)
     return out
-
-
-def resample_array(pts: np.ndarray, n: int) -> np.ndarray:
-    """Resample a point array to n points uniform in arc length (the one-row
-    call of resample_stack)."""
-    return resample_stack(np.asarray(pts, dtype=np.float64)[None], n)[0]
 
 
 # Pairs per batched kernel call: bounds the (pairs, n, m, 3) temporaries at a
@@ -270,35 +253,17 @@ def frechet_matrix(a: list, b: list, cut: float) -> np.ndarray:
     return _pair_matrix(frechet_pairs, a, b, endpoint_bound(a, b) < cut)
 
 
-def segment_boundaries(seg: LaneSegment) -> np.ndarray:
-    """The segment's left then right boundary points, (2n, 3)."""
-    return np.concatenate([seg.left.points, seg.right.points])
-
-
-def lane_segment_distance(a: LaneSegment, b: LaneSegment) -> float:
-    """Mean of the boundary Chamfer distance and the centerline Frechet distance.
-
-    The boundary term concatenates left and right boundary points on each
-    side before the Chamfer computation.
-    """
-    d_lr = chamfer(segment_boundaries(a), segment_boundaries(b))
-    d_c = discrete_frechet(a.centerline.points, b.centerline.points)
-    return 0.5 * (d_lr + d_c)
-
-
-def segment_matrix(a, cat_a, b, cat_b, centerline: np.ndarray, cut: float) -> np.ndarray:
-    """(len(a), len(b)) lane_segment_distance, exact below cut; inf for pairs
-    of different categories.
+def segment_matrix(a, b, centerline: np.ndarray, cut: float) -> np.ndarray:
+    """(len(a), len(b)) lane-segment distances, exact below cut: the mean of
+    the boundary Chamfer distance and the centerline Frechet distance.
 
     a and b hold each segment's boundary points, left then right, (2n, 3)
     per segment: a (k, 2n, 3) stack, or a list when point counts differ.
-    cat_a and cat_b are the segments' categories. centerline is the
-    segments' centerline frechet_matrix, exact below 2 * cut. The distance
-    is at least half the centerline term, so the Chamfer term is only
-    computed for pairs under that.
+    centerline is the segments' centerline frechet_matrix, exact below
+    2 * cut. The distance is at least half the centerline term, so the
+    Chamfer term is only computed for pairs under that.
     """
-    same = np.array(cat_a, dtype=str).reshape(-1, 1) == np.array(cat_b, dtype=str).reshape(1, -1)
-    d_lr = _pair_matrix(chamfer_pairs, a, b, same & (centerline < 2.0 * cut))
+    d_lr = _pair_matrix(chamfer_pairs, a, b, centerline < 2.0 * cut)
     return 0.5 * (d_lr + centerline)
 
 
@@ -343,15 +308,6 @@ def lane_boundaries(lanes: list, width: float) -> list[np.ndarray]:
         for k, bounds in zip(idx, np.concatenate(widen(P, width), axis=1)):
             out[k] = bounds
     return out
-
-
-def widen_to_segment(poly, width: float, category: str = "lane") -> LaneSegment:
-    """Lane segment with boundaries offset width/2 to each side of the
-    centerline (the one-lane call of widen)."""
-    pts = _as_points(poly)
-    left, right = widen(pts[None], width)
-    return LaneSegment(centerline=Polyline3D(pts), left=Polyline3D(left[0]),
-                       right=Polyline3D(right[0]), category=category)
 
 
 def _box_area(box: np.ndarray) -> float:

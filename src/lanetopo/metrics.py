@@ -41,15 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    box_iou,
-    frechet_matrix,
-    lane_boundaries,
-    segment_boundaries,
-    segment_matrix,
-    valid_width,
-)
-from .scene import LaneSegment, Prediction, Scene
+from .geometry import box_iou, frechet_matrix, lane_boundaries, segment_matrix, valid_width
+from .scene import Prediction, Scene, prediction_shape_errors
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
 DET_T_IOU = 0.75
@@ -57,15 +50,18 @@ TOP_FRECHET = 1.5
 TOP_IOU = 0.75
 LS_THRESHOLDS = (1.0, 2.0, 3.0)
 LS_TOP_THRESHOLD = 1.5
-LS_CATEGORIES = ("lane", "pedestrian_crossing")
 
 
 @dataclass(frozen=True)
 class LaneSegmentReport:
+    """The lane-segment block of evaluate. Every segment it builds is a
+    "lane", so ap_ped, the pedestrian-crossing AP of the report formats, is
+    always None."""
+
     map: float
     ap_lane: float | None
     ap_ped: float | None
-    top_lsls: float | None
+    top_lsls: float
 
 
 @dataclass(frozen=True)
@@ -180,28 +176,12 @@ def _det_t(pred: Prediction, scene: Scene, match) -> float:
         for cat in cats]))
 
 
-def _top(pred: Prediction, scene: Scene, kind: str, lane_match, traffic_match) -> float:
-    if kind not in ("ll", "lt"):
-        raise ValueError(f"kind must be 'll' or 'lt', got {kind!r}")
-    lane_to_gt = lane_match[1]
-    if kind == "ll":
-        return _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt)
-    return _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic_match[1])
-
-
 def det_l(pred: Prediction, scene: Scene,
           thresholds=DET_L_THRESHOLDS) -> float:
     """Lane detection score: AP over Frechet thresholds, averaged."""
     thresholds = valid_distances(thresholds)
     _, lanes = _lane_matches(pred, scene, thresholds, max(thresholds))
     return _det_l(pred, scene, lanes, thresholds)
-
-
-def det_t(pred: Prediction, scene: Scene, iou_threshold: float = DET_T_IOU) -> float:
-    """Traffic detection score: per-category AP at the IoU threshold, averaged
-    over the categories present in the ground truth."""
-    iou_threshold = valid_iou(iou_threshold)
-    return _det_t(pred, scene, _traffic_matches(pred, scene, (iou_threshold,))[iou_threshold])
 
 
 def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray,
@@ -254,21 +234,6 @@ def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
     return float(np.mean(aps))
 
 
-def top_score(pred: Prediction, scene: Scene, kind: str,
-              frechet_threshold: float = TOP_FRECHET,
-              iou_threshold: float = TOP_IOU) -> float:
-    """Topology score over ground-truth vertices with outgoing edges.
-
-    Lanes are matched by Frechet distance, traffic elements by IoU. Each
-    qualifying vertex contributes the AP of its ranked predicted edges; the
-    score is the mean over vertices.
-    """
-    (frechet,), iou = valid_distances((frechet_threshold,)), valid_iou(iou_threshold)
-    _, lanes = _lane_matches(pred, scene, (frechet,), frechet)
-    return _top(pred, scene, kind, lanes[frechet],
-                _traffic_matches(pred, scene, (iou,))[iou])
-
-
 def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
         top_lt_score: float) -> float:
     """Overall score: mean of the detection scores and the square roots of
@@ -277,58 +242,21 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
                    + np.sqrt(top_ll_score) + np.sqrt(top_lt_score))
 
 
-def _lane_segment_report(preds, pred_cats, scores, gts, gt_cats, centerline,
-                         pred_topo, gt_topo, thresholds, top_threshold) -> LaneSegmentReport:
-    """The lane-segment block from each segment's boundary points and category
-    (see segment_matrix) and the centerline frechet_matrix."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != len(preds):
-        raise ValueError(f"{len(preds)} segments but {scores.shape[0]} scores")
-    pred_cats, gt_cats = np.array(pred_cats, dtype=str), np.array(gt_cats, dtype=str)
-    dist = segment_matrix(preds, pred_cats, gts, gt_cats, centerline,
-                          max(*thresholds, top_threshold))
-
-    per_cat: dict[str, float | None] = {}
-    for cat in LS_CATEGORIES:
-        g_idx, p_idx = np.flatnonzero(gt_cats == cat), np.flatnonzero(pred_cats == cat)
-        if not g_idx.size:
-            per_cat[cat] = None if not p_idx.size else 0.0
-            continue
-        sub, sub_scores = dist[np.ix_(p_idx, g_idx)], scores[p_idx]
-        per_cat[cat] = _mean_ap(lambda thr: greedy_match(sub, sub_scores, thr),
-                                thresholds, g_idx.size)
-
-    present = [v for v in per_cat.values() if v is not None]
-    mean_ap = float(np.mean(present)) if present else 1.0
-
-    top_lsls = None
-    if pred_topo is not None and gt_topo is not None:
-        _, pred_to_gt, _ = greedy_match(dist, scores, top_threshold)
-        top_lsls = _topology_score(gt_topo, pred_topo, pred_to_gt, pred_to_gt)
-
-    return LaneSegmentReport(map=mean_ap, ap_lane=per_cat["lane"],
-                             ap_ped=per_cat["pedestrian_crossing"],
-                             top_lsls=top_lsls)
-
-
-def lane_segment_metrics(preds: list[LaneSegment], scores, gts: list[LaneSegment],
-                         pred_topo: np.ndarray | None = None,
-                         gt_topo: np.ndarray | None = None,
-                         thresholds=LS_THRESHOLDS,
-                         top_threshold: float = LS_TOP_THRESHOLD) -> LaneSegmentReport:
-    """Per-category AP over lane-segment distance thresholds, plus the
-    segment-to-segment topology score when adjacency is supplied.
-
-    Categories absent from the ground truth report None and are excluded
-    from the mean.
-    """
-    thresholds, (top_threshold,) = valid_distances(thresholds), valid_distances((top_threshold,))
-    centerline = frechet_matrix([s.centerline for s in preds], [s.centerline for s in gts],
-                                2.0 * max(*thresholds, top_threshold))
-    return _lane_segment_report(
-        [segment_boundaries(s) for s in preds], [s.category for s in preds], scores,
-        [segment_boundaries(s) for s in gts], [s.category for s in gts], centerline,
-        pred_topo, gt_topo, thresholds, top_threshold)
+def _lane_segment_report(pred: Prediction, scene: Scene, p_bounds, g_bounds,
+                         centerline: np.ndarray) -> LaneSegmentReport:
+    """The lane-segment block: the lanes of pred and scene as segments with
+    boundary points p_bounds and g_bounds (see segment_matrix), ranked by
+    pred.lane_scores, their centerline distances read from the lane matrix
+    and their topology pred.topo.ll against scene.topo.ll. AP is None, and
+    mAP 1.0, when there is no lane on either side."""
+    dist = segment_matrix(p_bounds, g_bounds, centerline, max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
+    scores = pred.lane_scores
+    ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(g_bounds)) \
+        if len(p_bounds) or len(g_bounds) else None
+    _, pred_to_gt, _ = greedy_match(dist, scores, LS_TOP_THRESHOLD)
+    return LaneSegmentReport(
+        map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
+        top_lsls=_topology_score(scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt))
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -341,12 +269,15 @@ def evaluate(pred: Prediction, scene: Scene,
 
     lane_width, when given, fills the optional lane-segment block: the
     lanes of pred and scene are widened into "lane" segments of that width
-    (see widen), ranked by pred.lane_scores, and their topology is
-    pred.topo.ll against scene.topo.ll. The block reads its centerline
-    distances from the lane matrix. A lane width that is not finite and
-    positive, and thresholds that cannot be scored (non-finite or
-    non-positive distances, IoU outside (0, 1]), raise ValueError.
+    (see widen and _lane_segment_report). A lane_scores, topo.ll or topo.lt
+    whose shape does not fit pred's lanes and traffic raises ValueError
+    with validate_prediction's message, as do a lane width that is not
+    finite and positive and thresholds that cannot be scored (non-finite
+    or non-positive distances, IoU outside (0, 1]).
     """
+    shape_errors = prediction_shape_errors(pred)
+    if shape_errors:
+        raise ValueError(shape_errors[0])
     det_l_thresholds = valid_distances(det_l_thresholds)
     (top_frechet,) = valid_distances((top_frechet,))
     det_t_iou, top_iou = valid_iou(det_t_iou), valid_iou(top_iou)
@@ -361,12 +292,11 @@ def evaluate(pred: Prediction, scene: Scene,
     traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
     d_l = _det_l(pred, scene, lanes, det_l_thresholds)
     d_t = _det_t(pred, scene, traffic[det_t_iou])
-    t_ll, t_lt = (_top(pred, scene, kind, lanes[top_frechet], traffic[top_iou])
-                  for kind in ("ll", "lt"))
+    lane_to_gt = lanes[top_frechet][1]
+    t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt)
+    t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
     block = None if lane_width is None else _lane_segment_report(
-        p_bounds, ["lane"] * len(p_bounds), pred.lane_scores,
-        g_bounds, ["lane"] * len(g_bounds), lane_dist,
-        pred.topo.ll, scene.topo.ll, LS_THRESHOLDS, LS_TOP_THRESHOLD)
+        pred, scene, p_bounds, g_bounds, lane_dist)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)

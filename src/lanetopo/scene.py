@@ -146,43 +146,15 @@ class Prediction:
         object.__setattr__(self, "lane_scores", scores)
 
 
-@dataclass(frozen=True)
-class LaneSegment:
-    """Centerline plus left/right boundary polylines, all with one point count."""
-
-    centerline: Polyline3D
-    left: Polyline3D
-    right: Polyline3D
-    category: str = "lane"
-
-    def __post_init__(self):
-        n = self.centerline.n_points
-        if self.left.n_points != n or self.right.n_points != n:
-            raise ValueError(
-                "lane segment polylines disagree on point count: "
-                f"{n}/{self.left.n_points}/{self.right.n_points}"
-            )
-
-
-def junction_point(a: Polyline3D, b: Polyline3D, tol: float = JUNCTION_TOL):
-    """Shared junction of predecessor a and successor b, or None.
-
-    The junction is a's terminal point when it lies within tol of b's
-    initial point. a's terminal is the canonical coordinate.
-    """
-    gap = float(np.linalg.norm(a.terminal - b.initial))
-    if gap <= tol:
-        return a.terminal.copy()
-    return None
-
-
 def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]]:
-    """(e, gap) for each edge e from lanes[rows[e]] to lanes[cols[e]] that
-    has no junction_point, in edge order, with its endpoint gap.
+    """(e, gap) for each edge e from lanes[rows[e]] to lanes[cols[e]] whose
+    junction is open, in edge order: the predecessor's terminal point is
+    more than JUNCTION_TOL from the successor's initial point, and gap is
+    that distance.
 
     Every edge is screened in one array pass with a margin, then each
-    flagged edge is measured as junction_point measures it, so the verdict
-    and the gap are the per-edge norm's.
+    flagged edge is measured with np.linalg.norm of its own endpoint
+    difference, so the verdict and the gap are the per-edge norm's.
     """
     if not len(rows):
         return []
@@ -238,11 +210,29 @@ def validate_scene(scene: Scene) -> list[str]:
     return out
 
 
-def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[str]:
-    """Check prediction-level invariants; return one message per violation."""
+def prediction_shape_errors(pred: Prediction) -> list[str]:
+    """One message per lane_scores, topology ll or topology lt whose shape
+    does not fit the prediction's lanes and traffic elements."""
     out: list[str] = []
     n_lanes = len(pred.lanes)
     n_traffic = len(pred.traffic)
+    if pred.lane_scores.shape != (n_lanes,):
+        out.append(
+            f"lane_scores: length {pred.lane_scores.shape[0]} != lane count {n_lanes}"
+        )
+    ll, lt = pred.topo.ll, pred.topo.lt
+    if ll.shape != (n_lanes, n_lanes):
+        out.append(f"topology ll: shape {ll.shape} != ({n_lanes}, {n_lanes})")
+    if lt.shape != (n_lanes, n_traffic):
+        out.append(f"topology lt: shape {lt.shape} != ({n_lanes}, {n_traffic})")
+    return out
+
+
+def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[str]:
+    """Check prediction-level invariants; return one message per violation:
+    point counts, then shapes (prediction_shape_errors), then values."""
+    out: list[str] = []
+    n_lanes = len(pred.lanes)
 
     if n_points is not None:
         for i, lane in enumerate(pred.lanes):
@@ -250,12 +240,9 @@ def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[s
                 out.append(
                     f"lane {i}: point count {lane.n_points} != expected n_points {n_points}"
                 )
+    out += prediction_shape_errors(pred)
 
-    if pred.lane_scores.shape != (n_lanes,):
-        out.append(
-            f"lane_scores: length {pred.lane_scores.shape[0]} != lane count {n_lanes}"
-        )
-    else:
+    if pred.lane_scores.shape == (n_lanes,):
         scores = pred.lane_scores
         # NaN fails both comparisons, so non-finite scores are caught too
         for i in np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0))):
@@ -266,13 +253,9 @@ def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[s
             out.append(f"traffic {j}: predicted element is missing a score")
 
     ll, lt = pred.topo.ll, pred.topo.lt
-    if ll.shape != (n_lanes, n_lanes):
-        out.append(f"topology ll: shape {ll.shape} != ({n_lanes}, {n_lanes})")
-    else:
+    if ll.shape == (n_lanes, n_lanes):
         for i in np.flatnonzero(np.diagonal(ll) != 0.0):
             out.append(f"topology ll: self-connection score at lane {i}")
-    if lt.shape != (n_lanes, n_traffic):
-        out.append(f"topology lt: shape {lt.shape} != ({n_lanes}, {n_traffic})")
 
     for name, mat in (("ll", ll), ("lt", lt)):
         if not np.all(np.isfinite(mat)):

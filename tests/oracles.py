@@ -2,18 +2,20 @@
 
 Everything here trades speed for obviousness: the Frechet distance is
 the literal recursive definition or a per-pair loop, distances are
-double loops, greedy matching visits one prediction and one ground truth
-at a time, curves are resampled one coordinate at a time with np.interp,
-connected lanes are merged and validated one edge at a time and split
-one curve at a time, half distances are one scalar call per lane and
-half, the topology heads run on concatenated (pairs, 2c) pair features
-and resolve and scatter matched candidates one at a time, topology
-blending visits one entry at a time, lanes are jittered and widened one
-at a time into validated polylines, vertex APs rank a Python list of
-flags per vertex, assignment is full enumeration, JSON is written by
-rounding every float on its own before json.dumps, and lanes are read
-one validated polyline at a time. None of this is imported by the
-package itself.
+double loops, a lane-segment distance is one Chamfer loop plus one
+Frechet loop, greedy matching visits one prediction and one ground truth
+at a time, curves are resampled one coordinate at a time with np.interp
+against their cumulative chord lengths, connected lanes are merged at
+their junction point and validated one edge at a time and split one
+curve at a time, half distances are one scalar call per lane and half,
+the topology heads run on concatenated (pairs, 2c) pair features and
+resolve and scatter matched candidates one at a time, topology blending
+visits one entry at a time, lanes are jittered and widened one at a time
+into validated polylines, vertex APs rank a Python list of flags per
+vertex, assignment is full enumeration, JSON is written by rounding
+every float on its own before json.dumps, and lanes are read one
+validated polyline at a time. None of this is imported by the package
+itself.
 """
 
 import itertools
@@ -22,11 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from lanetopo.connect import ConnectedLane, merge_at_junction
-from lanetopo.geometry import cumulative_lengths
+from lanetopo.connect import ConnectedLane
 from lanetopo.metrics import average_precision, rank_by_score
 from lanetopo.nn import mlp_backward, mlp_forward, mlp_forward_cached, mlp_grad_vars, sigmoid
-from lanetopo.scene import JUNCTION_TOL, Polyline3D, junction_point
+from lanetopo.scene import JUNCTION_TOL, Polyline3D
 from lanetopo.serialize import round9
 
 
@@ -120,6 +121,13 @@ def chamfer_loops(a, b) -> float:
     return 0.5 * (mean_nearest(a, b) + mean_nearest(b, a))
 
 
+def lane_segment_distance(bounds_a, center_a, bounds_b, center_b) -> float:
+    """Lane-segment distance of two segments, each given as its boundary
+    points (left then right) and its centerline: the mean of the boundary
+    Chamfer distance and the centerline Frechet distance."""
+    return 0.5 * (chamfer_loops(bounds_a, bounds_b) + frechet_loops(center_a, center_b))
+
+
 def avg_l1_loops(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -137,6 +145,12 @@ def avg_l1_scalar(a, b) -> float:
     if pa.shape != pb.shape:
         raise ValueError(f"point counts differ: {pa.shape} vs {pb.shape}")
     return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
+
+
+def cumulative_lengths(pts):
+    """Cumulative chord lengths of a point array, starting at 0."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def resample_loops(pts, n):
@@ -165,6 +179,20 @@ def split_halves_loops(curve, n=None):
     mid = curve.shape[0] // 2
     n = curve.shape[0] if n is None else n
     return resample_loops(curve[: mid + 1], n), resample_loops(curve[mid:], n)
+
+
+def junction_point(a, b):
+    """Shared junction of predecessor polyline a and successor b: a's
+    terminal point when it lies within JUNCTION_TOL of b's initial point,
+    else None."""
+    gap = float(np.linalg.norm(a.terminal - b.initial))
+    return a.terminal.copy() if gap <= JUNCTION_TOL else None
+
+
+def merge_at_junction(a, b):
+    """a's points then b's without its first: the junction counted once,
+    at a's terminal point, 2*N_P - 1 points for two N_P-point lanes."""
+    return np.concatenate([a.points, b.points[1:]], axis=0)
 
 
 def build_connected_gt_loops(scene):

@@ -1,0 +1,61 @@
+"""Every public function and class of the package has a caller.
+
+A public module-level def or class in src/lanetopo must be referenced, as
+a name or an attribute, from another module of the package, from the rest
+of its own module, or from tests/test_acceptance.py. Re-exporting it from
+lanetopo/__init__.py is not a use, nor is importing it without using it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lanetopo"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+
+def defined_name(stmt):
+    """The name a module-level def or class statement binds, else None."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    return None
+
+
+def references(tree) -> set[str]:
+    """Names and attribute names used in tree, each statement's own name
+    left out of the references inside it (recursion is not a use)."""
+    out = set()
+    for stmt in tree.body:
+        used = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        out |= used - {defined_name(stmt)}
+    return out
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_every_public_definition_is_referenced():
+    trees = modules()
+    used = references(ast.parse(ACCEPTANCE.read_text()))
+    for tree in trees.values():
+        used |= references(tree)
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            name = defined_name(stmt)
+            if name and not name.startswith("_") and name not in used:
+                unused.append(f"{module}.{name}")
+    assert unused == []
+
+
+def test_the_scan_sees_the_package():
+    trees = modules()
+    assert {"cli", "geometry", "metrics", "scene", "connect"} <= set(trees)
+    assert "evaluate" in references(trees["cli"])
+    # a definition's own body does not count as its use
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n")
+    assert references(tree) == {"n", "h", "f"}
+    assert "f" not in references(ast.parse("def f(n):\n    return f(n - 1)\n"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.connect import ConnectedLane
-from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK
+from lanetopo.connect import ConnectedLane, _halves, _merged_stacks
+from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK, resample_stack
 from lanetopo.scene import JUNCTION_TOL
 from conftest import chain_scene, straight_lane
 from oracles import (
@@ -13,6 +13,8 @@ from oracles import (
     build_connected_gt_loops,
     correlation_distances_loops,
     half_distances_loops,
+    junction_point,
+    merge_at_junction,
     random_polyline,
     split_halves_loops,
 )
@@ -22,16 +24,24 @@ def tiny_chain(n_points=3):
     return chain_scene(n_points=n_points, with_traffic=False)
 
 
+def merged_chain(n_points):
+    """The one merged curve of tiny_chain(n_points), as build_connected_gt
+    merges it, checked against the per-edge merge."""
+    scene = tiny_chain(n_points=n_points)
+    ((sel, merged),) = _merged_stacks(scene.lanes, np.array([0]), np.array([1]))
+    assert list(sel) == [0]
+    assert np.array_equal(merged[0], merge_at_junction(scene.lanes[0], scene.lanes[1]))
+    return merged[0]
+
+
 class TestMergeAtJunction:
     def test_junction_counted_once(self):
-        scene = tiny_chain(n_points=11)
-        merged = lt.merge_at_junction(scene.lanes[0], scene.lanes[1])
+        merged = merged_chain(11)
         assert merged.shape == (21, 3)
         assert np.array_equal(merged[10], [10.0, 0.0, 0.0])
 
     def test_colinear_values(self):
-        scene = tiny_chain(n_points=3)
-        merged = lt.merge_at_junction(scene.lanes[0], scene.lanes[1])
+        merged = merged_chain(3)
         assert np.array_equal(merged[:, 0], [0.0, 5.0, 10.0, 15.0, 20.0])
 
 
@@ -155,7 +165,7 @@ class TestBuildConnectedGtOracle:
             b = lane_through([x, 0.0, 0.0], [5.0, 1.0, 0.0], [10.0, 2.0, 0.0])
             scene = edge_scene([a, b], [(0, 1)])
             assert float(np.linalg.norm(b.initial - a.terminal)) == x
-            assert (lt.junction_point(a, b) is not None) == joined
+            assert (junction_point(a, b) is not None) == joined
             if joined:
                 assert_same_connected(lt.build_connected_gt(scene),
                                       build_connected_gt_loops(scene))
@@ -199,11 +209,17 @@ class TestBuildConnectedGtOracle:
                 fn(scene)
 
 
+def split_halves(curve):
+    """Front and back halves of one curve, as half_distances splits them."""
+    h1, h2 = _halves(curve[None], curve.shape[0])
+    return h1[0], h2[0]
+
+
 class TestSplitHalves:
     def test_shared_midpoint(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves_array(conn.curve.points)
+        h1, h2 = split_halves(conn.curve.points)
         mid = conn.curve.points[5]
         assert np.array_equal(h1[-1], mid)
         assert np.array_equal(h2[0], mid)
@@ -211,23 +227,23 @@ class TestSplitHalves:
     def test_halves_recover_source_lanes_on_a_chain(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves_array(conn.curve.points)
+        h1, h2 = split_halves(conn.curve.points)
         assert np.allclose(h1, scene.lanes[0].points, atol=1e-12)
         assert np.allclose(h2, scene.lanes[1].points, atol=1e-12)
 
     def test_half_point_counts(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
-        h1, h2 = lt.split_halves_array(conn.curve.points)
+        h1, h2 = split_halves(conn.curve.points)
         assert h1.shape == h2.shape == (11, 3)
 
     def test_array_variant_matches(self):
         scene = tiny_chain(n_points=11)
         conn = lt.build_connected_gt(scene)[0]
         # each half is the curve up to / from index floor(N_P / 2), resampled
-        h1, h2 = lt.split_halves_array(conn.curve.points)
-        assert np.array_equal(h1, lt.resample_array(conn.curve.points[:6], 11))
-        assert np.array_equal(h2, lt.resample_array(conn.curve.points[5:], 11))
+        h1, h2 = split_halves(conn.curve.points)
+        assert np.array_equal(h1, resample_stack(conn.curve.points[None, :6], 11)[0])
+        assert np.array_equal(h2, resample_stack(conn.curve.points[None, 5:], 11)[0])
         for got, ref in zip((h1, h2), split_halves_loops(conn.curve.points)):
             assert np.array_equal(got, ref)
 
@@ -258,7 +274,7 @@ class TestCorrelationDistances:
         conn = lt.build_connected_gt(scene)
         d = correlation(scene.lanes, conn)
         for c, cl in enumerate(conn):
-            h1, h2 = lt.split_halves_array(cl.curve.points)
+            h1, h2 = split_halves_loops(cl.curve.points)
             for i, lane in enumerate(scene.lanes):
                 expected = min(avg_l1_loops(lane.points, h1),
                                avg_l1_loops(lane.points, h2))

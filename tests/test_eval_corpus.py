@@ -26,6 +26,7 @@ import pytest
 
 import lanetopo as lt
 from lanetopo.cli import main
+from lanetopo.geometry import resample_stack
 from lanetopo.serialize import scene_to_dict, write_json
 
 SCENES = (
@@ -70,7 +71,7 @@ def _slide(doc):
 
 
 def _resample(doc):
-    doc["lanes"] = [lt.resample_array(np.asarray(p), 7).tolist() for p in doc["lanes"]]
+    doc["lanes"] = [resample_stack(np.asarray(p)[None], 7)[0].tolist() for p in doc["lanes"]]
 
 
 def build_corpus(root):

@@ -15,7 +15,6 @@ from lanetopo.geometry import (
     frechet_pairs,
     lane_boundaries,
     resample_stack,
-    segment_boundaries,
     segment_matrix,
     stacks_by_count,
     widen,
@@ -25,24 +24,35 @@ from oracles import (
     avg_l1_loops,
     avg_l1_scalar,
     chamfer_loops,
+    cumulative_lengths,
     frechet_loops,
     frechet_recursive,
+    lane_segment_distance,
     random_polyline,
     resample_loops,
     widen_loops,
 )
 
 
+def resample_one(pts, n):
+    """resample_stack on the one-row stack of pts."""
+    return resample_stack(np.asarray(pts, dtype=np.float64)[None], n)[0]
+
+
+def arc_length(pts):
+    return cumulative_lengths(pts)[-1]
+
+
 class TestResample:
     def test_straight_line_three_points(self):
-        out = lt.resample_array(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]), 3)
+        out = resample_one([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 3)
         expected = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         assert np.array_equal(out, expected)
 
     def test_l_shape_five_points(self):
         # two 4 m legs, arc positions {0, 2, 4, 6, 8}; the corner sits at 4
         pts = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
-        out = lt.resample_array(pts, 5)
+        out = resample_one(pts, 5)
         expected = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0],
                              [4.0, 2.0, 0.0], [4.0, 4.0, 0.0]])
         assert np.allclose(out, expected, atol=1e-12)
@@ -50,53 +60,53 @@ class TestResample:
     def test_identity_on_uniform_polyline(self):
         # binary-exact spacing, so interpolation targets hit the vertices
         poly = straight_lane(0.0, 20.0, 3.0, n=5)
-        out = lt.resample_array(poly.points, 5)
+        out = resample_one(poly.points, 5)
         assert np.array_equal(out, poly.points)
 
     def test_identity_on_irrational_spacing(self):
         t = np.linspace(0.0, 1.0, 7)
         pts = np.stack([t * np.pi, t * np.e, np.zeros(7)], axis=1)
-        out = lt.resample_array(pts, 7)
+        out = resample_one(pts, 7)
         assert np.allclose(out, pts, atol=1e-9)
 
     def test_endpoints_are_preserved_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pts = random_polyline(rng, 6)
-            out = lt.resample_array(pts, 9)
+            out = resample_one(pts, 9)
             assert np.array_equal(out[0], pts[0])
             assert np.array_equal(out[-1], pts[-1])
 
     def test_output_count(self):
         poly = straight_lane(0.0, 10.0, 0.0, n=4)
         for n in (2, 3, 11, 40):
-            assert lt.resample_array(poly.points, n).shape == (n, 3)
+            assert resample_one(poly.points, n).shape == (n, 3)
+        assert resample_stack(np.zeros((0, 9, 3)), 4).shape == (0, 4, 3)
 
     def test_fewer_than_two_points_raises(self):
         poly = straight_lane(0.0, 10.0, 0.0, n=4)
         with pytest.raises(ValueError):
-            lt.resample_array(poly.points, 1)
+            resample_one(poly.points, 1)
 
     def test_arc_length_preserved_when_vertices_hit_the_grid(self):
         # output points sit on the input curve, so length is preserved only
         # when every interior vertex lands on a target arc position; the
         # L shape with n = 5 and any straight line qualify
         L = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
-        out = lt.resample_array(L, 5)
-        assert abs(lt.arc_length(out) - lt.arc_length(L)) <= 1e-9 * lt.arc_length(L)
+        out = resample_one(L, 5)
+        assert abs(arc_length(out) - arc_length(L)) <= 1e-9 * arc_length(L)
 
-        line = straight_lane(0.0, 37.0, 2.0, n=3)
+        line = straight_lane(0.0, 37.0, 2.0, n=3).points
         for n in (2, 5, 16):
-            out = lt.resample_array(line.points, n)
-            assert abs(lt.arc_length(out) - lt.arc_length(line)) \
-                <= 1e-9 * lt.arc_length(line)
+            out = resample_one(line, n)
+            assert abs(arc_length(out) - arc_length(line)) <= 1e-9 * arc_length(line)
 
     def test_corner_cutting_never_lengthens(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             pts = random_polyline(rng, 5)
-            out = lt.resample_array(pts, 7)
-            assert lt.arc_length(out) <= lt.arc_length(pts) + 1e-12
+            out = resample_one(pts, 7)
+            assert arc_length(out) <= arc_length(pts) + 1e-12
 
 
 def same_floats(a, b):
@@ -184,12 +194,6 @@ class TestResampleStack:
             resample_stack(P, 4)
         with pytest.raises(ValueError, match="zero-length"):
             resample_stack(P[1:2, :1], 4)
-
-    def test_resample_array_is_the_one_row_call(self):
-        pts = random_polyline(np.random.default_rng(6), 9)
-        assert np.array_equal(lt.resample_array(pts, 13), resample_stack(pts[None], 13)[0])
-        assert np.array_equal(lt.resample_array(pts, 13), resample_loops(pts, 13))
-        assert resample_stack(np.zeros((0, 9, 3)), 4).shape == (0, 4, 3)
 
 
 class TestAvgL1:
@@ -370,24 +374,23 @@ class TestBatchedKernels:
 
     def test_segment_matrix_equals_per_pair_distance_below_cut(self):
         rng = np.random.default_rng(35)
-
-        def segments(count):
-            return [lt.widen_to_segment(p, 1.5, category=("lane", "pedestrian_crossing")[k % 2])
-                    for k, p in enumerate(self.mixed_polylines(rng, count))]
-
-        a, b = segments(9), segments(8)
-        centerline = frechet_matrix([s.centerline for s in a], [s.centerline for s in b], np.inf)
-        cut = float(np.median(centerline)) / 2.0
-        dist = segment_matrix([segment_boundaries(s) for s in a], [s.category for s in a],
-                              [segment_boundaries(s) for s in b], [s.category for s in b],
-                              centerline, cut)
-        for i, sa in enumerate(a):
-            for j, sb in enumerate(b):
-                exact = lt.lane_segment_distance(sa, sb)
-                if sa.category != sb.category or centerline[i, j] >= 2.0 * cut:
-                    assert dist[i, j] == np.inf and (sa.category != sb.category or exact >= cut)
-                else:
-                    assert dist[i, j] == exact
+        a, b = self.mixed_polylines(rng, 9), self.mixed_polylines(rng, 8)
+        bounds_a, bounds_b = lane_boundaries(a, 1.5), lane_boundaries(b, 1.5)
+        dense = frechet_matrix(a, b, np.inf)
+        for cut in (np.inf, float(np.median(dense)) / 2.0):
+            dist = segment_matrix(bounds_a, bounds_b, frechet_matrix(a, b, 2.0 * cut), cut)
+            for i in range(len(a)):
+                for j in range(len(b)):
+                    exact = lane_segment_distance(bounds_a[i], a[i], bounds_b[j], b[j])
+                    if dense[i, j] >= 2.0 * cut:
+                        assert dist[i, j] == np.inf and exact >= cut
+                    else:
+                        # the Frechet term is bitwise the loop's, the Chamfer
+                        # term sums in another order
+                        assert dist[i, j] == 0.5 * (lt.chamfer(bounds_a[i], bounds_b[j])
+                                                    + frechet_loops(a[i], b[j]))
+                        assert dist[i, j] == pytest.approx(exact, rel=1e-12)
+            assert np.isfinite(dist).any() and (cut == np.inf) != np.isinf(dist).any()
 
     def test_mismatched_pair_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -436,31 +439,35 @@ class TestBoxes:
 
 class TestWidenToSegment:
     def test_straight_lane_boundaries(self):
-        seg = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0, n=5), width=2.0)
-        assert np.allclose(seg.left.points[:, 1], 1.0)
-        assert np.allclose(seg.right.points[:, 1], -1.0)
-        assert np.array_equal(seg.centerline.points[:, 1], np.zeros(5))
+        pts = straight_lane(0.0, 10.0, 0.0, n=5).points
+        left, right = widen(pts[None], width=2.0)
+        assert np.allclose(left[0, :, 1], 1.0)
+        assert np.allclose(right[0, :, 1], -1.0)
+        assert np.array_equal(left[0, :, 0], pts[:, 0])
 
     def test_point_counts_match(self):
-        seg = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0, n=7), width=1.75)
-        assert seg.left.n_points == seg.right.n_points == seg.centerline.n_points == 7
+        lanes = [straight_lane(0.0, 10.0, 0.0, n=7), straight_lane(0.0, 10.0, 5.0, n=4)]
+        assert [b.shape for b in lane_boundaries(lanes, 1.75)] == [(14, 3), (8, 3)]
 
     def test_category_passthrough(self):
-        seg = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0), width=1.0,
-                                  category="pedestrian_crossing")
-        assert seg.category == "pedestrian_crossing"
+        # evaluate widens every lane into a "lane" segment: no
+        # pedestrian-crossing AP, and mAP is the lane AP
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=2, seed=3))
+        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.5), seed=3)
+        block = lt.evaluate(pred, scene, lane_width=1.0).lane_segments
+        assert block.ap_ped is None
+        assert block.map == block.ap_lane and 0.0 < block.map < 1.0
 
     def test_nonpositive_width_raises(self):
         with pytest.raises(ValueError):
-            lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0), width=0.0)
+            widen(straight_lane(0.0, 10.0, 0.0).points[None], width=0.0)
 
     def test_boundary_offset_magnitude(self):
-        rng = np.random.default_rng(14)
         t = np.linspace(0.0, 2.0 * np.pi, 20)
         pts = np.stack([10.0 * np.cos(t), 10.0 * np.sin(t), np.zeros_like(t)], axis=1)
-        seg = lt.widen_to_segment(lt.Polyline3D(pts), width=3.0)
-        off_l = np.linalg.norm(seg.left.points - pts, axis=1)
-        off_r = np.linalg.norm(seg.right.points - pts, axis=1)
+        left, right = widen(pts[None], width=3.0)
+        off_l = np.linalg.norm(left[0] - pts, axis=1)
+        off_r = np.linalg.norm(right[0] - pts, axis=1)
         assert np.allclose(off_l, 1.5, atol=1e-9)
         assert np.allclose(off_r, 1.5, atol=1e-9)
 
@@ -511,7 +518,7 @@ class TestWidenKernel:
                 lane_boundaries(lanes, 10.0)
             assert str(kernel_err.value) == str(loop_err.value)
         with pytest.raises(ValueError, match=str(loop_err.value)):
-            lt.widen_to_segment(vee, 10.0)
+            widen(vee[None], 10.0)
         self.assert_bitwise([good, vee], 9.0)
 
     def test_overflowing_boundary_raises_the_polyline_error(self):

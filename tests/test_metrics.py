@@ -7,6 +7,7 @@ import pytest
 
 import lanetopo as lt
 from lanetopo import geometry, metrics
+from lanetopo.geometry import frechet_matrix, lane_boundaries, resample_stack, segment_matrix
 from conftest import chain_scene, perfect_prediction, straight_lane
 from oracles import greedy_match_loops, topology_score_loops
 
@@ -35,8 +36,7 @@ def scored_prediction(scene, ll=None, lanes=None, scores=None):
 
 def empty_prediction(scene):
     return lt.Prediction(lanes=[], lane_scores=np.zeros(0), traffic=[],
-                         topo=lt.TopologyGraph(ll=np.zeros((0, 0)),
-                                               lt=np.zeros((0, len(scene.traffic)))))
+                         topo=lt.TopologyGraph(ll=np.zeros((0, 0)), lt=np.zeros((0, 0))))
 
 
 class TestAveragePrecision:
@@ -139,7 +139,7 @@ class TestDetT:
     def test_exact_boxes_score_one(self):
         scene = self.scene_with([self.box(0, 0, 10, 10, "light")])
         pred = perfect_prediction(scene)
-        assert lt.det_t(pred, scene) == 1.0
+        assert lt.evaluate(pred, scene).det_t == 1.0
 
     def test_wrong_category_scores_zero(self):
         scene = self.scene_with([self.box(0, 0, 10, 10, "light")])
@@ -147,7 +147,7 @@ class TestDetT:
                              traffic=[self.box(0, 0, 10, 10, "sign", score=1.0)],
                              topo=lt.TopologyGraph(ll=np.zeros((1, 1)),
                                                    lt=np.zeros((1, 1))))
-        assert lt.det_t(pred, scene) == 0.0
+        assert lt.evaluate(pred, scene).det_t == 0.0
 
     def test_per_category_average(self):
         scene = self.scene_with([self.box(0, 0, 10, 10, "a"),
@@ -157,9 +157,9 @@ class TestDetT:
             lanes=list(scene.lanes), lane_scores=np.ones(1),
             traffic=[self.box(0, 0, 10, 10, "a", score=0.9),
                      self.box(40, 0, 50, 10, "b", score=0.8)],
-            topo=lt.TopologyGraph(ll=np.zeros((1, 1)), lt=np.zeros((1, 3))))
+            topo=lt.TopologyGraph(ll=np.zeros((1, 1)), lt=np.zeros((1, 2))))
         # category a finds 1 of 2, category b is perfect
-        assert lt.det_t(pred, scene) == pytest.approx(0.75, abs=1e-12)
+        assert lt.evaluate(pred, scene).det_t == pytest.approx(0.75, abs=1e-12)
 
     def test_iou_threshold_is_inclusive(self):
         scene = self.scene_with([self.box(0, 0, 4, 4, "a")])
@@ -168,35 +168,35 @@ class TestDetT:
                              topo=lt.TopologyGraph(ll=np.zeros((1, 1)),
                                                    lt=np.zeros((1, 1))))
         assert lt.box_iou((0, 0, 4, 3), (0, 0, 4, 4)) == 0.75
-        assert lt.det_t(pred, scene) == 1.0
+        assert lt.evaluate(pred, scene).det_t == 1.0
 
     def test_vacuous_conventions(self):
         scene = self.scene_with([])
-        assert lt.det_t(perfect_prediction(scene), scene) == 1.0
+        assert lt.evaluate(perfect_prediction(scene), scene).det_t == 1.0
         pred = lt.Prediction(lanes=list(scene.lanes), lane_scores=np.ones(1),
                              traffic=[self.box(0, 0, 1, 1, "a", score=0.5)],
                              topo=lt.TopologyGraph(ll=np.zeros((1, 1)),
-                                                   lt=np.zeros((1, 0))))
-        assert lt.det_t(pred, scene) == 0.0
+                                                   lt=np.zeros((1, 1))))
+        assert lt.evaluate(pred, scene).det_t == 0.0
 
 
 class TestTopScore:
     def test_perfect_chain_is_one(self):
         scene = three_lane_chain()
-        assert lt.top_score(perfect_prediction(scene), scene, "ll") == 1.0
+        assert lt.evaluate(perfect_prediction(scene), scene).top_ll == 1.0
 
     def test_zero_scores_are_zero(self):
         scene = three_lane_chain()
         pred = scored_prediction(scene, ll=np.zeros((3, 3)))
-        assert lt.top_score(pred, scene, "ll") == 0.0
+        assert lt.evaluate(pred, scene).top_ll == 0.0
 
     def test_vacuous_graph_conventions(self):
         scene = chain_scene(with_traffic=False)
         bare = lt.Scene(lanes=scene.lanes, traffic=[],
                         topo=lt.TopologyGraph(ll=np.zeros((2, 2)), lt=np.zeros((2, 0))))
-        assert lt.top_score(scored_prediction(bare, ll=np.zeros((2, 2))), bare, "ll") == 1.0
+        assert lt.evaluate(scored_prediction(bare, ll=np.zeros((2, 2))), bare).top_ll == 1.0
         noisy = scored_prediction(bare, ll=np.array([[0.0, 0.3], [0.0, 0.0]]))
-        assert lt.top_score(noisy, bare, "ll") == 0.0
+        assert lt.evaluate(noisy, bare).top_ll == 0.0
 
     def test_wrong_edge_outscoring_right_edge(self):
         scene = three_lane_chain()
@@ -206,7 +206,7 @@ class TestTopScore:
         ll[1, 2] = 1.0
         pred = scored_prediction(scene, ll=ll)
         # vertex 0 AP: ranked [(0,2) FP, (0,1) TP] -> 0.5; vertex 1 AP: 1.0
-        assert lt.top_score(pred, scene, "ll") == pytest.approx(0.75, abs=1e-12)
+        assert lt.evaluate(pred, scene).top_ll == pytest.approx(0.75, abs=1e-12)
 
     def test_edge_to_unmatched_endpoint_is_a_false_positive(self):
         scene = three_lane_chain()
@@ -216,7 +216,7 @@ class TestTopScore:
         ll[0, 1] = 0.8
         ll[1, 2] = 1.0
         pred = scored_prediction(scene, lanes=lanes, ll=ll)
-        assert lt.top_score(pred, scene, "ll") == pytest.approx(0.75, abs=1e-12)
+        assert lt.evaluate(pred, scene).top_ll == pytest.approx(0.75, abs=1e-12)
 
     def test_unmatched_gt_vertex_contributes_zero(self):
         scene = three_lane_chain()
@@ -225,16 +225,11 @@ class TestTopScore:
         ll = np.zeros((2, 2))
         ll[0, 1] = 1.0  # correct (1 -> 2) edge in the reduced index space
         pred = scored_prediction(scene, lanes=lanes, ll=ll)
-        assert lt.top_score(pred, scene, "ll") == pytest.approx(0.5, abs=1e-12)
+        assert lt.evaluate(pred, scene).top_ll == pytest.approx(0.5, abs=1e-12)
 
     def test_lane_traffic_kind(self):
         scene = chain_scene()
-        assert lt.top_score(perfect_prediction(scene), scene, "lt") == 1.0
-
-    def test_unknown_kind_raises(self):
-        scene = chain_scene()
-        with pytest.raises(ValueError, match="kind"):
-            lt.top_score(perfect_prediction(scene), scene, "xx")
+        assert lt.evaluate(perfect_prediction(scene), scene).top_lt == 1.0
 
 
 class TestTopologyScoreOracle:
@@ -289,33 +284,34 @@ class TestOls:
             assert lt.ols(*args) > base
 
 
+def segment_distance(a, b, width_a=2.0, width_b=2.0):
+    """The lane-segment distance of lanes a and b widened to segments."""
+    (bounds_a,), (bounds_b,) = lane_boundaries([a], width_a), lane_boundaries([b], width_b)
+    return segment_matrix([bounds_a], [bounds_b], frechet_matrix([a], [b], np.inf), np.inf)[0, 0]
+
+
 class TestLaneSegmentDistance:
     def test_identical_is_zero(self):
-        seg = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0), width=2.0)
-        assert lt.lane_segment_distance(seg, seg) == 0.0
+        lane = straight_lane(0.0, 10.0, 0.0)
+        assert segment_distance(lane, lane) == 0.0
 
     def test_small_translation_is_exact(self):
         # d <= width/2 keeps each boundary point's nearest neighbour on its
         # own side, so both the chamfer and the Frechet terms equal d
-        a = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0, n=5), width=2.0)
-        b = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.8, n=5), width=2.0)
-        assert lt.lane_segment_distance(a, b) == pytest.approx(0.8, abs=1e-12)
+        a = straight_lane(0.0, 10.0, 0.0, n=5)
+        b = straight_lane(0.0, 10.0, 0.8, n=5)
+        assert segment_distance(a, b) == pytest.approx(0.8, abs=1e-12)
 
     def test_symmetry(self):
-        a = lt.widen_to_segment(straight_lane(0.0, 10.0, 0.0, n=5), width=2.0)
-        b = lt.widen_to_segment(straight_lane(1.0, 11.0, 0.5, n=5), width=1.5)
-        assert lt.lane_segment_distance(a, b) == lt.lane_segment_distance(b, a)
+        a = straight_lane(0.0, 10.0, 0.0, n=5)
+        b = straight_lane(1.0, 11.0, 0.5, n=5)
+        assert segment_distance(a, b, 2.0, 1.5) == segment_distance(b, a, 1.5, 2.0)
 
 
 class TestLaneSegmentMetrics:
-    def segs(self, scene, width=1.75):
-        return [lt.widen_to_segment(lane, width) for lane in scene.lanes]
-
     def test_perfect_report(self):
         scene = three_lane_chain()
-        segs = self.segs(scene)
-        rep = lt.lane_segment_metrics(segs, np.ones(3), segs,
-                                      pred_topo=scene.topo.ll, gt_topo=scene.topo.ll)
+        rep = lt.evaluate(perfect_prediction(scene), scene, lane_width=1.75).lane_segments
         assert rep.map == 1.0
         assert rep.ap_lane == 1.0
         assert rep.ap_ped is None
@@ -323,28 +319,10 @@ class TestLaneSegmentMetrics:
 
     def test_no_predictions_score_zero(self):
         scene = three_lane_chain()
-        segs = self.segs(scene)
-        rep = lt.lane_segment_metrics([], np.zeros(0), segs)
+        rep = lt.evaluate(empty_prediction(scene), scene, lane_width=1.75).lane_segments
         assert rep.map == 0.0
         assert rep.ap_lane == 0.0
-        assert rep.top_lsls is None
-
-    def test_predictions_for_absent_category_score_zero(self):
-        scene = three_lane_chain()
-        gt = self.segs(scene)
-        ped = lt.widen_to_segment(straight_lane(0.0, 3.0, 5.0), width=3.0,
-                                  category="pedestrian_crossing")
-        rep = lt.lane_segment_metrics(gt + [ped], np.ones(4), gt)
-        assert rep.ap_lane == 1.0
-        assert rep.ap_ped == 0.0
-
-    def test_cross_category_never_matches(self):
-        scene = three_lane_chain()
-        gt = self.segs(scene)
-        wrong = [lt.LaneSegment(centerline=s.centerline, left=s.left, right=s.right,
-                                category="pedestrian_crossing") for s in gt]
-        rep = lt.lane_segment_metrics(wrong, np.ones(3), gt)
-        assert rep.ap_lane == 0.0
+        assert rep.top_lsls == 0.0
 
 
 class TestEvaluate:
@@ -377,6 +355,26 @@ class TestEvaluate:
         assert worse.det_l < good.det_l
         assert worse.ols < good.ols
 
+    @pytest.mark.parametrize("field, value", [
+        ("lane_scores", np.ones(1)),
+        ("lane_scores", np.ones(3)),
+        ("ll", np.zeros((2, 3))),
+        ("lt", np.zeros((2, 2))),
+    ], ids=["short_scores", "long_scores", "ll", "lt"])
+    def test_mismatched_shapes_raise(self, field, value):
+        # two lanes and one traffic element, one shape off: neither a
+        # truncated score list nor an IndexError, but validate_prediction's
+        # message
+        scene = chain_scene()
+        pred = perfect_prediction(scene)
+        if field == "lane_scores":
+            pred = replace(pred, lane_scores=value)
+        else:
+            pred = replace(pred, topo=replace(pred.topo, **{field: value}))
+        with pytest.raises(ValueError) as err:
+            lt.evaluate(pred, scene, lane_width=1.75)
+        assert [str(err.value)] == lt.validate_prediction(pred)
+
     def test_zeroing_a_correct_edge_hurts_top(self):
         scene = three_lane_chain()
         good = lt.evaluate(perfect_prediction(scene), scene)
@@ -398,7 +396,7 @@ class TestPruning:
         # lane-segment ones; one moved 1.5 m sideways has an endpoint bound
         # between the thresholds
         shift = ([0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.0])
-        lanes = [lt.Polyline3D(lt.resample_array(lane.points, 7)) if k % 4 == 0
+        lanes = [lt.Polyline3D(resample_stack(lane.points[None], 7)[0]) if k % 4 == 0
                  else lt.Polyline3D(lane.points + shift[k % 4])
                  for k, lane in enumerate(pred.lanes)]
         return scene, replace(pred, lanes=lanes)
@@ -429,22 +427,29 @@ class TestPruning:
         monkeypatch.setattr(metrics, "frechet_matrix",
                             lambda a, b, cut: geometry.frechet_matrix(a, b, np.inf))
         monkeypatch.setattr(metrics, "segment_matrix",
-                            lambda a, cat_a, b, cat_b, centerline, cut:
-                            geometry.segment_matrix(a, cat_a, b, cat_b, centerline, np.inf))
+                            lambda a, b, centerline, cut:
+                            geometry.segment_matrix(a, b, centerline, np.inf))
         assert fast == reports()
 
     def test_each_metric_alone_equals_evaluate(self):
-        # each public metric derives its own, smaller cut
+        # each metric from a run, or a matrix, whose cut only it sets
         scene, pred = self.scene_and_prediction()
         plain, full = self.report(pred, scene, top_frechet=2.5)
         assert lt.det_l(pred, scene) == plain.det_l
-        assert lt.det_t(pred, scene) == plain.det_t
-        assert lt.top_score(pred, scene, "ll", 2.5) == plain.top_ll
-        assert lt.top_score(pred, scene, "lt", 2.5) == plain.top_lt
-        segs = [lt.widen_to_segment(lane, 1.75) for lane in pred.lanes]
-        gts = [lt.widen_to_segment(lane, 1.75) for lane in scene.lanes]
-        assert lt.lane_segment_metrics(segs, pred.lane_scores, gts, pred.topo.ll,
-                                       scene.topo.ll) == full.lane_segments
+        top = lt.evaluate(pred, scene, det_l_thresholds=(0.5,), top_frechet=2.5)
+        assert (top.det_t, top.top_ll, top.top_lt) == (plain.det_t, plain.top_ll, plain.top_lt)
+        cut = max(*metrics.LS_THRESHOLDS, metrics.LS_TOP_THRESHOLD)
+        dist = segment_matrix(lane_boundaries(pred.lanes, 1.75),
+                              lane_boundaries(scene.lanes, 1.75),
+                              frechet_matrix(pred.lanes, scene.lanes, 2.0 * cut), cut)
+        ap = float(np.mean([
+            lt.average_precision(lt.greedy_match(dist, pred.lane_scores, thr)[0],
+                                 len(scene.lanes))
+            for thr in metrics.LS_THRESHOLDS]))
+        _, to_gt, _ = lt.greedy_match(dist, pred.lane_scores, metrics.LS_TOP_THRESHOLD)
+        top_lsls = metrics._topology_score(scene.topo.ll, pred.topo.ll, to_gt, to_gt)
+        assert full.lane_segments == metrics.LaneSegmentReport(
+            map=ap, ap_lane=ap, ap_ped=None, top_lsls=top_lsls)
 
     @pytest.mark.parametrize("kwargs", [
         dict(det_l_thresholds=(float("nan"),)),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.connect import _merged_stacks
+from lanetopo.scene import junction_gaps
 from conftest import chain_scene, perfect_prediction, straight_lane
 
 
@@ -66,36 +68,31 @@ class TestTopologyGraph:
 
 
 class TestJunctionPoint:
+    """Open junctions, as junction_gaps reports them: (edge, gap) pairs."""
+
     def test_exact_coincidence(self):
         a = straight_lane(0.0, 10.0, 0.0)
         b = straight_lane(10.0, 20.0, 0.0)
-        j = lt.junction_point(a, b)
-        assert np.array_equal(j, [10.0, 0.0, 0.0])
+        assert junction_gaps([a, b], [0], [1]) == []
 
     def test_within_tolerance_returns_predecessor_terminal(self):
         a = straight_lane(0.0, 10.0, 0.0)
         b = lt.Polyline3D(np.array([[10.004, 0.0, 0.0], [20.0, 0.0, 0.0]]))
-        j = lt.junction_point(a, b)
-        # canonical coordinate is a's terminal, not b's initial
-        assert np.array_equal(j, [10.0, 0.0, 0.0])
+        assert junction_gaps([a, b], [0], [1]) == []
+        # the merged curve's junction is a's terminal, not b's initial
+        ((_, merged),) = _merged_stacks([a, b], np.array([0]), np.array([1]))
+        assert np.array_equal(merged[0, 10], [10.0, 0.0, 0.0])
+        assert merged.shape == (1, 12, 3)
 
     def test_beyond_tolerance_returns_none(self):
         a = straight_lane(0.0, 10.0, 0.0)
         b = lt.Polyline3D(np.array([[12.0, 0.0, 0.0], [20.0, 0.0, 0.0]]))
-        assert lt.junction_point(a, b) is None
+        assert junction_gaps([a, b], [0], [1]) == [(0, 2.0)]
 
     def test_direction_matters(self):
         a = straight_lane(0.0, 10.0, 0.0)
         b = straight_lane(10.0, 20.0, 0.0)
-        assert lt.junction_point(a, b) is not None
-        assert lt.junction_point(b, a) is None
-
-    def test_returns_copy(self):
-        a = straight_lane(0.0, 10.0, 0.0)
-        b = straight_lane(10.0, 20.0, 0.0)
-        j = lt.junction_point(a, b)
-        j[0] = -1.0
-        assert a.terminal[0] == 10.0
+        assert junction_gaps([a, b], [0, 1], [1, 0]) == [(1, 20.0)]
 
 
 class TestValidateScene:
@@ -228,12 +225,3 @@ class TestValidatePrediction:
         pred = perfect_prediction(scene)
         assert lt.validate_prediction(pred) == []
         assert any("point count" in m for m in lt.validate_prediction(pred, 7))
-
-
-class TestLaneSegment:
-    def test_point_count_mismatch_raises(self):
-        c = straight_lane(0.0, 10.0, 0.0, n=5)
-        l = straight_lane(0.0, 10.0, 1.0, n=5)
-        r = straight_lane(0.0, 10.0, -1.0, n=4)
-        with pytest.raises(ValueError, match="point count"):
-            lt.LaneSegment(centerline=c, left=l, right=r)
