@@ -20,6 +20,7 @@ processed serially in sorted file order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -399,6 +400,7 @@ def _checked(check, parse=float):
     return arg_type
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lanetopo",

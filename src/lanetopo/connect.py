@@ -5,11 +5,12 @@ their shared junction: the two point lists are concatenated with the junction
 counted once (2*N_P - 1 points) and then resampled back to N_P points. The
 halves of the merged curve are what lane queries are correlated against.
 
-Every step runs on (k, n, 3) stacks: all edges are merged with one
-concatenate and resampled in one resample_rows call per pair of point
-counts, and all connected lanes are split at one index and their halves
-resampled as two stacks. Each row is bitwise what the one-curve-at-a-time
-construction gives (tests/oracles.py), and errors name the same first edge.
+Every step runs on (k, n, 3) stacks: the scene's lanes are one stack
+(Scene.lane_stack), all edges are merged with one concatenate and
+resampled in one resample_rows call, and all connected lanes are split at
+one index and their halves resampled as two stacks. Each row is bitwise
+what the one-curve-at-a-time construction gives (tests/oracles.py), and
+errors name the same first edge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ZERO_LENGTH, avg_l1_matrix, resample_rows, resample_stack, stacks_by_count
+from .geometry import ZERO_LENGTH, avg_l1_matrix, resample_rows, resample_stack
 from .scene import FLAWS, JUNCTION_TOL, Polyline3D, Scene, junction_gaps, polyline_flaws
 
 
@@ -30,46 +31,27 @@ class ConnectedLane:
     curve: Polyline3D
 
 
-def _merged_stacks(lanes: list[Polyline3D], rows: np.ndarray, cols: np.ndarray):
-    """(edge positions, merged stack) for each pair of point counts among the
-    edges from lanes[rows[e]] to lanes[cols[e]]: each row is the edge's
-    predecessor followed by its successor without the successor's first
-    point, so the junction is counted once."""
-    stacks = list(stacks_by_count(lanes))
-    group = np.empty(len(lanes), dtype=int)
-    pos = np.empty(len(lanes), dtype=int)
-    for g, (idx, _) in enumerate(stacks):
-        group[idx], pos[idx] = g, np.arange(len(idx))
-    key = group[rows] * len(stacks) + group[cols]
-    for u in np.unique(key):
-        sel = np.flatnonzero(key == u)
-        A, B = stacks[u // len(stacks)][1], stacks[u % len(stacks)][1]
-        yield sel, np.concatenate([A[pos[rows[sel]]], B[pos[cols[sel]], 1:]], axis=1)
-
-
 def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
     """All ground-truth connected lanes, in row-major order of the ll matrix.
 
-    Each pair marked in ll is merged at its junction and resampled to the
-    scene's point count, one resample_rows call per pair of point counts.
-    A marked pair whose endpoints do not coincide within the junction
-    tolerance is a contract violation and raises; so does a merged curve
-    that cannot be resampled or that Polyline3D would reject. The first
-    such edge in row-major order raises, with the message a one-edge-at-a-
-    time build would give.
+    The scene's lanes must share one point count (Scene.lane_stack raises
+    first, whatever the edges). Each pair marked in ll is merged at its
+    junction, counted once, and all merges are resampled to the scene's
+    point count in one resample_rows call. A marked pair whose endpoints
+    do not coincide within the junction tolerance is a contract violation
+    and raises; so does a merged curve that cannot be resampled or that
+    Polyline3D would reject. The first such edge in row-major order
+    raises, with the message a one-edge-at-a-time build would give.
     """
+    L = scene.lane_stack()
     rows, cols = np.nonzero(scene.topo.ll)
     gaps = junction_gaps(scene.lanes, rows, cols)
     # edges past the first open junction are never merged
     k = gaps[0][0] if gaps else len(rows)
     out: list[ConnectedLane] = []
     if k:
-        parts = [(sel, *resample_rows(merged, scene.n_points))
-                 for sel, merged in _merged_stacks(scene.lanes, rows[:k], cols[:k])]
-        curves = np.empty((k, scene.n_points, 3))
-        zero = np.empty(k, dtype=bool)
-        for sel, resampled, zero_len in parts:
-            curves[sel], zero[sel] = resampled, zero_len
+        merged = np.concatenate([L[rows[:k]], L[cols[:k], 1:]], axis=1)
+        curves, zero = resample_rows(merged, scene.n_points)
         # per edge: zero length, then the polyline flaws in Polyline3D's order
         bad = np.argwhere(np.column_stack([zero, polyline_flaws(curves)]))
         if bad.size:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import box_iou, frechet_matrix, lane_boundaries, segment_matrix, valid_width
-from .scene import Prediction, Scene, prediction_shape_errors
+from .scene import Prediction, Scene, prediction_shape_errors, topology_shape_errors
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
 DET_T_IOU = 0.75
@@ -271,11 +271,12 @@ def evaluate(pred: Prediction, scene: Scene,
     lanes of pred and scene are widened into "lane" segments of that width
     (see widen and _lane_segment_report). A lane_scores, topo.ll or topo.lt
     whose shape does not fit pred's lanes and traffic raises ValueError
-    with validate_prediction's message, as do a lane width that is not
+    with validate_prediction's message, and a topo.ll or topo.lt that does
+    not fit scene's with validate_scene's, as do a lane width that is not
     finite and positive and thresholds that cannot be scored (non-finite
     or non-positive distances, IoU outside (0, 1]).
     """
-    shape_errors = prediction_shape_errors(pred)
+    shape_errors = prediction_shape_errors(pred) + topology_shape_errors(scene)
     if shape_errors:
         raise ValueError(shape_errors[0])
     det_l_thresholds = valid_distances(det_l_thresholds)

@@ -37,16 +37,8 @@ from .connect import ConnectedLane, build_connected_gt, half_distances
 from .features import GeometryEncoder, box_values, lane_values
 from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, mlp_grad_vars, sigmoid
-from .scene import (
-    FLAWS,
-    Polyline3D,
-    Prediction,
-    Scene,
-    TopologyGraph,
-    TrafficElement,
-    polyline_flaws,
-)
-from .synth import NoiseParams, perturb
+from .scene import Prediction, Scene, TopologyGraph, TrafficElement
+from .synth import NoiseParams, jittered, perturb
 
 
 @dataclass(frozen=True)
@@ -185,16 +177,11 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
         lanes = list(perturb(scene, cfg.noise, cfg.noise_seed).lanes)
         if cfg.noise.point_sigma > 0 and connected:
             # junctions no longer coincide after jitter, so connection queries
-            # are the ground-truth merges degraded with the same point noise,
-            # drawn as one stack: the stream of one draw per curve
-            conn_rng = np.random.default_rng(cfg.noise_seed + 1)
-            C = np.stack([c.curve.points for c in connected])
-            C += conn_rng.normal(0.0, cfg.noise.point_sigma, size=C.shape)
-            bad = np.argwhere(polyline_flaws(C))
-            if bad.size:
-                raise ValueError(FLAWS[bad[0, 1]])
-            connected = [ConnectedLane(source=c.source, curve=Polyline3D.unchecked(row))
-                         for c, row in zip(connected, C)]
+            # are the ground-truth merges degraded with the same point noise
+            curves = jittered(np.stack([c.curve.points for c in connected]),
+                              cfg.noise.point_sigma, np.random.default_rng(cfg.noise_seed + 1))
+            connected = [ConnectedLane(source=c.source, curve=curve)
+                         for c, curve in zip(connected, curves)]
 
     cut = [f"{budget} of {len(items)} {what}" for items, budget, what in (
         (lanes, cfg.n_lane_queries, "lanes"),

@@ -15,6 +15,8 @@ import numpy as np
 
 # Endpoints closer than this (metres) are treated as one junction point.
 JUNCTION_TOL = 0.01
+# screened_gaps settles which side of JUNCTION_TOL a gap is beyond this margin.
+SCREEN_MARGIN = 0.5 * JUNCTION_TOL
 
 DEFAULT_N_POINTS = 11
 
@@ -131,6 +133,17 @@ class Scene:
     topo: TopologyGraph
     n_points: int = DEFAULT_N_POINTS
 
+    def lane_stack(self) -> np.ndarray:
+        """The lanes as one (k, n, 3) array, (0, n_points, 3) for none; the
+        first lane whose point count differs from lane 0's raises."""
+        if not self.lanes:
+            return np.zeros((0, self.n_points, 3))
+        n = self.lanes[0].n_points
+        for i, lane in enumerate(self.lanes):
+            if lane.n_points != n:
+                raise ValueError(f"lane {i}: point count {lane.n_points} != lane 0's {n}")
+        return np.stack([lane.points for lane in self.lanes])
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -146,26 +159,45 @@ class Prediction:
         object.__setattr__(self, "lane_scores", scores)
 
 
+def screened_gaps(lanes: list[Polyline3D], rows, cols) -> np.ndarray:
+    """Gaps from the terminal points of lanes[rows] to the initial points of
+    lanes[cols] (index arrays that broadcast) in one array pass: within a
+    few ulps of np.linalg.norm of each difference, so callers measure with
+    the norm only the gaps within SCREEN_MARGIN of JUNCTION_TOL."""
+    ends = np.array([lane.terminal for lane in lanes]).reshape(-1, 3)
+    starts = np.array([lane.initial for lane in lanes]).reshape(-1, 3)
+    d = ends[rows] - starts[cols]
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]]:
     """(e, gap) for each edge e from lanes[rows[e]] to lanes[cols[e]] whose
     junction is open, in edge order: the predecessor's terminal point is
     more than JUNCTION_TOL from the successor's initial point, and gap is
     that distance.
 
-    Every edge is screened in one array pass with a margin, then each
+    Every edge is screened in one array pass (screened_gaps), then each
     flagged edge is measured with np.linalg.norm of its own endpoint
     difference, so the verdict and the gap are the per-edge norm's.
     """
-    if not len(rows):
-        return []
-    ends = np.array([lane.terminal for lane in lanes])
-    starts = np.array([lane.initial for lane in lanes])
-    d = ends[rows] - starts[cols]
     out = []
-    for e in np.flatnonzero(np.sqrt((d * d).sum(axis=1)) > 0.5 * JUNCTION_TOL):
+    for e in np.flatnonzero(screened_gaps(lanes, rows, cols) > JUNCTION_TOL - SCREEN_MARGIN):
         gap = float(np.linalg.norm(lanes[rows[e]].terminal - lanes[cols[e]].initial))
         if gap > JUNCTION_TOL:
             out.append((int(e), gap))
+    return out
+
+
+def topology_shape_errors(graph: Scene | Prediction) -> list[str]:
+    """One message per topology ll or lt of a scene or prediction whose
+    shape does not fit its lanes and traffic elements."""
+    out = []
+    n, t = len(graph.lanes), len(graph.traffic)
+    ll, lt = graph.topo.ll, graph.topo.lt
+    if ll.shape != (n, n):
+        out.append(f"topology ll: shape {ll.shape} != ({n}, {n})")
+    if lt.shape != (n, t):
+        out.append(f"topology lt: shape {lt.shape} != ({n}, {t})")
     return out
 
 
@@ -177,7 +209,6 @@ def validate_scene(scene: Scene) -> list[str]:
     """
     out: list[str] = []
     n_lanes = len(scene.lanes)
-    n_traffic = len(scene.traffic)
 
     for i, lane in enumerate(scene.lanes):
         if lane.n_points != scene.n_points:
@@ -185,12 +216,9 @@ def validate_scene(scene: Scene) -> list[str]:
                 f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
             )
 
-    ll, lt = scene.topo.ll, scene.topo.lt
-    if ll.shape != (n_lanes, n_lanes):
-        out.append(f"topology ll: shape {ll.shape} != ({n_lanes}, {n_lanes})")
-    if lt.shape != (n_lanes, n_traffic):
-        out.append(f"topology lt: shape {lt.shape} != ({n_lanes}, {n_traffic})")
+    out += topology_shape_errors(scene)
 
+    ll, lt = scene.topo.ll, scene.topo.lt
     for name, mat in (("ll", ll), ("lt", lt)):
         bad = (mat != 0.0) & (mat != 1.0)
         for i, j in zip(*np.nonzero(bad)):
@@ -215,17 +243,11 @@ def prediction_shape_errors(pred: Prediction) -> list[str]:
     does not fit the prediction's lanes and traffic elements."""
     out: list[str] = []
     n_lanes = len(pred.lanes)
-    n_traffic = len(pred.traffic)
     if pred.lane_scores.shape != (n_lanes,):
         out.append(
             f"lane_scores: length {pred.lane_scores.shape[0]} != lane count {n_lanes}"
         )
-    ll, lt = pred.topo.ll, pred.topo.lt
-    if ll.shape != (n_lanes, n_lanes):
-        out.append(f"topology ll: shape {ll.shape} != ({n_lanes}, {n_lanes})")
-    if lt.shape != (n_lanes, n_traffic):
-        out.append(f"topology lt: shape {lt.shape} != ({n_lanes}, {n_traffic})")
-    return out
+    return out + topology_shape_errors(pred)
 
 
 def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[str]:

@@ -15,21 +15,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import stacks_by_count
 from .scene import (
     DEFAULT_N_POINTS,
     FLAWS,
     JUNCTION_TOL,
+    SCREEN_MARGIN,
     Polyline3D,
     Prediction,
     Scene,
     TopologyGraph,
     TrafficElement,
     polyline_flaws,
+    screened_gaps,
 )
 
 TRAFFIC_CATEGORIES = ("traffic_light", "stop_sign", "speed_limit", "yield_sign")
 CANVAS = (1920.0, 1080.0)
+
+# Lanes per row chunk of infer_ll's screen: (chunk, n, 3) is 5 MB at n = 823.
+INFER_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,17 @@ def _lateral_blend(x0: float, x1: float, y0: float, y1: float,
 
 
 def infer_ll(lanes: list[Polyline3D]) -> np.ndarray:
-    """Adjacency from geometry: edge (i, j) iff lane i ends where lane j starts."""
+    """Adjacency from geometry: edge (i, j), i != j, iff lane i ends where
+    lane j starts. All pairs are screened (screened_gaps) INFER_CHUNK rows
+    at a time, and each candidate is measured with np.linalg.norm of its
+    own endpoint difference, as junction_gaps does."""
     n = len(lanes)
     ll = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap = np.linalg.norm(lanes[i].terminal - lanes[j].initial)
-            if gap <= JUNCTION_TOL:
+    idx = np.arange(n)
+    for i0 in range(0, n, INFER_CHUNK):
+        gaps = screened_gaps(lanes, idx[i0:i0 + INFER_CHUNK, None], idx)
+        for i, j in np.argwhere(gaps <= JUNCTION_TOL + SCREEN_MARGIN) + [i0, 0]:
+            if i != j and np.linalg.norm(lanes[i].terminal - lanes[j].initial) <= JUNCTION_TOL:
                 ll[i, j] = 1.0
     return ll
 
@@ -230,42 +236,41 @@ def blend_topology(topo: TopologyGraph, kept: np.ndarray, n_out: int,
     return ll, lt
 
 
+def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> list[Polyline3D]:
+    """Rows of the stack P (k, n, 3) plus N(0, sigma) noise as polylines.
+
+    The noise is one draw of size P.shape, the stream of one draw per row;
+    at sigma 0 none is drawn and -0.0 becomes 0.0. The first row Polyline3D
+    would reject raises its message."""
+    P = P + (rng.normal(0.0, sigma, size=P.shape) if sigma > 0 else 0.0)
+    bad = np.argwhere(polyline_flaws(P))
+    if bad.size:
+        raise ValueError(FLAWS[bad[0, 1]])
+    return [Polyline3D.unchecked(row) for row in P]
+
+
 def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
     """Degraded copy of a scene posing as a prediction.
 
-    Lane points get isotropic Gaussian noise; lanes are dropped and spurious
-    far-away lanes appended; topology scores are the binary ground truth
-    blended toward 0.5 by score_noise, then flipped entrywise with
-    probability topo_flip_rate. With all-zero noise the prediction
-    reproduces the ground truth and every metric is 1.
+    Lane points get isotropic Gaussian noise (jittered); lanes are dropped
+    and spurious far-away lanes appended; topology scores are the binary
+    ground truth blended toward 0.5 by score_noise, then flipped entrywise
+    with probability topo_flip_rate. With all-zero noise the prediction
+    reproduces the ground truth and every metric is 1. The scene's lanes
+    must share one point count (Scene.lane_stack).
     """
+    L = scene.lane_stack()
     rng = np.random.default_rng(seed)
     n = len(scene.lanes)
 
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
     kept = np.flatnonzero(keep)
-
-    lanes: list[Polyline3D] = [None] * len(kept)
-    if len(kept):
-        kept_pts = [scene.lanes[i].points for i in kept]
-        flat = np.concatenate(kept_pts)
-        # one draw over every kept point: the stream of one draw per lane
-        flat = flat + (rng.normal(0.0, noise.point_sigma, size=flat.shape)
-                       if noise.point_sigma > 0 else 0.0)
-        bad = np.zeros((len(kept), 2), dtype=bool)
-        pieces = np.split(flat, np.cumsum([len(p) for p in kept_pts])[:-1])
-        for idx, P in stacks_by_count(pieces):
-            bad[idx] = polyline_flaws(P)
-            for k, pts in zip(idx, P):
-                lanes[k] = Polyline3D.unchecked(pts)
-        if bad.any():
-            raise ValueError(FLAWS[np.argwhere(bad)[0, 1]])
+    lanes = jittered(L[kept], noise.point_sigma, rng) if len(kept) else []
 
     n_spurious = int(rng.poisson(noise.spurious_rate * n)) if noise.spurious_rate > 0 else 0
     if n_spurious:
-        all_pts = np.concatenate([l.points for l in scene.lanes])
-        y_far = float(all_pts[:, 1].max()) + 25.0
-        x_lo = float(all_pts[:, 0].min())
+        y_far = float(L[..., 1].max()) + 25.0
+        x_lo = float(L[..., 0].min())
         length = max(5.0, float(np.mean([np.linalg.norm(l.points[-1] - l.points[0])
                                          for l in scene.lanes])))
         for k in range(n_spurious):

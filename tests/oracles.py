@@ -5,7 +5,8 @@ the literal recursive definition or a per-pair loop, distances are
 double loops, a lane-segment distance is one Chamfer loop plus one
 Frechet loop, greedy matching visits one prediction and one ground truth
 at a time, curves are resampled one coordinate at a time with np.interp
-against their cumulative chord lengths, connected lanes are merged at
+against their cumulative chord lengths, lane-lane adjacency is inferred
+one lane pair at a time, connected lanes are merged at
 their junction point and validated one edge at a time and split one
 curve at a time, half distances are one scalar call per lane and half,
 the topology heads run on concatenated (pairs, 2c) pair features and
@@ -193,6 +194,22 @@ def merge_at_junction(a, b):
     """a's points then b's without its first: the junction counted once,
     at a's terminal point, 2*N_P - 1 points for two N_P-point lanes."""
     return np.concatenate([a.points, b.points[1:]], axis=0)
+
+
+def infer_ll_loops(lanes):
+    """Adjacency from geometry, one lane pair at a time: edge (i, j), i != j,
+    iff np.linalg.norm of lane i's terminal minus lane j's initial point is
+    at most JUNCTION_TOL."""
+    n = len(lanes)
+    ll = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            gap = np.linalg.norm(lanes[i].terminal - lanes[j].initial)
+            if gap <= JUNCTION_TOL:
+                ll[i, j] = 1.0
+    return ll
 
 
 def build_connected_gt_loops(scene):

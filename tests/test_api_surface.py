@@ -1,8 +1,10 @@
-"""Every public function and class of the package has a caller.
+"""Every function and class of the package has a caller.
 
-A public module-level def or class in src/lanetopo must be referenced, as
-a name or an attribute, from another module of the package, from the rest
-of its own module, or from tests/test_acceptance.py. Re-exporting it from
+A module-level def or class in src/lanetopo must be referenced, as a name
+or an attribute, from another module of the package or from the rest of
+its own module. A public one may instead be referenced from
+tests/test_acceptance.py; a private (underscored) one has no caller
+outside the package, so no test counts for it. Re-exporting a name from
 lanetopo/__init__.py is not a use, nor is importing it without using it.
 """
 
@@ -37,18 +39,26 @@ def modules():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
+def unreferenced(trees, used, private: bool) -> list[str]:
+    """module.name of each public (or private) definition in trees that is
+    not among the used names."""
+    return [f"{module}.{name}" for module, tree in trees.items() for stmt in tree.body
+            if (name := defined_name(stmt)) and name.startswith("_") == private
+            and name not in used]
+
+
 def test_every_public_definition_is_referenced():
     trees = modules()
     used = references(ast.parse(ACCEPTANCE.read_text()))
     for tree in trees.values():
         used |= references(tree)
-    unused = []
-    for module, tree in trees.items():
-        for stmt in tree.body:
-            name = defined_name(stmt)
-            if name and not name.startswith("_") and name not in used:
-                unused.append(f"{module}.{name}")
-    assert unused == []
+    assert unreferenced(trees, used, private=False) == []
+
+
+def test_every_private_definition_is_referenced_by_the_package():
+    trees = modules()
+    used = set().union(*map(references, trees.values()))
+    assert unreferenced(trees, used, private=True) == []
 
 
 def test_the_scan_sees_the_package():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.cli import main
+from lanetopo.cli import build_parser, main
 from lanetopo.serialize import (
     CSV_HEADER,
     manifest_path_for,
@@ -249,6 +249,32 @@ class TestPredict:
         zeros = [str(tok) for flag, _ in self.NOISE for tok in (flag, 0)]
         assert run("predict", "--scene", scene_path, "--out", out, *zeros,
                    *self.small()) == 0
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_parses_its_own_arguments(self, tmp_path):
+        # one shared parser: predict, eval, predict --no-tam and predict
+        # again, each manifest recording only its own call's flags
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        small = ("--channels", 16, "--heads", 2, "--lane-queries", 32, "--traffic-queries", 8)
+        outs = [tmp_path / f"pred{k}.json" for k in range(3)]
+        assert run("predict", "--scene", scene_path, "--out", outs[0], *small) == 0
+        report = tmp_path / "report.json"
+        assert run("eval", "--pred", outs[0], "--gt", scene_path, "--out", report,
+                   "--lane-width", 2.5) == 0
+        assert run("predict", "--scene", scene_path, "--out", outs[1], "--no-tam",
+                   *small) == 0
+        assert run("predict", "--scene", scene_path, "--out", outs[2], *small) == 0
+        params = [read_json(manifest_path_for(out))["params"] for out in outs]
+        assert [p["use_tam"] for p in params] == [True, False, True]
+        eval_manifest = read_json(manifest_path_for(report))
+        assert eval_manifest["command"] == "eval"
+        assert eval_manifest["params"]["lane_width"] == 2.5
+        assert outs[0].read_bytes() == outs[2].read_bytes()
 
 
 class TestEval:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.connect import ConnectedLane, _halves, _merged_stacks
+from lanetopo.connect import ConnectedLane, _halves
 from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK, resample_stack
 from lanetopo.scene import JUNCTION_TOL
 from conftest import chain_scene, straight_lane
@@ -25,13 +25,11 @@ def tiny_chain(n_points=3):
 
 
 def merged_chain(n_points):
-    """The one merged curve of tiny_chain(n_points), as build_connected_gt
-    merges it, checked against the per-edge merge."""
+    """The one merged curve of tiny_chain(n_points), after checking that
+    build_connected_gt builds the oracle's connected lane from it."""
     scene = tiny_chain(n_points=n_points)
-    ((sel, merged),) = _merged_stacks(scene.lanes, np.array([0]), np.array([1]))
-    assert list(sel) == [0]
-    assert np.array_equal(merged[0], merge_at_junction(scene.lanes[0], scene.lanes[1]))
-    return merged[0]
+    assert_same_connected(lt.build_connected_gt(scene), build_connected_gt_loops(scene))
+    return merge_at_junction(scene.lanes[0], scene.lanes[1])
 
 
 class TestMergeAtJunction:
@@ -118,13 +116,6 @@ def lane_through(*pts):
     return lt.Polyline3D(np.array(pts, dtype=np.float64))
 
 
-def segment(p, q, n):
-    """n points from p to q, both kept bitwise."""
-    pts = p + np.linspace(0.0, 1.0, n)[:, None] * (q - p)
-    pts[0], pts[-1] = p, q
-    return lt.Polyline3D(pts)
-
-
 def edge_scene(lanes, edges, n_points=3):
     ll = np.zeros((len(lanes), len(lanes)))
     for i, j in edges:
@@ -142,21 +133,6 @@ class TestBuildConnectedGtOracle:
                                                        n_points=5 + 3 * seed, seed=seed)),
                       lt.generate_roundabout(n_arms=3 + seed, n_points=4 + seed, seed=seed)):
             assert_same_connected(lt.build_connected_gt(scene), build_connected_gt_loops(scene))
-
-    def test_mixed_point_counts(self):
-        # a Scene built directly: a chain of lanes of 5, 3 and 8 points and
-        # a branch, merged in four pairings of counts and resampled to 7
-        counts = [5, 3, 8, 5, 3, 8, 5]
-        knots = [np.array([10.0 * k, 0.3 * k * k, 0.1 * k]) for k in range(len(counts) + 1)]
-        lanes = [segment(knots[k], knots[k + 1], n) for k, n in enumerate(counts)]
-        lanes.append(segment(knots[1], np.array([15.0, -6.0, 0.0]), 8))
-        edges = [(0, 1), (0, 7)] + [(k, k + 1) for k in range(1, len(counts) - 1)]
-        scene = edge_scene(lanes, edges, n_points=7)
-        got = lt.build_connected_gt(scene)
-        assert_same_connected(got, build_connected_gt_loops(scene))
-        assert [c.source for c in got] == sorted(edges)
-        n_of = [lane.n_points for lane in lanes]
-        assert {(n_of[i], n_of[j]) for i, j in edges} == {(5, 3), (5, 8), (3, 8), (8, 5)}
 
     def test_junction_gap_at_the_tolerance_and_one_ulp_above(self):
         # the gap is the x offset alone: sqrt(x * x) is x exactly

@@ -360,20 +360,27 @@ class TestEvaluate:
         ("lane_scores", np.ones(3)),
         ("ll", np.zeros((2, 3))),
         ("lt", np.zeros((2, 2))),
-    ], ids=["short_scores", "long_scores", "ll", "lt"])
+        ("gt_ll", np.zeros((1, 1))),
+        ("gt_lt", np.zeros((2, 4))),
+    ], ids=["short_scores", "long_scores", "ll", "lt", "gt_ll", "gt_lt"])
     def test_mismatched_shapes_raise(self, field, value):
-        # two lanes and one traffic element, one shape off: neither a
-        # truncated score list nor an IndexError, but validate_prediction's
-        # message
+        # two lanes and one traffic element, one shape of the prediction or
+        # of the ground truth off: neither a truncated score list, an
+        # IndexError nor a silent score, but validate_prediction's or
+        # validate_scene's message
         scene = chain_scene()
         pred = perfect_prediction(scene)
         if field == "lane_scores":
             pred = replace(pred, lane_scores=value)
+        elif field.startswith("gt_"):
+            scene = replace(scene, topo=replace(scene.topo, **{field[3:]: value}))
         else:
             pred = replace(pred, topo=replace(pred.topo, **{field: value}))
         with pytest.raises(ValueError) as err:
             lt.evaluate(pred, scene, lane_width=1.75)
-        assert [str(err.value)] == lt.validate_prediction(pred)
+        expected = lt.validate_scene(scene) if field.startswith("gt_") \
+            else lt.validate_prediction(pred)
+        assert [str(err.value)] == expected
 
     def test_zeroing_a_correct_edge_hurts_top(self):
         scene = three_lane_chain()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.connect import _merged_stacks
 from lanetopo.scene import junction_gaps
 from conftest import chain_scene, perfect_prediction, straight_lane
+from oracles import build_connected_gt_loops, merge_at_junction
 
 
 class TestPolyline:
@@ -77,12 +77,18 @@ class TestJunctionPoint:
 
     def test_within_tolerance_returns_predecessor_terminal(self):
         a = straight_lane(0.0, 10.0, 0.0)
-        b = lt.Polyline3D(np.array([[10.004, 0.0, 0.0], [20.0, 0.0, 0.0]]))
+        b = straight_lane(10.004, 20.0, 0.0)
         assert junction_gaps([a, b], [0], [1]) == []
+        scene = lt.Scene(lanes=[a, b], traffic=[],
+                         topo=lt.TopologyGraph(ll=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                               lt=np.zeros((2, 0))))
+        (got,), (ref,) = lt.build_connected_gt(scene), build_connected_gt_loops(scene)
+        assert got.source == ref.source == (0, 1)
+        assert np.array_equal(got.curve.points, ref.curve.points)
         # the merged curve's junction is a's terminal, not b's initial
-        ((_, merged),) = _merged_stacks([a, b], np.array([0]), np.array([1]))
-        assert np.array_equal(merged[0, 10], [10.0, 0.0, 0.0])
-        assert merged.shape == (1, 12, 3)
+        merged = merge_at_junction(a, b)
+        assert np.array_equal(merged[10], [10.0, 0.0, 0.0])
+        assert merged.shape == (21, 3)
 
     def test_beyond_tolerance_returns_none(self):
         a = straight_lane(0.0, 10.0, 0.0)
@@ -93,6 +99,43 @@ class TestJunctionPoint:
         a = straight_lane(0.0, 10.0, 0.0)
         b = straight_lane(10.0, 20.0, 0.0)
         assert junction_gaps([a, b], [0, 1], [1, 0]) == [(1, 20.0)]
+
+
+class TestLaneStack:
+    def test_one_point_count_stacks(self):
+        scene = chain_scene()
+        L = scene.lane_stack()
+        assert L.shape == (2, 11, 3)
+        assert all(np.array_equal(row, lane.points) for row, lane in zip(L, scene.lanes))
+
+    def test_no_lanes_give_an_empty_stack(self):
+        scene = lt.Scene(lanes=[], traffic=[],
+                         topo=lt.TopologyGraph(ll=np.zeros((0, 0)), lt=np.zeros((0, 0))),
+                         n_points=7)
+        assert scene.lane_stack().shape == (0, 7, 3)
+
+    def test_counts_are_compared_with_lane_0(self):
+        # not with n_points: 3-point lanes in an 11-point scene stack
+        scene = chain_scene(n_points=3)
+        scene = lt.Scene(lanes=scene.lanes, traffic=[], topo=scene.topo, n_points=11)
+        assert scene.lane_stack().shape == (2, 3, 3)
+
+    def test_ragged_scene_raises_in_every_scene_step(self):
+        # chain_scene with its second lane cut to 5 of its 11 points; the
+        # junction still closes, so the named lane is the only fault
+        scene = chain_scene()
+        b = lt.Polyline3D(scene.lanes[1].points[[0, 2, 4, 6, 10]])
+        scene = lt.Scene(lanes=[scene.lanes[0], b], traffic=scene.traffic, topo=scene.topo)
+        assert np.array_equal(scene.lanes[1].initial, scene.lanes[0].terminal)
+        msg = r"^lane 1: point count 5 != lane 0's 11$"
+        for step in (lt.Scene.lane_stack, lt.build_connected_gt,
+                     lambda s: lt.perturb(s, lt.NoiseParams(), 0),
+                     lambda s: lt.perturb(s, lt.NoiseParams(drop_rate=1.0), 0),
+                     lambda s: lt.run_pipeline(s, lt.PipelineConfig(source="perturbed")),
+                     lt.run_pipeline,
+                     lambda s: lt.toy_fit(s, steps=1)):
+            with pytest.raises(ValueError, match=msg):
+                step(scene)
 
 
 class TestValidateScene:

@@ -6,7 +6,7 @@ import pytest
 import lanetopo as lt
 from lanetopo.synth import blend_topology
 from conftest import perfect_prediction
-from oracles import blend_topology_loops, perturb_lanes_loops
+from oracles import blend_topology_loops, infer_ll_loops, perturb_lanes_loops
 
 
 class TestSynthParams:
@@ -129,6 +129,36 @@ class TestInferLl:
         assert lt.infer_ll([a, near])[0, 1] == 1.0
         assert lt.infer_ll([a, far])[0, 1] == 0.0
 
+    @pytest.mark.parametrize("scene", [
+        lt.generate_scene(lt.SynthParams(n_corridors=1, n_segments=4, seed=2)),
+        lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=20, split_prob=0.5,
+                                         merge_prob=0.5, n_points=5, seed=3)),
+        lt.generate_scene(lt.SynthParams(n_corridors=6, n_segments=50, split_prob=0.5,
+                                         merge_prob=0.5, seed=4)),
+        lt.generate_roundabout(n_arms=6, seed=1),
+        lt.generate_roundabout(radius=7.5, n_arms=9, n_points=4, seed=2),
+    ], ids=["grid-1x4", "grid-4x20", "grid-6x50", "roundabout-6", "roundabout-9"])
+    def test_bitwise_equal_to_the_pair_loop(self, scene):
+        # the 6 x 50 grid has more lanes than one INFER_CHUNK of rows
+        ll = lt.infer_ll(scene.lanes)
+        assert np.array_equal(ll, infer_ll_loops(scene.lanes))
+        assert np.array_equal(ll, scene.topo.ll)
+        assert ll.sum() > 0
+
+    def test_junction_at_the_tolerance_and_one_ulp_above(self):
+        # the gap is the x offset alone: sqrt(x * x) is x exactly
+        a = lt.Polyline3D(np.array([[-10.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        for x, joined in ((lt.JUNCTION_TOL, 1.0), (np.nextafter(lt.JUNCTION_TOL, 1.0), 0.0)):
+            b = lt.Polyline3D(np.array([[x, 0.0, 0.0], [10.0, 1.0, 0.0]]))
+            assert float(np.linalg.norm(b.initial - a.terminal)) == x
+            for lanes in ([a, b], [b, a]):
+                ll = lt.infer_ll(lanes)
+                assert np.array_equal(ll, infer_ll_loops(lanes))
+                assert ll.sum() == joined
+
+    def test_no_lanes(self):
+        assert lt.infer_ll([]).shape == (0, 0)
+
 
 class TestRoundabout:
     def test_edge_count_is_four_per_arm(self):
@@ -231,41 +261,46 @@ class TestPerturb:
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             assert len(got) >= len(ref)
 
-    def test_mixed_point_counts_and_signed_zeros_match_the_oracle(self):
-        lanes = [lt.Polyline3D(np.array([[0.0, -0.0, 0.0], [5.0, 0.0, -0.0]])),
-                 lt.Polyline3D(np.stack([np.linspace(5.0, 9.0, 7), np.zeros(7), np.zeros(7)], 1)),
-                 lt.Polyline3D(np.stack([np.linspace(0.0, 3.0, 4), np.ones(4), -np.ones(4)], 1))]
+    def test_signed_zeros_match_the_oracle(self):
+        lanes = [lt.Polyline3D(np.array([[0.0, -0.0, 0.0], [5.0, 0.0, -0.0], [6.0, -0.0, -0.0]])),
+                 lt.Polyline3D(np.stack([np.linspace(5.0, 9.0, 3), np.zeros(3), -np.zeros(3)], 1)),
+                 lt.Polyline3D(np.stack([np.linspace(0.0, 3.0, 3), np.ones(3), -np.ones(3)], 1))]
         scene = lt.Scene(lanes=lanes, traffic=[],
-                         topo=lt.TopologyGraph(ll=np.zeros((3, 3)), lt=np.zeros((3, 0))))
-        for sigma in (0.0, 0.25):
+                         topo=lt.TopologyGraph(ll=np.zeros((3, 3)), lt=np.zeros((3, 0))),
+                         n_points=3)
+        for sigma in (0.25, 0.0):
             noise = lt.NoiseParams(point_sigma=sigma)
             got = [lane.points for lane in lt.perturb(scene, noise, 4).lanes]
             ref = perturb_lanes_loops(scene, noise, 4)
-            assert [p.shape for p in got] == [(2, 3), (7, 3), (4, 3)]
+            assert len(got) == 3
             # bitwise, and -0.0 + 0.0 is 0.0 on both sides
             assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
                        for a, b in zip(got, ref))
+        assert not np.signbit(got[0]).any()  # at sigma 0
 
     def test_a_flawed_jittered_lane_raises_the_oracle_message(self):
         # jitter that overflows a lane to inf, and jitter that rounds a lane
         # whose x steps are one ulp (and whose y and z ulps are far larger)
-        # onto itself, so two consecutive points coincide; lanes of 5, 6
-        # and 20 points, so each stacks apart from the others
-        big = np.stack([np.linspace(1.0e308, 1.7e308, 5), np.zeros(5), np.zeros(5)], 1)
-        ulp = np.stack([1.0e20 + 16384.0 * np.arange(20), np.full(20, 1.0e22),
-                        np.full(20, 1.0e22)], 1)
-        ok = np.stack([np.linspace(0.0, 10.0, 6), np.zeros(6), np.zeros(6)], 1)
-        for lanes, sigma in (([ok, big], 1.0e308), ([ok, ulp, big], 1.0e4),
-                             ([big, ulp, ok], 1.0e4)):
+        # onto itself, so two consecutive points coincide; 20 points each
+        n = 20
+        big = np.stack([np.linspace(1.0e308, 1.7e308, n), np.zeros(n), np.zeros(n)], 1)
+        ulp = np.stack([1.0e20 + 16384.0 * np.arange(n), np.full(n, 1.0e22),
+                        np.full(n, 1.0e22)], 1)
+        ok = np.stack([np.linspace(0.0, 10.0, n), np.zeros(n), np.zeros(n)], 1)
+        for lanes, sigma, flaw in (([ok, big], 1.0e308, "non-finite"),
+                                   ([ok, ulp, big], 1.0e4, "duplicate"),
+                                   ([big, ulp, ok], 1.0e4, "duplicate")):
             scene = lt.Scene(lanes=[lt.Polyline3D(p) for p in lanes], traffic=[],
                              topo=lt.TopologyGraph(ll=np.zeros((len(lanes),) * 2),
-                                                   lt=np.zeros((len(lanes), 0))))
+                                                   lt=np.zeros((len(lanes), 0))),
+                             n_points=n)
             noise = lt.NoiseParams(point_sigma=sigma)
             with pytest.raises(ValueError) as ref, np.errstate(over="ignore"):
                 perturb_lanes_loops(scene, noise, 0)
             with pytest.raises(ValueError) as got, np.errstate(over="ignore"):
                 lt.perturb(scene, noise, 0)
             assert str(got.value) == str(ref.value)
+            assert flaw in str(got.value)
 
     def test_perturbed_output_is_a_valid_prediction(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
