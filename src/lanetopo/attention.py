@@ -18,7 +18,7 @@ instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class ModelDims:
     n_heads: int = 4
 
     def __post_init__(self):
+        if self.c < 1 or self.n_heads < 1:
+            raise ValueError(f"width and head count must be >= 1, got {self.c} and {self.n_heads}")
         if self.c % self.n_heads != 0:
             raise ValueError(f"width {self.c} not divisible by {self.n_heads} heads")
 
@@ -74,15 +76,6 @@ class SelfAttentionParams:
             wq=mk(), bq=mb(), wk=mk(), bk=mb(), wv=mk(), bv=mb(), wo=mk(), bo=mb(),
             ln_gain=np.ones(c), ln_bias=np.zeros(c), n_heads=dims.n_heads,
         )
-
-    def variables(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
-            f"{prefix}.wk": self.wk, f"{prefix}.bk": self.bk,
-            f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
-            f"{prefix}.wo": self.wo, f"{prefix}.bo": self.bo,
-            f"{prefix}.ln_gain": self.ln_gain, f"{prefix}.ln_bias": self.ln_bias,
-        }
 
 
 def _split_heads(x: np.ndarray, h: int) -> np.ndarray:
@@ -117,7 +110,7 @@ def self_attention_forward(params: SelfAttentionParams, q: np.ndarray, p: np.nda
 
 
 def self_attention_backward(params: SelfAttentionParams, cache, gy: np.ndarray):
-    """Gradients wrt q, p, and all parameters (dict keyed like variables())."""
+    """Gradients wrt q, p, and the parameters (a SelfAttentionParams)."""
     q, src, xq, xk, xv, a, ctx, ln_cache = cache
     h = params.n_heads
     dh = xq.shape[-1] // h
@@ -148,11 +141,10 @@ def self_attention_backward(params: SelfAttentionParams, cache, gy: np.ndarray):
     gq += gsrc + gxv @ params.wv.T
     gp = gsrc
 
-    grads = {
-        "wq": g_wq, "bq": g_bq, "wk": g_wk, "bk": g_bk,
-        "wv": g_wv, "bv": g_bv, "wo": g_wo, "bo": g_bo,
-        "ln_gain": g_gain, "ln_bias": g_bias,
-    }
+    grads = SelfAttentionParams(
+        wq=g_wq, bq=g_bq, wk=g_wk, bk=g_bk, wv=g_wv, bv=g_bv, wo=g_wo, bo=g_bo,
+        ln_gain=g_gain, ln_bias=g_bias, n_heads=h,
+    )
     return gq, gp, grads
 
 
@@ -170,9 +162,6 @@ class SigmoidMaskParams:
     @classmethod
     def init(cls, hidden: int, rng: np.random.Generator) -> "SigmoidMaskParams":
         return cls(mlp=MlpParams.init((1, hidden, 1), rng))
-
-    def variables(self, prefix: str) -> dict[str, np.ndarray]:
-        return self.mlp.variables(prefix)
 
 
 # Entries per block of the mask MLP: its (entries, c) hidden layer stays at
@@ -211,7 +200,7 @@ def sigmoid_mask_backward(params: SigmoidMaskParams, cache, gs: np.ndarray):
         _, mlp_cache = mlp_forward_cached(params.mlp, flat[rows])
         gd[rows], grads = mlp_backward(params.mlp, mlp_cache, g_logits[rows])
         mlp_grads = add_mlp_grads(mlp_grads, grads)
-    return gd.reshape(d.shape), mlp_grads
+    return gd.reshape(d.shape), SigmoidMaskParams(mlp=mlp_grads)
 
 
 @dataclass
@@ -236,14 +225,6 @@ class CrossAttentionParams:
             wq=mk(), bq=mb(), wk=mk(), bk=mb(), wv=mk(), bv=mb(),
             ln_gain=np.ones(c), ln_bias=np.zeros(c),
         )
-
-    def variables(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
-            f"{prefix}.wk": self.wk, f"{prefix}.bk": self.bk,
-            f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
-            f"{prefix}.ln_gain": self.ln_gain, f"{prefix}.ln_bias": self.ln_bias,
-        }
 
 
 def masked_cross_attention_forward(
@@ -279,7 +260,7 @@ def masked_cross_attention_forward(
 
 
 def masked_cross_attention_backward(params: CrossAttentionParams, cache, gy: np.ndarray):
-    """Gradients wrt q, qc, the mask s, and all parameters."""
+    """Gradients wrt q, qc, the mask s, and the parameters (a CrossAttentionParams)."""
     q, qc, s, xq, xk, xv, a, ln_cache = cache
     c = q.shape[1]
 
@@ -302,10 +283,8 @@ def masked_cross_attention_backward(params: CrossAttentionParams, cache, gy: np.
     gq += gxq @ params.wq.T
     gqc = gxk @ params.wk.T + gxv @ params.wv.T
 
-    grads = {
-        "wq": g_wq, "bq": g_bq, "wk": g_wk, "bk": g_bk, "wv": g_wv, "bv": g_bv,
-        "ln_gain": g_gain, "ln_bias": g_bias,
-    }
+    grads = CrossAttentionParams(wq=g_wq, bq=g_bq, wk=g_wk, bk=g_bk, wv=g_wv, bv=g_bv,
+                                 ln_gain=g_gain, ln_bias=g_bias)
     return gq, gqc, gs, grads
 
 

@@ -1,7 +1,9 @@
 """Finite-difference verification of the analytic backward passes.
 
-Every checked backward pass is wrapped in one Op: variables() (live views of
-every input and parameter array), forward(), and analytic_grads(). grad_check
+Every checked backward pass is wrapped in one Op: named inputs, a parameter
+tree, a cached forward and the backward itself, whose gradients follow the
+convention of nn. variables() (live views of every input and parameter
+array) and analytic_grads() name parameters by nn.param_arrays. grad_check
 perturbs every entry of every variable with central differences of the
 scalar loss sum(y**2) and reports the worst relative error against the
 analytic gradient.
@@ -14,7 +16,7 @@ so such draws are re-seeded deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,7 +40,7 @@ from .heads import (
     predict_ll_backward,
     predict_ll_cached,
 )
-from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, mlp_grad_vars
+from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, param_arrays
 from .pipeline import TopologyStack
 from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
 
@@ -51,27 +53,29 @@ OP_NAMES = ("mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_atten
 class Op:
     """One differentiable op under check.
 
-    arrays holds live views of every input and parameter array, by name;
-    forward_cached() returns (y, cache); backward(cache, gy) returns the
-    gradients keyed like arrays; kink_margin(cache) is the distance from the
+    params is the parameter tree, None for none; forward_cached() returns
+    (y, cache); backward(params, cache, gy) returns the gradients of inputs,
+    in order, then of params; kink_margin(cache) is the distance from the
     sampled point to the nearest non-differentiable point.
     """
 
     name: str
-    arrays: dict[str, np.ndarray]
+    inputs: dict[str, np.ndarray]
+    params: object
     forward_cached: Callable
     backward: Callable
     kink_margin: Callable = lambda cache: np.inf
 
     def variables(self) -> dict[str, np.ndarray]:
-        return self.arrays
+        return {**self.inputs, **param_arrays(self.params)}
 
     def forward(self) -> np.ndarray:
         y, self._cache = self.forward_cached()
         return y
 
     def analytic_grads(self, gy: np.ndarray) -> dict[str, np.ndarray]:
-        return self.backward(self._cache, gy)
+        *g_inputs, g_params = self.backward(self.params, self._cache, gy)
+        return {**dict(zip(self.inputs, g_inputs)), **param_arrays(g_params)}
 
     def min_kink_margin(self) -> float:
         return self.kink_margin(self.forward_cached()[1])
@@ -100,9 +104,9 @@ def _ll_margin(cache) -> float:
                                          m.cache_m1, m.cache_m2, m.cache_head))
 
 
-def _ll_variables(variables: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """variables without the lane-traffic head, which the ll scores never read."""
-    return {k: v for k, v in variables.items() if not k.startswith("head.lt_")}
+def _ll_head(params: TopologyHeadParams) -> TopologyHeadParams:
+    """params without the lane-traffic head, which the ll scores never read."""
+    return replace(params, lt_lane=None, lt_traffic=None, lt_score=None)
 
 
 @dataclass
@@ -168,65 +172,38 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
 
     def mk_mlp(rng):
         params, x = MlpParams.init((c, c, 1), rng), rng.normal(size=(3, c))
-
-        def backward(cache, gy):
-            gx, grads = mlp_backward(params, cache, gy)
-            return {"x": gx, **mlp_grad_vars("mlp", grads)}
-
-        return Op("mlp_forward", {"x": x, **params.variables("mlp")},
-                  lambda: mlp_forward_cached(params, x), backward, _relu_margin)
+        return Op("mlp_forward", {"x": x}, params, lambda: mlp_forward_cached(params, x),
+                  mlp_backward, _relu_margin)
 
     def mk_mask(rng):
         params = SigmoidMaskParams.init(c, rng)
         d = np.abs(rng.normal(size=(3, 2))) * 2.0
-
-        def backward(cache, gy):
-            gd, mlp_grads = sigmoid_mask_backward(params, cache, gy)
-            return {"d": gd, **mlp_grad_vars("mask", mlp_grads)}
-
-        return Op("sigmoid_mask", {"d": d, **params.variables("mask")},
-                  lambda: sigmoid_mask_forward(params, d), backward,
-                  lambda cache: _mask_margin(params, cache))
+        return Op("sigmoid_mask", {"d": d}, params, lambda: sigmoid_mask_forward(params, d),
+                  sigmoid_mask_backward, lambda cache: _mask_margin(params, cache))
 
     def mk_self(rng):
         params = SelfAttentionParams.init(dims, rng)
         q, p = rng.normal(size=(3, c)), rng.normal(size=(3, c))
-
-        def backward(cache, gy):
-            gq, gp, grads = self_attention_backward(params, cache, gy)
-            return {"q": gq, "p": gp, **{f"attn.{k}": v for k, v in grads.items()}}
-
-        return Op("self_attention", {"q": q, "p": p, **params.variables("attn")},
-                  lambda: self_attention_forward(params, q, p), backward)
+        return Op("self_attention", {"q": q, "p": p}, params,
+                  lambda: self_attention_forward(params, q, p), self_attention_backward)
 
     def mk_cross(rng):
         params = CrossAttentionParams.init(dims, rng)
         q, qc = rng.normal(size=(3, c)), rng.normal(size=(2, c))
         s = rng.uniform(0.05, 1.0, size=(3, 2))
-
-        def backward(cache, gy):
-            gq, gqc, gs, grads = masked_cross_attention_backward(params, cache, gy)
-            return {"q": gq, "qc": gqc, "s": gs, **{f"tam.{k}": v for k, v in grads.items()}}
-
-        return Op("masked_cross_attention",
-                  {"q": q, "qc": qc, "s": s, **params.variables("tam")},
-                  lambda: masked_cross_attention_forward(params, q, qc, s), backward)
+        return Op("masked_cross_attention", {"q": q, "qc": qc, "s": s}, params,
+                  lambda: masked_cross_attention_forward(params, q, qc, s),
+                  masked_cross_attention_backward)
 
     def mk_ll_head(rng):
         # three lanes, two connected-lane queries resolving to distinct
         # (i, j) pairs, so no duplicate-max choice can sit at a tie
-        params = TopologyHeadParams.init(c, rng)
+        params = _ll_head(TopologyHeadParams.init(c, rng))
         q_hat, qc_hat = rng.normal(size=(3, c)), rng.normal(size=(2, c))
         pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
-
-        def backward(cache, gy):
-            gq, gqc, grads = predict_ll_backward(params, cache, gy, len(qc_hat))
-            return {"q_hat": gq, "qc_hat": gqc, **grads}
-
-        return Op("predict_ll_backward",
-                  {"q_hat": q_hat, "qc_hat": qc_hat, **_ll_variables(params.variables())},
+        return Op("predict_ll_backward", {"q_hat": q_hat, "qc_hat": qc_hat}, params,
                   lambda: predict_ll_cached(params, q_hat, qc_hat, pairs),
-                  backward, _ll_margin)
+                  predict_ll_backward, _ll_margin)
 
     def mk_focal(rng):
         pred = rng.uniform(0.05, 0.95, size=(3, 4))
@@ -236,9 +213,9 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
             # the clamp at [1e-7, 1 - 1e-7] is the only kink
             return float(np.minimum(pred - FOCAL_CLAMP, 1.0 - FOCAL_CLAMP - pred).min())
 
-        return Op("focal_loss_grad", {"pred": pred},
+        return Op("focal_loss_grad", {"pred": pred}, None,
                   lambda: (focal_loss(pred, target, reduction="none"), None),
-                  lambda cache, gy: {"pred": gy * focal_loss_grad(pred, target)},
+                  lambda _, cache, gy: (gy * focal_loss_grad(pred, target), None),
                   kink_margin)
 
     def mk_stack(rng):
@@ -246,21 +223,12 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         # forward and backward: three lanes, two connected lanes with
         # distinct (i, j) pairs, as in mk_ll_head
         stack = TopologyStack.init(dims, rng)
+        stack.heads = _ll_head(stack.heads)
         q, qc = rng.normal(size=(3, c)), rng.normal(size=(2, c))
         d = np.abs(rng.normal(size=(3, 2))) * 2.0
         pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
-
-        def forward_cached():
-            _, ll, cache = stack.forward(q, qc, d, pairs, True)
-            return ll, cache
-
-        def backward(cache, gy):
-            gq, gqc, gd, grads = stack.backward(cache, gy)
-            return {"q": gq, "qc": gqc, "d": gd, **grads}
-
-        return Op("topology_stack",
-                  {"q": q, "qc": qc, "d": d, **_ll_variables(stack.variables())},
-                  forward_cached, backward,
+        return Op("topology_stack", {"q": q, "qc": qc, "d": d}, stack,
+                  lambda: stack.forward(q, qc, d, pairs, True)[1:], TopologyStack.backward,
                   lambda cache: min(_mask_margin(stack.mask, cache.mask), _ll_margin(cache.ll)))
 
     builders = (mk_mlp, mk_mask, mk_self, mk_cross, mk_ll_head, mk_focal, mk_stack)

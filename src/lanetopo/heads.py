@@ -30,7 +30,6 @@ from .nn import (
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    mlp_grad_vars,
     sigmoid,
 )
 
@@ -84,13 +83,6 @@ class TopologyHeadParams:
             lt_traffic=MlpParams.init(branch, rng),
             lt_score=MlpParams.init(head, rng),
         )
-
-    def variables(self, prefix: str = "head") -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("match_i", "match_j", "unmatch_i", "unmatch_j",
-                     "ll_score", "lt_lane", "lt_traffic", "lt_score"):
-            out.update(getattr(self, name).variables(f"{prefix}.{name}"))
-        return out
 
 
 # Lane pairs per row block of a pair head's hidden layer: the (pairs, c)
@@ -158,8 +150,9 @@ def _pair_backward(head: MlpParams, a, b, za, zb, g: np.ndarray):
         rest_grads = add_mlp_grads(rest_grads, grads)
     c = a.shape[1]
     w = head.weights[0]
-    first = (np.concatenate([a.T @ gza, b.T @ gzb]), gzb.sum(axis=0))
-    return gza @ w[:c].T, gzb @ w[c:].T, [first, *rest_grads]
+    grads = MlpParams(weights=[np.concatenate([a.T @ gza, b.T @ gzb]), *rest_grads.weights],
+                      biases=[gzb.sum(axis=0), *rest_grads.biases])
+    return gza @ w[:c].T, gzb @ w[c:].T, grads
 
 
 def _max_per_pair(key: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -186,7 +179,8 @@ class MatchedCache(NamedTuple):
 
 class LlCache(NamedTuple):
     """What predict_ll_backward reads: the branch outputs u1 and u2 and their
-    first-layer terms za and zb, never the pair features."""
+    first-layer terms za and zb, never the pair features; n_conn is the
+    number of connected-lane queries."""
 
     scores: np.ndarray
     u1: np.ndarray
@@ -196,6 +190,7 @@ class LlCache(NamedTuple):
     cache_u1: tuple
     cache_u2: tuple
     matched: MatchedCache | None
+    n_conn: int
 
 
 def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
@@ -225,15 +220,16 @@ def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
         scores[pi[win], pj[win]] = s_m[win]
         matched = MatchedCache(idx, win, cache_m1, cache_m2, cache_head)
 
-    return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched)
+    return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched, len(qc_hat))
 
 
-def predict_ll_backward(params: TopologyHeadParams, cache: LlCache,
-                        g_scores: np.ndarray, n_conn: int):
+def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np.ndarray):
     """Gradients wrt q_hat, qc_hat and the head parameters.
 
     Matched entries route through the matched branch of their winning
     candidate only; everything else routes through the unmatched branch.
+    The parameter gradient is a TopologyHeadParams whose lane-traffic parts
+    are None, as are its matched-branch parts when no pair was matched.
     """
     scores, mc = cache.scores, cache.matched
     c = params.match_i.weights[0].shape[0]
@@ -251,7 +247,8 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache,
     gq_u2, grads_u2 = mlp_backward(params.unmatch_j, cache.cache_u2, gu2)
 
     gq = gq_u1 + gq_u2
-    gqc = np.zeros((n_conn, c))
+    gqc = np.zeros((cache.n_conn, c))
+    grads_m1 = grads_m2 = None
 
     if mc is not None:
         gfeat_m, grads_head_m = mlp_backward(params.ll_score, mc.cache_head,
@@ -264,14 +261,9 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache,
         np.add.at(gqc, mc.pairs[:, 0], gxi + gxj)
         grads_head = add_mlp_grads(grads_head, grads_head_m)
 
-    grads = {
-        **mlp_grad_vars("head.unmatch_i", grads_u1),
-        **mlp_grad_vars("head.unmatch_j", grads_u2),
-        **mlp_grad_vars("head.ll_score", grads_head),
-    }
-    if mc is not None:
-        grads.update(mlp_grad_vars("head.match_i", grads_m1))
-        grads.update(mlp_grad_vars("head.match_j", grads_m2))
+    grads = TopologyHeadParams(match_i=grads_m1, match_j=grads_m2, unmatch_i=grads_u1,
+                               unmatch_j=grads_u2, ll_score=grads_head,
+                               lt_lane=None, lt_traffic=None, lt_score=None)
     return gq, gqc, grads
 
 

@@ -4,6 +4,12 @@ All parameters are float64 numpy arrays initialised from a seeded generator
 with the uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] convention. A *_cached
 forward also returns the intermediates its matching backward function needs.
 
+Every backward returns its input gradients in input order, then its
+parameter gradient in the parameters' own type (mlp_backward an MlpParams,
+TopologyStack.backward a TopologyStack), None in the parts it does not
+reach. param_arrays alone names a parameter or gradient tree; descend
+updates a tree from its gradient and names nothing.
+
 sigmoid is 1 / (1 + exp(-x)) in float64 numpy, so the prediction path never
 imports scipy. It matches scipy.special.expit to within 4 ulp and 2.3e-16
 absolute, not bitwise: numpy's vectorised exp and the libm exp that expit
@@ -18,7 +24,7 @@ with expit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -63,13 +69,6 @@ class MlpParams:
             bs.append(uniform_init(rng, (d_out,), d_in))
         return cls(weights=ws, biases=bs)
 
-    def variables(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.w{l}"] = w
-            out[f"{prefix}.b{l}"] = b
-        return out
-
     @property
     def n_layers(self) -> int:
         return len(self.weights)
@@ -95,37 +94,68 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
 def mlp_backward(params: MlpParams, cache, gy: np.ndarray):
     """Gradients of a scalar loss wrt the MLP input and all parameters.
 
-    Returns (gx, grads) where grads maps layer index to (gw, gb). ReLU uses
-    the z > 0 subgradient.
+    Returns (gx, grads), grads an MlpParams. ReLU uses the z > 0 subgradient.
     """
     inputs, preacts = cache
     last = params.n_layers - 1
     g = gy
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * params.n_layers
+    gws, gbs = [None] * (last + 1), [None] * (last + 1)
     for l in range(last, -1, -1):
         if l != last:
             g = g * (preacts[l] > 0.0)
         h = inputs[l]
-        gw = h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        grads[l] = (gw, gb)
+        gws[l] = h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gbs[l] = g.reshape(-1, g.shape[-1]).sum(axis=0)
         g = g @ params.weights[l].T
-    return g, grads
+    return g, MlpParams(weights=gws, biases=gbs)
 
 
-def add_mlp_grads(total, grads):
-    """Layerwise sum of two mlp_backward gradient lists; total may be None."""
+def add_mlp_grads(total: MlpParams | None, grads: MlpParams) -> MlpParams:
+    """Layerwise sum of two mlp_backward gradients; total may be None."""
     if total is None:
         return grads
-    return [(gw + hw, gb + hb) for (gw, gb), (hw, hb) in zip(total, grads)]
+    return MlpParams(weights=[a + b for a, b in zip(total.weights, grads.weights)],
+                     biases=[a + b for a, b in zip(total.biases, grads.biases)])
 
 
-def mlp_grad_vars(prefix: str, grads) -> dict[str, np.ndarray]:
+def param_arrays(params, prefix: str = "") -> dict[str, np.ndarray]:
+    """The live arrays of a parameter tree, or of its gradient, by dotted name.
+
+    Dataclass fields are walked in declaration order (__dataclass_fields__,
+    which, unlike dataclasses.fields, builds no tuple per call); MlpParams
+    layers are named w0, b0, w1, b1, ...; None parts and non-array fields
+    (a head count) are skipped, and a None tree has no arrays.
+    """
+    if params is None:
+        return {}
+    if isinstance(params, MlpParams):
+        return {f"{prefix}{kind}{l}": a
+                for l, pair in enumerate(zip(params.weights, params.biases))
+                for kind, a in zip("wb", pair)}
     out = {}
-    for l, (gw, gb) in enumerate(grads):
-        out[f"{prefix}.w{l}"] = gw
-        out[f"{prefix}.b{l}"] = gb
+    for name in params.__dataclass_fields__:
+        part = getattr(params, name)
+        if isinstance(part, np.ndarray):
+            out[prefix + name] = part
+        elif is_dataclass(part):
+            out.update(param_arrays(part, f"{prefix}{name}."))
     return out
+
+
+def descend(params, grads, lr: float) -> None:
+    """params -= lr * grads in place, over every array grads holds; it names
+    nothing, so a training loop can call it every step."""
+    if isinstance(grads, MlpParams):
+        for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
+            p -= lr * g
+        return
+    for name in grads.__dataclass_fields__:
+        g = getattr(grads, name)
+        if isinstance(g, np.ndarray):
+            p = getattr(params, name)
+            p -= lr * g
+        elif is_dataclass(g):
+            descend(getattr(params, name), g, lr)
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

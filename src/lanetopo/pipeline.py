@@ -36,7 +36,7 @@ from .attention import (
 from .connect import ConnectedLane, build_connected_gt, half_distances
 from .features import GeometryEncoder, box_values, lane_values
 from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
-from .nn import MlpParams, mlp_forward, mlp_grad_vars, sigmoid
+from .nn import MlpParams, mlp_forward, sigmoid
 from .scene import Prediction, Scene, TopologyGraph, TrafficElement
 from .synth import NoiseParams, jittered, perturb
 
@@ -66,7 +66,6 @@ class StackCache(NamedTuple):
     mask: tuple | None
     tam: tuple | None
     ll: LlCache
-    n_conn: int
 
 
 @dataclass
@@ -89,10 +88,6 @@ class TopologyStack:
                    tam=CrossAttentionParams.init(dims, rng),
                    heads=TopologyHeadParams.init(dims.c, rng))
 
-    def variables(self) -> dict[str, np.ndarray]:
-        return {**self.heads.variables(), **self.tam.variables("tam"),
-                **self.mask.variables("mask")}
-
     def forward(self, q: np.ndarray, qc: np.ndarray, d: np.ndarray,
                 pairs: list[MatchPair], use_tam: bool):
         """(q_hat, ll, cache): lane queries refined by the masked
@@ -108,19 +103,19 @@ class TopologyStack:
             s, mask_cache = attention.sigmoid_mask_forward(self.mask, d)
             q_hat, tam_cache = attention.masked_cross_attention_forward(self.tam, q, qc, s)
         ll, ll_cache = heads.predict_ll_cached(self.heads, q_hat, qc, pairs)
-        return q_hat, ll, StackCache(mask_cache, tam_cache, ll_cache, len(qc))
+        return q_hat, ll, StackCache(mask_cache, tam_cache, ll_cache)
 
     def backward(self, cache: StackCache, g_ll: np.ndarray):
-        """(gq, gqc, gd, grads keyed like variables()) for the gradient g_ll
-        of the lane-lane scores; gqc sums the TAM's and the ll head's parts."""
-        gq, gqc, grads = heads.predict_ll_backward(self.heads, cache.ll, g_ll, cache.n_conn)
+        """(gq, gqc, gd, grads) for the gradient g_ll of the lane-lane scores:
+        grads is a TopologyStack, its mask and tam None when the
+        cross-attention was skipped; gqc sums the TAM's and the ll head's parts."""
+        gq, gqc, head_grads = heads.predict_ll_backward(self.heads, cache.ll, g_ll)
+        grads = TopologyStack(mask=None, tam=None, heads=head_grads)
         if cache.tam is None:
-            return gq, gqc, np.zeros((len(gq), cache.n_conn)), grads
-        gq, gqc_tam, gs, tam_grads = attention.masked_cross_attention_backward(
+            return gq, gqc, np.zeros((len(gq), cache.ll.n_conn)), grads
+        gq, gqc_tam, gs, grads.tam = attention.masked_cross_attention_backward(
             self.tam, cache.tam, gq)
-        gd, mask_grads = attention.sigmoid_mask_backward(self.mask, cache.mask, gs)
-        grads.update((f"tam.{k}", v) for k, v in tam_grads.items())
-        grads.update(mlp_grad_vars("mask", mask_grads))
+        gd, grads.mask = attention.sigmoid_mask_backward(self.mask, cache.mask, gs)
         return gq, gqc_tam + gqc, gd, grads
 
 

@@ -13,6 +13,7 @@ from .attention import ModelDims
 from .connect import build_connected_gt, half_distances
 from .features import GeometryEncoder, lane_values
 from .heads import match_connected
+from .nn import descend
 from .pipeline import TopologyStack
 from .scene import Scene
 
@@ -112,7 +113,6 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
 
     losses: list[float] = []
     target_off = target[off_diag]
-    params = stack.variables()  # the live parameter arrays, updated in place
     g_scores = np.zeros((n, n))
     for _ in range(steps):
         _, scores, cache = stack.forward(q, qc, d, pairs, use_tam=True)
@@ -120,7 +120,6 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
         losses.append(focal_loss(scores_off, target_off))
         g_scores[off_diag] = focal_loss_grad(scores_off, target_off) / n_terms
         _, _, _, grads = stack.backward(cache, g_scores)
-        for name, grad in grads.items():
-            params[name] -= lr * grad
+        descend(stack, grads, lr)
 
     return FitResult(losses=losses, stack=stack, final_scores=scores, target=target)

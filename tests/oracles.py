@@ -26,8 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from lanetopo.connect import ConnectedLane
+from lanetopo.heads import TopologyHeadParams
 from lanetopo.metrics import average_precision, rank_by_score
-from lanetopo.nn import mlp_backward, mlp_forward, mlp_forward_cached, mlp_grad_vars, sigmoid
+from lanetopo.nn import add_mlp_grads, mlp_backward, mlp_forward, mlp_forward_cached, sigmoid
 from lanetopo.scene import JUNCTION_TOL, Polyline3D
 from lanetopo.serialize import round9
 
@@ -313,11 +314,9 @@ def predict_ll_concat_backward(params, cache, g_scores, n_conn):
 
     gq = gq_u1 + gq_u2
     gqc = np.zeros((n_conn, c))
-    grads = {
-        **mlp_grad_vars("head.unmatch_i", grads_u1),
-        **mlp_grad_vars("head.unmatch_j", grads_u2),
-        **mlp_grad_vars("head.ll_score", grads_head_u),
-    }
+    grads = TopologyHeadParams(match_i=None, match_j=None, unmatch_i=grads_u1,
+                               unmatch_j=grads_u2, ll_score=grads_head_u,
+                               lt_lane=None, lt_traffic=None, lt_score=None)
     if pairs:
         cache_m1, cache_m2, cache_head_m, s_m = cache_m
         g_logit_m = np.zeros_like(s_m)
@@ -331,10 +330,8 @@ def predict_ll_concat_backward(params, cache, g_scores, n_conn):
             gq[p.i] += gxi[k]
             gq[p.j] += gxj[k]
             gqc[p.conn] += gxi[k] + gxj[k]
-        grads.update(mlp_grad_vars("head.match_i", grads_m1))
-        grads.update(mlp_grad_vars("head.match_j", grads_m2))
-        for key, g in mlp_grad_vars("head.ll_score", grads_head_m).items():
-            grads[key] = grads[key] + g
+        grads.match_i, grads.match_j = grads_m1, grads_m2
+        grads.ll_score = add_mlp_grads(grads.ll_score, grads_head_m)
     return gq, gqc, grads
 
 

@@ -26,6 +26,7 @@ from lanetopo.nn import (
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
+    param_arrays,
     softmax_rows,
 )
 
@@ -34,6 +35,12 @@ def affine_mask_params(w: float, b: float) -> SigmoidMaskParams:
     """Single-layer mask MLP computing w * d + b."""
     return SigmoidMaskParams(mlp=MlpParams(weights=[np.array([[w]])],
                                            biases=[np.array([b])]))
+
+
+@pytest.mark.parametrize("c, n_heads", [(0, 4), (8, 0), (8, -2), (-4, 2)])
+def test_model_sizes_below_one_raise(c, n_heads):
+    with pytest.raises(ValueError, match=">= 1"):
+        lt.ModelDims(c=c, n_heads=n_heads)
 
 
 class TestMlp:
@@ -229,9 +236,9 @@ class TestBlockedSigmoidMask:
         g_logits = gs.reshape(-1, 1) * sg * (1.0 - sg) * (sg >= MASK_EPS)
         _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
         want_gd, want = mlp_backward(params.mlp, mlp_cache, g_logits)
-        pairs = [(gd, want_gd.reshape(d.shape))]
-        pairs += [(g, w) for layer, want_layer in zip(grads, want)
-                  for g, w in zip(layer, want_layer)]
+        got, want = param_arrays(grads), param_arrays(SigmoidMaskParams(mlp=want))
+        assert list(got) == list(want)
+        pairs = [(gd, want_gd.reshape(d.shape))] + [(got[k], want[k]) for k in want]
         for got, expected in pairs:
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -11,6 +11,7 @@ from lanetopo.serialize import (
     CSV_HEADER,
     manifest_path_for,
     manifests_equivalent,
+    prediction_to_dict,
     read_json,
     read_prediction,
     read_scene,
@@ -28,6 +29,18 @@ def write_chain(path):
     scene = chain_scene()
     write_json(path, scene_to_dict(scene))
     return scene
+
+
+def assert_refused_unwritten(rc, capsys, kept: dict, absent=()):
+    """Exit 2 with the overwrite named, every kept file as it was, and no
+    manifest or other output written."""
+    assert rc == 2
+    assert "would overwrite" in capsys.readouterr().err
+    for path, before in kept.items():
+        assert path.read_bytes() == before
+        assert not manifest_path_for(path).exists()
+    for path in absent:
+        assert not path.exists()
 
 
 class TestSynth:
@@ -91,6 +104,16 @@ class TestConnected:
         assert run("connected", "--scene", scene_path, "--out", out) == 0
         assert read_json(out)["connected"] == []
 
+    # the second case: the manifest of out.json would replace the scene
+    @pytest.mark.parametrize("scene, out", [("scene.json", "./scene.json"),
+                                            ("out.json.manifest.json", "out.json")])
+    def test_output_onto_the_scene_exits_2(self, tmp_path, capsys, scene, out):
+        scene_path = tmp_path / scene
+        write_chain(scene_path)
+        before = scene_path.read_bytes()
+        rc = run("connected", "--scene", scene_path, "--out", tmp_path / out)
+        assert_refused_unwritten(rc, capsys, {scene_path: before}, absent=[tmp_path / "out.json"])
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         d = scene_to_dict(chain_scene())
@@ -105,6 +128,25 @@ class TestPredict:
     def small(self, *extra):
         return ("--channels", 16, "--heads", 2,
                 "--lane-queries", 32, "--traffic-queries", 8) + extra
+
+    @pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--channels", "0"),
+                                             ("--heads", "-2"), ("--channels", "-4")])
+    def test_unusable_model_size_exits_2(self, tmp_path, capsys, flag, value):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        out = tmp_path / "pred.json"
+        with pytest.raises(SystemExit) as exc:
+            run("predict", "--scene", scene_path, "--out", out, f"{flag}={value}")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_onto_the_scene_exits_2(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        before = scene_path.read_bytes()
+        rc = run("predict", "--scene", scene_path, "--out", scene_path, *self.small())
+        assert_refused_unwritten(rc, capsys, {scene_path: before})
 
     def test_single_file(self, tmp_path):
         scene_path = tmp_path / "scene.json"
@@ -278,6 +320,22 @@ class TestParser:
 
 
 class TestEval:
+    # the default CSV path of --out report.csv is report.csv, and the
+    # manifest of report.json is report.json.manifest.json
+    @pytest.mark.parametrize("out, csv", [("report.json", "report.json"), ("pred.json", None),
+                                          ("report.json", "scene.json"), ("report.csv", None),
+                                          ("report.json", "report.json.manifest.json")])
+    def test_output_onto_an_input_or_the_other_output_exits_2(self, tmp_path, capsys,
+                                                              out, csv):
+        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
+        scene = write_chain(scene_path)
+        write_json(pred_path, prediction_to_dict(perfect_prediction(scene)))
+        kept = {p: p.read_bytes() for p in (scene_path, pred_path)}
+        rc = run("eval", "--pred", pred_path, "--gt", scene_path, "--out", tmp_path / out,
+                 *(("--csv", tmp_path / csv) if csv else ()))
+        assert_refused_unwritten(rc, capsys, kept,
+                                 absent=[tmp_path / "report.json", tmp_path / "report.csv"])
+
     def test_perfect_prediction_scores_ones(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         scene = write_chain(scene_path)
@@ -526,6 +584,12 @@ class TestFitdemo:
                  "--steps", 5, "--max-loss", 1e-9)
         assert rc == 1
         assert "did not reach" in capsys.readouterr().out
+
+    def test_output_onto_the_scene_exits_2(self, tmp_path, capsys):
+        scene = self.scene_path(tmp_path)
+        before = scene.read_bytes()
+        rc = run("fitdemo", "--scene", scene, "--out", scene, "--steps", 2)
+        assert_refused_unwritten(rc, capsys, {scene: before})
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_fewer_than_one_step_exits_2(self, tmp_path, capsys, value):

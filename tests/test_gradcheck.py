@@ -13,7 +13,7 @@ from lanetopo.gradcheck import (
     grad_check,
     run_gradcheck,
 )
-from lanetopo.nn import MlpParams, mlp_backward, mlp_forward_cached
+from lanetopo.nn import MlpParams, mlp_backward, mlp_forward_cached, param_arrays
 
 OP_NAMES = {"mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention",
             "predict_ll_backward", "focal_loss_grad", "topology_stack"}
@@ -93,21 +93,31 @@ class TestOpAdapter:
         assert not np.array_equal(op.forward(), y)
 
     def test_default_kink_margin_is_infinite(self):
-        op = Op("square", {"x": np.ones(2)}, lambda: (np.ones(2), None),
-                lambda cache, gy: {"x": gy})
+        op = Op("square", {"x": np.ones(2)}, None, lambda: (np.ones(2), None),
+                lambda params, cache, gy: (gy, None))
         assert op.min_kink_margin() == np.inf
 
     def test_ll_head_op_checks_only_ll_head_parameters(self):
         names = set(self.ops()["predict_ll_backward"].variables())
-        heads = {n.split(".")[1] for n in names if n.startswith("head.")}
-        assert heads == {"match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
-        assert names - {n for n in names if n.startswith("head.")} == {"q_hat", "qc_hat"}
+        assert {n.split(".")[0] for n in names} == {
+            "q_hat", "qc_hat", "match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
 
     def test_stack_op_checks_its_inputs_and_every_ll_score_layer(self):
         names = set(self.ops()["topology_stack"].variables())
-        assert {n.split(".")[0] for n in names} == {"q", "qc", "d", "head", "tam", "mask"}
-        heads = {n.split(".")[1] for n in names if n.startswith("head.")}
+        assert {n.split(".")[0] for n in names} == {"q", "qc", "d", "heads", "tam", "mask"}
+        heads = {n.split(".")[1] for n in names if n.startswith("heads.")}
         assert heads == {"match_i", "match_j", "unmatch_i", "unmatch_j", "ll_score"}
+
+    @pytest.mark.parametrize("name", BUILT_OP_NAMES)
+    def test_backward_returns_inputs_then_the_parameters_own_type(self, name):
+        op = self.ops()[name]
+        y, cache = op.forward_cached()
+        *g_inputs, g_params = op.backward(op.params, cache, 2.0 * y)
+        assert [g.shape for g in g_inputs] == [x.shape for x in op.inputs.values()]
+        assert type(g_params) is type(op.params)
+        arrays, grads = param_arrays(op.params), param_arrays(g_params)
+        assert set(grads) <= set(arrays)
+        assert all(grads[k].shape == arrays[k].shape for k in grads)
 
     def test_focal_op_predictions_clear_the_clamp(self):
         pred = self.ops()["focal_loss_grad"].variables()["pred"]
@@ -121,7 +131,7 @@ class TestHandWrittenBackwards:
         _, cache = mlp_forward_cached(params, x)
         gy = np.ones((4, 2))
         _, grads = mlp_backward(params, cache, gy)
-        gw, gb = grads[0]
+        gw, gb = grads.weights[0], grads.biases[0]
         assert np.array_equal(gb, gy.sum(axis=0))
         assert np.array_equal(gw, x.T @ gy)
 

@@ -17,7 +17,7 @@ from lanetopo.heads import (
     predict_ll_cached,
 )
 from lanetopo.geometry import L1_CHUNK, avg_l1_matrix
-from lanetopo.nn import MlpParams, mlp_forward
+from lanetopo.nn import MlpParams, mlp_forward, param_arrays
 from conftest import chain_scene, straight_lane
 from oracles import (
     avg_l1_scalar,
@@ -266,13 +266,13 @@ class TestPredictLlBackward:
             return float(np.sum(s ** 2))
 
         scores, cache = predict_ll_cached(params, q, qc, pairs)
-        gq, gqc, grads = predict_ll_backward(params, cache, 2.0 * scores, n_conn)
+        gq, gqc, grads = predict_ll_backward(params, cache, 2.0 * scores)
 
         eps = 1e-6
         checked = {"q": (q, gq), "qc": (qc, gqc),
-                   "head.match_i.w0": (params.match_i.weights[0], grads["head.match_i.w0"]),
-                   "head.unmatch_j.b0": (params.unmatch_j.biases[0], grads["head.unmatch_j.b0"]),
-                   "head.ll_score.w1": (params.ll_score.weights[1], grads["head.ll_score.w1"])}
+                   "match_i.w0": (params.match_i.weights[0], grads.match_i.weights[0]),
+                   "unmatch_j.b0": (params.unmatch_j.biases[0], grads.unmatch_j.biases[0]),
+                   "ll_score.w1": (params.ll_score.weights[1], grads.ll_score.weights[1])}
         for name, (arr, g) in checked.items():
             flat = arr.reshape(-1)
             gflat = np.asarray(g).reshape(-1)
@@ -314,6 +314,7 @@ def ll_case(n, n_conn, c, seed):
 def assert_grads_close(got, want):
     gq, gqc, grads = got
     oq, oqc, ograds = want
+    grads, ograds = param_arrays(grads), param_arrays(ograds)
     assert list(grads) == list(ograds)
     for key, a, b in [("q", gq, oq), ("qc", gqc, oqc)] + [(k, grads[k], ograds[k]) for k in grads]:
         assert a.shape == b.shape, key
@@ -329,7 +330,7 @@ class TestFactoredHeadsMatchConcatOracle:
         oscores, ocache = predict_ll_concat(params, q, qc, pairs)
         np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
         g = np.random.default_rng(n + 100).normal(size=(n, n))
-        assert_grads_close(predict_ll_backward(params, cache, g, len(qc)),
+        assert_grads_close(predict_ll_backward(params, cache, g),
                            predict_ll_concat_backward(params, ocache, g, len(qc)))
 
     def test_ll_past_the_real_block(self):
@@ -340,7 +341,7 @@ class TestFactoredHeadsMatchConcatOracle:
         oscores, ocache = predict_ll_concat(params, q, qc, pairs)
         np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
         g = np.random.default_rng(2).normal(size=(n, n))
-        assert_grads_close(predict_ll_backward(params, cache, g, len(qc)),
+        assert_grads_close(predict_ll_backward(params, cache, g),
                            predict_ll_concat_backward(params, ocache, g, len(qc)))
 
     @pytest.mark.parametrize("t", [1, 3])
@@ -403,10 +404,11 @@ class TestMatchedBranchIsTheLoopOracle:
         # branch at exact zeros, so every gradient is comparable bitwise
         g = np.zeros_like(scores)
         g[i, j] = np.random.default_rng(seed).normal(size=len(i))
-        gq, gqc, grads = predict_ll_backward(params, cache, g, len(qc))
+        gq, gqc, grads = predict_ll_backward(params, cache, g)
         oq, oqc, ograds = predict_ll_concat_backward(params, ocache, g, len(qc))
         assert np.array_equal(gq, oq)
         assert np.array_equal(gqc, oqc)
+        grads, ograds = param_arrays(grads), param_arrays(ograds)
         assert list(grads) == list(ograds)
         for key in grads:
             assert np.array_equal(grads[key], ograds[key]), key
@@ -419,7 +421,7 @@ class TestMatchedBranchIsTheLoopOracle:
             assert cache.matched.win.tolist() == [0]
             g = np.zeros_like(scores)
             g[2, 3] = 1.0
-            _, gqc, _ = predict_ll_backward(params, cache, g, len(qc))
+            _, gqc, _ = predict_ll_backward(params, cache, g)
             assert np.any(gqc[first] != 0.0)
             assert np.all(gqc[second] == 0.0)
 
@@ -452,11 +454,12 @@ class TestPredictLlBackwardPastOneBlock:
             return float(np.sum(s ** 2))
 
         scores, cache = predict_ll_cached(params, q, qc, pairs)
-        gq, gqc, grads = predict_ll_backward(params, cache, 2.0 * scores, n_conn)
+        gq, gqc, grads = predict_ll_backward(params, cache, 2.0 * scores)
         checked = {"q": (q, gq), "qc": (qc, gqc)}
-        for key in ("head.ll_score.w0", "head.ll_score.b0", "head.ll_score.w1",
-                    "head.unmatch_i.w0", "head.unmatch_j.b1", "head.match_i.w0"):
-            checked[key] = (params.variables()[key], grads[key])
+        arrays, grads = param_arrays(params), param_arrays(grads)
+        for key in ("ll_score.w0", "ll_score.b0", "ll_score.w1",
+                    "unmatch_i.w0", "unmatch_j.b1", "match_i.w0"):
+            checked[key] = (arrays[key], grads[key])
         rng = np.random.default_rng(22)
         eps = 1e-6
         for name, (arr, g) in checked.items():

@@ -17,6 +17,7 @@ from lanetopo.attention import (
 )
 from lanetopo.features import lane_values
 from lanetopo.heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
+from lanetopo.nn import param_arrays
 from lanetopo.pipeline import TopologyStack, init_pipeline_params
 from conftest import chain_scene
 
@@ -213,12 +214,11 @@ class TestTopologyStack:
         dims = lt.ModelDims(c=8, n_heads=2)
         stack = TopologyStack.init(dims, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        parts = (SigmoidMaskParams.init(8, rng).variables("mask"),
-                 CrossAttentionParams.init(dims, rng).variables("tam"),
-                 TopologyHeadParams.init(8, rng).variables())
-        want = {k: v for part in parts for k, v in part.items()}
-        got = stack.variables()
-        assert sorted(got) == sorted(want)
+        want = TopologyStack(mask=SigmoidMaskParams.init(8, rng),
+                             tam=CrossAttentionParams.init(dims, rng),
+                             heads=TopologyHeadParams.init(8, rng))
+        got, want = param_arrays(stack), param_arrays(want)
+        assert list(got) == list(want)
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
     def test_forward_is_bitwise_the_layer_chain(self):
@@ -240,18 +240,24 @@ class TestTopologyStack:
         gq, gqc, gd, grads = stack.backward(cache, np.ones_like(ll))
         assert gq.shape == q.shape and gqc.shape == qc.shape
         assert np.array_equal(gd, np.zeros(d.shape))
-        assert not any(k.startswith(("tam.", "mask.")) for k in grads)
+        assert grads.mask is None and grads.tam is None
+        assert {k.split(".")[0] for k in param_arrays(grads)} == {"heads"}
 
     def test_backward_sums_both_connected_query_paths(self):
         stack, q, qc, d, pairs = self.case(seed=1)
         _, ll, cache = stack.forward(q, qc, d, pairs, True)
         g_ll = np.random.default_rng(2).normal(size=ll.shape)
         gq, gqc, gd, grads = stack.backward(cache, g_ll)
-        gq_hat, gqc_head, _ = predict_ll_backward(stack.heads, cache.ll, g_ll, len(qc))
-        want_gq, gqc_tam, gs, _ = masked_cross_attention_backward(stack.tam, cache.tam, gq_hat)
-        want_gd, _ = sigmoid_mask_backward(stack.mask, cache.mask, gs)
+        gq_hat, gqc_head, head_grads = predict_ll_backward(stack.heads, cache.ll, g_ll)
+        want_gq, gqc_tam, gs, tam_grads = masked_cross_attention_backward(
+            stack.tam, cache.tam, gq_hat)
+        want_gd, mask_grads = sigmoid_mask_backward(stack.mask, cache.mask, gs)
         assert np.array_equal(gq, want_gq)
         assert np.array_equal(gqc, gqc_tam + gqc_head)
         assert np.array_equal(gd, want_gd)
-        names = set(stack.variables())
-        assert set(grads) == {k for k in names if not k.startswith("head.lt_")}
+        got = param_arrays(grads)
+        want = param_arrays(TopologyStack(mask=mask_grads, tam=tam_grads, heads=head_grads))
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        names = set(param_arrays(stack))
+        assert set(got) == {k for k in names if not k.startswith("heads.lt_")}

@@ -1,11 +1,14 @@
 """Losses, assignment, and the single-scene fit demo."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo.heads import MatchPair
+from lanetopo.nn import descend, param_arrays
 from lanetopo.pipeline import TopologyStack
 from lanetopo.training import FOCAL_CLAMP
 from conftest import chain_scene, straight_lane
@@ -139,9 +142,29 @@ class TestToyFit:
         assert all(v == result.losses[0] for v in result.losses)
         # the stack is drawn first from the fit seed and left as drawn
         fresh = TopologyStack.init(lt.ModelDims(c=16, n_heads=4), np.random.default_rng(0))
-        got, want = result.stack.variables(), fresh.variables()
+        got, want = param_arrays(result.stack), param_arrays(fresh)
         assert list(got) == list(want)
         assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_update_is_bitwise_the_keyed_loop(self):
+        rng = np.random.default_rng(3)
+        stack = TopologyStack.init(lt.ModelDims(c=8, n_heads=2), rng)
+        q, qc = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
+        d = np.abs(rng.normal(size=(4, 3))) * 2.0
+        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=2, i=1, j=3)]
+        _, ll, cache = stack.forward(q, qc, d, pairs, True)
+        _, _, _, grads = stack.backward(cache, rng.normal(size=ll.shape))
+        before, keyed = copy.deepcopy(stack), copy.deepcopy(stack)
+        arrays = param_arrays(keyed)
+        for name, grad in param_arrays(grads).items():
+            arrays[name] -= 0.05 * grad
+        descend(stack, grads, 0.05)
+        got, want, old = param_arrays(stack), param_arrays(keyed), param_arrays(before)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        # the lane-traffic head has no gradient and keeps its values
+        assert all(np.array_equal(got[k], old[k]) for k in got if k.startswith("heads.lt_"))
+        assert not np.array_equal(got["heads.ll_score.w0"], old["heads.ll_score.w0"])
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_fewer_than_one_step_raises(self, steps):
