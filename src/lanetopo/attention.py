@@ -37,18 +37,18 @@ from .nn import (
     softmax_rows,
     uniform_init,
 )
+from .scene import bounded, check_fields
 
 
 @dataclass(frozen=True)
 class ModelDims:
     """Feature width and head count used across the query stack."""
 
-    c: int = 32
-    n_heads: int = 4
+    c: int = bounded(32, lo=1)
+    n_heads: int = bounded(4, lo=1)
 
     def __post_init__(self):
-        if self.c < 1 or self.n_heads < 1:
-            raise ValueError(f"width and head count must be >= 1, got {self.c} and {self.n_heads}")
+        check_fields(self)
         if self.c % self.n_heads != 0:
             raise ValueError(f"width {self.c} not divisible by {self.n_heads} heads")
 

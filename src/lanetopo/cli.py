@@ -11,11 +11,10 @@ nonzero noise flag under predict --source gt, which would change nothing).
 predict prints one stderr warning per scene whose lanes, connections or
 traffic elements its query budgets cut, and one per run when --score-noise
 or --topo-flip-rate is nonzero (they change nothing, so its manifest omits
-them); the exit code and outputs stay as they are. eval checks
---lane-width like its thresholds, gradcheck its --instances, --eps, --tol
-and --corrupt, fitdemo its --steps and predict its --channels and --heads,
-all at parse time; an output path naming an input or another output exits
-2 unwritten. Directories are processed serially in sorted file order.
+them); the exit code and outputs stay as they are. Every numeric flag, and
+gradcheck's --corrupt, is checked at parse time; an output path naming an
+input or another output exits 2 unwritten. Directories are processed
+serially in sorted file order.
 """
 
 from __future__ import annotations
@@ -26,15 +25,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
+from . import geometry, gradcheck, metrics, synth, training
 from .attention import ModelDims
 from .connect import build_connected_gt
-from .geometry import valid_width
-from .gradcheck import OP_NAMES, run_gradcheck
 from .metrics import (
     DET_L_THRESHOLDS,
     DET_T_IOU,
@@ -44,9 +42,9 @@ from .metrics import (
     MetricReport,
     evaluate,
     valid_distances,
-    valid_iou,
 )
 from .pipeline import PipelineConfig, run_pipeline
+from .scene import checked, field_check
 from .serialize import (
     TOOL_VERSION,
     SchemaError,
@@ -111,19 +109,19 @@ def _check_distinct(inputs, outputs) -> None:
         seen[key] = f"output {p}"
 
 
+# the synth flag (argparse dest) that sets each SynthParams field
+SYNTH_FLAGS = {"seed": "seed", "n_points": "n_points", "n_corridors": "corridors",
+               "n_segments": "segments", "segment_length": "segment_length",
+               "lane_spacing": "spacing", "split_prob": "split_prob",
+               "merge_prob": "merge_prob", "n_traffic": "traffic", "grade": "grade"}
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     if args.kind == "grid":
-        params = SynthParams(
-            n_corridors=args.corridors, n_segments=args.segments,
-            segment_length=args.segment_length, lane_spacing=args.spacing,
-            split_prob=args.split_prob, merge_prob=args.merge_prob,
-            n_points=args.n_points, n_traffic=args.traffic,
-            grade=args.grade, seed=args.seed,
-        )
+        params = SynthParams(**{name: getattr(args, dest) for name, dest in SYNTH_FLAGS.items()})
         scene = generate_scene(params)
-        manifest_params = {f.name: getattr(params, f.name)
-                           for f in dataclass_fields(params)}
+        manifest_params = asdict(params)
     else:
         scene = generate_roundabout(radius=args.radius, n_arms=args.arms,
                                     n_points=args.n_points, seed=args.seed)
@@ -338,8 +336,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
-    results = run_gradcheck(seed=args.seed, instances=args.instances,
-                            eps=args.eps, corrupt=args.corrupt)
+    results = gradcheck.run_gradcheck(seed=args.seed, instances=args.instances,
+                                      eps=args.eps, corrupt=args.corrupt)
     by_op: dict[str, list] = {}
     for r in results:
         by_op.setdefault(r.op, []).append(r)
@@ -407,18 +405,6 @@ def _comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _at_least_one(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
-
-
-def _positive(v: float) -> float:
-    if not (np.isfinite(v) and v > 0):
-        raise ValueError(f"must be finite and > 0, got {v}")
-    return v
-
-
 def _checked(check, parse=float):
     """argparse type: parse then check, so a bad value exits 2 with its message."""
     def arg_type(text: str):
@@ -427,6 +413,13 @@ def _checked(check, parse=float):
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
     return arg_type
+
+
+def _field(cls, name: str) -> dict:
+    """type and default of the flag for field name of cls: parsed like the
+    field's default, which it takes, then checked by field_check."""
+    f = next(f for f in dataclass_fields(cls) if f.name == name)
+    return {"type": _checked(field_check(f), type(f.default)), "default": f.default}
 
 
 @functools.cache  # one parser per process: parse_args leaves it as it is
@@ -442,18 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic ground-truth scene")
     p.add_argument("--kind", choices=("grid", "roundabout"), default="grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-points", type=int, default=11)
-    p.add_argument("--corridors", type=int, default=2)
-    p.add_argument("--segments", type=int, default=2)
-    p.add_argument("--segment-length", type=float, default=20.0)
-    p.add_argument("--spacing", type=float, default=4.0)
-    p.add_argument("--split-prob", type=float, default=0.3)
-    p.add_argument("--merge-prob", type=float, default=0.2)
-    p.add_argument("--traffic", type=int, default=3)
-    p.add_argument("--grade", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=20.0, help="roundabout only")
-    p.add_argument("--arms", type=int, default=4, help="roundabout only")
+    for name, dest in SYNTH_FLAGS.items():
+        p.add_argument(_flag(dest), **_field(SynthParams, name))
+    p.add_argument("--radius", type=_checked(synth.check_radius), default=20.0,
+                   help="roundabout only")
+    p.add_argument("--arms", type=_checked(synth.check_arms, int), default=4,
+                   help="roundabout only")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("connected", help="build ground-truth connected lanes")
@@ -465,19 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene file or directory")
     p.add_argument("--out", required=True, help="output file or directory")
     p.add_argument("--source", choices=("gt", "perturbed"), default="gt")
-    p.add_argument("--param-seed", type=int, default=0)
-    p.add_argument("--noise-seed", type=int, default=0)
-    p.add_argument("--point-sigma", type=float, default=0.0)
-    p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--spurious-rate", type=float, default=0.0)
-    p.add_argument("--score-noise", type=float, default=0.0)
-    p.add_argument("--topo-flip-rate", type=float, default=0.0)
+    p.add_argument("--param-seed", **_field(PipelineConfig, "param_seed"))
+    p.add_argument("--noise-seed", **_field(PipelineConfig, "noise_seed"))
+    for name in ("point_sigma", "drop_rate", "spurious_rate", "score_noise", "topo_flip_rate"):
+        p.add_argument(_flag(name), **_field(NoiseParams, name))
     p.add_argument("--no-tam", action="store_true",
                    help="ablation: skip the masked cross-attention")
-    p.add_argument("--channels", type=_checked(_at_least_one, int), default=32)
-    p.add_argument("--heads", type=_checked(_at_least_one, int), default=4)
-    p.add_argument("--lane-queries", type=int, default=300)
-    p.add_argument("--traffic-queries", type=int, default=100)
+    p.add_argument("--channels", **_field(ModelDims, "c"))
+    p.add_argument("--heads", **_field(ModelDims, "n_heads"))
+    p.add_argument("--lane-queries", **_field(PipelineConfig, "n_lane_queries"))
+    p.add_argument("--traffic-queries", **_field(PipelineConfig, "n_traffic_queries"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -487,31 +471,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="CSV path (default: out with .csv)")
     p.add_argument("--det-thresholds", type=_checked(valid_distances, _comma_floats),
                    default=DET_L_THRESHOLDS, metavar="T1,T2,T3")
-    p.add_argument("--det-iou", type=_checked(valid_iou), default=DET_T_IOU)
-    p.add_argument("--top-frechet", type=_checked(lambda v: valid_distances((v,))[0]),
-                   default=TOP_FRECHET)
-    p.add_argument("--top-iou", type=_checked(valid_iou), default=TOP_IOU)
-    p.add_argument("--lane-width", type=_checked(valid_width), default=1.75,
+    p.add_argument("--det-iou", type=_checked(metrics.check_iou), default=DET_T_IOU)
+    p.add_argument("--top-frechet", type=_checked(metrics.check_distance), default=TOP_FRECHET)
+    p.add_argument("--top-iou", type=_checked(metrics.check_iou), default=TOP_IOU)
+    p.add_argument("--lane-width", type=_checked(geometry.check_width), default=1.75,
                    help="width used to widen centerlines into lane segments")
     p.set_defaults(func=cmd_eval)
 
+    # seeds and pass thresholds that only the CLI reads
+    seed = _checked(functools.partial(checked, "seed", lo=0), int)
+    positive = lambda name: _checked(functools.partial(checked, name, lo=0.0, above=True))
+
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=_checked(_at_least_one, int), default=20)
-    p.add_argument("--eps", type=_checked(_positive), default=1e-5)
-    p.add_argument("--tol", type=_checked(_positive), default=1e-4)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--instances", type=_checked(gradcheck.check_instances, int), default=20)
+    p.add_argument("--eps", type=_checked(gradcheck.check_eps), default=1e-5)
+    p.add_argument("--tol", type=positive("tol"), default=1e-4)
     p.add_argument("--out", default="gradcheck_report.json")
-    p.add_argument("--corrupt", default=None, choices=OP_NAMES,
+    p.add_argument("--corrupt", default=None, choices=gradcheck.OP_NAMES,
                    help="fault injection: offset this op's analytic gradient")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("fitdemo", help="fit the topology stack to one scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True, help="loss-trajectory CSV path")
-    p.add_argument("--steps", type=_checked(_at_least_one, int), default=500)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-loss", type=float, default=0.05)
+    p.add_argument("--steps", type=_checked(training.check_steps, int), default=500)
+    p.add_argument("--lr", type=_checked(training.check_lr), default=0.05)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--max-loss", type=positive("max_loss"), default=0.05)
     p.set_defaults(func=cmd_fitdemo)
 
     return parser

@@ -37,9 +37,7 @@ def lane_values(lanes) -> np.ndarray:
     """Stack lane polylines into (n_lanes, 3 * n_points) rows."""
     if not lanes:
         return np.zeros((0, 0))
-    rows = [l.points.reshape(-1) if hasattr(l, "points") else np.asarray(l).reshape(-1)
-            for l in lanes]
-    return np.stack(rows)
+    return np.stack([lane.points.reshape(-1) for lane in lanes])
 
 
 BOX_SCALE = 1000.0  # pixels; keeps box phases in the same range as lane coords

@@ -6,11 +6,11 @@ Polyline3D or a raw (n, 3) array; internal callers mostly pass arrays.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
-from .scene import FLAWS, Polyline3D, polyline_flaws
+from .scene import FLAWS, Polyline3D, checked, polyline_flaws
 
 
 def _as_points(poly) -> np.ndarray:
@@ -267,11 +267,8 @@ def segment_matrix(a, b, centerline: np.ndarray, cut: float) -> np.ndarray:
     return 0.5 * (d_lr + centerline)
 
 
-def valid_width(width) -> float:
-    """width as a float; ValueError unless it is finite and positive."""
-    if not (math.isfinite(width := float(width)) and width > 0.0):
-        raise ValueError(f"lane width must be finite and positive, got {width}")
-    return width
+# the lane width widen and evaluate accept, as the CLI checks it too
+check_width = functools.partial(checked, "lane width", lo=0.0, above=True)
 
 
 def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +282,7 @@ def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
     (non-finite, or with consecutive duplicate points) raises its ValueError,
     for the first such lane, left boundary before right.
     """
-    width = valid_width(width)
+    width = check_width(width)
     P = np.asarray(P, dtype=np.float64)
     tan = np.gradient(P, axis=1)
     normal = np.stack([-tan[..., 1], tan[..., 0], np.zeros(P.shape[:2])], axis=-1)

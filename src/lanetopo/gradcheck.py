@@ -16,6 +16,7 @@ so such draws are re-seeded deterministically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -42,6 +43,7 @@ from .heads import (
 )
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, param_arrays
 from .pipeline import TopologyStack
+from .scene import checked
 from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
 
 # the checked ops, in the order build_standard_ops returns them
@@ -235,6 +237,11 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
     return [_screened(build, seed + k) for k, build in enumerate(builders)]
 
 
+# run_gradcheck's instance count and step, as the CLI checks them too
+check_instances = functools.partial(checked, "instances", lo=1)
+check_eps = functools.partial(checked, "eps", lo=0.0, above=True)
+
+
 def run_gradcheck(seed: int = 0, instances: int = 20, eps: float = 1e-5,
                   corrupt: str | None = None) -> list[GradCheckResult]:
     """Run grad_check over seeded instances of every op kind.
@@ -242,6 +249,8 @@ def run_gradcheck(seed: int = 0, instances: int = 20, eps: float = 1e-5,
     corrupt names an op whose analytic gradients get a deliberate offset;
     it exists so the failure path of the harness can be exercised.
     """
+    check_instances(instances)
+    check_eps(eps)
     if corrupt is not None and corrupt not in OP_NAMES:
         raise ValueError(f"no checked op named {corrupt!r}; ops: {', '.join(OP_NAMES)}")
     results = []

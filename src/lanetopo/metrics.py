@@ -36,13 +36,13 @@ twice its largest threshold. Cuts come from the thresholds passed in.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import box_iou, frechet_matrix, lane_boundaries, segment_matrix, valid_width
-from .scene import Prediction, Scene, prediction_shape_errors, topology_shape_errors
+from .geometry import box_iou, check_width, frechet_matrix, lane_boundaries, segment_matrix
+from .scene import Prediction, Scene, checked, prediction_shape_errors, topology_shape_errors
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
 DET_T_IOU = 0.75
@@ -74,20 +74,17 @@ class MetricReport:
     lane_segments: LaneSegmentReport | None = None
 
 
+# the thresholds evaluate accepts, as the CLI checks them too
+check_distance = functools.partial(checked, "distance threshold", lo=0.0, above=True)
+check_iou = functools.partial(checked, "IoU threshold", lo=0.0, hi=1.0, above=True)
+
+
 def valid_distances(values) -> tuple[float, ...]:
-    """values as floats; ValueError unless there is at least one and each is
-    finite and positive."""
-    values = tuple(map(float, values))
-    if not values or not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise ValueError(f"distance thresholds must be finite and positive, got {values}")
+    """values as floats, each through check_distance; ValueError for none."""
+    values = tuple(check_distance(float(v)) for v in values)
+    if not values:
+        raise ValueError("need at least one distance threshold")
     return values
-
-
-def valid_iou(value) -> float:
-    """value as a float; ValueError unless 0 < value <= 1."""
-    if not 0.0 < (value := float(value)) <= 1.0:
-        raise ValueError(f"IoU threshold must be in (0, 1], got {value}")
-    return value
 
 
 def average_precision(tp_flags, n_gt: int) -> float:
@@ -280,11 +277,11 @@ def evaluate(pred: Prediction, scene: Scene,
     if shape_errors:
         raise ValueError(shape_errors[0])
     det_l_thresholds = valid_distances(det_l_thresholds)
-    (top_frechet,) = valid_distances((top_frechet,))
-    det_t_iou, top_iou = valid_iou(det_t_iou), valid_iou(top_iou)
+    top_frechet = check_distance(float(top_frechet))
+    det_t_iou, top_iou = check_iou(float(det_t_iou)), check_iou(float(top_iou))
     lane_cut = max(*det_l_thresholds, top_frechet)
     if lane_width is not None:
-        lane_width = valid_width(lane_width)
+        lane_width = check_width(lane_width)
         p_bounds = lane_boundaries(pred.lanes, lane_width)
         g_bounds = lane_boundaries(scene.lanes, lane_width)
         lane_cut = max(lane_cut, 2.0 * max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))

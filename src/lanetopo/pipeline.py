@@ -37,26 +37,25 @@ from .connect import ConnectedLane, build_connected_gt, half_distances
 from .features import GeometryEncoder, box_values, lane_values
 from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
-from .scene import Prediction, Scene, TopologyGraph, TrafficElement
+from .scene import Prediction, Scene, TopologyGraph, TrafficElement, bounded, check_fields
 from .synth import NoiseParams, jittered, perturb
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     dims: ModelDims = field(default_factory=ModelDims)
-    n_lane_queries: int = 300
-    n_traffic_queries: int = 100
-    param_seed: int = 0
+    n_lane_queries: int = bounded(300, about="query budget", lo=1)
+    n_traffic_queries: int = bounded(100, about="query budget", lo=1)
+    param_seed: int = bounded(0, lo=0)
     source: str = "gt"  # "gt" or "perturbed"
     noise: NoiseParams = field(default_factory=NoiseParams)
-    noise_seed: int = 0
+    noise_seed: int = bounded(0, lo=0)
     use_tam: bool = True
 
     def __post_init__(self):
         if self.source not in ("gt", "perturbed"):
             raise ValueError(f"source must be 'gt' or 'perturbed', got {self.source!r}")
-        if self.n_lane_queries < 1 or self.n_traffic_queries < 1:
-            raise ValueError("query budgets must be >= 1")
+        check_fields(self)
 
 
 class StackCache(NamedTuple):

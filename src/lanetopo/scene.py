@@ -9,14 +9,14 @@ binary adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # Endpoints closer than this (metres) are treated as one junction point.
 JUNCTION_TOL = 0.01
-# screened_gaps settles which side of JUNCTION_TOL a gap is beyond this margin.
-SCREEN_MARGIN = 0.5 * JUNCTION_TOL
 
 DEFAULT_N_POINTS = 11
 
@@ -25,6 +25,37 @@ DEFAULT_N_POINTS = 11
 NON_FINITE = "polyline has non-finite coordinates"
 DUPLICATE_POINTS = "polyline has consecutive duplicate points"
 FLAWS = (NON_FINITE, DUPLICATE_POINTS)
+
+
+def checked(name: str, value, lo=-math.inf, hi=math.inf, above=False):
+    """value if it is finite, >= lo (> lo when above) and <= hi, else a
+    ValueError naming name and the values it accepts: the one range check of
+    config fields (bounded), library arguments and numeric CLI flags."""
+    if -math.inf < value < math.inf and (lo < value if above else lo <= value) and value <= hi:
+        return value
+    accepted = (f" and in {'(' if above else '['}{lo:g}, {hi:g}]" if hi < math.inf
+                else " and positive" if (lo, above) == (0, True)
+                else f" and {'>' if above else '>='} {lo:g}" if lo > -math.inf else "")
+    raise ValueError(f"{name} must be finite{accepted}, got {value}")
+
+
+def bounded(default, about: str = "", **bounds):
+    """A dataclass field that check_fields passes through its field_check."""
+    return field(default=default, metadata={"bounds": bounds, "about": about})
+
+
+def field_check(f):
+    """value -> checked(name, value, **bounds) for a field f declared with
+    bounded: name is the field's, then its about in parentheses."""
+    name = f"{f.name} ({f.metadata['about']})" if f.metadata["about"] else f.name
+    return functools.partial(checked, name, **f.metadata["bounds"])
+
+
+def check_fields(obj) -> None:
+    """field_check on every bounded field of the dataclass obj."""
+    for f in fields(obj):
+        if "bounds" in f.metadata:
+            field_check(f)(getattr(obj, f.name))
 
 
 def polyline_flaws(P: np.ndarray) -> np.ndarray:
@@ -159,11 +190,10 @@ class Prediction:
         object.__setattr__(self, "lane_scores", scores)
 
 
-def screened_gaps(lanes: list[Polyline3D], rows, cols) -> np.ndarray:
+def endpoint_gaps(lanes: list[Polyline3D], rows, cols) -> np.ndarray:
     """Gaps from the terminal points of lanes[rows] to the initial points of
-    lanes[cols] (index arrays that broadcast) in one array pass: within a
-    few ulps of np.linalg.norm of each difference, so callers measure with
-    the norm only the gaps within SCREEN_MARGIN of JUNCTION_TOL."""
+    lanes[cols] (index arrays that broadcast), in one array pass: the
+    distances every junction verdict compares with JUNCTION_TOL."""
     ends = np.array([lane.terminal for lane in lanes]).reshape(-1, 3)
     starts = np.array([lane.initial for lane in lanes]).reshape(-1, 3)
     d = ends[rows] - starts[cols]
@@ -171,21 +201,11 @@ def screened_gaps(lanes: list[Polyline3D], rows, cols) -> np.ndarray:
 
 
 def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]]:
-    """(e, gap) for each edge e from lanes[rows[e]] to lanes[cols[e]] whose
-    junction is open, in edge order: the predecessor's terminal point is
-    more than JUNCTION_TOL from the successor's initial point, and gap is
-    that distance.
-
-    Every edge is screened in one array pass (screened_gaps), then each
-    flagged edge is measured with np.linalg.norm of its own endpoint
-    difference, so the verdict and the gap are the per-edge norm's.
-    """
-    out = []
-    for e in np.flatnonzero(screened_gaps(lanes, rows, cols) > JUNCTION_TOL - SCREEN_MARGIN):
-        gap = float(np.linalg.norm(lanes[rows[e]].terminal - lanes[cols[e]].initial))
-        if gap > JUNCTION_TOL:
-            out.append((int(e), gap))
-    return out
+    """(e, gap) for each edge e, from lanes[rows[e]] to lanes[cols[e]], whose
+    junction is open, in edge order: its endpoint gap (endpoint_gaps) is
+    more than JUNCTION_TOL."""
+    gaps = endpoint_gaps(lanes, rows, cols)
+    return [(int(e), float(gaps[e])) for e in np.flatnonzero(gaps > JUNCTION_TOL)]
 
 
 def topology_shape_errors(graph: Scene | Prediction) -> list[str]:

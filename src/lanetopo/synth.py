@@ -11,6 +11,7 @@ independently of the geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,14 +20,16 @@ from .scene import (
     DEFAULT_N_POINTS,
     FLAWS,
     JUNCTION_TOL,
-    SCREEN_MARGIN,
     Polyline3D,
     Prediction,
     Scene,
     TopologyGraph,
     TrafficElement,
+    bounded,
+    check_fields,
+    checked,
+    endpoint_gaps,
     polyline_flaws,
-    screened_gaps,
 )
 
 TRAFFIC_CATEGORIES = ("traffic_light", "stop_sign", "speed_limit", "yield_sign")
@@ -38,46 +41,29 @@ INFER_CHUNK = 256
 
 @dataclass(frozen=True)
 class SynthParams:
-    n_corridors: int = 2
-    n_segments: int = 2
-    segment_length: float = 20.0
-    lane_spacing: float = 4.0
-    split_prob: float = 0.3
-    merge_prob: float = 0.2
-    n_points: int = DEFAULT_N_POINTS
-    n_traffic: int = 3
-    grade: float = 0.0
-    seed: int = 0
+    n_corridors: int = bounded(2, lo=1)
+    n_segments: int = bounded(2, lo=1)
+    segment_length: float = bounded(20.0, lo=0.0, above=True)
+    lane_spacing: float = bounded(4.0, lo=3.0)  # metres: keeps lanes separable
+    split_prob: float = bounded(0.3, lo=0.0, hi=1.0)
+    merge_prob: float = bounded(0.2, lo=0.0, hi=1.0)
+    n_points: int = bounded(DEFAULT_N_POINTS, lo=2)
+    n_traffic: int = bounded(3, lo=0)
+    grade: float = bounded(0.0)
+    seed: int = bounded(0, lo=0)
 
-    def __post_init__(self):
-        if self.lane_spacing < 3.0:
-            raise ValueError(
-                f"lane_spacing must be >= 3 m to keep lanes separable, got {self.lane_spacing}"
-            )
-        if self.n_corridors < 1 or self.n_segments < 1:
-            raise ValueError("need at least one corridor and one segment")
-        if self.n_points < 2:
-            raise ValueError("need at least 2 points per lane")
-        if self.segment_length <= 0.0:
-            raise ValueError("segment_length must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    point_sigma: float = 0.0
-    drop_rate: float = 0.0
-    spurious_rate: float = 0.0
-    score_noise: float = 0.0
-    topo_flip_rate: float = 0.0
+    point_sigma: float = bounded(0.0, lo=0.0)
+    drop_rate: float = bounded(0.0, lo=0.0, hi=1.0)
+    spurious_rate: float = bounded(0.0, lo=0.0)
+    score_noise: float = bounded(0.0, lo=0.0, hi=1.0)
+    topo_flip_rate: float = bounded(0.0, lo=0.0, hi=1.0)
 
-    def __post_init__(self):
-        for name in ("point_sigma", "spurious_rate"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("drop_rate", "score_noise", "topo_flip_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+    __post_init__ = check_fields
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -106,17 +92,15 @@ def _lateral_blend(x0: float, x1: float, y0: float, y1: float,
 
 def infer_ll(lanes: list[Polyline3D]) -> np.ndarray:
     """Adjacency from geometry: edge (i, j), i != j, iff lane i ends where
-    lane j starts. All pairs are screened (screened_gaps) INFER_CHUNK rows
-    at a time, and each candidate is measured with np.linalg.norm of its
-    own endpoint difference, as junction_gaps does."""
+    lane j starts, its endpoint gap (endpoint_gaps) at most JUNCTION_TOL;
+    all pairs INFER_CHUNK rows at a time."""
     n = len(lanes)
     ll = np.zeros((n, n))
     idx = np.arange(n)
     for i0 in range(0, n, INFER_CHUNK):
-        gaps = screened_gaps(lanes, idx[i0:i0 + INFER_CHUNK, None], idx)
-        for i, j in np.argwhere(gaps <= JUNCTION_TOL + SCREEN_MARGIN) + [i0, 0]:
-            if i != j and np.linalg.norm(lanes[i].terminal - lanes[j].initial) <= JUNCTION_TOL:
-                ll[i, j] = 1.0
+        rows = idx[i0:i0 + INFER_CHUNK, None]
+        ll[i0:i0 + INFER_CHUNK] = endpoint_gaps(lanes, rows, idx) <= JUNCTION_TOL
+    np.fill_diagonal(ll, 0.0)
     return ll
 
 
@@ -170,6 +154,11 @@ def generate_scene(params: SynthParams = SynthParams()) -> Scene:
                  topo=TopologyGraph(ll=ll, lt=lt), n_points=p.n_points)
 
 
+# generate_roundabout's radius and arm count, as the CLI checks them too
+check_radius = functools.partial(checked, "radius", lo=0.0, above=True)
+check_arms = functools.partial(checked, "n_arms", lo=2)
+
+
 def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
                         n_points: int = DEFAULT_N_POINTS, seed: int = 0) -> Scene:
     """Ring of circular arcs with one entry and one exit lane per arm.
@@ -179,10 +168,9 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
     it, so every junction has two incoming and two outgoing lanes and the
     derived topology has 4*n_arms edges.
     """
-    if n_arms < 2:
-        raise ValueError(f"need at least 2 arms, got {n_arms}")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    check_radius(radius)
+    check_arms(n_arms)
+    checked("n_points", n_points, lo=2)
     rng = np.random.default_rng(seed)
     thetas = [2.0 * np.pi * k / n_arms for k in range(n_arms)]
     ring = lambda th: np.array([radius * np.cos(th), radius * np.sin(th), 0.0])

@@ -5,6 +5,7 @@ toy_fit supervises the lane-lane topology scores with a focal loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,13 @@ from .features import GeometryEncoder, lane_values
 from .heads import match_connected
 from .nn import descend
 from .pipeline import TopologyStack
-from .scene import Scene
+from .scene import Scene, checked
 
 FOCAL_CLAMP = 1e-7
+
+# toy_fit's arguments, as the CLI checks them too; a zero lr freezes the fit
+check_steps = functools.partial(checked, "steps", lo=1)
+check_lr = functools.partial(checked, "lr", lo=0.0)
 
 
 def focal_loss(pred, target, alpha: float = 0.25, gamma: float = 2.0,
@@ -88,8 +93,8 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     and backward of the TopologyStack that run_pipeline uses. Query features
     are fixed seeded geometry encodings.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
+    check_lr(lr)
     rng = np.random.default_rng(seed)
     connected = build_connected_gt(scene)
     d_front, d_back = half_distances(scene.lanes, connected)

@@ -71,6 +71,14 @@ class TestHarness:
         with pytest.raises(ValueError, match="typo"):
             run_gradcheck(seed=0, instances=1, corrupt="typo")
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(eps=0.0), "eps"), (dict(eps=float("nan")), "eps"), (dict(eps=-1e-5), "eps"),
+        (dict(instances=0), "instances"), (dict(instances=-2), "instances"),
+    ])
+    def test_unusable_arguments_raise_naming_them(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run_gradcheck(seed=0, **kwargs)
+
     def test_zero_entry_op_is_skipped_with_note(self):
         r = grad_check(NullOp())
         assert r.skipped

@@ -28,6 +28,31 @@ class TestSynthParams:
         with pytest.raises(ValueError):
             lt.NoiseParams(topo_flip_rate=-0.2)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(split_prob=float("nan"), grade=float("inf")), "split_prob"),
+        (dict(grade=float("inf")), "grade"),
+        (dict(split_prob=2.0), "split_prob"),
+        (dict(merge_prob=-1.0), "merge_prob"),
+        (dict(segment_length=float("nan")), "segment_length"),
+        (dict(lane_spacing=float("nan")), "lane_spacing"),
+        (dict(seed=-1), "seed"),
+    ])
+    def test_unusable_values_raise_naming_the_field(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            lt.SynthParams(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("point_sigma", float("nan")), ("spurious_rate", float("nan")), ("spurious_rate", float("inf")),
+        ("drop_rate", float("nan")),
+    ])
+    def test_non_finite_noise_raises_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            lt.NoiseParams(**{name: value})
+
+    def test_negative_traffic_count_raises_before_any_draw(self):
+        with pytest.raises(ValueError, match="^n_traffic must be finite and >= 0, got -2$"):
+            lt.generate_scene(lt.SynthParams(n_traffic=-2))
+
 
 class TestGenerateScene:
     def test_plain_chain_counts(self):
@@ -184,6 +209,15 @@ class TestRoundabout:
     def test_too_few_arms_raises(self):
         with pytest.raises(ValueError):
             lt.generate_roundabout(n_arms=1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(radius=float("nan")), "radius"), (dict(radius=0.0), "radius"),
+        (dict(radius=float("inf")), "radius"), (dict(n_arms=1), "n_arms"),
+        (dict(n_points=1), "n_points"),
+    ])
+    def test_unusable_arguments_raise_naming_them(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            lt.generate_roundabout(**kwargs)
 
 
 class TestPerturb:

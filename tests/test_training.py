@@ -171,6 +171,11 @@ class TestToyFit:
         with pytest.raises(ValueError, match="steps"):
             lt.toy_fit(chain_scene(), steps=steps)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+    def test_unusable_learning_rate_raises(self, lr):
+        with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
+            lt.toy_fit(chain_scene(), steps=2, lr=lr)
+
     def test_loss_decreases_on_a_chain(self):
         result = lt.toy_fit(chain_scene(), steps=60, lr=0.05, seed=0)
         assert result.losses[-1] < result.losses[0]
