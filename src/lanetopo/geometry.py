@@ -79,9 +79,10 @@ def resample_stack(P, m: int) -> np.ndarray:
     return out
 
 
-# Pairs per batched kernel call: bounds the (pairs, n, m, 3) temporaries at a
-# few MB whatever the number of pairs.
+# Pairs per batched kernel call: at most PAIR_CHUNK, and at most GAP_CELLS point
+# pairs, so a gap plane is at most 256 KB and stays in cache (67 pairs of 22 points).
 PAIR_CHUNK = 256
+GAP_CELLS = 32768
 
 # Pairs per avg_l1_matrix chunk: its temporaries are (pairs, N) arrays, a few
 # hundred KB at N = 11. Measured on the 169-lane grid (169 x 161 pairs), a
@@ -127,32 +128,36 @@ def avg_l1(a, b) -> float:
 def _point_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(k, n, m) Euclidean distances between the points of A (k, n, 3) and B (k, m, 3).
 
-    Each is sqrt((dx^2 + dy^2) + dz^2), summed left to right as numpy sums
-    fewer than 8 terms, so it is bitwise np.linalg.norm of the difference,
-    without the norm's reduction loop over every point pair.
+    Each coordinate's squared differences fill a contiguous (n, m, k) plane,
+    pairs innermost; the planes are summed (dx^2 + dy^2) + dz^2, left to right
+    as numpy sums fewer than 8 terms, so each gap is bitwise np.linalg.norm
+    of the difference. The result is a (k, n, m) view of that memory.
     """
-    d = A.transpose(2, 0, 1)[:, :, :, None] - B.transpose(2, 0, 1)[:, :, None, :]
-    d *= d
-    gaps = d[0] + d[1]
-    gaps += d[2]
-    return np.sqrt(gaps, out=gaps)
+    gaps = None
+    for a, b in zip(np.ascontiguousarray(A.transpose(2, 1, 0)),
+                    np.ascontiguousarray(B.transpose(2, 1, 0))):
+        d = a[:, None, :] - b[None, :, :]
+        d *= d
+        gaps = d if gaps is None else np.add(gaps, d, out=gaps)
+    return np.sqrt(gaps, out=gaps).transpose(2, 0, 1)
 
 
 def _chunked(kernel, A, B) -> np.ndarray:
-    """kernel over the pairs (A[k], B[k]), PAIR_CHUNK pairs per call."""
+    """kernel over the pairs (A[k], B[k]), chunked by PAIR_CHUNK and GAP_CELLS."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 3 or B.ndim != 3 or A.shape[0] != B.shape[0] \
             or A.shape[2] != 3 or B.shape[2] != 3:
         raise ValueError(f"expected (k, n, 3) and (k, m, 3) arrays, got {A.shape} and {B.shape}")
     out = np.empty(A.shape[0])
-    for s in range(0, A.shape[0], PAIR_CHUNK):
-        out[s:s + PAIR_CHUNK] = kernel(A[s:s + PAIR_CHUNK], B[s:s + PAIR_CHUNK])
+    rows = max(1, min(PAIR_CHUNK, GAP_CELLS // max(1, A.shape[1] * B.shape[1])))
+    for s in range(0, A.shape[0], rows):
+        out[s:s + rows] = kernel(A[s:s + rows], B[s:s + rows])
     return out
 
 
 def _frechet_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # (n, m, k): each DP cell is a contiguous vector over the pairs
+    # (n, m, k), _point_gaps' own memory: each DP cell is a contiguous vector over the pairs
     d = np.ascontiguousarray(_point_gaps(A, B).transpose(1, 2, 0))
     n, m, _ = d.shape
     ca = np.empty_like(d)
@@ -186,7 +191,9 @@ def discrete_frechet(a, b) -> float:
 
 def _chamfer_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d = _point_gaps(A, B)
-    return 0.5 * (d.min(axis=2).mean(axis=1) + d.min(axis=1).mean(axis=1))
+    # each pair's nearest gaps made contiguous, so each mean sums them as a one-pair call does
+    near_a, near_b = (np.ascontiguousarray(d.min(axis=ax)) for ax in (2, 1))
+    return 0.5 * (near_a.mean(axis=1) + near_b.mean(axis=1))
 
 
 def chamfer_pairs(A, B) -> np.ndarray:
@@ -204,31 +211,28 @@ def endpoint_bound(a: list, b: list) -> np.ndarray:
     """(len(a), len(b)) lower bounds on discrete_frechet(a[i], b[j]).
 
     Every coupling starts at the first two points and ends at the last two,
-    so the distance is at least the larger of those two gaps. The gaps come
-    from the same norm arithmetic as the recurrence's first and last cells,
-    and the recurrence only takes max and min, so the bound never exceeds
-    the distance, bitwise.
+    so the distance is at least the larger of those two gaps. The gaps are
+    _point_gaps of the first points and of the last points, the recurrence's
+    own first and last cells, and the recurrence only takes max and min, so
+    the bound never exceeds the distance, bitwise.
     """
-    def gaps(k):
-        pa = np.array([_as_points(p)[k] for p in a], dtype=np.float64).reshape(-1, 3)
-        pb = np.array([_as_points(p)[k] for p in b], dtype=np.float64).reshape(-1, 3)
-        return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    def ends(polys):  # (2, 1, len(polys), 3): first points, then last points
+        return np.array([(P[0], P[-1]) for P in map(_as_points, polys)], dtype=np.float64) \
+            .reshape(-1, 1, 2, 3).transpose(2, 1, 0, 3)
 
-    return np.maximum(gaps(0), gaps(-1))
+    (first_a, last_a), (first_b, last_b) = ends(a), ends(b)
+    return np.maximum(_point_gaps(first_a, first_b)[0], _point_gaps(last_a, last_b)[0])
 
 
 def stacks_by_count(polys: list):
-    """(indices, stacked (len, n, 3) array) for each point count n among polys."""
+    """(indices, stacked (len, n, 3) array) for each point count n among polys;
+    a stack is one concatenate, a third of np.stack's per-array cost."""
     pts = [_as_points(p) for p in polys]
-    counts = [len(p) for p in pts]
-    if len(set(counts)) == 1:
-        # one point count, the usual case: one stack, no grouping
-        yield np.arange(len(pts)), np.stack(pts)
-        return
-    counts = np.array(counts, dtype=int)
+    counts = np.array([len(p) for p in pts], dtype=int)
     for n in np.unique(counts):
         idx = np.flatnonzero(counts == n)
-        yield idx, np.stack([pts[i] for i in idx])
+        group = pts if idx.size == len(pts) else [pts[i] for i in idx]
+        yield idx, np.concatenate(group).reshape(idx.size, *group[0].shape)
 
 
 def _pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
@@ -238,7 +242,7 @@ def _pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
     b_stacks = list(stacks_by_count(b))
     for ia, A in stacks_by_count(a):
         for ib, B in b_stacks:
-            p, g = np.nonzero(keep[np.ix_(ia, ib)])
+            p, g = np.divmod(np.flatnonzero(keep[np.ix_(ia, ib)]), ib.size)
             if p.size:
                 out[ia[p], ib[g]] = kernel(A[p], B[g])
     return out

@@ -3,12 +3,12 @@
 Conventions used throughout:
 
 * Instance matching is greedy in descending prediction score (ties broken
-  by input index), each ground-truth instance consumable once. A lane
-  prediction is a true positive when its discrete Frechet distance to an
-  unmatched ground-truth lane is below the threshold; a traffic prediction
-  needs box IoU at or above the threshold and the same category. Among
-  the ground truths that qualify, the closest wins, the lowest index on a
-  tie.
+  by input index), each ground truth consumable once. A lane prediction
+  qualifies for a ground-truth lane below a Frechet distance threshold, a
+  traffic prediction at or above an IoU threshold and in the same category.
+  Qualifying pairs are sorted once by (rank, distance, ground-truth index)
+  and walked: a prediction takes its first pair with a free ground truth,
+  the closest free one and the lowest index on a tie, as a loop would.
 * Average precision interpolates precision at every achieved recall step
   (area under the precision/recall curve).
 * Topology scores are ranked per ground-truth vertex. An entry with score
@@ -18,10 +18,11 @@ Conventions used throughout:
   nothing predicted is clean, not broken.
 
 Shared match context. `evaluate` builds the lane Frechet matrix, the
-traffic IoU matrix and each greedy matching once per scene; DET_l, DET_t,
-TOP_ll, TOP_lt and the lane-segment block all read them. `evaluate` widens
-the segments from the same lanes, all of them in one array pass per point
-count, so the lane matrix is also their centerline term.
+traffic IoU matrix, each greedy matching and the ranking of the predicted
+ll rows once per scene; DET_l, DET_t, TOP_ll, TOP_lt and the lane-segment
+block all read them. `evaluate` widens the segments from the same lanes,
+in one array pass per point count, so the lane matrix is also their
+centerline term.
 
 Endpoint-bound pruning. A lane pair matches only below a threshold, so a
 pair whose distance is at least the largest threshold in use (the cut) can
@@ -102,8 +103,8 @@ def average_precision(tp_flags, n_gt: int) -> float:
 
 
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
-    """Indices in descending score order; equal scores keep input order."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    """Indices in descending score order along the last axis; ties keep input order."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
 def greedy_match(dist: np.ndarray, scores: np.ndarray, threshold: float,
@@ -112,25 +113,28 @@ def greedy_match(dist: np.ndarray, scores: np.ndarray, threshold: float,
 
     Predictions are visited in descending score; each takes the best still
     unmatched ground truth that clears the threshold (distance strictly
-    below it, or similarity at or above it), the lowest index on a tie.
+    below it, or similarity at or above it), the lowest index on a tie: the
+    entries that clear (NaN never does) are sorted by (rank, distance or
+    negated similarity, column), and a rank takes its first free column.
     Returns (tp_flags in ranked order, pred_to_gt map, ranked order).
     """
     dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or np.shape(scores) != dist.shape[:1]:
+        raise ValueError(f"dist shape {dist.shape} does not fit scores shape {np.shape(scores)}")
     order = rank_by_score(scores)
-    ok = dist < threshold if better_below else dist >= threshold
-    key = dist if better_below else -dist
-    free = np.ones(dist.shape[1], dtype=bool)
-    pred_to_gt = np.full(dist.shape[0], -1)
-    flags = np.zeros(order.size, dtype=bool)
-    for r in np.flatnonzero(ok[order].any(axis=1)):
-        p = order[r]
-        cand = np.flatnonzero(ok[p] & free)
-        if cand.size:
-            g = cand[np.argmin(key[p, cand])]  # first minimum: lowest index
-            free[g] = False
-            pred_to_gt[p] = g
-            flags[r] = True
-    return flags, pred_to_gt, order
+    ranked = dist[order]
+    # flat indices: np.nonzero of a 2-D mask costs several times as much
+    flat = np.flatnonzero(ranked < threshold if better_below else ranked >= threshold)
+    rank, col = np.divmod(flat, dist.shape[1])
+    key = ranked.ravel()[flat]
+    walk = np.lexsort((col, key if better_below else -key, rank))
+    free = [True] * dist.shape[1]
+    to_gt = [-1] * order.size  # per rank
+    for r, g in zip(rank[walk].tolist(), col[walk].tolist()):
+        if to_gt[r] < 0 and free[g]:
+            free[g], to_gt[r] = False, g
+    to_gt = np.array(to_gt, dtype=int)
+    return to_gt >= 0, to_gt[np.argsort(order)], order
 
 
 def _lane_matches(pred: Prediction, scene: Scene, thresholds, cut: float):
@@ -175,27 +179,29 @@ def _det_t(pred: Prediction, scene: Scene, match) -> float:
 
 def det_l(pred: Prediction, scene: Scene,
           thresholds=DET_L_THRESHOLDS) -> float:
-    """Lane detection score: AP over Frechet thresholds, averaged."""
+    """Lane detection score: AP over Frechet thresholds, averaged; shapes checked as in evaluate."""
+    shape_errors = prediction_shape_errors(pred)
+    if shape_errors:
+        raise ValueError(shape_errors[0])
     thresholds = valid_distances(thresholds)
     _, lanes = _lane_matches(pred, scene, thresholds, max(thresholds))
     return _det_l(pred, scene, lanes, thresholds)
 
 
-def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray,
+def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray, order: np.ndarray,
                 col_to_gt: np.ndarray) -> np.ndarray:
     """AP of each matched vertex's outgoing predicted edges against its GT edges.
 
     gt_rows (V, G) are the vertices' binary GT rows, each with an edge;
     score_rows (V, C) their matched predictions' score rows, where an entry
-    that is not positive is no edge. col_to_gt maps prediction columns to GT
-    columns (-1 for unmatched endpoints, which makes their edges false
-    positives). Each AP is average_precision of the row's ranked flags, bit
-    for bit: ranks past the row's last edge get precision 0, which no
-    interpolated precision falls below, and rows are summed in groups of
-    equal true-positive count, so each sum runs over its own values in rank
-    order.
+    that is not positive is no edge, and order their rank_by_score rows.
+    col_to_gt maps prediction columns to GT columns (-1 for unmatched
+    endpoints, which makes their edges false positives). Each AP is
+    average_precision of the row's ranked flags, bit for bit: ranks past the
+    row's last edge get precision 0, which no interpolated precision falls
+    below, and rows are summed in groups of equal true-positive count, so
+    each sum runs over its own values in rank order.
     """
-    order = np.argsort(-score_rows, axis=1, kind="stable")  # rank_by_score, per row
     edge = np.take_along_axis(score_rows, order, axis=1) > 0.0  # the ranked edges come first
     w = col_to_gt[order]
     flags = edge & (w >= 0) & (np.take_along_axis(gt_rows, w, axis=1) == 1.0)
@@ -210,12 +216,13 @@ def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray,
 
 
 def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
-                    row_to_gt: np.ndarray, col_to_gt: np.ndarray) -> float:
+                    row_to_gt: np.ndarray, col_to_gt: np.ndarray, ranks=None) -> float:
     """Mean vertex AP over the ground-truth vertices with outgoing edges; an
     unmatched vertex scores 0.
 
     row_to_gt maps the rows of score_mat (predictions) to ground-truth
     rows, col_to_gt its columns to ground-truth columns; -1 is unmatched.
+    ranks is rank_by_score(score_mat), taken here when not given.
     """
     gt_to_row = np.full(gt_adj.shape[0], -1)
     rows = np.flatnonzero(row_to_gt >= 0)
@@ -226,8 +233,9 @@ def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,
         return 0.0 if any_edge else 1.0
     aps = np.zeros(vertices.size)
     matched = np.flatnonzero(gt_to_row[vertices] >= 0)
-    aps[matched] = _vertex_aps(gt_adj[vertices[matched]],
-                               score_mat[gt_to_row[vertices[matched]]], col_to_gt)
+    rows = gt_to_row[vertices[matched]]
+    ranks = rank_by_score(score_mat) if ranks is None else ranks
+    aps[matched] = _vertex_aps(gt_adj[vertices[matched]], score_mat[rows], ranks[rows], col_to_gt)
     return float(np.mean(aps))
 
 
@@ -240,12 +248,12 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
 
 
 def _lane_segment_report(pred: Prediction, scene: Scene, p_bounds, g_bounds,
-                         centerline: np.ndarray) -> LaneSegmentReport:
+                         centerline: np.ndarray, ll_ranks: np.ndarray) -> LaneSegmentReport:
     """The lane-segment block: the lanes of pred and scene as segments with
     boundary points p_bounds and g_bounds (see segment_matrix), ranked by
     pred.lane_scores, their centerline distances read from the lane matrix
-    and their topology pred.topo.ll against scene.topo.ll. AP is None, and
-    mAP 1.0, when there is no lane on either side."""
+    and their topology pred.topo.ll (rows ranked as ll_ranks) against
+    scene.topo.ll. AP is None, and mAP 1.0, when there is no lane either side."""
     dist = segment_matrix(p_bounds, g_bounds, centerline, max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
     scores = pred.lane_scores
     ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(g_bounds)) \
@@ -253,7 +261,7 @@ def _lane_segment_report(pred: Prediction, scene: Scene, p_bounds, g_bounds,
     _, pred_to_gt, _ = greedy_match(dist, scores, LS_TOP_THRESHOLD)
     return LaneSegmentReport(
         map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
-        top_lsls=_topology_score(scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt))
+        top_lsls=_topology_score(scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt, ll_ranks))
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -291,10 +299,11 @@ def evaluate(pred: Prediction, scene: Scene,
     d_l = _det_l(pred, scene, lanes, det_l_thresholds)
     d_t = _det_t(pred, scene, traffic[det_t_iou])
     lane_to_gt = lanes[top_frechet][1]
-    t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt)
+    ll_ranks = rank_by_score(pred.topo.ll)  # TOP_ll and TOP_lsls rank the same rows
+    t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt, ll_ranks)
     t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
     block = None if lane_width is None else _lane_segment_report(
-        pred, scene, p_bounds, g_bounds, lane_dist)
+        pred, scene, p_bounds, g_bounds, lane_dist, ll_ranks)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)

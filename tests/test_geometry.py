@@ -397,6 +397,46 @@ class TestBatchedKernels:
             frechet_pairs(np.zeros((3, 4, 3)), np.zeros((2, 4, 3)))
 
 
+def magnitudes(rng, shape):
+    """Normal draws scaled by exp(N(0, 6)): coordinates from ~1e-10 to ~1e10,
+    where the order of the xyz sum shows in the last bits."""
+    return rng.normal(size=shape) * np.exp(rng.normal(0.0, 6.0, size=shape))
+
+
+class TestPlaneGaps:
+    """The coordinate-plane kernels bit for bit against np.linalg.norm."""
+
+    def test_point_gaps_on_non_contiguous_stacks(self):
+        rng = np.random.default_rng(70)
+        a, b = magnitudes(rng, (30, 12, 3)), magnitudes(rng, (30, 7, 3))
+        idx = rng.permutation(30)[:17]
+        views = [
+            (a[::2, 1::3], b[::2, ::-1]),                    # strided slices
+            (a[idx], b[idx[::-1]]),                          # fancy-indexed stacks
+            (a[idx][:, [0, 5, 5, 11]], b[3:20, 1:6]),        # fancy points, sliced pairs
+            (np.asfortranarray(a[:9]), b[:9]),               # Fortran order
+            (np.repeat(a, 2, axis=2)[:, :, ::2], b[:, 2:]),  # strided xyz axis
+        ]
+        assert sum(not X.flags.c_contiguous for view in views for X in view) >= 6
+        for A, B in views:
+            expected = np.linalg.norm(A[:, :, None, :] - B[:, None, :, :], axis=3)
+            assert _point_gaps(A, B).tobytes() == expected.tobytes()
+
+    def test_endpoint_bound_is_the_larger_endpoint_norm(self):
+        rng = np.random.default_rng(71)
+        a = [magnitudes(rng, (int(n), 3)) for n in rng.integers(2, 9, size=23)]
+        b = [magnitudes(rng, (int(n), 3)) for n in rng.integers(2, 9, size=19)]
+
+        def norms(k):  # the gaps of the k-th points, as np.linalg.norm over xyz
+            pa, pb = np.array([p[k] for p in a]), np.array([q[k] for q in b])
+            return np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+
+        expected = np.maximum(norms(0), norms(-1))
+        assert endpoint_bound(a, b).tobytes() == expected.tobytes()
+        assert endpoint_bound(a, []).shape == (23, 0)
+        assert endpoint_bound([], b).shape == (0, 19)
+
+
 class TestChamfer:
     def test_identical_is_zero(self):
         pts = random_polyline(np.random.default_rng(0), 5)

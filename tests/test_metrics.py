@@ -86,6 +86,91 @@ class TestGreedyMatch:
             assert np.array_equal(order, ref_order)
 
 
+class TestGreedyMatchWalk:
+    """The sorted-candidate walk against the double-loop oracle on the
+    inputs where a sort and a loop could part: NaN, infinities, signed
+    zeros, sparse candidates and thresholds equal to entries."""
+
+    def assert_oracle(self, dist, scores, thr, better_below):
+        flags, pred_to_gt, order = lt.greedy_match(dist, scores, thr, better_below)
+        ref_flags, ref_pred_to_gt, ref_order = greedy_match_loops(dist, scores, thr, better_below)
+        assert flags.dtype == bool and list(flags) == ref_flags
+        assert np.array_equal(pred_to_gt, ref_pred_to_gt)
+        assert np.array_equal(order, ref_order)
+
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_nan_entries_never_match(self, better_below):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            dist = rng.integers(0, 5, size=tuple(rng.integers(0, 10, size=2))) / 2.0
+            dist[rng.random(dist.shape) < 0.3] = np.nan
+            scores = rng.integers(0, 3, size=dist.shape[0]) / 2.0
+            self.assert_oracle(dist, scores, 1.5, better_below)
+        dist = np.full((3, 4), np.nan)
+        flags, pred_to_gt, _ = lt.greedy_match(dist, np.ones(3), 1.0, better_below)
+        assert not flags.any() and (pred_to_gt == -1).all()
+
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_infinities(self, better_below):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 9, size=2))
+            dist = rng.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=shape)
+            scores = rng.choice([-np.inf, 0.0, 0.5, np.inf], size=shape[0])
+            thr = float(rng.choice([-np.inf, 0.0, 1.0, np.inf]))
+            self.assert_oracle(dist, scores, thr, better_below)
+
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_signed_zero_ties_take_the_lowest_column(self, better_below):
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 9, size=2))
+            dist = rng.choice([-0.0, 0.0], size=shape)
+            scores = rng.choice([-0.0, 0.0, 1.0], size=shape[0])
+            self.assert_oracle(dist, scores, float(rng.choice([-0.0, 0.0, 0.5])), better_below)
+        # -0.0 and 0.0 tie: the lower column wins whichever zero it holds
+        flags, pred_to_gt, _ = lt.greedy_match(np.array([[0.0, -0.0]]), np.ones(1), 0.5)
+        assert list(pred_to_gt) == [0] and flags[0]
+
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_sparse_40_by_40(self, better_below):
+        rng = np.random.default_rng(63)
+        for density in (0.0, 0.01, 0.05, 0.2):
+            for _ in range(25):
+                dist = np.where(rng.random((40, 40)) < density,
+                                rng.integers(0, 8, size=(40, 40)) / 4.0,
+                                np.inf if better_below else -np.inf)
+                scores = rng.integers(0, 5, size=40) / 4.0
+                self.assert_oracle(dist, scores, 1.0, better_below)
+
+    @pytest.mark.parametrize("better_below", [True, False])
+    def test_thresholds_equal_to_entries(self, better_below):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
+            dist = rng.normal(size=shape)
+            scores = rng.random(shape[0])
+            self.assert_oracle(dist, scores, float(rng.choice(dist.ravel())), better_below)
+
+    def test_dist_rows_must_match_scores(self):
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2,\)"):
+            lt.greedy_match(np.zeros((3, 2)), np.ones(2), 1.0)
+
+    def test_one_dimensional_dist_raises(self):
+        with pytest.raises(ValueError, match=r"dist shape \(3,\).*scores shape \(3,\)"):
+            lt.greedy_match(np.zeros(3), np.ones(3), 1.0)
+
+
+def test_det_l_rejects_a_prediction_evaluate_rejects():
+    scene = three_lane_chain()
+    pred = scored_prediction(scene, scores=[1.0])
+    message = "lane_scores: length 1 != lane count 3"
+    with pytest.raises(ValueError, match=message):
+        lt.evaluate(pred, scene)
+    with pytest.raises(ValueError, match=message):
+        lt.det_l(pred, scene)
+
+
 class TestDetL:
     def test_perfect_is_exactly_one(self):
         scene = chain_scene()
