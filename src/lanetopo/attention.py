@@ -2,9 +2,10 @@
 
 Two blocks live here, both pure numpy with analytic backward passes:
 
-* self_attention: multi-head self-attention inside one query group, with a
-  positional embedding added to queries and keys (values are taken from the
-  raw input), a residual connection, and a layer norm.
+* self_attention: multi-head self-attention inside one query group, its
+  queries, keys and values all taken from the group's own rows (there is
+  no per-slot positional term, so permuting the rows permutes the output),
+  a residual connection, and a layer norm.
 * masked_cross_attention: single-head cross-attention from lane queries to
   connected-lane queries whose logits are biased by log(S), where S is a
   sigmoid mask derived from the geometric correlation matrix.
@@ -88,68 +89,41 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def self_attention_forward(params: SelfAttentionParams, q: np.ndarray, p: np.ndarray):
-    """LN(MultiHeadAttn(q + p as queries/keys, q as values) + q), with cache."""
-    if q.shape != p.shape:
-        raise ValueError(f"query/positional shapes differ: {q.shape} vs {p.shape}")
+def self_attention_forward(params: SelfAttentionParams, q: np.ndarray):
+    """LN(MultiHeadAttn(q as queries, keys and values) + q), with cache."""
     h = params.n_heads
-    src = q + p
-    xq = src @ params.wq + params.bq
-    xk = src @ params.wk + params.bk
-    xv = q @ params.wv + params.bv
-    qh, kh, vh = _split_heads(xq, h), _split_heads(xk, h), _split_heads(xv, h)
-    dh = qh.shape[-1]
-    z = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    a = softmax_rows(z)
+    qh = _split_heads(q @ params.wq + params.bq, h)
+    kh = _split_heads(q @ params.wk + params.bk, h)
+    vh = _split_heads(q @ params.wv + params.bv, h)
+    a = softmax_rows(qh @ kh.transpose(0, 2, 1) / np.sqrt(qh.shape[-1]))
     ctx = _merge_heads(a @ vh)
-    o = ctx @ params.wo + params.bo
-    r = o + q
-    y, ln_cache = layer_norm_forward(r, params.ln_gain, params.ln_bias)
-    cache = (q, src, xq, xk, xv, a, ctx, ln_cache)
-    return y, cache
+    y, ln_cache = layer_norm_forward(ctx @ params.wo + params.bo + q,
+                                     params.ln_gain, params.ln_bias)
+    return y, (q, qh, kh, vh, a, ctx, ln_cache)
 
 
 def self_attention_backward(params: SelfAttentionParams, cache, gy: np.ndarray):
-    """Gradients wrt q, p, and the parameters (a SelfAttentionParams)."""
-    q, src, xq, xk, xv, a, ctx, ln_cache = cache
-    h = params.n_heads
-    dh = xq.shape[-1] // h
-
+    """(gq, grads): gradients wrt q and the parameters (a SelfAttentionParams)."""
+    q, qh, kh, vh, a, ctx, ln_cache = cache
+    scale = np.sqrt(qh.shape[-1])
     gr, g_gain, g_bias = layer_norm_backward(ln_cache, params.ln_gain, gy)
-    go = gr
-    gq = gr.copy()  # residual branch
-
-    g_ctx = go @ params.wo.T
-    g_wo = ctx.T @ go
-    g_bo = go.sum(axis=0)
-
-    gch = _split_heads(g_ctx, h)
-    vh = _split_heads(xv, h)
-    qh, kh = _split_heads(xq, h), _split_heads(xk, h)
-    ga = gch @ vh.transpose(0, 2, 1)
-    gvh = a.transpose(0, 2, 1) @ gch
-    gz = softmax_backward(a, ga)
-    gqh = gz @ kh / np.sqrt(dh)
-    gkh = gz.transpose(0, 2, 1) @ qh / np.sqrt(dh)
-
-    gxq, gxk, gxv = _merge_heads(gqh), _merge_heads(gkh), _merge_heads(gvh)
-    g_wq, g_bq = src.T @ gxq, gxq.sum(axis=0)
-    g_wk, g_bk = src.T @ gxk, gxk.sum(axis=0)
-    g_wv, g_bv = q.T @ gxv, gxv.sum(axis=0)
-
-    gsrc = gxq @ params.wq.T + gxk @ params.wk.T
-    gq += gsrc + gxv @ params.wv.T
-    gp = gsrc
-
+    gch = _split_heads(gr @ params.wo.T, params.n_heads)
+    gz = softmax_backward(a, gch @ vh.transpose(0, 2, 1))
+    gxq = _merge_heads(gz @ kh / scale)
+    gxk = _merge_heads(gz.transpose(0, 2, 1) @ qh / scale)
+    gxv = _merge_heads(a.transpose(0, 2, 1) @ gch)
+    # the residual branch plus the three projections of q
+    gq = gr + (gxq @ params.wq.T + gxk @ params.wk.T + gxv @ params.wv.T)
     grads = SelfAttentionParams(
-        wq=g_wq, bq=g_bq, wk=g_wk, bk=g_bk, wv=g_wv, bv=g_bv, wo=g_wo, bo=g_bo,
-        ln_gain=g_gain, ln_bias=g_bias, n_heads=h,
+        wq=q.T @ gxq, bq=gxq.sum(axis=0), wk=q.T @ gxk, bk=gxk.sum(axis=0),
+        wv=q.T @ gxv, bv=gxv.sum(axis=0), wo=ctx.T @ gr, bo=gr.sum(axis=0),
+        ln_gain=g_gain, ln_bias=g_bias, n_heads=params.n_heads,
     )
-    return gq, gp, grads
+    return gq, grads
 
 
-def self_attention(q: np.ndarray, p: np.ndarray, params: SelfAttentionParams) -> np.ndarray:
-    y, _ = self_attention_forward(params, q, p)
+def self_attention(q: np.ndarray, params: SelfAttentionParams) -> np.ndarray:
+    y, _ = self_attention_forward(params, q)
     return y
 
 

@@ -62,7 +62,7 @@ from .serialize import (
     write_text,
 )
 from .synth import NoiseParams, SynthParams, generate_roundabout, generate_scene
-from .training import toy_fit
+from .training import FitDiverged, toy_fit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -378,7 +378,10 @@ def cmd_fitdemo(args) -> int:
     t0 = time.perf_counter()
     _check_distinct([args.scene], [args.out])
     scene = read_scene(args.scene)
-    result = toy_fit(scene, steps=args.steps, lr=args.lr, seed=args.seed)
+    try:
+        result = toy_fit(scene, steps=args.steps, lr=args.lr, seed=args.seed)
+    except FitDiverged as err:
+        raise ValueError(f"--{err}") from None
 
     lines = ["step,loss"]
     lines += [f"{k},{loss:.9g}" for k, loss in enumerate(result.losses)]
@@ -390,9 +393,6 @@ def cmd_fitdemo(args) -> int:
         time.perf_counter() - t0))
 
     final = result.losses[-1]
-    if not np.isfinite(final):
-        print(f"fit diverged: final loss {final!r}")
-        return EXIT_CHECK_FAILED
     print(f"wrote {args.out}: {len(result.losses)} steps, "
           f"loss {result.losses[0]:.6f} -> {final:.6f}")
     if final < args.max_loss:

@@ -185,9 +185,9 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
 
     def mk_self(rng):
         params = SelfAttentionParams.init(dims, rng)
-        q, p = rng.normal(size=(3, c)), rng.normal(size=(3, c))
-        return Op("self_attention", {"q": q, "p": p}, params,
-                  lambda: self_attention_forward(params, q, p), self_attention_backward)
+        q = rng.normal(size=(3, c))
+        return Op("self_attention", {"q": q}, params,
+                  lambda: self_attention_forward(params, q), self_attention_backward)
 
     def mk_cross(rng):
         params = CrossAttentionParams.init(dims, rng)

@@ -248,20 +248,24 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
 
 
 def _lane_segment_report(pred: Prediction, scene: Scene, p_bounds, g_bounds,
-                         centerline: np.ndarray, ll_ranks: np.ndarray) -> LaneSegmentReport:
+                         centerline: np.ndarray, ll_ranks: np.ndarray,
+                         lane_to_gt: np.ndarray, top_ll: float) -> LaneSegmentReport:
     """The lane-segment block: the lanes of pred and scene as segments with
     boundary points p_bounds and g_bounds (see segment_matrix), ranked by
     pred.lane_scores, their centerline distances read from the lane matrix
     and their topology pred.topo.ll (rows ranked as ll_ranks) against
-    scene.topo.ll. AP is None, and mAP 1.0, when there is no lane either side."""
+    scene.topo.ll. AP is None, and mAP 1.0, when there is no lane either side.
+    When the segment matching is TOP_ll's matching lane_to_gt, TOP_lsls is
+    that metric's value top_ll, which is not computed again."""
     dist = segment_matrix(p_bounds, g_bounds, centerline, max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
     scores = pred.lane_scores
     ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(g_bounds)) \
         if len(p_bounds) or len(g_bounds) else None
     _, pred_to_gt, _ = greedy_match(dist, scores, LS_TOP_THRESHOLD)
-    return LaneSegmentReport(
-        map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
-        top_lsls=_topology_score(scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt, ll_ranks))
+    top_lsls = top_ll if np.array_equal(pred_to_gt, lane_to_gt) else _topology_score(
+        scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt, ll_ranks)
+    return LaneSegmentReport(map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
+                             top_lsls=top_lsls)
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -303,7 +307,7 @@ def evaluate(pred: Prediction, scene: Scene,
     t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt, ll_ranks)
     t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
     block = None if lane_width is None else _lane_segment_report(
-        pred, scene, p_bounds, g_bounds, lane_dist, ll_ranks)
+        pred, scene, p_bounds, g_bounds, lane_dist, ll_ranks, lane_to_gt, t_ll)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)

@@ -5,8 +5,10 @@ intra-group self-attention over each query group, then run the
 TopologyStack: bias lane-to-connection cross-attention with the geometric
 correlation mask, and score lane-lane pairs (argmin-matched pairs through
 the matched branch) from the refined lane queries. Lane-traffic pairs are
-scored last, from the same queries. The stack has one cached forward and
-one backward; toy_fit trains through the same two calls.
+scored last, from the same queries. Every query is the encoding of its own
+geometry, with no per-slot term, so on ground-truth input permuting the
+lanes permutes the prediction and changes nothing else. The stack has one
+cached forward and one backward; toy_fit trains through the same two calls.
 
 The mean L1 distances between every lane and both halves of every
 connected lane are computed once per run, by one batched kernel: their
@@ -123,9 +125,6 @@ class PipelineParams:
     enc_lane: GeometryEncoder
     enc_conn: GeometryEncoder
     enc_traffic: GeometryEncoder
-    p_lane: np.ndarray
-    p_conn: np.ndarray
-    p_traffic: np.ndarray
     attn: SelfAttentionParams
     stack: TopologyStack
     conf_lane: MlpParams
@@ -133,16 +132,14 @@ class PipelineParams:
 
 
 def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
-    """All parameters, drawn in a fixed order from one seeded generator."""
+    """All parameters, drawn in a fixed order from one seeded generator; no
+    shape depends on the query budgets, which only truncate."""
     rng = np.random.default_rng(cfg.param_seed)
     c = cfg.dims.c
     return PipelineParams(
         enc_lane=GeometryEncoder.init(3 * n_points, c, rng),
         enc_conn=GeometryEncoder.init(3 * n_points, c, rng),
         enc_traffic=GeometryEncoder.init(4, c, rng),
-        p_lane=rng.normal(0.0, 0.5, size=(cfg.n_lane_queries, c)),
-        p_conn=rng.normal(0.0, 0.5, size=(cfg.n_lane_queries, c)),
-        p_traffic=rng.normal(0.0, 0.5, size=(cfg.n_traffic_queries, c)),
         attn=SelfAttentionParams.init(cfg.dims, rng),
         stack=TopologyStack.init(cfg.dims, rng),
         conf_lane=MlpParams.init((c, c, 1), rng),
@@ -194,14 +191,14 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
                                              lt=np.zeros((0, len(traffic)))))
 
     q = params.enc_lane.encode(lane_values(lanes))
-    q_bar = self_attention(q, params.p_lane[:n], params.attn)
+    q_bar = self_attention(q, params.attn)
 
     d_front, d_back = half_distances(lanes, conn)
     pairs = match_connected(d_front, d_back)
 
     if conn:
         qc = params.enc_conn.encode(lane_values([c.curve for c in conn]))
-        qc_hat = self_attention(qc, params.p_conn[: len(conn)], params.attn)
+        qc_hat = self_attention(qc, params.attn)
     else:
         qc_hat = np.zeros((0, cfg.dims.c))
 
@@ -215,7 +212,7 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
 
     if traffic:
         qt = params.enc_traffic.encode(box_values(traffic))
-        qt_bar = self_attention(qt, params.p_traffic[: len(traffic)], params.attn)
+        qt_bar = self_attention(qt, params.attn)
         t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
         out_traffic = [TrafficElement(bbox=el.bbox, category=el.category,
                                       score=float(t_scores[k]))

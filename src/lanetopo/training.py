@@ -6,6 +6,7 @@ toy_fit supervises the lane-lane topology scores with a focal loss.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,10 @@ def hungarian(cost) -> list[tuple[int, int]]:
     return sorted((int(r), int(c)) for r, c in zip(rows, cols))
 
 
+class FitDiverged(ValueError):
+    """toy_fit's loss left the finite numbers: lr is too large for the scene."""
+
+
 @dataclass
 class FitResult:
     losses: list[float]
@@ -91,7 +96,8 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     Plain gradient descent against the ground-truth lane-lane adjacency with
     a focal loss over the off-diagonal score entries, through the forward
     and backward of the TopologyStack that run_pipeline uses. Query features
-    are fixed seeded geometry encodings.
+    are fixed seeded geometry encodings. A loss that is not finite raises
+    FitDiverged, naming lr and the step, before any later step runs.
     """
     check_steps(steps)
     check_lr(lr)
@@ -119,12 +125,16 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     losses: list[float] = []
     target_off = target[off_diag]
     g_scores = np.zeros((n, n))
-    for _ in range(steps):
-        _, scores, cache = stack.forward(q, qc, d, pairs, use_tam=True)
-        scores_off = scores[off_diag]
-        losses.append(focal_loss(scores_off, target_off))
-        g_scores[off_diag] = focal_loss_grad(scores_off, target_off) / n_terms
-        _, _, _, grads = stack.backward(cache, g_scores)
-        descend(stack, grads, lr)
+    # a diverging step overflows; its loss, checked below, says so once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            _, scores, cache = stack.forward(q, qc, d, pairs, use_tam=True)
+            scores_off = scores[off_diag]
+            losses.append(focal_loss(scores_off, target_off))
+            if not math.isfinite(losses[-1]):
+                raise FitDiverged(f"lr {lr:g} diverges: loss {losses[-1]} at step {step}")
+            g_scores[off_diag] = focal_loss_grad(scores_off, target_off) / n_terms
+            _, _, _, grads = stack.backward(cache, g_scores)
+            descend(stack, grads, lr)
 
     return FitResult(losses=losses, stack=stack, final_scores=scores, target=target)

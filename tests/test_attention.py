@@ -251,12 +251,11 @@ class TestBlockedSigmoidMask:
         assert gd.shape == (4, 0)
 
 
-def dense_self_attention(params: SelfAttentionParams, q, p):
+def dense_self_attention(params: SelfAttentionParams, q):
     """Head-by-head reference for the intra-group self-attention block."""
     h = params.n_heads
-    src = q + p
-    xq = src @ params.wq + params.bq
-    xk = src @ params.wk + params.bk
+    xq = q @ params.wq + params.bq
+    xk = q @ params.wk + params.bk
     xv = q @ params.wv + params.bv
     c = q.shape[1]
     dh = c // h
@@ -279,30 +278,25 @@ class TestSelfAttention:
         dims = lt.ModelDims(c=8, n_heads=2)
         params = SelfAttentionParams.init(dims, rng)
         q = rng.normal(size=(5, 8))
-        p = rng.normal(size=(5, 8))
-        assert np.allclose(lt.self_attention(q, p, params),
-                           dense_self_attention(params, q, p), atol=1e-12)
+        assert np.allclose(lt.self_attention(q, params),
+                           dense_self_attention(params, q), atol=1e-12)
 
     def test_single_row_attends_to_itself(self):
         rng = np.random.default_rng(11)
         dims = lt.ModelDims(c=8, n_heads=2)
         params = SelfAttentionParams.init(dims, rng)
         q = rng.normal(size=(1, 8))
-        p = rng.normal(size=(1, 8))
         xv = q @ params.wv + params.bv
         r = xv @ params.wo + params.bo + q
         expected, _ = layer_norm_forward(r, params.ln_gain, params.ln_bias)
-        assert np.allclose(lt.self_attention(q, p, params), expected, atol=1e-12)
+        assert np.allclose(lt.self_attention(q, params), expected, atol=1e-12)
 
     def test_identical_rows_get_identical_outputs(self):
         rng = np.random.default_rng(12)
         dims = lt.ModelDims(c=8, n_heads=2)
         params = SelfAttentionParams.init(dims, rng)
-        row_q = rng.normal(size=8)
-        row_p = rng.normal(size=8)
-        q = np.tile(row_q, (4, 1))
-        p = np.tile(row_p, (4, 1))
-        y = lt.self_attention(q, p, params)
+        q = np.tile(rng.normal(size=8), (4, 1))
+        y = lt.self_attention(q, params)
         assert np.allclose(y, y[0], atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
@@ -310,16 +304,9 @@ class TestSelfAttention:
         dims = lt.ModelDims(c=8, n_heads=2)
         params = SelfAttentionParams.init(dims, rng)
         q = rng.normal(size=(6, 8))
-        p = rng.normal(size=(6, 8))
-        _, cache = self_attention_forward(params, q, p)
-        a = cache[5]
+        _, cache = self_attention_forward(params, q)
+        a = cache[4]
         assert np.all(np.abs(a.sum(axis=-1) - 1.0) < 1e-9)
-
-    def test_shape_mismatch_raises(self):
-        rng = np.random.default_rng(14)
-        params = SelfAttentionParams.init(lt.ModelDims(c=8, n_heads=2), rng)
-        with pytest.raises(ValueError, match="shapes differ"):
-            lt.self_attention(np.zeros((3, 8)), np.zeros((2, 8)), params)
 
 
 def biased_logit_oracle(params: CrossAttentionParams, q, qc, s):

@@ -591,6 +591,16 @@ class TestFitdemo:
         rc = run("fitdemo", "--scene", scene, "--out", scene, "--steps", 2)
         assert_refused_unwritten(rc, capsys, {scene: before})
 
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning gets out
+    def test_diverging_fit_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        rc = run("fitdemo", "--scene", self.scene_path(tmp_path), "--out", out,
+                 "--steps", 20, "--lr", 1e300)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: --lr 1e+300 diverges: loss nan at step 1\n"
+        assert not out.exists() and not manifest_path_for(out).exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_fewer_than_one_step_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "l.csv"

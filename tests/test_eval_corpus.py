@@ -2,7 +2,9 @@
 
 The sha256 of the report JSON and CSV were taken from the per-pair
 reference implementation of the metrics (one Frechet DP per lane pair, a
-Python double loop for greedy matching). Any change to the arithmetic,
+Python double loop for greedy matching). The corpus is predicted first, so
+they were re-taken when the per-slot positional queries were deleted; the
+metrics scored the older predictions to the same bytes as before. Any change to the arithmetic,
 matching, pruning or formatting behind `eval` that moves one byte fails
 here. The corpus covers:
 
@@ -40,10 +42,10 @@ CUSTOM = ("--det-thresholds", "0.5,1.25,2.5,3.5", "--top-frechet", "4.5",
           "--det-iou", "0.5", "--top-iou", "0.6")
 
 DIGESTS = {
-    "default.json": "cc2eb9a4a6e1b169262c6d8da822f138026376b72520abd7c80795c84842970f",
-    "default.csv": "f7c7efa9d93a1119cac75d8bd6294eba46ddce6bb786dee138b557d201a85a07",
-    "custom.json": "70357c81f488c01cfc2f9f04b15d52c5e7592795e627834782caa998aa176042",
-    "custom.csv": "fcb2c1b0ea8accf592d8f05681a72be752bd4ef9e7c487c63d03ce721b3aaf54",
+    "default.json": "170f6270d8070181b1b448dcd9487d82f3f7801d9bf4b4adefd42adfb3166d24",
+    "default.csv": "009510fdae8760e37862e50c82c7e5815648c05a72256cdd88c0e22845f5672f",
+    "custom.json": "81bf55fd86760bdbc09867cd9fc815b482fb1547a8bda69f76445dd15c658875",
+    "custom.csv": "1975acb91989e63f22f7b3e6b826aee3e81373cc9013ead00e7bc98288fc75f2",
 }
 
 

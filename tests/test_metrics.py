@@ -564,3 +564,47 @@ class TestPruning:
         scene = chain_scene()
         with pytest.raises(ValueError, match="lane width must be finite and positive"):
             lt.evaluate(perfect_prediction(scene), scene, lane_width=width)
+
+
+class TestTopLsls:
+    """TOP_lsls is TOP_ll, not computed again, when the lane-segment matching
+    is the centerline one, and its own topology score otherwise."""
+
+    def matchings(self, pred, scene):
+        lanes = frechet_matrix(pred.lanes, scene.lanes, np.inf)
+        _, lane_to_gt, _ = lt.greedy_match(lanes, pred.lane_scores, metrics.TOP_FRECHET)
+        segments = segment_matrix(lane_boundaries(pred.lanes, 1.75),
+                                  lane_boundaries(scene.lanes, 1.75), lanes, np.inf)
+        _, seg_to_gt, _ = lt.greedy_match(segments, pred.lane_scores, metrics.LS_TOP_THRESHOLD)
+        return lane_to_gt, seg_to_gt
+
+    def evaluate_counting(self, monkeypatch, pred, scene):
+        """evaluate with the lane-segment block, and its _topology_score calls."""
+        calls = []
+        real = metrics._topology_score
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "_topology_score", counted)
+        return lt.evaluate(pred, scene, lane_width=1.75), calls
+
+    def test_equal_matchings_reuse_top_ll(self, monkeypatch):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=5, seed=5))
+        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.3, score_noise=0.3), seed=5)
+        lane_to_gt, seg_to_gt = self.matchings(pred, scene)
+        assert np.array_equal(lane_to_gt, seg_to_gt)
+        top_lsls = metrics._topology_score(scene.topo.ll, pred.topo.ll, seg_to_gt, seg_to_gt)
+        rep, calls = self.evaluate_counting(monkeypatch, pred, scene)
+        assert len(calls) == 2  # TOP_ll and TOP_lt
+        assert rep.lane_segments.top_lsls == rep.top_ll == top_lsls
+
+    def test_unequal_matchings_score_their_own(self, monkeypatch):
+        scene, pred = TestPruning().scene_and_prediction()
+        lane_to_gt, seg_to_gt = self.matchings(pred, scene)
+        assert not np.array_equal(lane_to_gt, seg_to_gt)
+        top_lsls = metrics._topology_score(scene.topo.ll, pred.topo.ll, seg_to_gt, seg_to_gt)
+        rep, calls = self.evaluate_counting(monkeypatch, pred, scene)
+        assert len(calls) == 3
+        assert rep.lane_segments.top_lsls == top_lsls != rep.top_ll

@@ -1,6 +1,8 @@
 """End-to-end pipeline: shapes, score contracts, ablation, determinism, and the
 shared topology stack."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ class TestConfig:
                                                    n_traffic_queries=16), 11)
         assert not np.array_equal(a.attn.wq, c.attn.wq)
 
+    def test_parameters_do_not_depend_on_the_query_budgets(self):
+        small = param_arrays(init_pipeline_params(
+            lt.PipelineConfig(n_lane_queries=12, n_traffic_queries=2), 11))
+        large = param_arrays(init_pipeline_params(
+            lt.PipelineConfig(n_lane_queries=300, n_traffic_queries=100), 11))
+        assert list(small) == list(large)
+        assert all(small[k].tobytes() == large[k].tobytes() for k in large)
+
 
 class TestGtSource:
     def test_prediction_shapes_and_ranges(self, grid_scene):
@@ -88,7 +98,7 @@ class TestGtSource:
 
         params = init_pipeline_params(cfg, bare.n_points)
         q = params.enc_lane.encode(lane_values(bare.lanes))
-        q_bar = lt.self_attention(q, params.p_lane[:2], params.attn)
+        q_bar = lt.self_attention(q, params.attn)
         expected, _ = predict_ll_cached(params.stack.heads, q_bar, np.zeros((0, cfg.dims.c)), [])
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(pred.topo.ll, expected)
@@ -144,6 +154,57 @@ class TestGtSource:
         lt.run_pipeline(grid_scene, small_cfg(source=source, noise=noise, noise_seed=2))
         assert seen == [c.source for c in lt.build_connected_gt(grid_scene)]
         assert seen
+
+
+def permuted(scene, lanes=None, traffic=None):
+    """scene with its lanes taken in the order lanes and its traffic elements
+    in the order traffic (index arrays, identity when None), topology along."""
+    lanes = np.arange(len(scene.lanes)) if lanes is None else lanes
+    traffic = np.arange(len(scene.traffic)) if traffic is None else traffic
+    return replace(scene, lanes=[scene.lanes[k] for k in lanes],
+                   traffic=[scene.traffic[k] for k in traffic],
+                   topo=lt.TopologyGraph(ll=scene.topo.ll[np.ix_(lanes, lanes)],
+                                         lt=scene.topo.lt[np.ix_(lanes, traffic)]))
+
+
+ORDER_SCENES = {
+    "grid3x4": lambda: lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, seed=100)),
+    "grid3x4b": lambda: lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, seed=101)),
+    "grid8x20": lambda: lt.generate_scene(lt.SynthParams(n_corridors=8, n_segments=20,
+                                                         n_traffic=10, seed=5)),
+    "roundabout": lambda: lt.generate_roundabout(radius=18.0, n_arms=5, seed=44),
+}
+
+
+class TestInputOrder:
+    """Queries are their own geometry's encodings: permuting a gt scene's
+    lanes or traffic elements permutes the prediction and changes nothing
+    else, up to the order of floating-point sums."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_SCENES))
+    @pytest.mark.parametrize("param_seed", [0, 2])
+    def test_lane_permutation_permutes_the_prediction(self, name, param_seed):
+        scene = ORDER_SCENES[name]()
+        cfg = lt.PipelineConfig(param_seed=param_seed)
+        base = lt.run_pipeline(scene, cfg)
+        rng = np.random.default_rng(param_seed)
+        for _ in range(2):
+            perm = rng.permutation(len(scene.lanes))
+            pred = lt.run_pipeline(permuted(scene, lanes=perm), cfg)
+            assert np.allclose(pred.topo.ll, base.topo.ll[np.ix_(perm, perm)], rtol=0, atol=1e-12)
+            assert np.allclose(pred.topo.lt, base.topo.lt[perm], rtol=0, atol=1e-12)
+            assert np.allclose(pred.lane_scores, base.lane_scores[perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_SCENES))
+    def test_traffic_permutation_permutes_the_prediction(self, name):
+        scene = ORDER_SCENES[name]()
+        base = lt.run_pipeline(scene)
+        perm = np.random.default_rng(3).permutation(len(scene.traffic))
+        assert len(perm) > 1
+        pred = lt.run_pipeline(permuted(scene, traffic=perm))
+        assert np.allclose(pred.topo.lt, base.topo.lt[:, perm], rtol=0, atol=1e-12)
+        t_scores = [el.score for el in pred.traffic]
+        assert np.allclose(t_scores, [base.traffic[k].score for k in perm], rtol=0, atol=1e-12)
 
 
 class TestAblation:

@@ -10,7 +10,7 @@ import lanetopo as lt
 from lanetopo.heads import MatchPair
 from lanetopo.nn import descend, param_arrays
 from lanetopo.pipeline import TopologyStack
-from lanetopo.training import FOCAL_CLAMP
+from lanetopo.training import FOCAL_CLAMP, FitDiverged
 from conftest import chain_scene, straight_lane
 from oracles import brute_force_assignment
 
@@ -175,6 +175,11 @@ class TestToyFit:
     def test_unusable_learning_rate_raises(self, lr):
         with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
             lt.toy_fit(chain_scene(), steps=2, lr=lr)
+
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning gets out
+    def test_diverging_fit_raises_at_the_first_non_finite_loss(self):
+        with pytest.raises(FitDiverged, match=r"^lr 1e\+300 diverges: loss nan at step 1$"):
+            lt.toy_fit(chain_scene(), steps=20, lr=1e300, seed=0)
 
     def test_loss_decreases_on_a_chain(self):
         result = lt.toy_fit(chain_scene(), steps=60, lr=0.05, seed=0)
