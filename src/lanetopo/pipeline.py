@@ -7,8 +7,9 @@ correlation mask, and score lane-lane pairs (argmin-matched pairs through
 the matched branch) from the refined lane queries. Lane-traffic pairs are
 scored last, from the same queries. Every query is the encoding of its own
 geometry, with no per-slot term, so on ground-truth input permuting the
-lanes permutes the prediction and changes nothing else. The stack has one
-cached forward and one backward; toy_fit trains through the same two calls.
+lanes permutes the prediction and changes nothing else. queries builds the
+stack's inputs and the stack has one cached forward and one backward;
+toy_fit trains init_pipeline_params' stack through the same three calls.
 
 The mean L1 distances between every lane and both halves of every
 connected lane are computed once per run, by one batched kernel: their
@@ -147,6 +148,25 @@ def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
     )
 
 
+def queries(params: PipelineParams, lanes: list, conn: list[ConnectedLane]) -> tuple:
+    """(q_bar, qc_hat, d, pairs), as TopologyStack.forward takes them: lane
+    and connected-lane queries encoded and refined by the shared
+    self-attention (qc_hat is (0, c) without connected lanes), D = the
+    elementwise minimum of the half distances, and the matched pairs."""
+    q = params.enc_lane.encode(lane_values(lanes))
+    q_bar = self_attention(q, params.attn)
+
+    d_front, d_back = half_distances(lanes, conn)
+    pairs = match_connected(d_front, d_back)
+
+    if conn:
+        qc = params.enc_conn.encode(lane_values([c.curve for c in conn]))
+        qc_hat = self_attention(qc, params.attn)
+    else:
+        qc_hat = np.zeros((0, q_bar.shape[1]))
+    return q_bar, qc_hat, np.minimum(d_front, d_back), pairs
+
+
 def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
                  warn: Callable[[str], None] | None = None) -> Prediction:
     """Produce a Prediction for one scene.
@@ -184,43 +204,27 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     conn = connected[: cfg.n_lane_queries]
     traffic = list(scene.traffic)[: cfg.n_traffic_queries]
 
+    # traffic queries depend on no lane, so a scene without lanes keeps them
+    if traffic:
+        qt = params.enc_traffic.encode(box_values(traffic))
+        qt_bar = self_attention(qt, params.attn)
+        t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
+    out_traffic = [TrafficElement(bbox=el.bbox, category=el.category, score=float(t_scores[k]))
+                   for k, el in enumerate(traffic)]
+
     n = len(lanes)
     if n == 0:
-        return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=[],
+        return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
                           topo=TopologyGraph(ll=np.zeros((0, 0)),
                                              lt=np.zeros((0, len(traffic)))))
 
-    q = params.enc_lane.encode(lane_values(lanes))
-    q_bar = self_attention(q, params.attn)
-
-    d_front, d_back = half_distances(lanes, conn)
-    pairs = match_connected(d_front, d_back)
-
-    if conn:
-        qc = params.enc_conn.encode(lane_values([c.curve for c in conn]))
-        qc_hat = self_attention(qc, params.attn)
-    else:
-        qc_hat = np.zeros((0, cfg.dims.c))
-
-    q_hat, ll, _ = params.stack.forward(q_bar, qc_hat, np.minimum(d_front, d_back),
-                                        pairs, cfg.use_tam)
+    q_hat, ll, _ = params.stack.forward(*queries(params, lanes, conn), cfg.use_tam)
     np.fill_diagonal(ll, 0.0)
 
     # a full system would refine queries with BEV deformable attention and a
     # traffic-element GCN at this point; both stages are pass-throughs here
     lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
-
-    if traffic:
-        qt = params.enc_traffic.encode(box_values(traffic))
-        qt_bar = self_attention(qt, params.attn)
-        t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
-        out_traffic = [TrafficElement(bbox=el.bbox, category=el.category,
-                                      score=float(t_scores[k]))
-                       for k, el in enumerate(traffic)]
-        lt = predict_lt(q_hat, qt_bar, params.stack.heads)
-    else:
-        out_traffic = []
-        lt = np.zeros((n, 0))
+    lt = predict_lt(q_hat, qt_bar, params.stack.heads) if traffic else np.zeros((n, 0))
 
     return Prediction(lanes=lanes, lane_scores=lane_scores, traffic=out_traffic,
                       topo=TopologyGraph(ll=ll, lt=lt))

@@ -59,7 +59,7 @@ class SynthParams:
 class NoiseParams:
     point_sigma: float = bounded(0.0, lo=0.0)
     drop_rate: float = bounded(0.0, lo=0.0, hi=1.0)
-    spurious_rate: float = bounded(0.0, lo=0.0)
+    spurious_rate: float = bounded(0.0, lo=0.0, hi=10.0)
     score_noise: float = bounded(0.0, lo=0.0, hi=1.0)
     topo_flip_rate: float = bounded(0.0, lo=0.0, hi=1.0)
 

@@ -1,6 +1,7 @@
 """Training machinery: focal loss, Hungarian assignment, and a toy fit loop.
 
-toy_fit supervises the lane-lane topology scores with a focal loss.
+toy_fit supervises the lane-lane topology scores with a focal loss, on
+run_pipeline's parameters and query path, so predict runs the stack it fits.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ModelDims
-from .connect import build_connected_gt, half_distances
-from .features import GeometryEncoder, lane_values
-from .heads import match_connected
+from .connect import build_connected_gt
 from .nn import descend
-from .pipeline import TopologyStack
+from .pipeline import PipelineConfig, TopologyStack, init_pipeline_params, queries
 from .scene import Scene, checked
 
 FOCAL_CLAMP = 1e-7
@@ -95,17 +94,15 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
 
     Plain gradient descent against the ground-truth lane-lane adjacency with
     a focal loss over the off-diagonal score entries, through the forward
-    and backward of the TopologyStack that run_pipeline uses. Query features
-    are fixed seeded geometry encodings. A loss that is not finite raises
-    FitDiverged, naming lr and the step, before any later step runs.
+    and backward of the stack of init_pipeline_params at param_seed = seed,
+    on the queries pipeline.queries builds once from the ground truth (with
+    lr = 0 the scores are run_pipeline's off the diagonal). A loss that is
+    not finite raises FitDiverged, naming lr and the step, before any later
+    step runs.
     """
     check_steps(steps)
     check_lr(lr)
-    rng = np.random.default_rng(seed)
     connected = build_connected_gt(scene)
-    d_front, d_back = half_distances(scene.lanes, connected)
-    pairs = match_connected(d_front, d_back)
-    d = np.minimum(d_front, d_back)
     n = len(scene.lanes)
     target = scene.topo.ll.copy()
     off_diag = ~np.eye(n, dtype=bool)
@@ -113,14 +110,9 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     if n_terms == 0:
         raise ValueError("scene has no off-diagonal lane pairs to supervise")
 
-    stack = TopologyStack.init(dims, rng)
-    lane_vals = lane_values(scene.lanes)
-    conn_vals = lane_values([c.curve for c in connected])
-    enc_rng = np.random.default_rng(seed)
-    enc_lane = GeometryEncoder.init(lane_vals.shape[1], dims.c, enc_rng)
-    enc_conn = GeometryEncoder.init(conn_vals.shape[1], dims.c, enc_rng)
-    q = enc_lane.encode(lane_vals)
-    qc = enc_conn.encode(conn_vals) if connected else np.zeros((0, dims.c))
+    params = init_pipeline_params(PipelineConfig(dims=dims, param_seed=seed), scene.n_points)
+    stack = params.stack
+    q, qc, d, pairs = queries(params, scene.lanes, connected)
 
     losses: list[float] = []
     target_off = target[off_diag]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo import pipeline
 from lanetopo.cli import build_parser, main
 from lanetopo.serialize import (
     CSV_HEADER,
@@ -262,6 +263,34 @@ class TestPredict:
                    "--topo-flip-rate", 0.2) == 0
         err = capsys.readouterr().err
         assert "--topo-flip-rate" in err and "--score-noise" not in err
+
+    def test_prediction_without_lanes_keeps_the_traffic(self, tmp_path):
+        scene_path, out, report = (tmp_path / n for n in ("scene.json", "pred.json", "r.json"))
+        assert run("synth", "--seed", 3, "--traffic", 3, "--out", scene_path) == 0
+        assert run("predict", "--scene", scene_path, "--out", out, "--source", "perturbed",
+                   "--drop-rate", 1.0) == 0
+        pred = read_prediction(out, n_points=read_scene(scene_path).n_points)
+        assert pred.lanes == [] and len(pred.traffic) == 3
+        assert run("eval", "--pred", out, "--gt", scene_path, "--out", report) == 0
+        assert read_json(report)["scenes"]["pred"]["det_t"] > 0.0
+
+    def test_spurious_rate_beyond_its_bound_exits_2_and_builds_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        scene_path = tmp_path / "scene.json"
+        write_chain(scene_path)
+        out = tmp_path / "pred.json"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("perturb ran")
+
+        monkeypatch.setattr(pipeline, "perturb", refuse)
+        with pytest.raises(SystemExit) as exc:
+            run("predict", "--scene", scene_path, "--out", out, "--source", "perturbed",
+                "--spurious-rate", "1e9")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --spurious-rate: " in err and "in [0, 10], got 1000000000.0" in err
+        assert list(tmp_path.iterdir()) == [scene_path]
 
     NOISE = (("--point-sigma", 0.3), ("--drop-rate", 0.1), ("--spurious-rate", 0.2),
              ("--score-noise", 0.3), ("--topo-flip-rate", 0.05), ("--noise-seed", 4))

@@ -1,10 +1,14 @@
 """Pinned `fitdemo` loss trajectories.
 
-The sha256 of the default `fitdemo` CSV (500 steps, lr 0.05, seed 0) was
-taken when the fit loop still had its own forward and backward, before it
-ran through the pipeline's TopologyStack. Any change to the arithmetic of
-the mask, the masked cross-attention, the ll head, their backwards, the
-focal loss or the parameter update that moves one byte fails here. The
+The sha256 of the default `fitdemo` CSV (500 steps, lr 0.05, seed 0).
+Both digests were re-pinned when toy_fit moved onto run_pipeline's query
+path: it now fits the stack init_pipeline_params draws at param_seed =
+seed, on the queries pipeline.queries builds (encoders and shared
+self-attention included), where it used to draw the stack and its own
+encoders from two generators of its own and skip the self-attention. Any
+change to the arithmetic of the query path, the mask, the masked
+cross-attention, the ll head, their backwards, the focal loss or the
+parameter update that moves one byte fails here. The
 scenes are the README's tiny scene (two lanes in one corridor, one
 connected lane) and a 2x2 grid (five lanes, three connected lanes).
 """
@@ -24,8 +28,8 @@ SCENES = {
 }
 
 DIGESTS = {
-    "tiny": "74318387e58201ddea509ac537c8b206e314c07b1dd0de3c60cd9d62be3cc68e",
-    "grid2x2": "48f1950b01893fb5de2b8b3e37648d3ee2a76f6131a1100e04826b5641e51489",
+    "tiny": "f7c96b24fc13f9b9a5b8f9bed0fb49a3de671b659ef3cfa6c2ed2d1e5a4b7775",
+    "grid2x2": "d848fb04ef675aaf1ff06639ac8ac03cce2dbd9f78e0771de34c47058e510bac",
 }
 
 

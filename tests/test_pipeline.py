@@ -111,6 +111,19 @@ class TestGtSource:
         assert pred.lane_scores.shape == (0,)
         assert pred.topo.ll.shape == (0, 0)
 
+    def test_scene_without_lanes_keeps_its_traffic(self, grid_scene):
+        bare = lt.Scene(lanes=[], traffic=grid_scene.traffic,
+                        topo=lt.TopologyGraph(ll=np.zeros((0, 0)),
+                                              lt=np.zeros((0, len(grid_scene.traffic)))),
+                        n_points=grid_scene.n_points)
+        assert bare.traffic
+        pred = lt.run_pipeline(bare, small_cfg())
+        assert pred.topo.lt.shape == (0, len(bare.traffic))
+        assert lt.validate_prediction(pred, bare.n_points) == []
+        # traffic queries see no lane, so their scores are the full scene's
+        full = lt.run_pipeline(grid_scene, small_cfg())
+        assert pred.traffic == full.traffic
+
     def test_lane_budget_truncates(self, grid_scene):
         cfg = small_cfg(n_lane_queries=2)
         pred = lt.run_pipeline(grid_scene, cfg)

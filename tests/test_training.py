@@ -9,7 +9,7 @@ import pytest
 import lanetopo as lt
 from lanetopo.heads import MatchPair
 from lanetopo.nn import descend, param_arrays
-from lanetopo.pipeline import TopologyStack
+from lanetopo.pipeline import TopologyStack, init_pipeline_params
 from lanetopo.training import FOCAL_CLAMP, FitDiverged
 from conftest import chain_scene, straight_lane
 from oracles import brute_force_assignment
@@ -135,13 +135,36 @@ class TestHungarian:
             assert optimal <= alt + 1e-12
 
 
+FIT_SCENES = {
+    "tiny": lt.SynthParams(n_corridors=1, n_segments=2, split_prob=0.0, merge_prob=0.0,
+                           n_traffic=0),
+    "grid3x4": lt.SynthParams(n_corridors=3, n_segments=4, n_traffic=3, seed=1),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIT_SCENES))
+def test_unfitted_scores_are_run_pipelines_bitwise(name, seed):
+    """toy_fit and run_pipeline share one query path and one parameter draw,
+    so before any update the fit scores are predict's, off the diagonal."""
+    scene = lt.generate_scene(FIT_SCENES[name])
+    assert lt.build_connected_gt(scene)
+    dims = lt.ModelDims(c=16, n_heads=4)
+    fit = lt.toy_fit(scene, steps=1, lr=0.0, seed=seed, dims=dims)
+    pred = lt.run_pipeline(scene, lt.PipelineConfig(dims=dims, param_seed=seed))
+    off_diag = ~np.eye(len(scene.lanes), dtype=bool)
+    assert np.array_equal(fit.final_scores[off_diag], pred.topo.ll[off_diag])
+
+
 class TestToyFit:
     def test_zero_learning_rate_freezes_the_loss(self):
-        result = lt.toy_fit(chain_scene(), steps=5, lr=0.0, seed=0)
+        scene = chain_scene()
+        result = lt.toy_fit(scene, steps=5, lr=0.0, seed=0)
         assert len(result.losses) == 5
         assert all(v == result.losses[0] for v in result.losses)
-        # the stack is drawn first from the fit seed and left as drawn
-        fresh = TopologyStack.init(lt.ModelDims(c=16, n_heads=4), np.random.default_rng(0))
+        # the stack is run_pipeline's at param_seed = seed, left as drawn
+        cfg = lt.PipelineConfig(dims=lt.ModelDims(c=16, n_heads=4), param_seed=0)
+        fresh = init_pipeline_params(cfg, scene.n_points).stack
         got, want = param_arrays(result.stack), param_arrays(fresh)
         assert list(got) == list(want)
         assert all(np.array_equal(got[k], want[k]) for k in want)
