@@ -16,7 +16,7 @@ from .attention import (
     masked_cross_attention,
     self_attention,
 )
-from .connect import ConnectedLane, build_connected_gt, half_distances
+from .connect import ConnectedLane, build_connected_gt, connected_curves, half_distances
 from .geometry import avg_l1, box_iou, chamfer, discrete_frechet
 from .gradcheck import GradCheckResult, grad_check, run_gradcheck
 from .heads import TopologyHeadParams, match_connected, predict_lt

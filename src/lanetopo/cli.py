@@ -478,12 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="width used to widen centerlines into lane segments")
     p.set_defaults(func=cmd_eval)
 
-    # seeds and pass thresholds that only the CLI reads
-    seed = _checked(functools.partial(checked, "seed", lo=0), int)
+    # pass thresholds that only the CLI reads
     positive = lambda name: _checked(functools.partial(checked, name, lo=0.0, above=True))
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--seed", type=_checked(training.check_seed, int), default=0)
     p.add_argument("--instances", type=_checked(gradcheck.check_instances, int), default=20)
     p.add_argument("--eps", type=_checked(gradcheck.check_eps), default=1e-5)
     p.add_argument("--tol", type=positive("tol"), default=1e-4)
@@ -497,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="loss-trajectory CSV path")
     p.add_argument("--steps", type=_checked(training.check_steps, int), default=500)
     p.add_argument("--lr", type=_checked(training.check_lr), default=0.05)
-    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--seed", type=_checked(training.check_seed, int), default=0)
     p.add_argument("--max-loss", type=positive("max_loss"), default=0.05)
     p.set_defaults(func=cmd_fitdemo)
 

@@ -5,12 +5,12 @@ their shared junction: the two point lists are concatenated with the junction
 counted once (2*N_P - 1 points) and then resampled back to N_P points. The
 halves of the merged curve are what lane queries are correlated against.
 
-Every step runs on (k, n, 3) stacks: the scene's lanes are one stack
-(Scene.lane_stack), all edges are merged with one concatenate and
-resampled in one resample_rows call, and all connected lanes are split at
-one index and their halves resampled as two stacks. Each row is bitwise
-what the one-curve-at-a-time construction gives (tests/oracles.py), and
-errors name the same first edge.
+Every step runs on (k, n, 3) stacks. connected_curves merges all edges of
+the scene's lane stack with one concatenate and one resample_rows call
+(build_connected_gt wraps its rows with their source pairs); half_distances
+splits a curve stack from any source at one index and resamples the halves
+as two stacks. Each row is bitwise what the one-curve-at-a-time
+construction gives (tests/oracles.py), and errors name the same first edge.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ class ConnectedLane:
     curve: Polyline3D
 
 
-def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
-    """All ground-truth connected lanes, in row-major order of the ll matrix.
+def connected_curves(scene: Scene) -> np.ndarray:
+    """All ground-truth connected curves as one (m, n_points, 3) stack, in
+    row-major order of the ll matrix; (0, n_points, 3) without edges.
 
-    The scene's lanes must share one point count (Scene.lane_stack raises
-    first, whatever the edges). Each pair marked in ll is merged at its
-    junction, counted once, and all merges are resampled to the scene's
+    The scene's lanes must have the scene's point count (Scene.lane_stack
+    raises first, whatever the edges). Each pair marked in ll is merged at
+    its junction, counted once, and all merges are resampled to the scene's
     point count in one resample_rows call. A marked pair whose endpoints
     do not coincide within the junction tolerance is a contract violation
     and raises; so does a merged curve that cannot be resampled or that
@@ -48,7 +49,7 @@ def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
     gaps = junction_gaps(scene.lanes, rows, cols)
     # edges past the first open junction are never merged
     k = gaps[0][0] if gaps else len(rows)
-    out: list[ConnectedLane] = []
+    curves = np.zeros((0, scene.n_points, 3))
     if k:
         merged = np.concatenate([L[rows[:k]], L[cols[:k], 1:]], axis=1)
         curves, zero = resample_rows(merged, scene.n_points)
@@ -56,14 +57,21 @@ def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
         bad = np.argwhere(np.column_stack([zero, polyline_flaws(curves)]))
         if bad.size:
             raise ValueError((ZERO_LENGTH, *FLAWS)[bad[0, 1]])
-        out = [ConnectedLane(source=(int(i), int(j)), curve=Polyline3D.unchecked(c))
-               for i, j, c in zip(rows, cols, curves)]
     if gaps:
         raise ValueError(
             f"lanes ({rows[k]}, {cols[k]}) are marked connected but their junction is "
             f"{gaps[0][1]:.4f} m apart (tolerance {JUNCTION_TOL})"
         )
-    return out
+    return curves
+
+
+def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
+    """The rows of connected_curves(scene) as connected lanes, each with the
+    ll edge (i, j) it was merged from."""
+    curves = connected_curves(scene)
+    rows, cols = np.nonzero(scene.topo.ll)
+    return [ConnectedLane(source=(int(i), int(j)), curve=Polyline3D.unchecked(c))
+            for i, j, c in zip(rows, cols, curves)]
 
 
 def _halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,21 +81,15 @@ def _halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return resample_stack(C[:, : mid + 1], n), resample_stack(C[:, mid:], n)
 
 
-def half_distances(lanes: list[Polyline3D],
-                   connected: list[ConnectedLane]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean L1 distances of every lane to the two halves of every connected
-    lane: (d_front, d_back), each of shape (n_lanes, n_connected).
+def half_distances(L: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean L1 distances of every lane of the stack L (n, N_P, 3) to the two
+    halves of every curve of the stack C (m, N_P, 3): (d_front, d_back),
+    each (n, m). C need not hold valid polylines, only resamplable halves.
 
-    All connected lanes are split at the same index and their fronts and
-    backs resampled as two stacks. A small d_front[i, c] marks lane i as a
-    plausible predecessor of c, a small d_back[i, c] as a plausible
-    successor; their elementwise minimum is the geometric correlation
-    matrix D the cross-attention mask is built from.
+    A small d_front[i, c] marks lane i as a plausible predecessor of c, a
+    small d_back[i, c] as a plausible successor; their elementwise minimum
+    is the geometric correlation matrix D the cross-attention mask is built
+    from.
     """
-    n, m = len(lanes), len(connected)
-    if n == 0 or m == 0:
-        return np.zeros((n, m)), np.zeros((n, m))
-    lane_pts = np.stack([lane.points for lane in lanes])
-    C = np.stack([c.curve.points for c in connected])
     fronts, backs = _halves(C, C.shape[1])
-    return avg_l1_matrix(lane_pts, fronts), avg_l1_matrix(lane_pts, backs)
+    return avg_l1_matrix(L, fronts), avg_l1_matrix(L, backs)

@@ -3,7 +3,9 @@
 Queries are seeded encodings of geometry: every scalar of an item (lane
 point coordinates, box corners) is expanded with sin/cos at a few fixed
 frequencies and the expansion is projected to the model width by a seeded
-random matrix. Same seed and same geometry give bitwise identical features.
+random matrix. The encoder reads arrays: a stack of lanes or connected
+curves (k, n, 3) is k items of 3n values, flattened in row-major order.
+Same seed and same geometry give bitwise identical features.
 """
 
 from __future__ import annotations
@@ -26,24 +28,12 @@ class GeometryEncoder:
         return cls(projection=rng.normal(size=(d, c)) / np.sqrt(d))
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """(n_items, n_values) -> (n_items, c) features."""
-        values = np.asarray(values, dtype=np.float64)
+        """(n_items, ...) -> (n_items, c) features; each item's values are
+        flattened in row-major order, so (k, n, 3) is (k, 3n)."""
+        values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
         phases = values[:, :, None] * FREQS[None, None, :]
         enc = np.concatenate([np.sin(phases), np.cos(phases)], axis=2)
         return enc.reshape(values.shape[0], -1) @ self.projection
 
 
-def lane_values(lanes) -> np.ndarray:
-    """Stack lane polylines into (n_lanes, 3 * n_points) rows."""
-    if not lanes:
-        return np.zeros((0, 0))
-    return np.stack([lane.points.reshape(-1) for lane in lanes])
-
-
 BOX_SCALE = 1000.0  # pixels; keeps box phases in the same range as lane coords
-
-
-def box_values(traffic) -> np.ndarray:
-    if not traffic:
-        return np.zeros((0, 4))
-    return np.array([el.bbox for el in traffic], dtype=np.float64) / BOX_SCALE

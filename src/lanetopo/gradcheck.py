@@ -44,7 +44,7 @@ from .heads import (
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, param_arrays
 from .pipeline import TopologyStack
 from .scene import checked
-from .training import FOCAL_CLAMP, focal_loss, focal_loss_grad
+from .training import FOCAL_CLAMP, check_seed, focal_loss, focal_loss_grad
 
 # the checked ops, in the order build_standard_ops returns them
 OP_NAMES = ("mlp_forward", "sigmoid_mask", "self_attention", "masked_cross_attention",
@@ -249,6 +249,7 @@ def run_gradcheck(seed: int = 0, instances: int = 20, eps: float = 1e-5,
     corrupt names an op whose analytic gradients get a deliberate offset;
     it exists so the failure path of the harness can be exercised.
     """
+    check_seed(seed)
     check_instances(instances)
     check_eps(eps)
     if corrupt is not None and corrupt not in OP_NAMES:

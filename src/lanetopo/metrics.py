@@ -94,12 +94,23 @@ def average_precision(tp_flags, n_gt: int) -> float:
         return 1.0 if len(tp_flags) == 0 else 0.0
     if len(tp_flags) == 0:
         return 0.0
-    flags = np.asarray(tp_flags, dtype=bool)
-    tp_cum = np.cumsum(flags)
-    precision = tp_cum / np.arange(1, flags.size + 1)
+    return float(_precision_sums(np.asarray(tp_flags, dtype=bool)[None])[0] / n_gt)
+
+
+def _precision_sums(flags: np.ndarray) -> np.ndarray:
+    """Per row of ranked true-positive flags (V, K), the sum of the
+    interpolated precision at each true positive: AP times the row's
+    ground-truth count. Rows are summed in groups of equal true-positive
+    count, so each sum runs over its own values in rank order."""
+    precision = np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1)
     # precision interpolated from the right: best precision at recall >= r
-    p_interp = np.maximum.accumulate(precision[::-1])[::-1]
-    return float(p_interp[flags].sum() / n_gt)
+    p_interp = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    n_tp = flags.sum(axis=1)
+    sums = np.zeros(len(flags))
+    for t in set(n_tp.tolist()) - {0}:
+        rows = n_tp == t
+        sums[rows] = p_interp[rows][flags[rows]].reshape(-1, t).sum(axis=1)
+    return sums
 
 
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
@@ -197,22 +208,15 @@ def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray, order: np.ndarray,
     that is not positive is no edge, and order their rank_by_score rows.
     col_to_gt maps prediction columns to GT columns (-1 for unmatched
     endpoints, which makes their edges false positives). Each AP is
-    average_precision of the row's ranked flags, bit for bit: ranks past the
-    row's last edge get precision 0, which no interpolated precision falls
-    below, and rows are summed in groups of equal true-positive count, so
-    each sum runs over its own values in rank order.
+    average_precision of the row's ranked edge flags, bit for bit: the
+    edges rank first, and a rank past a row's last true positive has a
+    lower precision than that true positive, so the ranks that are no
+    edge change no interpolated precision.
     """
     edge = np.take_along_axis(score_rows, order, axis=1) > 0.0  # the ranked edges come first
     w = col_to_gt[order]
     flags = edge & (w >= 0) & (np.take_along_axis(gt_rows, w, axis=1) == 1.0)
-    precision = np.where(edge, np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1), 0.0)
-    p_interp = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    n_tp = flags.sum(axis=1)
-    aps = np.zeros(len(flags))
-    for t in np.unique(n_tp[n_tp > 0]):
-        rows = np.flatnonzero(n_tp == t)
-        aps[rows] = p_interp[rows][flags[rows]].reshape(-1, t).sum(axis=1)
-    return aps / gt_rows.sum(axis=1).astype(int)
+    return _precision_sums(flags) / gt_rows.sum(axis=1).astype(int)
 
 
 def _topology_score(gt_adj: np.ndarray, score_mat: np.ndarray,

@@ -8,11 +8,14 @@ the matched branch) from the refined lane queries. Lane-traffic pairs are
 scored last, from the same queries. Every query is the encoding of its own
 geometry, with no per-slot term, so on ground-truth input permuting the
 lanes permutes the prediction and changes nothing else. queries builds the
-stack's inputs and the stack has one cached forward and one backward;
-toy_fit trains init_pipeline_params' stack through the same three calls.
+stack's inputs from two arrays, a lane stack L (n, N_P, 3) and a
+connected-curve stack C (m, N_P, 3), whatever produced them; run_pipeline
+and toy_fit build each once (C from connect.connected_curves). The stack
+has one cached forward and one backward; toy_fit trains
+init_pipeline_params' stack through the same three calls.
 
 The mean L1 distances between every lane and both halves of every
-connected lane are computed once per run, by one batched kernel: their
+connected curve are computed once per run, by one batched kernel: their
 column argmins are the matched pairs, and their elementwise minimum over
 the two halves is the mask input D. Detection and segmentation stages of
 the full system (BEV feature extraction, deformable attention, the
@@ -36,8 +39,8 @@ from .attention import (
     SigmoidMaskParams,
     self_attention,
 )
-from .connect import ConnectedLane, build_connected_gt, half_distances
-from .features import GeometryEncoder, box_values, lane_values
+from .connect import connected_curves, half_distances
+from .features import BOX_SCALE, GeometryEncoder
 from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
 from .scene import Prediction, Scene, TopologyGraph, TrafficElement, bounded, check_fields
@@ -148,20 +151,19 @@ def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
     )
 
 
-def queries(params: PipelineParams, lanes: list, conn: list[ConnectedLane]) -> tuple:
-    """(q_bar, qc_hat, d, pairs), as TopologyStack.forward takes them: lane
-    and connected-lane queries encoded and refined by the shared
-    self-attention (qc_hat is (0, c) without connected lanes), D = the
-    elementwise minimum of the half distances, and the matched pairs."""
-    q = params.enc_lane.encode(lane_values(lanes))
-    q_bar = self_attention(q, params.attn)
+def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
+    """(q_bar, qc_hat, d, pairs), as TopologyStack.forward takes them, from
+    the lane stack L (n, N_P, 3) and the connected-curve stack C (m, N_P, 3):
+    lane and connected-curve queries encoded and refined by the shared
+    self-attention (qc_hat is (0, c) when m is 0), D = the elementwise
+    minimum of the half distances, and the matched pairs."""
+    q_bar = self_attention(params.enc_lane.encode(L), params.attn)
 
-    d_front, d_back = half_distances(lanes, conn)
+    d_front, d_back = half_distances(L, C)
     pairs = match_connected(d_front, d_back)
 
-    if conn:
-        qc = params.enc_conn.encode(lane_values([c.curve for c in conn]))
-        qc_hat = self_attention(qc, params.attn)
+    if len(C):
+        qc_hat = self_attention(params.enc_conn.encode(C), params.attn)
     else:
         qc_hat = np.zeros((0, q_bar.shape[1]))
     return q_bar, qc_hat, np.minimum(d_front, d_back), pairs
@@ -181,50 +183,48 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     """
     params = init_pipeline_params(cfg, scene.n_points)
 
-    connected = build_connected_gt(scene)
+    C = connected_curves(scene)
     if cfg.source == "gt":
         lanes = list(scene.lanes)
     else:
         lanes = list(perturb(scene, cfg.noise, cfg.noise_seed).lanes)
-        if cfg.noise.point_sigma > 0 and connected:
+        if cfg.noise.point_sigma > 0:
             # junctions no longer coincide after jitter, so connection queries
             # are the ground-truth merges degraded with the same point noise
-            curves = jittered(np.stack([c.curve.points for c in connected]),
-                              cfg.noise.point_sigma, np.random.default_rng(cfg.noise_seed + 1))
-            connected = [ConnectedLane(source=c.source, curve=curve)
-                         for c, curve in zip(connected, curves)]
+            C = jittered(C, cfg.noise.point_sigma, np.random.default_rng(cfg.noise_seed + 1))
 
     cut = [f"{budget} of {len(items)} {what}" for items, budget, what in (
         (lanes, cfg.n_lane_queries, "lanes"),
-        (connected, cfg.n_lane_queries, "connected lanes"),
+        (C, cfg.n_lane_queries, "connected lanes"),
         (scene.traffic, cfg.n_traffic_queries, "traffic elements")) if len(items) > budget]
     if cut and warn is not None:
         warn(f"query budget keeps {', '.join(cut)}")
     lanes = lanes[: cfg.n_lane_queries]
-    conn = connected[: cfg.n_lane_queries]
+    C = C[: cfg.n_lane_queries]
     traffic = list(scene.traffic)[: cfg.n_traffic_queries]
 
     # traffic queries depend on no lane, so a scene without lanes keeps them
+    qt_bar = np.zeros((0, cfg.dims.c))
     if traffic:
-        qt = params.enc_traffic.encode(box_values(traffic))
+        qt = params.enc_traffic.encode(np.array([el.bbox for el in traffic]) / BOX_SCALE)
         qt_bar = self_attention(qt, params.attn)
-        t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
+    t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
     out_traffic = [TrafficElement(bbox=el.bbox, category=el.category, score=float(t_scores[k]))
                    for k, el in enumerate(traffic)]
 
-    n = len(lanes)
-    if n == 0:
+    if not lanes:
         return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
                           topo=TopologyGraph(ll=np.zeros((0, 0)),
                                              lt=np.zeros((0, len(traffic)))))
 
-    q_hat, ll, _ = params.stack.forward(*queries(params, lanes, conn), cfg.use_tam)
+    L = np.stack([lane.points for lane in lanes])
+    q_hat, ll, _ = params.stack.forward(*queries(params, L, C), cfg.use_tam)
     np.fill_diagonal(ll, 0.0)
 
     # a full system would refine queries with BEV deformable attention and a
     # traffic-element GCN at this point; both stages are pass-throughs here
     lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
-    lt = predict_lt(q_hat, qt_bar, params.stack.heads) if traffic else np.zeros((n, 0))
+    lt = predict_lt(q_hat, qt_bar, params.stack.heads)
 
     return Prediction(lanes=lanes, lane_scores=lane_scores, traffic=out_traffic,
                       topo=TopologyGraph(ll=ll, lt=lt))

@@ -165,14 +165,14 @@ class Scene:
     n_points: int = DEFAULT_N_POINTS
 
     def lane_stack(self) -> np.ndarray:
-        """The lanes as one (k, n, 3) array, (0, n_points, 3) for none; the
-        first lane whose point count differs from lane 0's raises."""
+        """The lanes as one (k, n_points, 3) array, (0, n_points, 3) for
+        none; the first lane whose point count is not n_points raises
+        validate_scene's message for it."""
+        errors = point_count_errors(self)
+        if errors:
+            raise ValueError(errors[0])
         if not self.lanes:
             return np.zeros((0, self.n_points, 3))
-        n = self.lanes[0].n_points
-        for i, lane in enumerate(self.lanes):
-            if lane.n_points != n:
-                raise ValueError(f"lane {i}: point count {lane.n_points} != lane 0's {n}")
         return np.stack([lane.points for lane in self.lanes])
 
 
@@ -208,6 +208,12 @@ def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]
     return [(int(e), float(gaps[e])) for e in np.flatnonzero(gaps > JUNCTION_TOL)]
 
 
+def point_count_errors(scene: Scene) -> list[str]:
+    """One message per lane whose point count is not the scene's n_points."""
+    return [f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
+            for i, lane in enumerate(scene.lanes) if lane.n_points != scene.n_points]
+
+
 def topology_shape_errors(graph: Scene | Prediction) -> list[str]:
     """One message per topology ll or lt of a scene or prediction whose
     shape does not fit its lanes and traffic elements."""
@@ -227,16 +233,8 @@ def validate_scene(scene: Scene) -> list[str]:
     An empty list means the scene is well formed. Messages name the entity
     and the rule so CLI users can act on them.
     """
-    out: list[str] = []
     n_lanes = len(scene.lanes)
-
-    for i, lane in enumerate(scene.lanes):
-        if lane.n_points != scene.n_points:
-            out.append(
-                f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
-            )
-
-    out += topology_shape_errors(scene)
+    out = point_count_errors(scene) + topology_shape_errors(scene)
 
     ll, lt = scene.topo.ll, scene.topo.lt
     for name, mat in (("ll", ll), ("lt", lt)):

@@ -224,8 +224,8 @@ def blend_topology(topo: TopologyGraph, kept: np.ndarray, n_out: int,
     return ll, lt
 
 
-def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> list[Polyline3D]:
-    """Rows of the stack P (k, n, 3) plus N(0, sigma) noise as polylines.
+def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """The stack P (k, n, 3) plus N(0, sigma) noise, checked row by row.
 
     The noise is one draw of size P.shape, the stream of one draw per row;
     at sigma 0 none is drawn and -0.0 becomes 0.0. The first row Polyline3D
@@ -234,7 +234,7 @@ def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> list[Poly
     bad = np.argwhere(polyline_flaws(P))
     if bad.size:
         raise ValueError(FLAWS[bad[0, 1]])
-    return [Polyline3D.unchecked(row) for row in P]
+    return P
 
 
 def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
@@ -253,7 +253,7 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
 
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
     kept = np.flatnonzero(keep)
-    lanes = jittered(L[kept], noise.point_sigma, rng) if len(kept) else []
+    lanes = [Polyline3D.unchecked(row) for row in jittered(L[kept], noise.point_sigma, rng)]
 
     n_spurious = int(rng.poisson(noise.spurious_rate * n)) if noise.spurious_rate > 0 else 0
     if n_spurious:

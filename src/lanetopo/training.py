@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ModelDims
-from .connect import build_connected_gt
+from .connect import connected_curves
 from .nn import descend
 from .pipeline import PipelineConfig, TopologyStack, init_pipeline_params, queries
 from .scene import Scene, checked
 
 FOCAL_CLAMP = 1e-7
 
-# toy_fit's arguments, as the CLI checks them too; a zero lr freezes the fit
+# toy_fit's arguments (seed: run_gradcheck's too), as the CLI checks them; lr 0 freezes the fit
 check_steps = functools.partial(checked, "steps", lo=1)
 check_lr = functools.partial(checked, "lr", lo=0.0)
+check_seed = functools.partial(checked, "seed", lo=0)
 
 
 def focal_loss(pred, target, alpha: float = 0.25, gamma: float = 2.0,
@@ -100,9 +101,10 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
     not finite raises FitDiverged, naming lr and the step, before any later
     step runs.
     """
+    check_seed(seed)
     check_steps(steps)
     check_lr(lr)
-    connected = build_connected_gt(scene)
+    C = connected_curves(scene)
     n = len(scene.lanes)
     target = scene.topo.ll.copy()
     off_diag = ~np.eye(n, dtype=bool)
@@ -112,7 +114,7 @@ def toy_fit(scene: Scene, steps: int = 500, lr: float = 0.05, seed: int = 0,
 
     params = init_pipeline_params(PipelineConfig(dims=dims, param_seed=seed), scene.n_points)
     stack = params.stack
-    q, qc, d, pairs = queries(params, scene.lanes, connected)
+    q, qc, d, pairs = queries(params, scene.lane_stack(), C)
 
     losses: list[float] = []
     target_off = target[off_diag]

@@ -16,6 +16,14 @@ def straight_lane(x0, x1, y, n=11, z=0.0):
     return lt.Polyline3D(pts)
 
 
+def point_stack(items, n_points=11):
+    """Polylines, or connected lanes by their curves, as the (k, n, 3) stack
+    half_distances takes; (0, n_points, 3) when there are none."""
+    if not items:
+        return np.zeros((0, n_points, 3))
+    return np.stack([getattr(item, "curve", item).points for item in items])
+
+
 def chain_scene(n_points=11, with_traffic=True):
     """Two colinear lanes along +x joined at (10, 0, 0)."""
     a = straight_lane(0.0, 10.0, 0.0, n_points)

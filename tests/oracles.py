@@ -27,7 +27,7 @@ import numpy as np
 
 from lanetopo.connect import ConnectedLane
 from lanetopo.heads import TopologyHeadParams
-from lanetopo.metrics import average_precision, rank_by_score
+from lanetopo.metrics import rank_by_score
 from lanetopo.nn import add_mlp_grads, mlp_backward, mlp_forward, mlp_forward_cached, sigmoid
 from lanetopo.scene import JUNCTION_TOL, Polyline3D
 from lanetopo.serialize import round9
@@ -416,6 +416,25 @@ def widen_loops(lanes, width):
     return out
 
 
+def average_precision_loops(tp_flags, n_gt):
+    """AP of a ranked true/false-positive list, one rank at a time: the
+    precision at each rank, interpolated from the right by a running
+    maximum, then the interpolated precisions at the true positives summed
+    in rank order by numpy's sum (the library's summation)."""
+    if n_gt == 0:
+        return 1.0 if len(tp_flags) == 0 else 0.0
+    precision, tp = [], 0
+    for k, flag in enumerate(tp_flags, start=1):
+        tp += bool(flag)
+        precision.append(tp / k)
+    best, at_tp = 0.0, []
+    for p, flag in zip(reversed(precision), reversed(list(tp_flags))):
+        best = max(best, p)
+        if flag:
+            at_tp.append(best)
+    return float(np.sum(at_tp[::-1]) / n_gt)
+
+
 def vertex_ap_loops(gt_row, score_row, col_to_gt):
     """AP of one vertex's ranked predicted edges, flags built one edge at a time.
 
@@ -430,7 +449,7 @@ def vertex_ap_loops(gt_row, score_row, col_to_gt):
         return 1.0 if n_gt_edges == 0 else 0.0
     order = cols[rank_by_score(score_row[cols])]
     flags = [w >= 0 and gt_row[w] == 1.0 for w in col_to_gt[order]]
-    return average_precision(flags, n_gt_edges)
+    return average_precision_loops(flags, n_gt_edges)
 
 
 def topology_score_loops(gt_adj, score_mat, row_to_gt, col_to_gt):

@@ -7,7 +7,7 @@ import lanetopo as lt
 from lanetopo.connect import ConnectedLane, _halves
 from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK, resample_stack
 from lanetopo.scene import JUNCTION_TOL
-from conftest import chain_scene, straight_lane
+from conftest import chain_scene, point_stack, straight_lane
 from oracles import (
     avg_l1_loops,
     build_connected_gt_loops,
@@ -16,6 +16,7 @@ from oracles import (
     junction_point,
     merge_at_junction,
     random_polyline,
+    resample_loops,
     split_halves_loops,
 )
 
@@ -178,11 +179,18 @@ class TestBuildConnectedGtOracle:
 
     @pytest.mark.parametrize("n_points", [1, 0, -1])
     def test_too_few_points_raise_like_the_oracle(self, n_points):
+        # 3-point lanes in a scene of n_points < 2 stop at the point-count
+        # rule, so the resample step's own check is called on the merge
         scene = chain_scene(n_points=3, with_traffic=False)
+        merged = merge_at_junction(*scene.lanes)
         scene = lt.Scene(lanes=scene.lanes, traffic=[], topo=scene.topo, n_points=n_points)
-        for fn in (lt.build_connected_gt, build_connected_gt_loops):
+        count_rule = f"^lane 0: point count 3 != scene n_points {n_points}$"
+        with pytest.raises(ValueError, match=count_rule):
+            lt.build_connected_gt(scene)
+        for resample in (lambda: resample_stack(merged[None], n_points),
+                         lambda: resample_loops(merged, n_points)):
             with pytest.raises(ValueError, match=f">= 2 points, got {n_points}"):
-                fn(scene)
+                resample()
 
 
 def split_halves(curve):
@@ -226,7 +234,7 @@ class TestSplitHalves:
 
 def correlation(lanes, connected):
     """The mask input D: each lane's distance to the nearer half."""
-    return np.minimum(*lt.half_distances(lanes, connected))
+    return np.minimum(*lt.half_distances(point_stack(lanes), point_stack(connected)))
 
 
 class TestCorrelationDistances:
@@ -294,7 +302,7 @@ class TestHalfDistances:
         assert n * m > PAIR_CHUNK
         rng = np.random.default_rng(n_pts * 100 + n)
         lanes, conn = random_lanes(rng, n, n_pts), random_connected(rng, m, n_pts)
-        d_front, d_back = lt.half_distances(lanes, conn)
+        d_front, d_back = lt.half_distances(point_stack(lanes), point_stack(conn))
         ref_front, ref_back = half_distances_loops(lanes, conn)
         assert d_front.shape == d_back.shape == (n, m)
         assert np.array_equal(d_front, ref_front)
@@ -306,33 +314,49 @@ class TestHalfDistances:
         scene = lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=6, split_prob=0.5,
                                                  merge_prob=0.5, seed=8))
         conn = lt.build_connected_gt(scene)
-        got = lt.half_distances(scene.lanes, conn)
+        got = lt.half_distances(scene.lane_stack(), lt.connected_curves(scene))
         ref = half_distances_loops(scene.lanes, conn)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_curves_need_not_be_polylines(self):
+        # a regressed curve may repeat a point, which Polyline3D rejects;
+        # the stacks are read as they are
+        rng = np.random.default_rng(4)
+        L = np.stack([random_polyline(rng, 11) for _ in range(5)])
+        C = np.stack([random_polyline(rng, 11) for _ in range(3)])
+        C[1, 3], C[2, 8] = C[1, 2], C[2, 7]  # in the front half, in the back half
+        for row in C[1:]:
+            with pytest.raises(ValueError, match="duplicate"):
+                lt.Polyline3D(row)
+        got = lt.half_distances(L, C)
+        ref = half_distances_loops(
+            [lt.Polyline3D.unchecked(row) for row in L],
+            [ConnectedLane(source=(-1, -1), curve=lt.Polyline3D.unchecked(row)) for row in C])
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     def test_two_point_curves_cannot_be_split(self):
         # the back half of a 2-point curve is its last point alone
         rng = np.random.default_rng(0)
         lanes, conn = random_lanes(rng, 3, 2), random_connected(rng, 2, 2)
-        for fn in (lt.half_distances, half_distances_loops):
-            with pytest.raises(ValueError, match="zero-length"):
-                fn(lanes, conn)
+        with pytest.raises(ValueError, match="zero-length"):
+            lt.half_distances(point_stack(lanes), point_stack(conn))
+        with pytest.raises(ValueError, match="zero-length"):
+            half_distances_loops(lanes, conn)
 
     def test_empty_sides_give_the_old_shapes(self):
         rng = np.random.default_rng(1)
         lanes, conn = random_lanes(rng, 4, 11), random_connected(rng, 3, 11)
-        for got, ref in ((lt.half_distances([], conn), half_distances_loops([], conn)),
-                         (lt.half_distances(lanes, []), half_distances_loops(lanes, []))):
+        L, C, none = point_stack(lanes), point_stack(conn), point_stack([])
+        for got, ref in ((lt.half_distances(none, C), half_distances_loops([], conn)),
+                         (lt.half_distances(L, none), half_distances_loops(lanes, []))):
             assert [d.shape for d in got] == [d.shape for d in ref]
-        assert lt.half_distances([], conn)[0].shape == (0, 3)
-        assert lt.half_distances(lanes, [])[1].shape == (4, 0)
+        assert lt.half_distances(none, C)[0].shape == (0, 3)
+        assert lt.half_distances(L, none)[1].shape == (4, 0)
 
     def test_mismatched_point_counts_raise(self):
         rng = np.random.default_rng(2)
         conn = random_connected(rng, 3, 7)
         with pytest.raises(ValueError, match="point counts differ"):
-            lt.half_distances(random_lanes(rng, 4, 11), conn)
+            lt.half_distances(point_stack(random_lanes(rng, 4, 11)), point_stack(conn))
         with pytest.raises(ValueError, match="point counts differ"):
             half_distances_loops(random_lanes(rng, 4, 11), conn)
-        with pytest.raises(ValueError):
-            lt.half_distances(random_lanes(rng, 2, 7) + random_lanes(rng, 2, 11), conn)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
+from lanetopo import gradcheck
 from lanetopo.attention import SigmoidMaskParams, sigmoid_mask_backward, sigmoid_mask_forward
 from lanetopo.gradcheck import (
     KINK_MARGIN,
@@ -78,6 +79,14 @@ class TestHarness:
     def test_unusable_arguments_raise_naming_them(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             run_gradcheck(seed=0, **kwargs)
+
+    def test_negative_seed_raises_naming_it_before_any_op_is_built(self, monkeypatch):
+        def unreachable(seed):
+            raise AssertionError("an op was built")
+
+        monkeypatch.setattr(gradcheck, "build_standard_ops", unreachable)
+        with pytest.raises(ValueError, match="^seed must be finite and >= 0, got -1$"):
+            run_gradcheck(seed=-1, instances=1)
 
     def test_zero_entry_op_is_skipped_with_note(self):
         r = grad_check(NullOp())

@@ -18,7 +18,7 @@ from lanetopo.heads import (
 )
 from lanetopo.geometry import L1_CHUNK, avg_l1_matrix
 from lanetopo.nn import MlpParams, mlp_forward, param_arrays
-from conftest import chain_scene, straight_lane
+from conftest import chain_scene, point_stack, straight_lane
 from oracles import (
     avg_l1_scalar,
     match_connected_loops,
@@ -45,7 +45,7 @@ def zero_head(c):
 
 
 def match(lanes, connected):
-    return lt.match_connected(*lt.half_distances(lanes, connected))
+    return lt.match_connected(*lt.half_distances(point_stack(lanes), point_stack(connected)))
 
 
 class TestMatchConnected:
@@ -120,7 +120,7 @@ class TestMatchConnectedOracle:
         conn = lt.build_connected_gt(scene)
         far = [straight_lane(0.0, 20.0, 100.0 + 5.0 * k) for k in range(L1_CHUNK)]
         lanes = list(scene.lanes) + far + list(scene.lanes)
-        d_front, _ = lt.half_distances(lanes, conn)
+        d_front, _ = lt.half_distances(point_stack(lanes), point_stack(conn))
         k = len(scene.lanes) + len(far)
         assert np.array_equal(d_front[:len(scene.lanes)], d_front[k:])
         pairs = match(lanes, conn)

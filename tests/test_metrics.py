@@ -9,7 +9,7 @@ import lanetopo as lt
 from lanetopo import geometry, metrics
 from lanetopo.geometry import frechet_matrix, lane_boundaries, resample_stack, segment_matrix
 from conftest import chain_scene, perfect_prediction, straight_lane
-from oracles import greedy_match_loops, topology_score_loops
+from oracles import average_precision_loops, greedy_match_loops, topology_score_loops
 
 
 def three_lane_chain():
@@ -58,6 +58,17 @@ class TestAveragePrecision:
         # precisions 1, 1/2, 2/3; interpolation lifts rank 2 to 2/3
         ap = lt.average_precision([True, False, True], 2)
         assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
+
+    def test_bitwise_equal_to_the_loop_oracle(self):
+        # lists long and dense enough that the true positives leave numpy's
+        # sequential summation, n_gt below and above the flag count
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            k = int(rng.integers(0, 80))
+            flags = list(rng.random(k) < rng.random())
+            n_gt = int(rng.integers(0, k + 3))
+            got = lt.average_precision(flags, n_gt)
+            assert got == average_precision_loops(flags, n_gt) and type(got) is float
 
 
 class TestRankByScore:

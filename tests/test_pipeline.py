@@ -17,7 +17,7 @@ from lanetopo.attention import (
     sigmoid_mask_backward,
     sigmoid_mask_forward,
 )
-from lanetopo.features import lane_values
+from lanetopo.features import GeometryEncoder
 from lanetopo.heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
 from lanetopo.nn import param_arrays
 from lanetopo.pipeline import TopologyStack, init_pipeline_params
@@ -97,7 +97,7 @@ class TestGtSource:
         pred = lt.run_pipeline(bare, cfg)
 
         params = init_pipeline_params(cfg, bare.n_points)
-        q = params.enc_lane.encode(lane_values(bare.lanes))
+        q = params.enc_lane.encode(bare.lane_stack())
         q_bar = lt.self_attention(q, params.attn)
         expected, _ = predict_ll_cached(params.stack.heads, q_bar, np.zeros((0, cfg.dims.c)), [])
         np.fill_diagonal(expected, 0.0)
@@ -157,16 +157,30 @@ class TestGtSource:
     ])
     def test_connection_queries_keep_their_source_pairs(self, grid_scene, monkeypatch,
                                                         source, noise):
+        # row k of the curve stack is the merge of ll edge k: on gt input
+        # it is that merge, jittered it is still nearest to it
         seen = []
 
-        def spy(lanes, connected):
-            seen.extend(c.source for c in connected)
-            return half_distances(lanes, connected)
+        def spy(L, C):
+            seen.append(C)
+            return half_distances(L, C)
 
         monkeypatch.setattr(pipeline, "half_distances", spy)
         lt.run_pipeline(grid_scene, small_cfg(source=source, noise=noise, noise_seed=2))
-        assert seen == [c.source for c in lt.build_connected_gt(grid_scene)]
-        assert seen
+        merges = lt.connected_curves(grid_scene)
+        [C] = seen
+        assert C.shape == merges.shape and len(C) > 1
+        gaps = np.abs(C[:, None] - merges[None]).sum(axis=(2, 3))
+        assert list(np.argmin(gaps, axis=1)) == list(range(len(C)))
+        assert np.array_equal(C, merges) == (source == "gt")
+
+
+class TestGeometryEncoder:
+    def test_a_stack_is_encoded_as_its_flattened_rows(self):
+        rng = np.random.default_rng(3)
+        enc = GeometryEncoder.init(3 * 7, 8, rng)
+        stack = rng.normal(scale=50.0, size=(5, 7, 3))
+        assert np.array_equal(enc.encode(stack), enc.encode(stack.reshape(5, -1)))
 
 
 def permuted(scene, lanes=None, traffic=None):

@@ -1,5 +1,7 @@
 """Data model construction rules, junction resolution, and validators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,11 +116,26 @@ class TestLaneStack:
                          n_points=7)
         assert scene.lane_stack().shape == (0, 7, 3)
 
-    def test_counts_are_compared_with_lane_0(self):
-        # not with n_points: 3-point lanes in an 11-point scene stack
+    def test_counts_are_compared_with_n_points(self):
+        # not with lane 0: 3-point lanes in an 11-point scene do not stack
         scene = chain_scene(n_points=3)
         scene = lt.Scene(lanes=scene.lanes, traffic=[], topo=scene.topo, n_points=11)
-        assert scene.lane_stack().shape == (2, 3, 3)
+        with pytest.raises(ValueError, match=r"^lane 0: point count 3 != scene n_points 11$"):
+            scene.lane_stack()
+        assert lt.validate_scene(scene)[0] == "lane 0: point count 3 != scene n_points 11"
+
+    def test_lanes_off_the_scene_count_raise_in_every_scene_step(self):
+        # every lane has 5 points, the scene says 11: no step may build
+        # 11-point curves from them or fail inside numpy
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=2, seed=1,
+                                                 n_points=5))
+        scene = replace(scene, n_points=11)
+        msg = r"^lane 0: point count 5 != scene n_points 11$"
+        for step in (lt.build_connected_gt, lt.connected_curves, lt.run_pipeline,
+                     lambda s: lt.toy_fit(s, steps=1),
+                     lambda s: lt.perturb(s, lt.NoiseParams(spurious_rate=1.0), 0)):
+            with pytest.raises(ValueError, match=msg):
+                step(scene)
 
     def test_ragged_scene_raises_in_every_scene_step(self):
         # chain_scene with its second lane cut to 5 of its 11 points; the
@@ -127,7 +144,7 @@ class TestLaneStack:
         b = lt.Polyline3D(scene.lanes[1].points[[0, 2, 4, 6, 10]])
         scene = lt.Scene(lanes=[scene.lanes[0], b], traffic=scene.traffic, topo=scene.topo)
         assert np.array_equal(scene.lanes[1].initial, scene.lanes[0].terminal)
-        msg = r"^lane 1: point count 5 != lane 0's 11$"
+        msg = r"^lane 1: point count 5 != scene n_points 11$"
         for step in (lt.Scene.lane_stack, lt.build_connected_gt,
                      lambda s: lt.perturb(s, lt.NoiseParams(), 0),
                      lambda s: lt.perturb(s, lt.NoiseParams(drop_rate=1.0), 0),

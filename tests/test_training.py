@@ -194,6 +194,11 @@ class TestToyFit:
         with pytest.raises(ValueError, match="steps"):
             lt.toy_fit(chain_scene(), steps=steps)
 
+    def test_negative_seed_raises_naming_it_before_any_work(self):
+        # None is no scene: any step past the argument checks would fail on it
+        with pytest.raises(ValueError, match="^seed must be finite and >= 0, got -1$"):
+            lt.toy_fit(None, seed=-1)
+
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
     def test_unusable_learning_rate_raises(self, lr):
         with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
