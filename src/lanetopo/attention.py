@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    LN_EPS,
     MASK_EPS,
     MlpParams,
     add_mlp_grads,

@@ -34,13 +34,7 @@ from .attention import (
     sigmoid_mask_backward,
     sigmoid_mask_forward,
 )
-from .heads import (
-    MatchPair,
-    TopologyHeadParams,
-    pair_preacts,
-    predict_ll_backward,
-    predict_ll_cached,
-)
+from .heads import TopologyHeadParams, pair_preacts, predict_ll_backward, predict_ll_cached
 from .nn import MASK_EPS, MlpParams, mlp_backward, mlp_forward_cached, param_arrays
 from .pipeline import TopologyStack
 from .scene import checked
@@ -202,7 +196,7 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         # (i, j) pairs, so no duplicate-max choice can sit at a tie
         params = _ll_head(TopologyHeadParams.init(c, rng))
         q_hat, qc_hat = rng.normal(size=(3, c)), rng.normal(size=(2, c))
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
+        pairs = np.array([[0, 1], [1, 2]])
         return Op("predict_ll_backward", {"q_hat": q_hat, "qc_hat": qc_hat}, params,
                   lambda: predict_ll_cached(params, q_hat, qc_hat, pairs),
                   predict_ll_backward, _ll_margin)
@@ -228,7 +222,7 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         stack.heads = _ll_head(stack.heads)
         q, qc = rng.normal(size=(3, c)), rng.normal(size=(2, c))
         d = np.abs(rng.normal(size=(3, 2))) * 2.0
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=1, j=2)]
+        pairs = np.array([[0, 1], [1, 2]])
         return Op("topology_stack", {"q": q, "qc": qc, "d": d}, stack,
                   lambda: stack.forward(q, qc, d, pairs, True)[1:], TopologyStack.backward,
                   lambda cache: min(_mask_margin(stack.mask, cache.mask), _ll_margin(cache.ll)))

@@ -13,8 +13,8 @@ a @ W[:c] + (b @ W[c:] + bias), broadcast over the pairs; the hidden layer
 and the layers after it run in row blocks of about PAIR_BLOCK pairs. No
 (pairs, 2c) feature tensor and no full (pairs, c) hidden layer is ever
 built, forward or backward: the backward rebuilds each block's hidden
-layer from the two (n, c) first-layer terms. The matched branch, at most
-one row per connected lane, goes through the same MLP on concatenated rows.
+layer from the two (n, c) first-layer terms. The matched branch, one row
+per connected lane, goes through the same MLP on concatenated rows.
 """
 
 from __future__ import annotations
@@ -34,28 +34,21 @@ from .nn import (
 )
 
 
-class MatchPair(NamedTuple):
-    """Connected-lane query c resolved to predecessor i and successor j."""
-
-    conn: int
-    i: int
-    j: int
-
-
-def match_connected(d_front: np.ndarray, d_back: np.ndarray) -> list[MatchPair]:
+def match_connected(d_front: np.ndarray, d_back: np.ndarray) -> np.ndarray:
     """Resolve each connected lane to its best (predecessor, successor) pair.
 
     d_front and d_back are the (n_lanes, n_connected) half distances of
-    connect.half_distances: i* minimises column c of d_front, j* column c of
-    d_back. np.argmin breaks ties toward the lower lane index.
+    connect.half_distances. Row c of the (n_connected, 2) result is
+    connected lane c's (i*, j*): i* minimises column c of d_front, j* column
+    c of d_back. np.argmin breaks ties toward the lower lane index.
     """
     n, m = np.shape(d_front)
-    if m == 0:
-        return []
     if n == 0:
-        raise ValueError("cannot match connected lanes against an empty lane list")
-    best_i, best_j = np.argmin(d_front, axis=0), np.argmin(d_back, axis=0)
-    return [MatchPair(conn=c, i=int(i), j=int(j)) for c, (i, j) in enumerate(zip(best_i, best_j))]
+        # numpy's argmin raises on an empty axis even when m is 0 too
+        if m:
+            raise ValueError("cannot match connected lanes against an empty lane list")
+        return np.zeros((0, 2), dtype=np.intp)
+    return np.stack([np.argmin(d_front, axis=0), np.argmin(d_back, axis=0)], axis=1)
 
 
 @dataclass
@@ -119,12 +112,11 @@ def _rest(head: MlpParams) -> MlpParams:
 
 
 def _pair_logits(head: MlpParams, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """(n, m) outputs of a one-output head on every pair, one row block at a time."""
+    """(n, m) outputs of a (2c, c, 1) head on every pair, one row block at a time."""
     rest = _rest(head)
     out = np.empty((len(za), len(zb)))
     for rows, z in pair_preacts(za, zb):
-        h = np.maximum(z, 0.0) if head.n_layers > 1 else z
-        out[rows] = mlp_forward(rest, h).reshape(-1, len(zb))
+        out[rows] = mlp_forward(rest, np.maximum(z, 0.0)).reshape(-1, len(zb))
     return out
 
 
@@ -139,12 +131,9 @@ def _pair_backward(head: MlpParams, a, b, za, zb, g: np.ndarray):
     gzb = np.zeros_like(zb)
     rest_grads = None
     for rows, z in pair_preacts(za, zb):
-        h = np.maximum(z, 0.0) if head.n_layers > 1 else z
-        _, cache = mlp_forward_cached(rest, h)
+        _, cache = mlp_forward_cached(rest, np.maximum(z, 0.0))
         gz, grads = mlp_backward(rest, cache, g[rows].reshape(-1, 1))
-        if head.n_layers > 1:
-            gz = gz * (z > 0.0)
-        gz = gz.reshape(-1, len(zb), gz.shape[1])
+        gz = (gz * (z > 0.0)).reshape(-1, len(zb), gz.shape[1])
         gza[rows] = gz.sum(axis=1)
         gzb += gz.sum(axis=0)
         rest_grads = add_mlp_grads(rest_grads, grads)
@@ -167,8 +156,8 @@ def _max_per_pair(key: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class MatchedCache(NamedTuple):
-    """The matched branch of predict_ll_cached: row k of pairs is candidate k's
-    (conn, i, j); win lists the candidates that own their (i, j) entry."""
+    """The matched branch of predict_ll_cached: row k of pairs is connected
+    lane k's (i, j); win lists the rows that own their (i, j) entry."""
 
     pairs: np.ndarray
     win: np.ndarray
@@ -179,8 +168,7 @@ class MatchedCache(NamedTuple):
 
 class LlCache(NamedTuple):
     """What predict_ll_backward reads: the branch outputs u1 and u2 and their
-    first-layer terms za and zb, never the pair features; n_conn is the
-    number of connected-lane queries."""
+    first-layer terms za and zb, never the pair features."""
 
     scores: np.ndarray
     u1: np.ndarray
@@ -190,16 +178,17 @@ class LlCache(NamedTuple):
     cache_u1: tuple
     cache_u2: tuple
     matched: MatchedCache | None
-    n_conn: int
 
 
 def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
-                      qc_hat: np.ndarray, pairs: list[MatchPair]):
+                      qc_hat: np.ndarray, pairs: np.ndarray):
     """Lane-lane score matrix with the caches needed for backward.
 
+    pairs is match_connected's (m, 2) array: row k scores lane pair
+    pairs[k] through the matched branch with connected query qc_hat[k].
     Diagonal entries are produced like any other pair; callers zero them
     when assembling a topology graph. Duplicates of one (i, j) keep the
-    maximum-scoring candidate, the lowest candidate index on an exact tie.
+    maximum-scoring row, the lowest row index on an exact tie.
     """
     n = q_hat.shape[0]
     u1, cache_u1 = mlp_forward_cached(params.unmatch_i, q_hat)
@@ -208,26 +197,25 @@ def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
     scores = sigmoid(_pair_logits(params.ll_score, za, zb))
 
     matched = None
-    if pairs:
-        idx = np.array(pairs)
-        conn, pi, pj = idx.T
-        m1, cache_m1 = mlp_forward_cached(params.match_i, qc_hat[conn] + q_hat[pi])
-        m2, cache_m2 = mlp_forward_cached(params.match_j, qc_hat[conn] + q_hat[pj])
+    if len(pairs):
+        pi, pj = pairs.T
+        m1, cache_m1 = mlp_forward_cached(params.match_i, qc_hat + q_hat[pi])
+        m2, cache_m2 = mlp_forward_cached(params.match_j, qc_hat + q_hat[pj])
         logit_m, cache_head = mlp_forward_cached(params.ll_score,
                                                  np.concatenate([m1, m2], axis=1))
         s_m = sigmoid(logit_m.reshape(-1))
         win = _max_per_pair(pi * n + pj, s_m)
         scores[pi[win], pj[win]] = s_m[win]
-        matched = MatchedCache(idx, win, cache_m1, cache_m2, cache_head)
+        matched = MatchedCache(pairs, win, cache_m1, cache_m2, cache_head)
 
-    return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched, len(qc_hat))
+    return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched)
 
 
 def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np.ndarray):
     """Gradients wrt q_hat, qc_hat and the head parameters.
 
     Matched entries route through the matched branch of their winning
-    candidate only; everything else routes through the unmatched branch.
+    row only; everything else routes through the unmatched branch.
     The parameter gradient is a TopologyHeadParams whose lane-traffic parts
     are None, as are its matched-branch parts when no pair was matched.
     """
@@ -236,7 +224,7 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np
 
     g_logit = g_scores * scores * (1.0 - scores)
     if mc is not None:
-        wi, wj = mc.pairs[mc.win, 1], mc.pairs[mc.win, 2]
+        wi, wj = mc.pairs[mc.win].T
         g_logit_m = np.zeros(len(mc.pairs))
         g_logit_m[mc.win] = g_logit[wi, wj]
         g_logit[wi, wj] = 0.0
@@ -247,7 +235,7 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np
     gq_u2, grads_u2 = mlp_backward(params.unmatch_j, cache.cache_u2, gu2)
 
     gq = gq_u1 + gq_u2
-    gqc = np.zeros((cache.n_conn, c))
+    gqc = np.zeros((0, c))
     grads_m1 = grads_m2 = None
 
     if mc is not None:
@@ -255,10 +243,9 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np
                                              g_logit_m[:, None])
         gxi, grads_m1 = mlp_backward(params.match_i, mc.cache_m1, gfeat_m[:, :c])
         gxj, grads_m2 = mlp_backward(params.match_j, mc.cache_m2, gfeat_m[:, c:])
-        # candidate k adds gxi[k] to row i, then gxj[k] to row j, in order of k
-        np.add.at(gq, mc.pairs[:, 1:].ravel(),
-                  np.concatenate([gxi, gxj], axis=1).reshape(-1, c))
-        np.add.at(gqc, mc.pairs[:, 0], gxi + gxj)
+        # row k adds gxi[k] to lane i, then gxj[k] to lane j, in order of k
+        np.add.at(gq, mc.pairs.ravel(), np.concatenate([gxi, gxj], axis=1).reshape(-1, c))
+        gqc = gxi + gxj
         grads_head = add_mlp_grads(grads_head, grads_head_m)
 
     grads = TopologyHeadParams(match_i=grads_m1, match_j=grads_m2, unmatch_i=grads_u1,

@@ -41,7 +41,7 @@ from .attention import (
 )
 from .connect import connected_curves, half_distances
 from .features import BOX_SCALE, GeometryEncoder
-from .heads import LlCache, MatchPair, TopologyHeadParams, match_connected, predict_lt
+from .heads import LlCache, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
 from .scene import Prediction, Scene, TopologyGraph, TrafficElement, bounded, check_fields
 from .synth import NoiseParams, jittered, perturb
@@ -94,10 +94,11 @@ class TopologyStack:
                    heads=TopologyHeadParams.init(dims.c, rng))
 
     def forward(self, q: np.ndarray, qc: np.ndarray, d: np.ndarray,
-                pairs: list[MatchPair], use_tam: bool):
+                pairs: np.ndarray, use_tam: bool):
         """(q_hat, ll, cache): lane queries refined by the masked
         cross-attention over the connected queries qc, with S = mask(d), and
-        the lane-lane scores of q_hat.
+        the lane-lane scores of q_hat; row k of the (m, 2) pairs is the lane
+        pair that connected query qc[k] scores.
 
         Without use_tam (the ablation) or without connected lanes, lane
         queries skip the cross-attention and pass through unchanged.
@@ -117,7 +118,7 @@ class TopologyStack:
         gq, gqc, head_grads = heads.predict_ll_backward(self.heads, cache.ll, g_ll)
         grads = TopologyStack(mask=None, tam=None, heads=head_grads)
         if cache.tam is None:
-            return gq, gqc, np.zeros((len(gq), cache.ll.n_conn)), grads
+            return gq, gqc, np.zeros((len(gq), len(gqc))), grads
         gq, gqc_tam, gs, grads.tam = attention.masked_cross_attention_backward(
             self.tam, cache.tam, gq)
         gd, grads.mask = attention.sigmoid_mask_backward(self.mask, cache.mask, gs)
@@ -156,7 +157,8 @@ def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
     the lane stack L (n, N_P, 3) and the connected-curve stack C (m, N_P, 3):
     lane and connected-curve queries encoded and refined by the shared
     self-attention (qc_hat is (0, c) when m is 0), D = the elementwise
-    minimum of the half distances, and the matched pairs."""
+    minimum of the half distances, and match_connected's (m, 2) pairs, row k
+    the (predecessor, successor) lanes of curve k."""
     q_bar = self_attention(params.enc_lane.encode(L), params.attn)
 
     d_front, d_back = half_distances(L, C)

@@ -166,8 +166,8 @@ class Scene:
 
     def lane_stack(self) -> np.ndarray:
         """The lanes as one (k, n_points, 3) array, (0, n_points, 3) for
-        none; the first lane whose point count is not n_points raises
-        validate_scene's message for it."""
+        none; the first lane whose point count is not n_points, else an
+        n_points below 2, raises validate_scene's message for it."""
         errors = point_count_errors(self)
         if errors:
             raise ValueError(errors[0])
@@ -209,9 +209,15 @@ def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]
 
 
 def point_count_errors(scene: Scene) -> list[str]:
-    """One message per lane whose point count is not the scene's n_points."""
-    return [f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
-            for i, lane in enumerate(scene.lanes) if lane.n_points != scene.n_points]
+    """One message per lane whose point count is not the scene's n_points,
+    then checked's message if n_points is below the 2 points of a polyline."""
+    out = [f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
+           for i, lane in enumerate(scene.lanes) if lane.n_points != scene.n_points]
+    try:
+        checked("n_points", scene.n_points, lo=2)
+    except ValueError as err:
+        out.append(str(err))
+    return out
 
 
 def topology_shape_errors(graph: Scene | Prediction) -> list[str]:

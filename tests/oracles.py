@@ -10,7 +10,7 @@ one lane pair at a time, connected lanes are merged at
 their junction point and validated one edge at a time and split one
 curve at a time, half distances are one scalar call per lane and half,
 the topology heads run on concatenated (pairs, 2c) pair features and
-resolve and scatter matched candidates one at a time, topology blending
+resolve and scatter matched rows one at a time, topology blending
 visits one entry at a time, lanes are jittered and widened one at a time
 into validated polylines, vertex APs rank a Python list of flags per
 vertex, assignment is full enumeration, JSON is written by rounding
@@ -266,7 +266,8 @@ def pair_features(left, right):
 
 def predict_ll_concat(params, q_hat, qc_hat, pairs):
     """The lane-lane head on the concatenated (n*n, 2c) pair features, one
-    matched candidate at a time: (scores, cache)."""
+    matched row k (lanes pairs[k], connected query qc_hat[k]) at a time:
+    (scores, cache)."""
     n = q_hat.shape[0]
     u1, cache_u1 = mlp_forward_cached(params.unmatch_i, q_hat)
     u2, cache_u2 = mlp_forward_cached(params.unmatch_j, q_hat)
@@ -275,17 +276,17 @@ def predict_ll_concat(params, q_hat, qc_hat, pairs):
 
     matched = {}
     cache_m = None
-    if pairs:
-        xi = np.stack([qc_hat[p.conn] + q_hat[p.i] for p in pairs])
-        xj = np.stack([qc_hat[p.conn] + q_hat[p.j] for p in pairs])
+    if len(pairs):
+        xi = np.stack([qc_hat[k] + q_hat[i] for k, (i, j) in enumerate(pairs)])
+        xj = np.stack([qc_hat[k] + q_hat[j] for k, (i, j) in enumerate(pairs)])
         m1, cache_m1 = mlp_forward_cached(params.match_i, xi)
         m2, cache_m2 = mlp_forward_cached(params.match_j, xj)
         logit_m, cache_head_m = mlp_forward_cached(params.ll_score,
                                                    np.concatenate([m1, m2], axis=1))
         s_m = sigmoid(logit_m.reshape(-1))
         # duplicates of one (i, j) keep the maximum, the first on a tie
-        for k, p in enumerate(pairs):
-            key = (p.i, p.j)
+        for k, (i, j) in enumerate(pairs):
+            key = (int(i), int(j))
             if key not in matched or s_m[k] > s_m[matched[key]]:
                 matched[key] = k
         for (i, j), k in matched.items():
@@ -295,9 +296,9 @@ def predict_ll_concat(params, q_hat, qc_hat, pairs):
     return scores, (n, scores, cache_u1, cache_u2, cache_head_u, pairs, matched, cache_m)
 
 
-def predict_ll_concat_backward(params, cache, g_scores, n_conn):
+def predict_ll_concat_backward(params, cache, g_scores):
     """Gradients of predict_ll_concat wrt q_hat, qc_hat and the head
-    parameters, scattered one matched candidate at a time."""
+    parameters, scattered one matched row at a time."""
     n, scores, cache_u1, cache_u2, cache_head_u, pairs, matched, cache_m = cache
     c = params.match_i.weights[0].shape[0]
 
@@ -313,11 +314,11 @@ def predict_ll_concat_backward(params, cache, g_scores, n_conn):
     gq_u2, grads_u2 = mlp_backward(params.unmatch_j, cache_u2, gfeat_u[:, :, c:].sum(axis=0))
 
     gq = gq_u1 + gq_u2
-    gqc = np.zeros((n_conn, c))
+    gqc = np.zeros((len(pairs), c))
     grads = TopologyHeadParams(match_i=None, match_j=None, unmatch_i=grads_u1,
                                unmatch_j=grads_u2, ll_score=grads_head_u,
                                lt_lane=None, lt_traffic=None, lt_score=None)
-    if pairs:
+    if len(pairs):
         cache_m1, cache_m2, cache_head_m, s_m = cache_m
         g_logit_m = np.zeros_like(s_m)
         for (i, j), k in matched.items():
@@ -326,10 +327,10 @@ def predict_ll_concat_backward(params, cache, g_scores, n_conn):
                                              g_logit_m.reshape(-1, 1))
         gxi, grads_m1 = mlp_backward(params.match_i, cache_m1, gfeat_m[:, :c])
         gxj, grads_m2 = mlp_backward(params.match_j, cache_m2, gfeat_m[:, c:])
-        for k, p in enumerate(pairs):
-            gq[p.i] += gxi[k]
-            gq[p.j] += gxj[k]
-            gqc[p.conn] += gxi[k] + gxj[k]
+        for k, (i, j) in enumerate(pairs):
+            gq[i] += gxi[k]
+            gq[j] += gxj[k]
+            gqc[k] += gxi[k] + gxj[k]
         grads.match_i, grads.match_j = grads_m1, grads_m2
         grads.ll_score = add_mlp_grads(grads.ll_score, grads_head_m)
     return gq, gqc, grads
@@ -346,17 +347,17 @@ def predict_lt_concat(q_hat, qt, params):
 
 
 def match_connected_loops(lanes, connected):
-    """(conn, i, j) per connected lane: argmin over the lanes of each half's
-    distance vector, built one lane at a time."""
+    """(m, 2) rows (i, j), one per connected lane: argmin over the lanes of
+    each half's distance vector, built one lane at a time."""
     if connected and not lanes:
         raise ValueError("cannot match connected lanes against an empty lane list")
     out = []
-    for c, conn in enumerate(connected):
+    for conn in connected:
         h1, h2 = split_halves_loops(conn.curve.points)
         d1 = np.array([avg_l1_scalar(lane.points, h1) for lane in lanes])
         d2 = np.array([avg_l1_scalar(lane.points, h2) for lane in lanes])
-        out.append((c, int(np.argmin(d1)), int(np.argmin(d2))))
-    return out
+        out.append((int(np.argmin(d1)), int(np.argmin(d2))))
+    return np.array(out, dtype=np.intp).reshape(-1, 2)
 
 
 def blend_topology_loops(topo, kept, n_out, lam):

@@ -6,6 +6,7 @@ its own module. A public one may instead be referenced from
 tests/test_acceptance.py; a private (underscored) one has no caller
 outside the package, so no test counts for it. Re-exporting a name from
 lanetopo/__init__.py is not a use, nor is importing it without using it.
+Every name a module other than __init__.py imports is read in that module.
 """
 
 import ast
@@ -69,3 +70,24 @@ def test_the_scan_sees_the_package():
     tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f\n")
     assert references(tree) == {"n", "h", "f"}
     assert "f" not in references(ast.parse("def f(n):\n    return f(n - 1)\n"))
+
+
+def unused_imports(tree) -> list[str]:
+    """Each name an import in tree binds that no name in tree reads, in
+    order; a __future__ import binds nothing."""
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_used_in_its_module():
+    tree = ast.parse("from __future__ import annotations\nimport a.b\nimport c\n"
+                     "from d import e as f, g\nc.x(g)\n")
+    assert unused_imports(tree) == ["a", "f"]
+    unused = [f"{module}.{name}" for module, tree in modules().items()
+              for name in unused_imports(tree)]
+    assert unused == []

@@ -10,6 +10,7 @@ from lanetopo import pipeline
 from lanetopo.cli import build_parser, main
 from lanetopo.serialize import (
     CSV_HEADER,
+    SchemaError,
     manifest_path_for,
     manifests_equivalent,
     prediction_to_dict,
@@ -670,6 +671,25 @@ class TestInputErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and field in lines[0]
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("n_points", [-3, 0, 1])
+    def test_lane_less_scene_below_two_points_exits_2(self, tmp_path, capsys, n_points):
+        # no lane carries a point count to compare, so the bound on n_points
+        # itself is the only rule that can refuse this scene
+        scene_path, out = tmp_path / "scene.json", tmp_path / "p.json"
+        write_json(scene_path, {"version": 1, "n_points": n_points, "lanes": [],
+                                "traffic": [], "topo": {"ll": [], "lt": []}})
+        msg = f"n_points must be finite and >= 2, got {n_points}"
+        with pytest.raises(SchemaError) as err:
+            read_scene(scene_path)
+        assert err.value.violations == [msg]
+        assert run("predict", "--scene", scene_path, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {msg}"]
+        assert not out.exists() and not manifest_path_for(out).exists()
+        scene = lt.Scene(lanes=[], traffic=[], topo=lt.TopologyGraph(
+            ll=np.zeros((0, 0)), lt=np.zeros((0, 0))), n_points=n_points)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            scene.lane_stack()
 
     @pytest.mark.parametrize("command, where", [
         ("predict", "lane 0"), ("predict", "traffic element 0"), ("predict", "topo"),

@@ -11,7 +11,6 @@ from lanetopo import heads
 from lanetopo.connect import ConnectedLane
 from lanetopo.heads import (
     PAIR_BLOCK,
-    MatchPair,
     TopologyHeadParams,
     predict_ll_backward,
     predict_ll_cached,
@@ -44,6 +43,9 @@ def zero_head(c):
     )
 
 
+NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
+
+
 def match(lanes, connected):
     return lt.match_connected(*lt.half_distances(point_stack(lanes), point_stack(connected)))
 
@@ -53,7 +55,7 @@ class TestMatchConnected:
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
         pairs = match(scene.lanes, conn)
-        assert pairs == [MatchPair(conn=0, i=0, j=1)]
+        assert pairs.tolist() == [[0, 1]]
 
     def test_recovery_on_generated_scenes(self):
         for seed in range(5):
@@ -62,27 +64,28 @@ class TestMatchConnected:
                                                      seed=seed))
             conn = lt.build_connected_gt(scene)
             pairs = match(scene.lanes, conn)
-            assert [(p.i, p.j) for p in pairs] == [c.source for c in conn]
+            assert pairs.dtype == np.intp
+            assert list(map(tuple, pairs.tolist())) == [c.source for c in conn]
 
     def test_tie_breaks_toward_lower_index(self):
         lane = straight_lane(0.0, 20.0, 5.0)
         lanes = [lane, lt.Polyline3D(lane.points.copy())]
         curve = straight_lane(0.0, 20.0, 0.0)
         pairs = match(lanes, [ConnectedLane(source=(-1, -1), curve=curve)])
-        assert pairs == [MatchPair(conn=0, i=0, j=0)]
+        assert pairs.tolist() == [[0, 0]]
 
     def test_index_covariance_under_reordering(self):
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
         far = straight_lane(0.0, 10.0, 40.0)
-        assert match([scene.lanes[0], scene.lanes[1], far], conn) \
-            == [MatchPair(conn=0, i=0, j=1)]
-        assert match([scene.lanes[1], scene.lanes[0], far], conn) \
-            == [MatchPair(conn=0, i=1, j=0)]
+        assert match([scene.lanes[0], scene.lanes[1], far], conn).tolist() == [[0, 1]]
+        assert match([scene.lanes[1], scene.lanes[0], far], conn).tolist() == [[1, 0]]
 
-    def test_empty_connected_gives_empty_list(self):
-        scene = chain_scene()
-        assert match(scene.lanes, []) == []
+    def test_empty_connected_gives_no_rows(self):
+        # with lanes, and without (where numpy's argmin would raise)
+        for pairs in (match(chain_scene().lanes, []),
+                      lt.match_connected(np.zeros((0, 0)), np.zeros((0, 0)))):
+            assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
     def test_empty_lane_list_raises(self):
         scene = chain_scene()
@@ -98,7 +101,7 @@ class TestMatchConnectedOracle:
         lanes = [lt.Polyline3D(random_polyline(rng, n_pts)) for _ in range(23)]
         conn = [ConnectedLane(source=(-1, -1), curve=lt.Polyline3D(random_polyline(rng, n_pts)))
                 for _ in range(L1_CHUNK // 10 + 3)]
-        assert match(lanes, conn) == match_connected_loops(lanes, conn)
+        assert np.array_equal(match(lanes, conn), match_connected_loops(lanes, conn))
 
     def test_two_point_distances_match_the_argmin(self):
         # 2-point curves cannot be split, so feed the kernel's matrices directly
@@ -107,10 +110,10 @@ class TestMatchConnectedOracle:
         H1 = np.stack([random_polyline(rng, 2) for _ in range(20)])
         H2 = np.stack([random_polyline(rng, 2) for _ in range(20)])
         pairs = lt.match_connected(avg_l1_matrix(L, H1), avg_l1_matrix(L, H2))
-        expected = [(c, int(np.argmin([avg_l1_scalar(a, H1[c]) for a in L])),
-                     int(np.argmin([avg_l1_scalar(a, H2[c]) for a in L])))
+        expected = [[int(np.argmin([avg_l1_scalar(a, H1[c]) for a in L])),
+                     int(np.argmin([avg_l1_scalar(a, H2[c]) for a in L]))]
                     for c in range(20)]
-        assert pairs == expected
+        assert pairs.tolist() == expected
 
     def test_exact_ties_across_chunks_pick_the_lower_index(self):
         # every lane appears twice, the copies more than L1_CHUNK lanes
@@ -124,13 +127,15 @@ class TestMatchConnectedOracle:
         k = len(scene.lanes) + len(far)
         assert np.array_equal(d_front[:len(scene.lanes)], d_front[k:])
         pairs = match(lanes, conn)
-        assert [(p.i, p.j) for p in pairs] == [c.source for c in conn]
-        assert pairs == match_connected_loops(lanes, conn)
+        assert list(map(tuple, pairs.tolist())) == [c.source for c in conn]
+        assert np.array_equal(pairs, match_connected_loops(lanes, conn))
 
     def test_empty_sides_behave_like_the_oracle(self):
         scene = chain_scene()
         conn = lt.build_connected_gt(scene)
-        assert match(scene.lanes, []) == match_connected_loops(scene.lanes, []) == []
+        empty = np.zeros((0, 2), dtype=np.intp)
+        assert np.array_equal(match(scene.lanes, []), empty)
+        assert np.array_equal(match_connected_loops(scene.lanes, []), empty)
         for fn in (match, match_connected_loops):
             with pytest.raises(ValueError, match="empty lane list"):
                 fn([], conn)
@@ -142,7 +147,7 @@ class TestPredictLl:
         rng = np.random.default_rng(0)
         q = rng.normal(size=(n, c))
         qc = rng.normal(size=(2, c))
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=2, j=3)]
+        pairs = np.array([[0, 1], [2, 3]])
         scores = predict_ll_cached(zero_head(c), q, qc, pairs)[0]
         assert np.array_equal(scores, np.full((n, n), 0.5))
 
@@ -151,7 +156,7 @@ class TestPredictLl:
         rng = np.random.default_rng(1)
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(n, c))
-        scores = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
+        scores = predict_ll_cached(params, q, np.zeros((0, c)), NO_PAIRS)[0]
         u1 = mlp_forward(params.unmatch_i, q)
         u2 = mlp_forward(params.unmatch_j, q)
         for i in range(n):
@@ -166,8 +171,7 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(1, c))
-        pair = MatchPair(conn=0, i=0, j=2)
-        scores = predict_ll_cached(params, q, qc, [pair])[0]
+        scores = predict_ll_cached(params, q, qc, np.array([[0, 2]]))[0]
         m1 = mlp_forward(params.match_i, (qc[0] + q[0])[None, :])
         m2 = mlp_forward(params.match_j, (qc[0] + q[2])[None, :])
         logit = mlp_forward(params.ll_score, np.concatenate([m1, m2], axis=1))[0, 0]
@@ -179,8 +183,8 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(1, c))
-        base = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
-        with_pair = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=0, j=2)])[0]
+        base = predict_ll_cached(params, q, np.zeros((0, c)), NO_PAIRS)[0]
+        with_pair = predict_ll_cached(params, q, qc, np.array([[0, 2]]))[0]
         assert with_pair[0, 2] != base[0, 2]
         mask = np.ones((3, 3), dtype=bool)
         mask[0, 2] = False
@@ -192,10 +196,9 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(3, c))
         qc = rng.normal(size=(2, c))
-        solo0 = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=1, j=2)])[0][1, 2]
-        solo1 = predict_ll_cached(params, q, qc, [MatchPair(conn=1, i=1, j=2)])[0][1, 2]
-        both = predict_ll_cached(params, q, qc, [MatchPair(conn=0, i=1, j=2),
-                                                 MatchPair(conn=1, i=1, j=2)])[0][1, 2]
+        solo0 = predict_ll_cached(params, q, qc[:1], np.array([[1, 2]]))[0][1, 2]
+        solo1 = predict_ll_cached(params, q, qc[1:], np.array([[1, 2]]))[0][1, 2]
+        both = predict_ll_cached(params, q, qc, np.array([[1, 2], [1, 2]]))[0][1, 2]
         assert both == max(solo0, solo1)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -204,8 +207,7 @@ class TestPredictLl:
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(5, c))
         qc = rng.normal(size=(2, c))
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=3, j=4)]
-        scores = predict_ll_cached(params, q, qc, pairs)[0]
+        scores = predict_ll_cached(params, q, qc, np.array([[0, 1], [3, 4]]))[0]
         assert np.all(scores > 0.0)
         assert np.all(scores < 1.0)
 
@@ -215,7 +217,7 @@ class TestPredictLl:
         rng = np.random.default_rng(6)
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(2, c))
-        scores = predict_ll_cached(params, q, np.zeros((0, c)), [])[0]
+        scores = predict_ll_cached(params, q, np.zeros((0, c)), NO_PAIRS)[0]
         assert scores[0, 0] != 0.0
 
 
@@ -252,14 +254,14 @@ class TestPredictLt:
 
 class TestPredictLlBackward:
     def test_matches_central_differences(self):
-        c, n, n_conn = 6, 3, 2
+        c, n = 6, 3
         rng = np.random.default_rng(12)
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(n, c))
-        qc = rng.normal(size=(n_conn, c))
-        # two candidates collide on (0, 1) to exercise winner routing
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=1, i=0, j=1),
-                 MatchPair(conn=1, i=2, j=0)]
+        # two rows collide on (0, 1) to exercise winner routing; rows 1 and 2
+        # start from the same connected query
+        qc = rng.normal(size=(2, c))[[0, 1, 1]]
+        pairs = np.array([[0, 1], [0, 1], [2, 0]])
 
         def loss():
             s, _ = predict_ll_cached(params, q, qc, pairs)
@@ -302,13 +304,21 @@ ROWS = 5
 EDGE_ROWS = [ROWS - 1, ROWS + 1, 2 * ROWS + 3]
 
 
+def candidates(rng, n_conn, n, k):
+    """k random (conn, i, j) draws as connected-query rows and (k, 2) pairs."""
+    draws = np.array([[rng.integers(n_conn), rng.integers(n), rng.integers(n)]
+                      for _ in range(k)])
+    return draws[:, 0], draws[:, 1:]
+
+
 def ll_case(n, n_conn, c, seed):
+    """n lanes and n_conn pair rows, each row's connected query one of n_conn
+    drawn queries, so rows may repeat a query and an (i, j)."""
     rng = np.random.default_rng(seed)
     params = TopologyHeadParams.init(c, rng)
     q, qc = rng.normal(size=(n, c)), rng.normal(size=(n_conn, c))
-    pairs = [MatchPair(conn=int(rng.integers(n_conn)), i=int(rng.integers(n)),
-                       j=int(rng.integers(n))) for _ in range(n_conn)]
-    return params, q, qc, pairs
+    conn, pairs = candidates(rng, n_conn, n, n_conn)
+    return params, q, qc[conn], pairs
 
 
 def assert_grads_close(got, want):
@@ -331,7 +341,7 @@ class TestFactoredHeadsMatchConcatOracle:
         np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
         g = np.random.default_rng(n + 100).normal(size=(n, n))
         assert_grads_close(predict_ll_backward(params, cache, g),
-                           predict_ll_concat_backward(params, ocache, g, len(qc)))
+                           predict_ll_concat_backward(params, ocache, g))
 
     def test_ll_past_the_real_block(self):
         n = 50
@@ -342,7 +352,7 @@ class TestFactoredHeadsMatchConcatOracle:
         np.testing.assert_allclose(scores, oscores, **SCORE_TOL)
         g = np.random.default_rng(2).normal(size=(n, n))
         assert_grads_close(predict_ll_backward(params, cache, g),
-                           predict_ll_concat_backward(params, ocache, g, len(qc)))
+                           predict_ll_concat_backward(params, ocache, g))
 
     @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize("n", EDGE_ROWS)
@@ -371,41 +381,41 @@ class TestFactoredHeadsMatchConcatOracle:
 
 
 class TestMatchedBranchIsTheLoopOracle:
-    """Index arrays resolve and scatter the matched candidates bitwise as
-    the one-candidate-at-a-time loops do."""
+    """Index arrays resolve and scatter the matched rows bitwise as the
+    one-row-at-a-time loops do."""
 
     def collide(self, seed):
-        # 60 candidates on 4 lanes: nearly every (i, j) repeats, and rows 0
-        # and 1 of qc are equal, so the candidates (0, i, j) and (1, i, j)
-        # tie exactly; conn order varies, so the lowest index is not
-        # always conn 0
+        # 60 pair rows on 4 lanes: nearly every (i, j) repeats. Each row's
+        # connected query is one of 3 drawn queries, the first two equal, so
+        # rows with the same (i, j) and either of those queries tie exactly;
+        # the queries come in any order, so the lowest tied row is not always
+        # the one drawn first
         rng = np.random.default_rng(seed)
         c, n = 6, 4
         params = TopologyHeadParams.init(c, rng)
         q = rng.normal(size=(n, c))
         qc = rng.normal(size=(3, c))
         qc[1] = qc[0]
-        pairs = [MatchPair(conn=int(rng.integers(3)), i=int(rng.integers(n)),
-                           j=int(rng.integers(n))) for _ in range(60)]
-        return params, q, qc, pairs
+        conn, pairs = candidates(rng, 3, n, 60)
+        return params, q, qc[conn], pairs
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bitwise_on_collisions_and_exact_ties(self, seed):
         params, q, qc, pairs = self.collide(seed)
         scores, cache = predict_ll_cached(params, q, qc, pairs)
         oscores, ocache = predict_ll_concat(params, q, qc, pairs)
-        win = {(p.i, p.j) for p in pairs}
+        win = set(map(tuple, pairs.tolist()))
         assert len(win) < len(pairs)
         i, j = np.array(sorted(win)).T
         assert np.array_equal(scores[i, j], oscores[i, j])
-        # winners: the oracle's dict of (i, j) -> first maximal candidate
+        # winners: the oracle's dict of (i, j) -> first maximal row
         assert sorted(cache.matched.win.tolist()) == sorted(ocache[6].values())
         # a gradient on the matched entries only leaves the unmatched
         # branch at exact zeros, so every gradient is comparable bitwise
         g = np.zeros_like(scores)
         g[i, j] = np.random.default_rng(seed).normal(size=len(i))
         gq, gqc, grads = predict_ll_backward(params, cache, g)
-        oq, oqc, ograds = predict_ll_concat_backward(params, ocache, g, len(qc))
+        oq, oqc, ograds = predict_ll_concat_backward(params, ocache, g)
         assert np.array_equal(gq, oq)
         assert np.array_equal(gqc, oqc)
         grads, ograds = param_arrays(grads), param_arrays(ograds)
@@ -414,16 +424,16 @@ class TestMatchedBranchIsTheLoopOracle:
             assert np.array_equal(grads[key], ograds[key]), key
 
     def test_tie_goes_to_the_lower_candidate_index(self):
-        params, q, qc, _ = self.collide(0)
-        for first, second in ((0, 1), (1, 0)):
-            pairs = [MatchPair(conn=first, i=2, j=3), MatchPair(conn=second, i=2, j=3)]
-            scores, cache = predict_ll_cached(params, q, qc, pairs)
-            assert cache.matched.win.tolist() == [0]
-            g = np.zeros_like(scores)
-            g[2, 3] = 1.0
-            _, gqc, _ = predict_ll_backward(params, cache, g)
-            assert np.any(gqc[first] != 0.0)
-            assert np.all(gqc[second] == 0.0)
+        params, q, _, _ = self.collide(0)
+        # two rows with equal connected queries claim (2, 3): an exact tie
+        qc = np.repeat(np.random.default_rng(0).normal(size=(1, 6)), 2, axis=0)
+        scores, cache = predict_ll_cached(params, q, qc, np.array([[2, 3], [2, 3]]))
+        assert cache.matched.win.tolist() == [0]
+        g = np.zeros_like(scores)
+        g[2, 3] = 1.0
+        _, gqc, _ = predict_ll_backward(params, cache, g)
+        assert np.any(gqc[0] != 0.0)
+        assert np.all(gqc[1] == 0.0)
 
 
 class TestPairHeadMemory:
@@ -447,7 +457,11 @@ class TestPredictLlBackwardPastOneBlock:
         n, n_conn, c = 48, 12, 6
         assert n * n > PAIR_BLOCK
         params, q, qc, pairs = ll_case(n, n_conn, c, seed=21)
-        pairs += pairs[:4]  # some duplicate candidates too
+        # four more rows repeat the first four (i, j) with fresh queries; a
+        # repeated query too would tie exactly, a kink central differences
+        # cannot cross
+        qc = np.concatenate([qc, np.random.default_rng(23).normal(size=(4, c))])
+        pairs = np.concatenate([pairs, pairs[:4]])
 
         def loss():
             s, _ = predict_ll_cached(params, q, qc, pairs)

@@ -18,9 +18,10 @@ from lanetopo.attention import (
     sigmoid_mask_forward,
 )
 from lanetopo.features import GeometryEncoder
-from lanetopo.heads import MatchPair, TopologyHeadParams, predict_ll_backward, predict_ll_cached
+from lanetopo.heads import TopologyHeadParams, predict_ll_backward, predict_ll_cached
 from lanetopo.nn import param_arrays
 from lanetopo.pipeline import TopologyStack, init_pipeline_params
+from lanetopo.synth import jittered
 from conftest import chain_scene
 
 
@@ -233,6 +234,29 @@ class TestInputOrder:
         t_scores = [el.score for el in pred.traffic]
         assert np.allclose(t_scores, [base.traffic[k].score for k in perm], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_curve_permutation_permutes_pairs_and_connected_queries(self, seed):
+        # row k of C, of qc_hat and of pairs is one connected lane: taking
+        # the curves in another order takes those rows in that order, and
+        # the lane-lane scores do not move (worst seen: 8.9e-16 on qc_hat,
+        # 1.1e-16 on ll)
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, seed=100 + seed))
+        rng = np.random.default_rng(seed)
+        L = scene.lane_stack()
+        C = jittered(lt.connected_curves(scene), 0.3, rng)
+        perm = rng.permutation(len(C))
+        assert len(C) > 1
+        params = init_pipeline_params(lt.PipelineConfig(), scene.n_points)
+        q, qc, d, pairs = pipeline.queries(params, L, C)
+        q2, qc2, d2, pairs2 = pipeline.queries(params, L, C[perm])
+        assert pairs.shape == (len(C), 2)
+        assert np.array_equal(pairs2, pairs[perm])
+        assert np.array_equal(q2, q) and np.array_equal(d2, d[:, perm])
+        assert np.allclose(qc2, qc[perm], rtol=0, atol=1e-15)
+        ll = params.stack.forward(q, qc, d, pairs, True)[1]
+        ll2 = params.stack.forward(q2, qc2, d2, pairs2, True)[1]
+        assert np.allclose(ll2, ll, rtol=0, atol=1e-12)
+
 
 class TestAblation:
     def test_disabling_the_mask_changes_scores(self, grid_scene):
@@ -295,7 +319,7 @@ class TestTopologyStack:
         stack = TopologyStack.init(lt.ModelDims(c=c, n_heads=2), rng)
         q, qc = rng.normal(size=(n, c)), rng.normal(size=(m, c))
         d = np.abs(rng.normal(size=(n, m))) * 2.0
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=2, i=1, j=3)]
+        pairs = np.array([[0, 1], [2, 0], [1, 3]])  # row k: qc[k]'s lanes
         return stack, q, qc, d, pairs
 
     def test_init_draws_mask_then_tam_then_heads(self):
@@ -321,7 +345,7 @@ class TestTopologyStack:
     @pytest.mark.parametrize("use_tam, m", [(False, 3), (True, 0)])
     def test_skipped_cross_attention_passes_queries_through(self, use_tam, m):
         stack, q, qc, d, pairs = self.case()
-        qc, d, pairs = qc[:m], d[:, :m], pairs[:1] if m else []
+        qc, d, pairs = qc[:m], d[:, :m], pairs[:m]
         q_hat, ll, cache = stack.forward(q, qc, d, pairs, use_tam)
         assert q_hat is q
         assert np.array_equal(ll, predict_ll_cached(stack.heads, q, qc, pairs)[0])

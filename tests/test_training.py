@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.heads import MatchPair
 from lanetopo.nn import descend, param_arrays
 from lanetopo.pipeline import TopologyStack, init_pipeline_params
 from lanetopo.training import FOCAL_CLAMP, FitDiverged
@@ -174,7 +173,7 @@ class TestToyFit:
         stack = TopologyStack.init(lt.ModelDims(c=8, n_heads=2), rng)
         q, qc = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
         d = np.abs(rng.normal(size=(4, 3))) * 2.0
-        pairs = [MatchPair(conn=0, i=0, j=1), MatchPair(conn=2, i=1, j=3)]
+        pairs = np.array([[0, 1], [2, 0], [1, 3]])  # row k: qc[k]'s lanes
         _, ll, cache = stack.forward(q, qc, d, pairs, True)
         _, _, _, grads = stack.backward(cache, rng.normal(size=ll.shape))
         before, keyed = copy.deepcopy(stack), copy.deepcopy(stack)
