@@ -89,7 +89,10 @@ def half_distances(L: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A small d_front[i, c] marks lane i as a plausible predecessor of c, a
     small d_back[i, c] as a plausible successor; their elementwise minimum
     is the geometric correlation matrix D the cross-attention mask is built
-    from.
+    from. Each half needs at least two points, so C needs at least three.
     """
+    if C.shape[1] < 3:
+        raise ValueError(f"cannot split {C.shape[1]}-point curves into halves: one half "
+                         f"would be a zero-length polyline (at least 3 points are needed)")
     fronts, backs = _halves(C, C.shape[1])
     return avg_l1_matrix(L, fronts), avg_l1_matrix(L, backs)

@@ -10,6 +10,7 @@ Same seed and same geometry give bitwise identical features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,13 @@ class GeometryEncoder:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """(n_items, ...) -> (n_items, c) features; each item's values are
-        flattened in row-major order, so (k, n, 3) is (k, 3n)."""
-        values = np.asarray(values, dtype=np.float64).reshape(len(values), -1)
+        flattened in row-major order, so (k, n, 3) is (k, 3n); no items give
+        (0, c)."""
+        values = np.asarray(values, dtype=np.float64)
+        values = values.reshape(len(values), math.prod(values.shape[1:]))
         phases = values[:, :, None] * FREQS[None, None, :]
         enc = np.concatenate([np.sin(phases), np.cos(phases)], axis=2)
-        return enc.reshape(values.shape[0], -1) @ self.projection
+        return enc.reshape(len(values), 2 * len(FREQS) * values.shape[1]) @ self.projection
 
 
 BOX_SCALE = 1000.0  # pixels; keeps box phases in the same range as lane coords

@@ -84,38 +84,79 @@ def resample_stack(P, m: int) -> np.ndarray:
 PAIR_CHUNK = 256
 GAP_CELLS = 32768
 
-# Pairs per avg_l1_matrix chunk: its temporaries are (pairs, N) arrays, a few
-# hundred KB at N = 11. Measured on the 169-lane grid (169 x 161 pairs), a
-# call takes ~3.3 ms at 1024-4096 and ~5-6 ms at 256 or at 16384 and above.
+# Pairs per avg_l1_matrix chunk: its one temporary is a (3, N, pairs) block,
+# 1.1 MB at N = 11. Measured at N = 11 (2 vCPU, numpy 2.4.6), a call on
+# 158 x 161 / 823 x 823 pairs takes 1.6 / 46 ms at 4096 pairs and 1.7 /
+# 54 ms at 2048 (best of 12 rounds), and 512 or 8192 pairs were slower still
+# at 823 x 823; the kernel with each pair's points innermost took 2.8 / 55 ms.
 L1_CHUNK = 4096
+
+# numpy's pairwise summation: 8 accumulators up to this many values, halving above
+_PW_BLOCK = 128
+
+
+def _plane_sum(d: np.ndarray) -> np.ndarray:
+    """Sum of the planes of d (N, ...) over its first axis, in the order
+    numpy's pairwise summation adds N values of a contiguous axis: in turn
+    below 8; in 8 accumulators, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the remaining planes in turn, up to _PW_BLOCK; the two
+    halves, split at a multiple of 8, above. d is overwritten; the sum is
+    d[0]."""
+    n = len(d)
+    if n < 8:
+        for p in d[1:]:
+            d[0] += p
+    elif n <= _PW_BLOCK:
+        end = n - n % 8
+        r = d[:8]
+        for i in range(8, end, 8):
+            r += d[i:i + 8]
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        d[0] += d[4]
+        for p in d[end:]:
+            d[0] += p
+    else:
+        half = n // 2 - n // 2 % 8
+        _plane_sum(d[:half])
+        _plane_sum(d[half:])
+        d[0] += d[half]
+    return d[0]
 
 
 def avg_l1_matrix(L, H) -> np.ndarray:
     """(n, m) mean L1 distances between index-aligned points of every lane in
     L (n, N, 3) and every polyline in H (m, N, 3).
 
-    Each entry sums |dx| + |dy| + |dz| left to right, as numpy sums one
-    pair's three coordinates, then averages over the N points along the
-    contiguous last axis, so every entry is bitwise the one-pair result.
-    Lanes go in chunks of L1_CHUNK // m (at least one), so no temporary
-    holds many more than L1_CHUNK pairs.
+    The coordinates' differences fill one (3, N, lanes, m) block, curves
+    innermost; each point sums (|dx| + |dy|) + |dz|, as numpy sums one
+    pair's three coordinates, and _plane_sum adds the N point planes as
+    numpy sums one pair's N points before the mean divides by N, so every
+    entry is bitwise the one-pair result. Lanes go in chunks of
+    L1_CHUNK // m (at least one), so no block holds many more than
+    L1_CHUNK pairs.
     """
     L = np.asarray(L, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     if L.ndim != 3 or H.ndim != 3 or L.shape[2] != 3 or H.shape[2] != 3:
         raise ValueError(f"expected (n, N, 3) and (m, N, 3) arrays, got {L.shape} and {H.shape}")
-    if L.shape[1] != H.shape[1]:
-        raise ValueError(f"point counts differ: {L.shape[1]} vs {H.shape[1]}")
-    # (3, lanes, N): each coordinate's differences end in a contiguous N axis
-    Lx, Ly, Lz = L.transpose(2, 0, 1)
-    Hx, Hy, Hz = H.transpose(2, 0, 1)
-    out = np.empty((L.shape[0], H.shape[0]))
-    rows = max(1, L1_CHUNK // max(1, H.shape[0]))
-    for s in range(0, L.shape[0], rows):
-        d = np.abs(Lx[s:s + rows, None] - Hx)
-        d += np.abs(Ly[s:s + rows, None] - Hy)
-        d += np.abs(Lz[s:s + rows, None] - Hz)
-        out[s:s + rows] = d.mean(axis=2)
+    (n, N), m = L.shape[:2], H.shape[0]
+    if N != H.shape[1]:
+        raise ValueError(f"point counts differ: {N} vs {H.shape[1]}")
+    if N == 0:
+        raise ValueError("cannot average over polylines of zero points")
+    # (3, N, lanes) planes: a block's differences are contiguous along the curves
+    Lp = np.ascontiguousarray(L.transpose(2, 1, 0))[..., None]
+    Hp = np.ascontiguousarray(H.transpose(2, 1, 0))[:, :, None]
+    out = np.empty((n, m))
+    rows = max(1, L1_CHUNK // max(1, m))
+    block = np.empty((3, N, min(rows, n), m))
+    for s in range(0, n, rows):
+        d = block[:, :, :min(rows, n - s)]
+        np.abs(np.subtract(Lp[:, :, s:s + rows], Hp, out=d), out=d)
+        d[0] += d[1]
+        d[0] += d[2]
+        np.divide(_plane_sum(d[0]), N, out=out[s:s + rows])
     return out
 
 

@@ -183,9 +183,12 @@ def layer_norm_backward(cache, gain: np.ndarray, gy: np.ndarray):
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis: exp(z - row max) / its row sum, with one
+    new array for the three steps. A row of no entries gives no entries."""
+    e = z - z.max(axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(s: np.ndarray, gs: np.ndarray) -> np.ndarray:

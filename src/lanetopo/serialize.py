@@ -5,17 +5,35 @@ JSON uses compact separators, and files end with one trailing newline, so
 the same data always serializes to the same bytes. Readers validate
 documents and raise SchemaError with the full violation list.
 
-The JSON writer formats each float array in one "%.9g" pass over its
-values instead of rounding and re-printing every float. That is exact:
-two different decimals of at most 9 significant digits never round to the
-same normal double, so repr(round9(x)) has the digits of "%.9g" % x, and
-only the layout can differ. An integral value under 1e9 is written with
-"%.1f", which keeps repr's ".0" ("1.0", "-0.0") where "%.9g" drops it.
-Values "%.9g" writes in exponent form from 1e9 (repr waits until 1e16),
-values it rounds to an integer, subnormals, NaN and +-inf are written one
-by one as json.dumps writes round9 of them. A numpy mask finds a superset
-of those, so every other value costs one "%.9g". The reader checks the
-lanes that share a point count as one (k, n, 3) stack.
+The JSON writer formats each float array of at least _ONE_PASS_MIN values
+in one printf pass over a template built as one byte array, instead of
+rounding and re-printing every float. Each value's cell is one of:
+
+* a short value, 1e-4 <= |x| < 1 (every sigmoid score): "0.", the zeros of
+  its decade and "%d" of its 9 significant digits as an integer without
+  trailing zeros, about a third of the cost of "%.9g";
+* any other plain value (normal, finite, under 1e9 and not rounded to an
+  integer by "%.9g"): "%.9g";
+* an integral value under 1e9: "%.1f", which keeps repr's ".0" ("1.0",
+  "-0.0") where "%.9g" drops it;
+* anything else (values "%.9g" writes in exponent form from 1e9, where
+  repr waits until 1e16, values it rounds to an integer, subnormals, NaN
+  and +-inf): the text json.dumps writes for round9 of the value.
+
+That is exact. Two different decimals of at most 9 significant digits
+never round to the same normal double, so repr(round9(x)) has the digits
+of "%.9g" % x, and only the layout can differ. A short value's digits are
+rint(|x| * 10**(9 + zeros)): its decade comes from exact comparisons (the
+doubles 0.1, 0.01, 0.001 and 1e-4 each lie above their decimal), and each
+power of ten is an exact double, so the product rounds once, to within
+6e-8 of the exact one under 1e9, and rint rounds it as "%.9g" rounds the
+exact value unless it lies within 1e-6 of a half-integer. Those values,
+and those whose digits round up to 10**9, take "%.9g". For every other
+short value "%.9g" writes the same digits in fixed notation, its decimal
+exponent being -4 to -1, with its trailing zeros stripped. A numpy mask
+finds a superset of the values "%.9g" cannot write, so every other value
+costs one "%d" or one "%.9g". The reader checks the lanes that share a
+point count as one (k, n, 3) stack.
 
 Every file is written to a temporary name in its directory and renamed
 into place, so an interrupted or failed run leaves no partial file.
@@ -71,18 +89,26 @@ def round9(x: float) -> float:
 # below the smallest normal double fewer than 9 digits can be significant
 _TINY = float(np.finfo(np.float64).tiny)
 
-# smaller float arrays are written value by value: the array pass costs
-# about 30 us whatever the size, one value about 2 us
-_ONE_PASS_MIN = 16
+# smaller float arrays are written value by value: measured on 2 vCPU, the
+# array pass costs about 90 us up to a few dozen values, one value 2-3 us,
+# and the two cost the same at 32-48 values
+_ONE_PASS_MIN = 40
 
 # json.dumps's text of the floats repr writes as nan, inf and -inf
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# the format of each value, by kind, all four bytes wide so that a whole
-# template is built as one byte array: "%.9g"; "%.1f" for an integral value
-# under 1e9, where "%.9g" drops repr's ".0"; "%-1s" for a value passed as
-# its exact text (never padded: that text has at least 3 characters)
-_SPECS = np.frombuffer(b"%.9g%.1f%-1s", dtype=np.uint8).reshape(3, 4)
+# the format of each value, by kind, NUL-padded to 8 bytes so that a whole
+# template is one 8-byte gather per value with its NULs dropped: "%.9g",
+# "%.1f", "%s" for a value passed as its exact text, then the short values
+# with 0 to 3 zeros after "0.", positive and then negative
+_SPECS = np.array([f.ljust(8, b"\0") for f in (
+    b"%.9g", b"%.1f", b"%s", b"0.%d", b"0.0%d", b"0.00%d", b"0.000%d",
+    b"-0.%d", b"-0.0%d", b"-0.00%d", b"-0.000%d")]).view(np.uint64)
+_SHORT = 3
+
+# the exact doubles 10**(9 + z) that scale a short value with z zeros after
+# "0." to its 9 digits
+_SCALES = 10.0 ** np.arange(9, 13)
 
 
 def _nest(parts: list[str], shape: tuple) -> str:
@@ -98,32 +124,61 @@ def _float_text(x) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _short_digits(mag: np.ndarray):
+    """(short, zeros, digits) of the magnitudes mag: short marks the values
+    in [1e-4, 1) whose 9 significant digits one exact rounding gives
+    (module docstring), zeros counts their zeros after "0.", and digits
+    holds those digits as integral floats."""
+    # exact decade tests: mag < 0.1 exactly when the real mag is below 1/10
+    zeros = (mag < 0.1).view(np.int8) + (mag < 0.01) + (mag < 0.001)
+    s = mag * _SCALES[zeros]
+    digits = np.rint(s)
+    # |s - digits| is exact, and 1/2 less the distance of s's fraction from 1/2
+    short = (mag >= 1e-4) & (mag < 1.0) & (np.abs(s - digits) < 0.5 - 1e-6) & (digits < 1e9)
+    return short, zeros, digits
+
+
 def _float_array(a: np.ndarray) -> str:
     """JSON text of a float array of at least _ONE_PASS_MIN values, each
     written as round9 writes it (module docstring)."""
     x = a.astype(np.float64, copy=False).reshape(-1, a.shape[-1])
     n, m = x.shape
-    with np.errstate(invalid="ignore"):
-        mag = np.abs(x)
-        off = np.abs(x - np.rint(x))
+    flat = x.ravel()
+    with np.errstate(invalid="ignore", over="ignore"):
+        mag = np.abs(flat)
+        off = np.abs(flat - np.rint(flat))
         whole = (off == 0.0) & (mag < 1e9)
         # the values "%.9g" writes as repr does: normal, and further than a
         # relative 1e-8 from an integer, so finite, under 1e9 and not
         # rounded to an integer by "%.9g"
         plain = (off > mag * 1e-8) & (mag >= _TINY)
-    kind = 2 - whole - 2 * plain
-    cells = np.empty((n, m, 5), dtype=np.uint8)
-    cells[..., :4] = _SPECS[kind]
-    cells[..., 4] = ord(",")
-    cells[:, -1, 4] = ord("]")
-    rows = cells.tobytes().decode("ascii")
-    width = 5 * m
-    template = _nest(["[" + rows[i:i + width] for i in range(0, n * width, width)],
-                     a.shape[:-1])
-    values = x.ravel().tolist()
+        short, zeros, digits = _short_digits(mag)
+    short &= plain
+    kind = np.where(short, _SHORT + zeros + 4 * (flat < 0.0), 2 - whole - 2 * plain)
+    # a short value's "%d" argument: its digits without their trailing zeros
+    digits = digits[short].astype(np.int64)
+    tail = np.flatnonzero(digits % 10 == 0)
+    while tail.size:
+        digits[tail] //= 10
+        tail = tail[digits[tail] % 10 == 0]
+    values = np.empty(n * m, dtype=object)
+    values[short] = digits
+    values[~short] = flat[~short]
     for k in np.flatnonzero(kind == 2).tolist():
         values[k] = _float_text(values[k])
-    return template % tuple(values)
+    # per row: "[", then per value its format and "," or "]"
+    cells = np.zeros((n, 1 + 9 * m), dtype=np.uint8)
+    cells[:, 0] = ord("[")
+    body = cells[:, 1:].reshape(n, m, 9)
+    body[..., :8] = _SPECS[kind].view(np.uint8).reshape(n, m, 8)
+    body[..., 8] = ord(",")
+    body[:, -1, 8] = ord("]")
+    template = cells[cells != 0]
+    # each row ends at its one "]"
+    ends = (np.flatnonzero(template == ord("]")) + 1).tolist()
+    template = template.tobytes().decode("ascii")
+    rows = [template[i:j] for i, j in zip([0, *ends], ends)]
+    return _nest(rows, a.shape[:-1]) % tuple(values)
 
 
 def _json(obj) -> str:

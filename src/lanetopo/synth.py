@@ -47,7 +47,7 @@ class SynthParams:
     lane_spacing: float = bounded(4.0, lo=3.0)  # metres: keeps lanes separable
     split_prob: float = bounded(0.3, lo=0.0, hi=1.0)
     merge_prob: float = bounded(0.2, lo=0.0, hi=1.0)
-    n_points: int = bounded(DEFAULT_N_POINTS, lo=2)
+    n_points: int = bounded(DEFAULT_N_POINTS, lo=3)
     n_traffic: int = bounded(3, lo=0)
     grade: float = bounded(0.0)
     seed: int = bounded(0, lo=0)
@@ -170,7 +170,7 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
     """
     check_radius(radius)
     check_arms(n_arms)
-    checked("n_points", n_points, lo=2)
+    checked("n_points", n_points, lo=3)
     rng = np.random.default_rng(seed)
     thetas = [2.0 * np.pi * k / n_arms for k in range(n_arms)]
     ring = lambda th: np.array([radius * np.cos(th), radius * np.sin(th), 0.0])

@@ -15,8 +15,11 @@ visits one entry at a time, lanes are jittered and widened one at a time
 into validated polylines, vertex APs rank a Python list of flags per
 vertex, assignment is full enumeration, JSON is written by rounding
 every float on its own before json.dumps, and lanes are read one
-validated polyline at a time. None of this is imported by the package
-itself.
+validated polyline at a time. Three replaced kernels are kept as they
+were: the mean L1 matrix with each pair's points on a contiguous last
+axis, the float-array writer that prints every plain value with "%.9g",
+and the softmax that builds a new array per step. None of this is
+imported by the package itself.
 """
 
 import itertools
@@ -147,6 +150,20 @@ def avg_l1_scalar(a, b) -> float:
     if pa.shape != pb.shape:
         raise ValueError(f"point counts differ: {pa.shape} vs {pb.shape}")
     return float(np.mean(np.sum(np.abs(pa - pb), axis=1)))
+
+
+def avg_l1_matrix_lastaxis(L, H) -> np.ndarray:
+    """(n, m) mean L1 distances with each pair's N points on a contiguous
+    last axis: |dx| + |dy| + |dz| per point, then np.mean over the points,
+    the arithmetic geometry.avg_l1_matrix must match bit for bit."""
+    L = np.asarray(L, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
+    Lx, Ly, Lz = L.transpose(2, 0, 1)
+    Hx, Hy, Hz = H.transpose(2, 0, 1)
+    d = np.abs(Lx[:, None] - Hx)
+    d += np.abs(Ly[:, None] - Hy)
+    d += np.abs(Lz[:, None] - Hz)
+    return d.mean(axis=2)
 
 
 def cumulative_lengths(pts):
@@ -486,6 +503,38 @@ def walk(obj):
 def dumps_walk(obj) -> str:
     """The JSON text lanetopo.serialize.dumps must write, one float at a time."""
     return json.dumps(walk(obj), separators=(",", ":")) + "\n"
+
+
+def float_array_9g(a: np.ndarray) -> str:
+    """JSON text of a float array as serialize._float_array wrote it before
+    short values got their own cells: every plain value (normal, finite,
+    further than a relative 1e-8 from an integer) in one "%.9g" pass, an
+    integral value under 1e9 as "%.1f", and every other value as json.dumps
+    writes round9 of it."""
+    x = a.astype(np.float64, copy=False).reshape(-1, a.shape[-1])
+    with np.errstate(invalid="ignore"):
+        mag = np.abs(x)
+        off = np.abs(x - np.rint(x))
+        whole = (off == 0.0) & (mag < 1e9)
+        plain = (off > mag * 1e-8) & (mag >= np.finfo(np.float64).tiny)
+    specs = np.where(plain, "%.9g", np.where(whole, "%.1f", "%s")).tolist()
+    values = x.tolist()
+    rows = []
+    for spec_row, value_row, plain_row, whole_row in zip(specs, values, plain, whole):
+        args = [v if p or w else json.dumps(round9(v)) for v, p, w
+                in zip(value_row, plain_row, whole_row)]
+        rows.append("[" + ",".join(spec % v for spec, v in zip(spec_row, args)) + "]")
+    for n in reversed(a.shape[:-1]):
+        rows = ["[" + ",".join(rows[k:k + n]) + "]" for k in range(0, len(rows), n)]
+    return rows[0]
+
+
+def softmax_rows_copies(z: np.ndarray) -> np.ndarray:
+    """Row softmax with a new array per step: the shift, its exp and the
+    quotient, as nn.softmax_rows computed it before it worked in place."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def parse_lanes_loops(items):

@@ -29,6 +29,7 @@ from lanetopo.nn import (
     param_arrays,
     softmax_rows,
 )
+from oracles import softmax_rows_copies
 
 
 def affine_mask_params(w: float, b: float) -> SigmoidMaskParams:
@@ -114,6 +115,18 @@ class TestSoftmax:
         s = softmax_rows(np.array([[1000.0, 0.0, -1000.0]]))
         assert np.all(np.isfinite(s))
         assert s[0, 0] == pytest.approx(1.0)
+
+    def test_bitwise_equal_to_the_copying_oracle(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(0.0, 30.0, size=(4, 160, 160))
+        z[0, :, 5] = -np.inf
+        z[1, 3] = 700.0
+        for block in (z, z[:, :7], z[0], z[0, 0]):
+            assert np.array_equal(softmax_rows(block), softmax_rows_copies(block))
+
+    def test_rows_of_no_entries(self):
+        assert softmax_rows(np.zeros((4, 0, 0))).shape == (4, 0, 0)
+        assert softmax_rows(np.zeros((3, 0))).shape == (3, 0)
 
 
 class TestSigmoid:

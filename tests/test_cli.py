@@ -642,6 +642,30 @@ class TestFitdemo:
         assert not out.exists()
 
 
+class TestTwoPointScenes:
+    """The back half of a 2-point curve is its last point alone, so no scene
+    of fewer than 3 points per lane is synthesised or predicted."""
+
+    def test_synth_refuses_two_points(self, tmp_path, capsys):
+        out = tmp_path / "scene.json"
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--n-points", 2, "--seed", 1, "--out", out)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith("n_points must be finite and >= 3, got 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "fitdemo"])
+    def test_two_point_scene_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        scene_path, out = tmp_path / "scene.json", tmp_path / "out.json"
+        write_json(scene_path, scene_to_dict(chain_scene(n_points=2)))
+        assert run(command, "--scene", scene_path, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot split 2-point curves into halves: one half would be a "
+            "zero-length polyline (at least 3 points are needed)"]
+        assert sorted(tmp_path.iterdir()) == [scene_path]
+
+
 class TestInputErrors:
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "scene.json"

@@ -343,6 +343,13 @@ class TestHalfDistances:
         with pytest.raises(ValueError, match="zero-length"):
             half_distances_loops(lanes, conn)
 
+    @pytest.mark.parametrize("n_pts", [1, 2])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_fewer_than_three_points_are_refused_by_count(self, n_pts, m):
+        # with or without curves: the stack's point count alone decides
+        with pytest.raises(ValueError, match=f"^cannot split {n_pts}-point curves"):
+            lt.half_distances(np.zeros((2, n_pts, 3)), np.zeros((m, n_pts, 3)))
+
     def test_empty_sides_give_the_old_shapes(self):
         rng = np.random.default_rng(1)
         lanes, conn = random_lanes(rng, 4, 11), random_connected(rng, 3, 11)

@@ -7,6 +7,7 @@ import lanetopo as lt
 from lanetopo.geometry import (
     L1_CHUNK,
     PAIR_CHUNK,
+    _plane_sum,
     _point_gaps,
     avg_l1_matrix,
     chamfer_pairs,
@@ -22,6 +23,7 @@ from lanetopo.geometry import (
 from conftest import straight_lane
 from oracles import (
     avg_l1_loops,
+    avg_l1_matrix_lastaxis,
     avg_l1_scalar,
     chamfer_loops,
     cumulative_lengths,
@@ -249,6 +251,37 @@ class TestAvgL1Matrix:
             avg_l1_matrix(np.zeros((2, 11, 3)), np.zeros((3, 7, 3)))
         with pytest.raises(ValueError, match="expected"):
             avg_l1_matrix(np.zeros((11, 3)), np.zeros((3, 11, 3)))
+        with pytest.raises(ValueError, match="zero points"):
+            avg_l1_matrix(np.zeros((2, 0, 3)), np.zeros((3, 0, 3)))
+
+    def test_plane_sum_adds_in_numpy_pairwise_order(self):
+        # below 8 planes in turn, 8 accumulators up to 128, halves above:
+        # the order of np.sum over a contiguous axis, whatever N
+        rng = np.random.default_rng(7)
+        for N in range(1, 301):
+            d = rng.random((N, 3, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, (N, 1, 1))
+            expected = np.ascontiguousarray(np.moveaxis(d, 0, -1)).sum(axis=-1)
+            assert np.array_equal(_plane_sum(d.copy()), expected), N
+
+    def test_bitwise_equal_to_the_last_axis_kernel_at_every_point_count(self):
+        rng = np.random.default_rng(11)
+        for N in range(2, 301):
+            scale = 10.0 ** rng.uniform(-2.0, 3.0)
+            L, H = rng.normal(size=(3, N, 3)) * scale, rng.normal(size=(4, N, 3)) * scale
+            assert np.array_equal(avg_l1_matrix(L, H), avg_l1_matrix_lastaxis(L, H)), N
+
+    @pytest.mark.parametrize("n_pts", [11, 129, 300])
+    @pytest.mark.parametrize("n, m", [(L1_CHUNK // 7, 7), (L1_CHUNK // 7 + 1, 7),
+                                      (2, L1_CHUNK), (2, L1_CHUNK + 1), (L1_CHUNK + 1, 1),
+                                      (0, 5), (5, 0), (0, 0)])
+    def test_chunk_boundaries_and_empty_sides_match_the_last_axis_kernel(self, n_pts, n, m):
+        # one full chunk, a full chunk and one more lane, one lane per chunk,
+        # and empty sides, at point counts on both sides of the halving
+        rng = np.random.default_rng(n * 7 + m + n_pts)
+        L, H = rng.normal(size=(n, n_pts, 3)) * 30.0, rng.normal(size=(m, n_pts, 3)) * 30.0
+        got = avg_l1_matrix(L, H)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, avg_l1_matrix_lastaxis(L, H))
 
 
 class TestDiscreteFrechet:

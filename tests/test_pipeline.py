@@ -184,6 +184,13 @@ class TestGeometryEncoder:
         assert np.array_equal(enc.encode(stack), enc.encode(stack.reshape(5, -1)))
 
 
+def test_queries_accept_empty_lane_and_curve_stacks():
+    params = init_pipeline_params(lt.PipelineConfig(), 11)
+    c = params.enc_lane.projection.shape[1]
+    q_bar, qc_hat, d, pairs = pipeline.queries(params, np.zeros((0, 11, 3)), np.zeros((0, 11, 3)))
+    assert (q_bar.shape, qc_hat.shape, d.shape, pairs.shape) == ((0, c), (0, c), (0, 0), (0, 2))
+
+
 def permuted(scene, lanes=None, traffic=None):
     """scene with its lanes taken in the order lanes and its traffic elements
     in the order traffic (index arrays, identity when None), topology along."""

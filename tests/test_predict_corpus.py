@@ -14,7 +14,11 @@ one byte fails here. The corpus covers:
   and its pairwise summation over N >= 8 are covered;
 * ground-truth input, perturbed input with dropped and spurious lanes,
   score noise and topology flips, the --no-tam ablation, and query budgets
-  small enough to truncate lanes, connections and traffic elements.
+  small enough to truncate lanes, connections and traffic elements;
+* one perturbed 169-lane 8x20 grid, pinned before the half distances were
+  summed plane by plane and the scores written as integers: its 158 x 161
+  half-distance matrices take 7 row chunks, and nearly every ll and lt
+  score is written through the writer's short-value cells.
 """
 
 import hashlib
@@ -103,3 +107,17 @@ def test_every_output_is_pinned(digests):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_prediction_bytes_are_pinned(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+LARGE = lt.SynthParams(n_corridors=8, n_segments=20, seed=41)
+LARGE_DIGEST = "48391ee42cc1c6d7f3863eb1a3aa9eabe05f03b672825f843464b67b6a78e6b1"
+
+
+def test_large_grid_prediction_bytes_are_pinned(tmp_path):
+    scene = lt.generate_scene(LARGE)
+    assert len(scene.lanes) == 169
+    scene_path, pred = tmp_path / "grid8x20.json", tmp_path / "pred.json"
+    write_json(scene_path, scene_to_dict(scene))
+    assert main(["predict", "--scene", str(scene_path), "--out", str(pred),
+                 "--source", "perturbed", "--point-sigma", "0.3", "--drop-rate", "0.05"]) == 0
+    assert hashlib.sha256(pred.read_bytes()).hexdigest() == LARGE_DIGEST

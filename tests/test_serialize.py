@@ -30,8 +30,9 @@ from lanetopo.serialize import (
     write_json,
     write_manifest,
 )
+from lanetopo.serialize import _ONE_PASS_MIN, _float_array, _short_digits
 from conftest import chain_scene, perfect_prediction
-from oracles import dumps_walk, parse_lanes_loops
+from oracles import dumps_walk, float_array_9g, parse_lanes_loops
 
 
 class TestRound9:
@@ -155,6 +156,85 @@ class TestWriterOracle:
                     build_manifest("predict", {"point_sigma": 0.3, "use_tam": True},
                                    {"noise_seed": np.int64(0)}, [], [out], 0.123456789123)):
             self.check(doc)
+
+
+def _neighbours(x, k=64):
+    """The k doubles below x and x with the k - 1 above it."""
+    below = [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+    above = [x]
+    for _ in range(k - 1):
+        above.append(np.nextafter(above[-1], 2.0))
+    return below[1:] + above
+
+
+class TestShortValueCells:
+    """The writer's cells for values in [1e-4, 1) against the one-"%.9g"-pass
+    writer they replaced, byte for byte."""
+
+    @staticmethod
+    def check(a):
+        assert _float_array(a) == float_array_9g(a)
+
+    def test_a_million_values_across_decades(self):
+        rng = np.random.default_rng(33)
+        x = rng.uniform(1.0, 10.0, 10**6) * 10.0 ** rng.integers(-7, 2, 10**6)
+        self.check((x * rng.choice([-1.0, 1.0], 10**6)).reshape(1000, 1000))
+
+    def test_scores_take_the_short_cells(self):
+        # every sigmoid score is short but the few next to a rounding tie
+        x = np.random.default_rng(34).uniform(1e-4, 1.0, 10**5)
+        short = _short_digits(x)[0]
+        assert short.mean() > 0.9999
+        self.check(x.reshape(100, -1))
+
+    def test_decade_edges(self):
+        x = np.array([v for e in (1e-4, 1e-3, 0.01, 0.1, 1.0) for v in _neighbours(e)])
+        self.check(_signed(x))
+        self.check(_signed(x).reshape(-1, 8))
+        # each decade's first double is short, with its decade's zeros
+        short, zeros, _ = _short_digits(np.array([0.1, 0.01, 1e-3, 1e-4]))
+        assert short.all() and zeros.tolist() == [0, 1, 2, 3]
+
+    def test_digits_that_round_into_the_next_decade(self):
+        x = np.array([0.09999999995, 0.099999999951, 0.0999999999499, 0.0999999999999,
+                      0.00099999999951, 0.0009999999995, 0.000999999999, 0.999999999,
+                      0.9999999995, 0.99999999949, 0.0099999999951, 0.00999999999949,
+                      0.000099999999951, 0.00009999999995, 0.099999999, 0.0999999996])
+        self.check(_signed(x))
+        assert not _short_digits(np.float64(0.0999999999999)[None])[0].any()
+
+    def test_ties_at_the_tenth_digit_are_left_to_printf(self):
+        rng = np.random.default_rng(35)
+        for zeros in range(4):
+            digits = rng.integers(10**8, 10**9, 4000)
+            x = np.array([float(f"0.{'0' * zeros}{d}5") for d in digits])
+            assert not _short_digits(x)[0].any()
+            self.check(_signed(x))
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                      np.nan, np.inf, -np.inf, 0.5, -0.5, 0.25, 1e-4, -1e-4, 0.1, 0.001,
+                      1.0, -1.0, 1e9, 1e16, 9.99999999999e-5, 0.123456789, 0.1000000005])
+        self.check(x)
+        self.check(np.stack([x, x[::-1]]))
+        self.check(x.astype(np.float32))
+
+    @pytest.mark.parametrize("size", [_ONE_PASS_MIN, _ONE_PASS_MIN + 1])
+    @pytest.mark.parametrize("shape", [(-1,), (1, -1), (-1, 1), (1, 1, -1), (-1, 1, 1)])
+    def test_shapes_at_the_array_pass_threshold(self, size, shape):
+        rng = np.random.default_rng(size)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, size - 4), [0.0, -0.0, np.nan, 12.5]])
+        self.check(x.reshape(shape))
+        assert dumps(x.reshape(shape)) == dumps_walk(x.reshape(shape))
+        assert dumps(x[:-1].reshape(shape)) == dumps_walk(x[:-1].reshape(shape))
+
+    def test_three_dimensional_lane_stacks(self):
+        rng = np.random.default_rng(36)
+        lanes = rng.normal(size=(7, 11, 3)) * 10.0 ** rng.integers(-5, 3, (7, 11, 3))
+        self.check(lanes)
+        assert dumps([*lanes]) == dumps_walk([*lanes])
 
 
 NAN, INF = float("nan"), float("inf")
