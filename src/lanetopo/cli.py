@@ -14,7 +14,12 @@ or --topo-flip-rate is nonzero (they change nothing, so its manifest omits
 them); the exit code and outputs stay as they are. Every numeric flag, and
 gradcheck's --corrupt, is checked at parse time; an output path naming an
 input or another output exits 2 unwritten. Directories are processed
-serially in sorted file order.
+serially in sorted file order. A directory predict draws the model
+parameters once per point count and scores every scene with them; a
+directory eval reads and scores its pairs in groups of at most about
+EVAL_GROUP_LANES lanes (metrics.evaluate_group), so shared kernel work is
+done once per group and memory does not grow with the directory. Either
+way every output is byte for byte what the per-file command writes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, gradcheck, metrics, synth, training
+from . import geometry, gradcheck, metrics, pipeline, synth, training
 from .attention import ModelDims
 from .connect import build_connected_gt
 from .metrics import (
@@ -40,7 +45,9 @@ from .metrics import (
     TOP_IOU,
     LaneSegmentReport,
     MetricReport,
+    ScoringError,
     evaluate,
+    evaluate_group,
     valid_distances,
 )
 from .pipeline import PipelineConfig, run_pipeline
@@ -67,6 +74,11 @@ from .training import FitDiverged, toy_fit
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+# predicted and ground-truth lanes a directory eval reads before it scores
+# them as one group: enough to share each kernel call among dozens of small
+# scenes, few enough that memory does not grow with the directory
+EVAL_GROUP_LANES = 256
 
 
 def _data_files(directory: Path) -> list[Path]:
@@ -180,11 +192,14 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _predict_one(scene_path: Path, out_path: Path, cfg: PipelineConfig,
-                 manifest_params: dict) -> str:
+                 manifest_params: dict, params: dict) -> str:
+    """Predict one scene with params[n_points], drawn into params on first use."""
     t0 = time.perf_counter()
     scene = read_scene(scene_path)
+    if scene.n_points not in params:
+        params[scene.n_points] = pipeline.init_pipeline_params(cfg, scene.n_points)
     pred = run_pipeline(scene, cfg, warn=lambda msg: print(
-        f"warning: {scene_path.name}: {msg}", file=sys.stderr))
+        f"warning: {scene_path.name}: {msg}", file=sys.stderr), params=params[scene.n_points])
     write_json(out_path, prediction_to_dict(pred))
     write_manifest(out_path, build_manifest(
         "predict", manifest_params,
@@ -223,11 +238,11 @@ def cmd_predict(args) -> int:
             # outputs would replace the scenes, and a failed scene's file be removed
             raise ValueError(f"output directory {out_path} is the scene directory")
         out_path.mkdir(parents=True, exist_ok=True)
-        failed = False
+        failed, params = False, {}
         for f in files:
             # a bad scene is reported and skipped; the others still get output
             try:
-                print(_predict_one(f, out_path / f.name, cfg, manifest_params))
+                print(_predict_one(f, out_path / f.name, cfg, manifest_params, params))
             except (OSError, ValueError) as err:
                 _print_error(err, f"{f.name}: ")
                 failed = True
@@ -236,7 +251,7 @@ def cmd_predict(args) -> int:
                     stale.unlink(missing_ok=True)
         return EXIT_INPUT_ERROR if failed else EXIT_OK
     _check_distinct([scene_path], [out_path])
-    print(_predict_one(scene_path, out_path, cfg, manifest_params))
+    print(_predict_one(scene_path, out_path, cfg, manifest_params, {}))
     return EXIT_OK
 
 
@@ -249,15 +264,24 @@ def _read_or_report(read, path: Path):
         return None
 
 
-def _eval_one(pred, scene, args) -> MetricReport:
-    return evaluate(
-        pred, scene,
-        det_l_thresholds=args.det_thresholds,
-        det_t_iou=args.det_iou,
-        top_frechet=args.top_frechet,
-        top_iou=args.top_iou,
-        lane_width=args.lane_width,
-    )
+def _score_group(group: list, args, rows: list) -> bool:
+    """Append (name, report) for each (pred path, gt path, pred, scene) of
+    group to rows, scored as one group; False, with rows as they were,
+    after printing the error of the first pair that cannot be scored,
+    prefixed with the file it is in."""
+    pairs = [(pred, scene) for _, _, pred, scene in group]
+    thresholds = dict(det_l_thresholds=args.det_thresholds, det_t_iou=args.det_iou,
+                      top_frechet=args.top_frechet, top_iou=args.top_iou,
+                      lane_width=args.lane_width)
+    try:
+        # a group of one is evaluate's own call (perfbench's tracer times cli.evaluate)
+        reports = evaluate_group(pairs, **thresholds) if len(pairs) > 1 \
+            else [evaluate(*pairs[0], **thresholds)]
+    except ScoringError as err:
+        _print_error(err, f"{group[err.item][err.side]}: ")
+        return False
+    rows += [(pf.stem, report) for (pf, *_), report in zip(group, reports)]
+    return True
 
 
 def _mean_report(reports: list, cls=MetricReport):
@@ -299,14 +323,19 @@ def cmd_eval(args) -> int:
     out_csv = Path(args.csv) if args.csv else out_json.with_suffix(".csv")
     _check_distinct([p for pair in jobs for p in pair], [out_json, out_csv])
 
-    rows, failed = [], False
-    for pf, gf in jobs:
-        # every unreadable file is reported; scoring stops at the first,
-        # since no report is written then
+    rows, group, n_lanes, failed = [], [], 0, False
+    for k, (pf, gf) in enumerate(jobs):
+        # every unreadable file is reported; scoring stops at the first
+        # failure, since no report is written then
         scene, pred = _read_or_report(read_scene, gf), _read_or_report(read_prediction, pf)
         failed = failed or scene is None or pred is None
-        if not failed:
-            rows.append((pf.stem, _eval_one(pred, scene, args)))
+        if failed:
+            continue
+        group.append((pf, gf, pred, scene))
+        n_lanes += len(pred.lanes) + len(scene.lanes)
+        if n_lanes >= EVAL_GROUP_LANES or k == len(jobs) - 1:
+            failed = not _score_group(group, args, rows)
+            group, n_lanes = [], 0
     if failed:
         return EXIT_INPUT_ERROR
 

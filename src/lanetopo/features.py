@@ -28,6 +28,11 @@ class GeometryEncoder:
         d = n_values * 2 * len(FREQS)
         return cls(projection=rng.normal(size=(d, c)) / np.sqrt(d))
 
+    @property
+    def n_values(self) -> int:
+        """The values per item this encoder was drawn for."""
+        return self.projection.shape[0] // (2 * len(FREQS))
+
     def encode(self, values: np.ndarray) -> np.ndarray:
         """(n_items, ...) -> (n_items, c) features; each item's values are
         flattened in row-major order, so (k, n, 3) is (k, 3n); no items give

@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .scene import FLAWS, Polyline3D, checked, polyline_flaws
+from .scene import Polyline3D, checked, polyline_flaws
 
 
 def _as_points(poly) -> np.ndarray:
@@ -248,21 +248,27 @@ def chamfer(a, b) -> float:
     return float(chamfer_pairs(_as_points(a)[None], _as_points(b)[None])[0])
 
 
-def endpoint_bound(a: list, b: list) -> np.ndarray:
-    """(len(a), len(b)) lower bounds on discrete_frechet(a[i], b[j]).
+def endpoint_bounds(A, B, ia, ib) -> np.ndarray:
+    """Lower bounds on the discrete Frechet distances of k polyline pairs,
+    pair j running from the polyline whose first and last points are
+    A[ia[j]] to the one whose are B[ib[j]]; A (n, 2, 3) and B (m, 2, 3).
 
     Every coupling starts at the first two points and ends at the last two,
-    so the distance is at least the larger of those two gaps. The gaps are
-    _point_gaps of the first points and of the last points, the recurrence's
-    own first and last cells, and the recurrence only takes max and min, so
-    the bound never exceeds the distance, bitwise.
+    so the distance is at least the larger of those two gaps. Each gap is
+    summed (dx^2 + dy^2) + dz^2 on coordinate planes as _point_gaps sums
+    it, so it is the recurrence's own first or last cell, and the
+    recurrence only takes max and min, so the bound never exceeds the
+    distance, bitwise.
     """
-    def ends(polys):  # (2, 1, len(polys), 3): first points, then last points
-        return np.array([(P[0], P[-1]) for P in map(_as_points, polys)], dtype=np.float64) \
-            .reshape(-1, 1, 2, 3).transpose(2, 1, 0, 3)
-
-    (first_a, last_a), (first_b, last_b) = ends(a), ends(b)
-    return np.maximum(_point_gaps(first_a, first_b)[0], _point_gaps(last_a, last_b)[0])
+    gaps = None
+    for a, b in zip(np.ascontiguousarray(np.transpose(A, (2, 1, 0)), dtype=np.float64),
+                    np.ascontiguousarray(np.transpose(B, (2, 1, 0)), dtype=np.float64)):
+        d = np.take(a, ia, axis=1)
+        d -= np.take(b, ib, axis=1)
+        d *= d
+        gaps = d if gaps is None else np.add(gaps, d, out=gaps)
+    np.sqrt(gaps, out=gaps)
+    return np.maximum(gaps[0], gaps[1])
 
 
 def stacks_by_count(polys: list):
@@ -276,80 +282,31 @@ def stacks_by_count(polys: list):
         yield idx, np.concatenate(group).reshape(idx.size, *group[0].shape)
 
 
-def _pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
-    """kernel(a[i], b[j]) where keep[i, j], inf elsewhere. Pairs are grouped
-    by their (n, m) point counts: polylines of one list may differ in it."""
-    out = np.full(keep.shape, np.inf)
-    b_stacks = list(stacks_by_count(b))
-    for ia, A in stacks_by_count(a):
-        for ib, B in b_stacks:
-            p, g = np.divmod(np.flatnonzero(keep[np.ix_(ia, ib)]), ib.size)
-            if p.size:
-                out[ia[p], ib[g]] = kernel(A[p], B[g])
-    return out
-
-
-def frechet_matrix(a: list, b: list, cut: float) -> np.ndarray:
-    """(len(a), len(b)) discrete Frechet distances, exact below cut.
-
-    A pair whose endpoint bound reaches the cut is left at inf without
-    running the recurrence: its distance is at least the cut.
-    """
-    return _pair_matrix(frechet_pairs, a, b, endpoint_bound(a, b) < cut)
-
-
-def segment_matrix(a, b, centerline: np.ndarray, cut: float) -> np.ndarray:
-    """(len(a), len(b)) lane-segment distances, exact below cut: the mean of
-    the boundary Chamfer distance and the centerline Frechet distance.
-
-    a and b hold each segment's boundary points, left then right, (2n, 3)
-    per segment: a (k, 2n, 3) stack, or a list when point counts differ.
-    centerline is the segments' centerline frechet_matrix, exact below
-    2 * cut. The distance is at least half the centerline term, so the
-    Chamfer term is only computed for pairs under that.
-    """
-    d_lr = _pair_matrix(chamfer_pairs, a, b, centerline < 2.0 * cut)
-    return 0.5 * (d_lr + centerline)
-
-
 # the lane width widen and evaluate accept, as the CLI checks it too
 check_width = functools.partial(checked, "lane width", lo=0.0, above=True)
 
 
-def widen(P, width: float) -> tuple[np.ndarray, np.ndarray]:
+def widen(P, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left and right boundaries of the lanes P (k, n, 3), offset width/2 to
-    each side of each centerline.
+    each side of each centerline, and their (k, 4) flaws: polyline_flaws of
+    the left boundaries, then of the right ones.
 
     Offsets follow the horizontal normal of the tangent (central differences);
     near-vertical tangents fall back to the +y direction. Every step is
     elementwise or reduces one point's xyz, so each lane's boundaries are
-    bitwise the ones it gets alone. A boundary that Polyline3D would reject
-    (non-finite, or with consecutive duplicate points) raises its ValueError,
-    for the first such lane, left boundary before right.
+    bitwise the ones it gets alone. A tangent or normal that overflows gives
+    a non-finite boundary, which is flagged, not warned about.
     """
     width = check_width(width)
     P = np.asarray(P, dtype=np.float64)
-    tan = np.gradient(P, axis=1)
-    normal = np.stack([-tan[..., 1], tan[..., 0], np.zeros(P.shape[:2])], axis=-1)
-    norms = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal = np.where(norms > 1e-12, normal / np.maximum(norms, 1e-12), [0.0, 1.0, 0.0])
-    half = 0.5 * width
-    left, right = P + half * normal, P - half * normal
-    # per lane: left non-finite, left duplicates, right non-finite, right duplicates
-    bad = np.concatenate([polyline_flaws(left), polyline_flaws(right)], axis=1)
-    if bad.any():
-        raise ValueError(FLAWS[np.argwhere(bad)[0, 1] % 2])
-    return left, right
-
-
-def lane_boundaries(lanes: list, width: float) -> list[np.ndarray]:
-    """Each lane's left then right boundary points, (2n, 3), from one widen
-    call per point count."""
-    out = [None] * len(lanes)
-    for idx, P in stacks_by_count(lanes):
-        for k, bounds in zip(idx, np.concatenate(widen(P, width), axis=1)):
-            out[k] = bounds
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        tan = np.gradient(P, axis=1)
+        normal = np.stack([-tan[..., 1], tan[..., 0], np.zeros(P.shape[:2])], axis=-1)
+        norms = np.linalg.norm(normal, axis=-1, keepdims=True)
+        normal = np.where(norms > 1e-12, normal / np.maximum(norms, 1e-12), [0.0, 1.0, 0.0])
+        half = 0.5 * width
+        left, right = P + half * normal, P - half * normal
+    return left, right, np.concatenate([polyline_flaws(left), polyline_flaws(right)], axis=1)
 
 
 def _box_area(box: np.ndarray) -> float:

@@ -17,12 +17,24 @@ Conventions used throughout:
 * Vacuously perfect cases score 1.0: a metric with nothing to detect and
   nothing predicted is clean, not broken.
 
-Shared match context. `evaluate` builds the lane Frechet matrix, the
-traffic IoU matrix, each greedy matching and the ranking of the predicted
-ll rows once per scene; DET_l, DET_t, TOP_ll, TOP_lt and the lane-segment
-block all read them. `evaluate` widens the segments from the same lanes,
-in one array pass per point count, so the lane matrix is also their
-centerline term.
+Two stages. `evaluate_group` scores a group of (prediction, scene) pairs;
+`evaluate` is a group of one. The kernel stage (_lane_matrices) runs each
+lane-distance kernel once per point count on the concatenated pairs or
+lanes of every scene in the group: the endpoint bounds of every lane pair,
+the Frechet DP over the pairs the bounds keep, the widening of every lane
+into its lane segment, and the boundary Chamfer over the pairs whose
+centerline distance is under twice the segment cut. A kernel's cost is
+mostly per call, not per pair, so a group of 64 small scenes costs about
+what one scene does. Each kernel is per-pair or per-lane arithmetic, so
+each scene's matrices are bitwise the ones a group of one gives.
+
+Shared match context. For a group of scenes, the kernel stage builds
+every lane and lane-segment distance once, and each scene reads its own
+blocks as (n_pred, n_gt) matrices; the lane Frechet matrix is also the
+centerline term of the lane-segment distance. Per scene, the per-scene
+stage builds each greedy matching, the traffic IoU matrix and the ranking
+of the predicted ll rows once; DET_l, DET_t, TOP_ll, TOP_lt and the
+lane-segment block all read them.
 
 Endpoint-bound pruning. A lane pair matches only below a threshold, so a
 pair whose distance is at least the largest threshold in use (the cut) can
@@ -39,11 +51,27 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import box_iou, check_width, frechet_matrix, lane_boundaries, segment_matrix
-from .scene import Prediction, Scene, checked, prediction_shape_errors, topology_shape_errors
+from .geometry import (
+    box_iou,
+    chamfer_pairs,
+    check_width,
+    endpoint_bounds,
+    frechet_pairs,
+    stacks_by_count,
+    widen,
+)
+from .scene import (
+    FLAWS,
+    Prediction,
+    Scene,
+    checked,
+    prediction_shape_errors,
+    topology_shape_errors,
+)
 
 DET_L_THRESHOLDS = (1.0, 2.0, 3.0)
 DET_T_IOU = 0.75
@@ -51,6 +79,18 @@ TOP_FRECHET = 1.5
 TOP_IOU = 0.75
 LS_THRESHOLDS = (1.0, 2.0, 3.0)
 LS_TOP_THRESHOLD = 1.5
+# the largest lane-segment threshold: segment distances are exact below it
+SEGMENT_CUT = max(*LS_THRESHOLDS, LS_TOP_THRESHOLD)
+
+
+class ScoringError(ValueError):
+    """A pair of a scored group that cannot be scored: item is its index in
+    the group, side 0 its prediction and 1 its scene; the message names the
+    problem, not the pair."""
+
+    def __init__(self, item: int, side: int, message: str):
+        super().__init__(message)
+        self.item, self.side = item, side
 
 
 @dataclass(frozen=True)
@@ -148,11 +188,103 @@ def greedy_match(dist: np.ndarray, scores: np.ndarray, threshold: float,
     return to_gt >= 0, to_gt[np.argsort(order)], order
 
 
-def _lane_matches(pred: Prediction, scene: Scene, thresholds, cut: float):
-    """(Frechet matrix exact below cut, {threshold: greedy matching}), one
-    matching per distinct threshold."""
-    dist = frechet_matrix(pred.lanes, scene.lanes, cut)
-    return dist, {thr: greedy_match(dist, pred.lane_scores, thr) for thr in set(thresholds)}
+class _Side(NamedTuple):
+    """Every lane of one side of a group (the predictions or the scenes), in
+    group order: offsets (S + 1,) where each document's lanes start, and per
+    lane its first and last points (N, 2, 3), its point count and its row in
+    stacks, which holds one (k, n, 3) array per point count n."""
+
+    offsets: np.ndarray
+    ends: np.ndarray
+    count: np.ndarray
+    row: np.ndarray
+    stacks: dict
+
+
+def _side(docs) -> _Side:
+    lanes = [lane for doc in docs for lane in doc.lanes]
+    count, row = np.empty(len(lanes), dtype=int), np.empty(len(lanes), dtype=int)
+    ends = np.empty((len(lanes), 2, 3))
+    stacks = {}
+    for idx, P in stacks_by_count(lanes):
+        count[idx], row[idx], ends[idx] = P.shape[1], np.arange(idx.size), P[:, [0, -1]]
+        stacks[P.shape[1]] = P
+    return _Side(np.cumsum([0, *[len(doc.lanes) for doc in docs]]), ends, count, row, stacks)
+
+
+def _pair_kernel(kernel, a: _Side, b: _Side, a_stacks: dict, b_stacks: dict,
+                 pa: np.ndarray, pb: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """kernel(a_stacks lane pa[k], b_stacks lane pb[k]) for the pairs k where
+    keep, inf elsewhere: one call per pair of point counts. The stacks are
+    keyed and rowed as a.stacks and b.stacks are."""
+    out = np.full(pa.shape, np.inf)
+    keep = np.flatnonzero(keep)
+    ca, cb = a.count[pa[keep]], b.count[pb[keep]]
+    for n, A in a_stacks.items():
+        for m, B in b_stacks.items():
+            sel = keep[(ca == n) & (cb == m)]
+            if sel.size:
+                out[sel] = kernel(A[a.row[pa[sel]]], B[b.row[pb[sel]]])
+    return out
+
+
+def _boundaries(side: _Side, width: float, which: int):
+    """(boundary stacks keyed as side.stacks: each lane's left then right
+    boundary points, (k, 2n, 3); the first lane of side whose boundary
+    Polyline3D would reject, as a ScoringError with which as its side, or None)."""
+    bounds, flaws = {}, np.zeros((len(side.count), 4), dtype=bool)
+    for n, P in side.stacks.items():
+        left, right, flaws[side.count == n] = widen(P, width)
+        bounds[n] = np.concatenate([left, right], axis=1)
+    bad = np.flatnonzero(flaws.any(axis=1))
+    if not bad.size:
+        return bounds, None
+    item = int(np.searchsorted(side.offsets, bad[0], side="right")) - 1
+    flaw = int(np.argmax(flaws[bad[0]]))
+    return bounds, ScoringError(item, which, f"lane {bad[0] - side.offsets[item]}: "
+                                f"{('left', 'right')[flaw // 2]} boundary at lane width "
+                                f"{width:g}: {FLAWS[flaw % 2]}")
+
+
+def _lane_matrices(pairs: list, cut: float, width: float | None) -> list:
+    """The kernel stage: per (prediction, scene) pair, its lane Frechet matrix
+    (exact below cut) and, with a lane width, its lane-segment matrix (exact
+    below SEGMENT_CUT; see the module docstring), else None.
+
+    Each kernel runs once per point count on every pair or lane of the
+    group; each pair's or lane's arithmetic is that of a group of one, so
+    every matrix is bitwise the same whatever else the group holds. A lane
+    whose boundary cannot be built raises ScoringError, the first in group
+    order, before any distance is taken. A distance that overflows is inf.
+    """
+    a, b = _side([p for p, _ in pairs]), _side([s for _, s in pairs])
+    if width is not None:
+        a_bounds, a_err = _boundaries(a, width, 0)
+        b_bounds, b_err = _boundaries(b, width, 1)
+        errors = [err for err in (a_err, b_err) if err is not None]
+        if errors:
+            raise min(errors, key=lambda err: err.item)
+        cut = max(cut, 2.0 * SEGMENT_CUT)
+    # every (prediction lane, scene lane) pair of every scene, scene by scene, row-major
+    na, nb = np.diff(a.offsets), np.diff(b.offsets)
+    starts = np.cumsum([0, *(na * nb)])
+    item = np.repeat(np.arange(len(pairs)), na * nb)
+    i, j = np.divmod(np.arange(starts[-1]) - starts[item], nb[item])
+    pa, pb = a.offsets[item] + i, b.offsets[item] + j
+    with np.errstate(over="ignore"):
+        bound = endpoint_bounds(a.ends, b.ends, pa, pb)
+        lanes = _pair_kernel(frechet_pairs, a, b, a.stacks, b.stacks, pa, pb, bound < cut)
+        segments = None if width is None else 0.5 * (_pair_kernel(
+            chamfer_pairs, a, b, a_bounds, b_bounds, pa, pb, lanes < 2.0 * SEGMENT_CUT) + lanes)
+    blocks = zip(starts[:-1].tolist(), starts[1:].tolist(), na.tolist(), nb.tolist())
+    return [(lanes[s:e].reshape(n, m), None if segments is None else segments[s:e].reshape(n, m))
+            for s, e, n, m in blocks]
+
+
+def _lane_matches(dist: np.ndarray, pred: Prediction, thresholds) -> dict:
+    """{threshold: greedy matching} on the lane matrix dist, one matching per
+    distinct threshold."""
+    return {thr: greedy_match(dist, pred.lane_scores, thr) for thr in set(thresholds)}
 
 
 def _traffic_matches(pred: Prediction, scene: Scene, thresholds) -> dict:
@@ -195,7 +327,8 @@ def det_l(pred: Prediction, scene: Scene,
     if shape_errors:
         raise ValueError(shape_errors[0])
     thresholds = valid_distances(thresholds)
-    _, lanes = _lane_matches(pred, scene, thresholds, max(thresholds))
+    [(dist, _)] = _lane_matrices([(pred, scene)], max(thresholds), None)
+    lanes = _lane_matches(dist, pred, thresholds)
     return _det_l(pred, scene, lanes, thresholds)
 
 
@@ -251,25 +384,74 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
                    + np.sqrt(top_ll_score) + np.sqrt(top_lt_score))
 
 
-def _lane_segment_report(pred: Prediction, scene: Scene, p_bounds, g_bounds,
-                         centerline: np.ndarray, ll_ranks: np.ndarray,
-                         lane_to_gt: np.ndarray, top_ll: float) -> LaneSegmentReport:
-    """The lane-segment block: the lanes of pred and scene as segments with
-    boundary points p_bounds and g_bounds (see segment_matrix), ranked by
-    pred.lane_scores, their centerline distances read from the lane matrix
-    and their topology pred.topo.ll (rows ranked as ll_ranks) against
-    scene.topo.ll. AP is None, and mAP 1.0, when there is no lane either side.
-    When the segment matching is TOP_ll's matching lane_to_gt, TOP_lsls is
-    that metric's value top_ll, which is not computed again."""
-    dist = segment_matrix(p_bounds, g_bounds, centerline, max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
+def _lane_segment_report(pred: Prediction, scene: Scene, dist: np.ndarray,
+                         ll_ranks: np.ndarray, lane_to_gt: np.ndarray,
+                         top_ll: float) -> LaneSegmentReport:
+    """The lane-segment block: the lanes of pred and scene as segments at
+    lane-segment distances dist (exact below SEGMENT_CUT), ranked by
+    pred.lane_scores, and their topology pred.topo.ll (rows ranked as
+    ll_ranks) against scene.topo.ll. AP is None, and mAP 1.0, when there is
+    no lane either side. When the segment matching is TOP_ll's matching
+    lane_to_gt, TOP_lsls is that metric's value top_ll, which is not
+    computed again."""
     scores = pred.lane_scores
-    ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(g_bounds)) \
-        if len(p_bounds) or len(g_bounds) else None
+    ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(scene.lanes)) \
+        if len(pred.lanes) or len(scene.lanes) else None
     _, pred_to_gt, _ = greedy_match(dist, scores, LS_TOP_THRESHOLD)
     top_lsls = top_ll if np.array_equal(pred_to_gt, lane_to_gt) else _topology_score(
         scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt, ll_ranks)
     return LaneSegmentReport(map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
                              top_lsls=top_lsls)
+
+
+def _scene_report(pred: Prediction, scene: Scene, lane_dist: np.ndarray,
+                  segment_dist: np.ndarray | None, det_l_thresholds, det_t_iou: float,
+                  top_frechet: float, top_iou: float) -> MetricReport:
+    """The per-scene stage: every matching and score of one scene from its
+    kernel-stage matrices, the thresholds already checked."""
+    lanes = _lane_matches(lane_dist, pred, (*det_l_thresholds, top_frechet))
+    traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
+    d_l = _det_l(pred, scene, lanes, det_l_thresholds)
+    d_t = _det_t(pred, scene, traffic[det_t_iou])
+    lane_to_gt = lanes[top_frechet][1]
+    ll_ranks = rank_by_score(pred.topo.ll)  # TOP_ll and TOP_lsls rank the same rows
+    t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt, ll_ranks)
+    t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
+    block = None if segment_dist is None else _lane_segment_report(
+        pred, scene, segment_dist, ll_ranks, lane_to_gt, t_ll)
+    return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
+                        ols=float(ols(d_l, d_t, t_ll, t_lt)),
+                        lane_segments=block)
+
+
+def evaluate_group(pairs, det_l_thresholds=DET_L_THRESHOLDS,
+                   det_t_iou: float = DET_T_IOU,
+                   top_frechet: float = TOP_FRECHET,
+                   top_iou: float = TOP_IOU,
+                   lane_width: float | None = None) -> list[MetricReport]:
+    """Full metric reports of a group of (prediction, scene) pairs, in order,
+    each the report evaluate gives for its pair alone.
+
+    What evaluate refuses raises here as a ScoringError naming the first
+    pair and side that cannot be scored: a shape that does not fit (see
+    evaluate), then, once the thresholds and lane width are checked
+    (ValueError), a lane whose boundary at lane_width is not a polyline.
+    """
+    pairs = list(pairs)
+    for item, (pred, scene) in enumerate(pairs):
+        for side, errors in enumerate((prediction_shape_errors(pred),
+                                       topology_shape_errors(scene))):
+            if errors:
+                raise ScoringError(item, side, errors[0])
+    det_l_thresholds = valid_distances(det_l_thresholds)
+    top_frechet = check_distance(float(top_frechet))
+    det_t_iou, top_iou = check_iou(float(det_t_iou)), check_iou(float(top_iou))
+    if lane_width is not None:
+        lane_width = check_width(lane_width)
+    matrices = _lane_matrices(pairs, max(*det_l_thresholds, top_frechet), lane_width)
+    return [_scene_report(pred, scene, lane_dist, segment_dist, det_l_thresholds,
+                          det_t_iou, top_frechet, top_iou)
+            for (pred, scene), (lane_dist, segment_dist) in zip(pairs, matrices)]
 
 
 def evaluate(pred: Prediction, scene: Scene,
@@ -278,7 +460,7 @@ def evaluate(pred: Prediction, scene: Scene,
              top_frechet: float = TOP_FRECHET,
              top_iou: float = TOP_IOU,
              lane_width: float | None = None) -> MetricReport:
-    """Full metric report for one scene.
+    """Full metric report for one scene: evaluate_group on a group of one.
 
     lane_width, when given, fills the optional lane-segment block: the
     lanes of pred and scene are widened into "lane" segments of that width
@@ -286,32 +468,10 @@ def evaluate(pred: Prediction, scene: Scene,
     whose shape does not fit pred's lanes and traffic raises ValueError
     with validate_prediction's message, and a topo.ll or topo.lt that does
     not fit scene's with validate_scene's, as do a lane width that is not
-    finite and positive and thresholds that cannot be scored (non-finite
-    or non-positive distances, IoU outside (0, 1]).
+    finite and positive, thresholds that cannot be scored (non-finite or
+    non-positive distances, IoU outside (0, 1]) and a lane whose boundary
+    is not a polyline (non-finite, or with consecutive duplicate points),
+    named by its index in its own lanes.
     """
-    shape_errors = prediction_shape_errors(pred) + topology_shape_errors(scene)
-    if shape_errors:
-        raise ValueError(shape_errors[0])
-    det_l_thresholds = valid_distances(det_l_thresholds)
-    top_frechet = check_distance(float(top_frechet))
-    det_t_iou, top_iou = check_iou(float(det_t_iou)), check_iou(float(top_iou))
-    lane_cut = max(*det_l_thresholds, top_frechet)
-    if lane_width is not None:
-        lane_width = check_width(lane_width)
-        p_bounds = lane_boundaries(pred.lanes, lane_width)
-        g_bounds = lane_boundaries(scene.lanes, lane_width)
-        lane_cut = max(lane_cut, 2.0 * max(*LS_THRESHOLDS, LS_TOP_THRESHOLD))
-
-    lane_dist, lanes = _lane_matches(pred, scene, (*det_l_thresholds, top_frechet), lane_cut)
-    traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
-    d_l = _det_l(pred, scene, lanes, det_l_thresholds)
-    d_t = _det_t(pred, scene, traffic[det_t_iou])
-    lane_to_gt = lanes[top_frechet][1]
-    ll_ranks = rank_by_score(pred.topo.ll)  # TOP_ll and TOP_lsls rank the same rows
-    t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt, ll_ranks)
-    t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
-    block = None if lane_width is None else _lane_segment_report(
-        pred, scene, p_bounds, g_bounds, lane_dist, ll_ranks, lane_to_gt, t_ll)
-    return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
-                        ols=float(ols(d_l, d_t, t_ll, t_lt)),
-                        lane_segments=block)
+    return evaluate_group([(pred, scene)], det_l_thresholds, det_t_iou, top_frechet,
+                          top_iou, lane_width)[0]

@@ -172,8 +172,11 @@ def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
 
 
 def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
-                 warn: Callable[[str], None] | None = None) -> Prediction:
-    """Produce a Prediction for one scene.
+                 warn: Callable[[str], None] | None = None,
+                 params: PipelineParams | None = None) -> Prediction:
+    """Produce a Prediction for one scene, scored with params, by default
+    init_pipeline_params(cfg, scene.n_points); parameters drawn for another
+    point count raise ValueError naming both counts.
 
     source="gt" passes the ground-truth geometry through; "perturbed" runs
     the degradation model first. Either way the connection queries keep the
@@ -183,7 +186,11 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     emitted confidence and topology scores are sigmoids, strictly inside
     (0, 1); the lane-lane diagonal is zeroed at graph assembly.
     """
-    params = init_pipeline_params(cfg, scene.n_points)
+    if params is None:
+        params = init_pipeline_params(cfg, scene.n_points)
+    elif params.enc_lane.n_values != 3 * scene.n_points:
+        raise ValueError(f"parameters drawn for {params.enc_lane.n_values // 3} points per "
+                         f"lane do not fit scene n_points {scene.n_points}")
 
     C = connected_curves(scene)
     if cfg.source == "gt":

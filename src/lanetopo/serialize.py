@@ -6,12 +6,14 @@ the same data always serializes to the same bytes. Readers validate
 documents and raise SchemaError with the full violation list.
 
 The JSON writer formats each float array of at least _ONE_PASS_MIN values
-in one printf pass over a template built as one byte array, instead of
-rounding and re-printing every float. Each value's cell is one of:
+in one printf pass over a template built as one byte array of fixed-width
+cells, instead of rounding and re-printing every float. Each value's cell
+is one of:
 
-* a short value, 1e-4 <= |x| < 1 (every sigmoid score): "0.", the zeros of
-  its decade and "%d" of its 9 significant digits as an integer without
-  trailing zeros, about a third of the cost of "%.9g";
+* in arrays of at least _SHORT_MIN values, a short value, 1e-4 <= |x| < 1
+  (every sigmoid score): "0.", the zeros of its decade and "%d" of its 9
+  significant digits as an integer without trailing zeros, about a third
+  of the cost of "%.9g" but with a larger fixed cost per array;
 * any other plain value (normal, finite, under 1e9 and not rounded to an
   integer by "%.9g"): "%.9g";
 * an integral value under 1e9: "%.1f", which keeps repr's ".0" ("1.0",
@@ -89,19 +91,25 @@ def round9(x: float) -> float:
 # below the smallest normal double fewer than 9 digits can be significant
 _TINY = float(np.finfo(np.float64).tiny)
 
-# smaller float arrays are written value by value: measured on 2 vCPU, the
-# array pass costs about 90 us up to a few dozen values, one value 2-3 us,
-# and the two cost the same at 32-48 values
-_ONE_PASS_MIN = 40
+# smaller float arrays are written value by value: measured on 2 vCPU, one
+# value costs 1-2 us and the array pass without short cells about 20 us up to
+# a few dozen values
+_ONE_PASS_MIN = 16
+
+# smaller arrays write their short values with "%.9g" too: measured on
+# 2 vCPU, finding the short cells costs 20-60 us more per array and saves
+# 0.1-0.3 us per short value, so sigmoid scores gain from about 400 values
+_SHORT_MIN = 512
 
 # json.dumps's text of the floats repr writes as nan, inf and -inf
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# the format of each value, by kind, NUL-padded to 8 bytes so that a whole
-# template is one 8-byte gather per value with its NULs dropped: "%.9g",
-# "%.1f", "%s" for a value passed as its exact text, then the short values
-# with 0 to 3 zeros after "0.", positive and then negative
-_SPECS = np.array([f.ljust(8, b"\0") for f in (
+# the format of each value, by kind: "%.9g", "%.1f", "%s" for a value passed
+# as its exact text, then the short values with 0 to 3 zeros after "0.",
+# positive and then negative; each padded to 8 bytes with "-" flags, which
+# change nothing without a field width, so a template is one 8-byte cell per
+# value, gathered as one uint64
+_SPECS = np.array([f.replace(b"%", b"%" + b"-" * (8 - len(f)), 1) for f in (
     b"%.9g", b"%.1f", b"%s", b"0.%d", b"0.0%d", b"0.00%d", b"0.000%d",
     b"-0.%d", b"-0.0%d", b"-0.00%d", b"-0.000%d")]).view(np.uint64)
 _SHORT = 3
@@ -138,9 +146,10 @@ def _short_digits(mag: np.ndarray):
     return short, zeros, digits
 
 
-def _float_array(a: np.ndarray) -> str:
+def _float_array(a: np.ndarray, short_cells: bool = True) -> str:
     """JSON text of a float array of at least _ONE_PASS_MIN values, each
-    written as round9 writes it (module docstring)."""
+    written as round9 writes it (module docstring); without short_cells,
+    short values take "%.9g" as any other plain value does."""
     x = a.astype(np.float64, copy=False).reshape(-1, a.shape[-1])
     n, m = x.shape
     flat = x.ravel()
@@ -152,33 +161,35 @@ def _float_array(a: np.ndarray) -> str:
         # relative 1e-8 from an integer, so finite, under 1e9 and not
         # rounded to an integer by "%.9g"
         plain = (off > mag * 1e-8) & (mag >= _TINY)
-        short, zeros, digits = _short_digits(mag)
-    short &= plain
-    kind = np.where(short, _SHORT + zeros + 4 * (flat < 0.0), 2 - whole - 2 * plain)
-    # a short value's "%d" argument: its digits without their trailing zeros
-    digits = digits[short].astype(np.int64)
-    tail = np.flatnonzero(digits % 10 == 0)
-    while tail.size:
-        digits[tail] //= 10
-        tail = tail[digits[tail] % 10 == 0]
-    values = np.empty(n * m, dtype=object)
-    values[short] = digits
-    values[~short] = flat[~short]
+        if short_cells:
+            short, zeros, digits = _short_digits(mag)
+    kind = 2 - whole - 2 * plain
+    if short_cells:
+        short &= plain
+        kind = np.where(short, _SHORT + zeros + 4 * (flat < 0.0), kind)
+        # a short value's "%d" argument: its digits without their trailing zeros
+        digits = digits[short].astype(np.int64)
+        tail = np.flatnonzero(digits % 10 == 0)
+        while tail.size:
+            digits[tail] //= 10
+            tail = tail[digits[tail] % 10 == 0]
+        values = np.empty(n * m, dtype=object)
+        values[short] = digits
+        values[~short] = flat[~short]
+    else:
+        values = flat.tolist()
     for k in np.flatnonzero(kind == 2).tolist():
         values[k] = _float_text(values[k])
-    # per row: "[", then per value its format and "," or "]"
-    cells = np.zeros((n, 1 + 9 * m), dtype=np.uint8)
-    cells[:, 0] = ord("[")
-    body = cells[:, 1:].reshape(n, m, 9)
-    body[..., :8] = _SPECS[kind].view(np.uint8).reshape(n, m, 8)
-    body[..., 8] = ord(",")
-    body[:, -1, 8] = ord("]")
-    template = cells[cells != 0]
-    # each row ends at its one "]"
-    ends = (np.flatnonzero(template == ord("]")) + 1).tolist()
-    template = template.tobytes().decode("ascii")
-    rows = [template[i:j] for i, j in zip([0, *ends], ends)]
-    return _nest(rows, a.shape[:-1]) % tuple(values)
+    # per value its format and "," or, ending its row, "]"
+    cells = np.empty((n, m, 9), dtype=np.uint8)
+    cells[..., :8] = _SPECS[kind].view(np.uint8).reshape(n, m, 8)
+    cells[..., 8] = ord(",")
+    cells[:, -1, 8] = ord("]")
+    rows = cells.tobytes().decode("ascii")
+    width = 9 * m
+    template = _nest(["[" + rows[i:i + width] for i in range(0, n * width, width)],
+                     a.shape[:-1])
+    return template % tuple(values)
 
 
 def _json(obj) -> str:
@@ -192,7 +203,7 @@ def _json(obj) -> str:
         return _float_text(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.size >= _ONE_PASS_MIN:
-            return _float_array(obj)
+            return _float_array(obj, obj.size >= _SHORT_MIN)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if len(obj) > 1 and all(isinstance(v, np.ndarray) and v.dtype.kind == "f"

@@ -15,11 +15,14 @@ visits one entry at a time, lanes are jittered and widened one at a time
 into validated polylines, vertex APs rank a Python list of flags per
 vertex, assignment is full enumeration, JSON is written by rounding
 every float on its own before json.dumps, and lanes are read one
-validated polyline at a time. Three replaced kernels are kept as they
+validated polyline at a time. Four replaced kernels are kept as they
 were: the mean L1 matrix with each pair's points on a contiguous last
 axis, the float-array writer that prints every plain value with "%.9g",
-and the softmax that builds a new array per step. None of this is
-imported by the package itself.
+the softmax that builds a new array per step, and the per-scene lane
+matrices that metrics built before it scored a group of scenes at once
+(endpoint_bound, frechet_matrix, lane_boundaries and segment_matrix, each
+called on one scene's lane lists). None of this is imported by the
+package itself.
 """
 
 import itertools
@@ -29,10 +32,11 @@ from functools import lru_cache
 import numpy as np
 
 from lanetopo.connect import ConnectedLane
+from lanetopo.geometry import _point_gaps, chamfer_pairs, frechet_pairs, stacks_by_count, widen
 from lanetopo.heads import TopologyHeadParams
 from lanetopo.metrics import rank_by_score
 from lanetopo.nn import add_mlp_grads, mlp_backward, mlp_forward, mlp_forward_cached, sigmoid
-from lanetopo.scene import JUNCTION_TOL, Polyline3D
+from lanetopo.scene import FLAWS, JUNCTION_TOL, Polyline3D
 from lanetopo.serialize import round9
 
 
@@ -432,6 +436,71 @@ def widen_loops(lanes, width):
         out.append((Polyline3D(pts + half * normal).points,
                     Polyline3D(pts - half * normal).points))
     return out
+
+
+def endpoint_bound(a: list, b: list) -> np.ndarray:
+    """(len(a), len(b)) lower bounds on discrete_frechet(a[i], b[j]): the
+    larger of the first points' and the last points' gaps, from one
+    _point_gaps call each (the per-scene kernel the grouped one replaced)."""
+    def ends(polys):  # (2, 1, len(polys), 3): first points, then last points
+        return np.array([(P[0], P[-1]) for P in
+                         (np.asarray(getattr(p, "points", p), dtype=np.float64) for p in polys)],
+                        dtype=np.float64).reshape(-1, 1, 2, 3).transpose(2, 1, 0, 3)
+
+    (first_a, last_a), (first_b, last_b) = ends(a), ends(b)
+    return np.maximum(_point_gaps(first_a, first_b)[0], _point_gaps(last_a, last_b)[0])
+
+
+def pair_matrix(kernel, a: list, b: list, keep: np.ndarray) -> np.ndarray:
+    """kernel(a[i], b[j]) where keep[i, j], inf elsewhere, one call per pair
+    of point counts of one scene's lists."""
+    out = np.full(keep.shape, np.inf)
+    b_stacks = list(stacks_by_count(b))
+    for ia, A in stacks_by_count(a):
+        for ib, B in b_stacks:
+            p, g = np.divmod(np.flatnonzero(keep[np.ix_(ia, ib)]), ib.size)
+            if p.size:
+                out[ia[p], ib[g]] = kernel(A[p], B[g])
+    return out
+
+
+def frechet_matrix(a: list, b: list, cut: float) -> np.ndarray:
+    """(len(a), len(b)) discrete Frechet distances, exact below cut, inf
+    where the endpoint bound reaches it."""
+    return pair_matrix(frechet_pairs, a, b, endpoint_bound(a, b) < cut)
+
+
+def segment_matrix(a, b, centerline: np.ndarray, cut: float) -> np.ndarray:
+    """(len(a), len(b)) lane-segment distances, exact below cut: the mean of
+    the boundary Chamfer distance of the boundary points a[i] and b[j]
+    (left then right, (2n, 3)) and the centerline Frechet matrix, the
+    Chamfer term only where the centerline term is under 2 * cut."""
+    return 0.5 * (pair_matrix(chamfer_pairs, a, b, centerline < 2.0 * cut) + centerline)
+
+
+def lane_boundaries(lanes: list, width: float) -> list:
+    """Each lane's left then right boundary points, (2n, 3), from one widen
+    call per point count; the first lane with a flawed boundary raises its
+    Polyline3D message, left boundary before right."""
+    out = [None] * len(lanes)
+    for idx, P in stacks_by_count(lanes):
+        left, right, flaws = widen(P, width)
+        if flaws.any():
+            raise ValueError(FLAWS[np.argwhere(flaws)[0, 1] % 2])
+        for k, bounds in zip(idx, np.concatenate([left, right], axis=1)):
+            out[k] = bounds
+    return out
+
+
+def lane_matrices_per_scene(pred, scene, cut, width, segment_cut):
+    """(lane matrix, segment matrix or None) of one scene, as evaluate built
+    them before the grouped kernel stage: the segment cut doubled into the
+    lane cut, boundaries widened one list at a time."""
+    if width is None:
+        return frechet_matrix(pred.lanes, scene.lanes, cut), None
+    lanes = frechet_matrix(pred.lanes, scene.lanes, max(cut, 2.0 * segment_cut))
+    return lanes, segment_matrix(lane_boundaries(pred.lanes, width),
+                                 lane_boundaries(scene.lanes, width), lanes, segment_cut)
 
 
 def average_precision_loops(tp_flags, n_gt):

@@ -11,12 +11,9 @@ from lanetopo.geometry import (
     _point_gaps,
     avg_l1_matrix,
     chamfer_pairs,
-    endpoint_bound,
-    frechet_matrix,
+    endpoint_bounds,
     frechet_pairs,
-    lane_boundaries,
     resample_stack,
-    segment_matrix,
     stacks_by_count,
     widen,
 )
@@ -27,11 +24,15 @@ from oracles import (
     avg_l1_scalar,
     chamfer_loops,
     cumulative_lengths,
+    endpoint_bound,
     frechet_loops,
+    frechet_matrix,
     frechet_recursive,
+    lane_boundaries,
     lane_segment_distance,
     random_polyline,
     resample_loops,
+    segment_matrix,
     widen_loops,
 )
 
@@ -455,6 +456,22 @@ class TestPlaneGaps:
             expected = np.linalg.norm(A[:, :, None, :] - B[:, None, :, :], axis=3)
             assert _point_gaps(A, B).tobytes() == expected.tobytes()
 
+    def test_paired_endpoint_bounds_equal_the_matrix_bound(self):
+        # the grouped kernel's bound of each pair against the per-scene matrix
+        rng = np.random.default_rng(72)
+        a = [magnitudes(rng, (int(n), 3)) for n in rng.integers(2, 9, size=13)]
+        b = [magnitudes(rng, (int(n), 3)) for n in rng.integers(2, 9, size=11)]
+        i, j = np.divmod(np.arange(13 * 11), 11)
+        ends_a = np.array([p[[0, -1]] for p in a])
+        ends_b = np.array([q[[0, -1]] for q in b])
+        got = endpoint_bounds(ends_a, ends_b, i, j)
+        assert got.tobytes() == endpoint_bound(a, b).ravel().tobytes()
+        # pairs in any order, each lane in any number of them
+        k = np.random.default_rng(73).integers(0, 13 * 11, 300)
+        assert endpoint_bounds(ends_a, ends_b, i[k], j[k]).tobytes() == got[k].tobytes()
+        empty = np.zeros(0, dtype=int)
+        assert endpoint_bounds(np.zeros((0, 2, 3)), ends_b, empty, empty).shape == (0,)
+
     def test_endpoint_bound_is_the_larger_endpoint_norm(self):
         rng = np.random.default_rng(71)
         a = [magnitudes(rng, (int(n), 3)) for n in rng.integers(2, 9, size=23)]
@@ -513,7 +530,7 @@ class TestBoxes:
 class TestWidenToSegment:
     def test_straight_lane_boundaries(self):
         pts = straight_lane(0.0, 10.0, 0.0, n=5).points
-        left, right = widen(pts[None], width=2.0)
+        left, right, _ = widen(pts[None], width=2.0)
         assert np.allclose(left[0, :, 1], 1.0)
         assert np.allclose(right[0, :, 1], -1.0)
         assert np.array_equal(left[0, :, 0], pts[:, 0])
@@ -538,7 +555,7 @@ class TestWidenToSegment:
     def test_boundary_offset_magnitude(self):
         t = np.linspace(0.0, 2.0 * np.pi, 20)
         pts = np.stack([10.0 * np.cos(t), 10.0 * np.sin(t), np.zeros_like(t)], axis=1)
-        left, right = widen(pts[None], width=3.0)
+        left, right, _ = widen(pts[None], width=3.0)
         off_l = np.linalg.norm(left[0] - pts, axis=1)
         off_r = np.linalg.norm(right[0] - pts, axis=1)
         assert np.allclose(off_l, 1.5, atol=1e-9)
@@ -564,7 +581,7 @@ class TestWidenKernel:
             self.assert_bitwise(lanes, width)
         # one stack of equal point counts, straight through the kernel
         stack = np.stack([lane.points for lane in lanes if lane.n_points == 11])
-        left, right = widen(stack, 1.75)
+        left, right, _ = widen(stack, 1.75)
         for k, (l_loop, r_loop) in enumerate(widen_loops(stack, 1.75)):
             assert np.array_equal(left[k], l_loop) and np.array_equal(right[k], r_loop)
 
@@ -574,7 +591,7 @@ class TestWidenKernel:
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0],
                         [1e-14, 0.0, 3.0], [1.0, 0.0, 3.0]])
         self.assert_bitwise([pts, straight_lane(0.0, 10.0, 2.0, n=5)], 2.0)
-        left, right = widen(pts[None], 2.0)
+        left, right, _ = widen(pts[None], 2.0)
         assert np.array_equal(left[0, 1], pts[1] + [0.0, 1.0, 0.0])
         assert np.array_equal(right[0, 1], pts[1] - [0.0, 1.0, 0.0])
 
@@ -590,9 +607,19 @@ class TestWidenKernel:
             with pytest.raises(ValueError) as kernel_err:
                 lane_boundaries(lanes, 10.0)
             assert str(kernel_err.value) == str(loop_err.value)
-        with pytest.raises(ValueError, match=str(loop_err.value)):
-            widen(vee[None], 10.0)
+        # the kernel flags the left boundary's duplicate points, and raises nothing
+        assert widen(vee[None], 10.0)[2].tolist() == [[False, True, False, False]]
         self.assert_bitwise([good, vee], 9.0)
+
+    def test_overflowing_tangent_is_flagged_without_a_warning(self):
+        # ends at both edges of the float range: the tangent, its norm and
+        # the normal overflow; the boundary is flagged non-finite, silently
+        lane = straight_lane(0.0, 10.0, 0.0).points.copy()
+        lane[:2] = [[-1.7e308, -1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]]
+        stack = np.stack([straight_lane(0.0, 10.0, 1.0).points, lane])
+        left, right, flaws = widen(stack, 1.75)
+        assert flaws.tolist() == [[False] * 4, [True, False, True, False]]
+        assert np.isfinite(left[0]).all() and not np.isfinite(left[1]).all()
 
     def test_overflowing_boundary_raises_the_polyline_error(self):
         # a lane along y at the edge of the float range: its right boundary

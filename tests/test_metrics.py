@@ -7,9 +7,18 @@ import pytest
 
 import lanetopo as lt
 from lanetopo import geometry, metrics
-from lanetopo.geometry import frechet_matrix, lane_boundaries, resample_stack, segment_matrix
+from lanetopo.geometry import resample_stack
 from conftest import chain_scene, perfect_prediction, straight_lane
-from oracles import average_precision_loops, greedy_match_loops, topology_score_loops
+from oracles import (
+    average_precision_loops,
+    endpoint_bound,
+    frechet_matrix,
+    greedy_match_loops,
+    lane_boundaries,
+    lane_matrices_per_scene,
+    segment_matrix,
+    topology_score_loops,
+)
 
 
 def three_lane_chain():
@@ -510,7 +519,7 @@ class TestPruning:
 
     def test_pruned_equals_dense(self, monkeypatch):
         scene, pred = self.scene_and_prediction()
-        bound = geometry.endpoint_bound(pred.lanes, scene.lanes)
+        bound = endpoint_bound(pred.lanes, scene.lanes)
         # thresholds equal to some pair's endpoint bound, so the pair at the
         # cut is pruned and the strict "<" must reject it all the same; then
         # TOP's threshold far above DET_l's, so it alone sets the cut
@@ -519,7 +528,7 @@ class TestPruning:
                      top_frechet=float(exact[-1])),
                 dict(det_l_thresholds=(0.5, 0.8), top_frechet=2.0),
                 dict()]
-        pruned = geometry.frechet_matrix(pred.lanes, scene.lanes, 3.0)
+        pruned = frechet_matrix(pred.lanes, scene.lanes, 3.0)
         assert np.isinf(pruned).sum() > pruned.size // 2
 
         def reports():
@@ -527,11 +536,10 @@ class TestPruning:
 
         fast = reports()
         # the dense run ignores every cut: all pairs go through the kernels
-        monkeypatch.setattr(metrics, "frechet_matrix",
-                            lambda a, b, cut: geometry.frechet_matrix(a, b, np.inf))
-        monkeypatch.setattr(metrics, "segment_matrix",
-                            lambda a, b, centerline, cut:
-                            geometry.segment_matrix(a, b, centerline, np.inf))
+        kernels = metrics._lane_matrices
+        monkeypatch.setattr(metrics, "SEGMENT_CUT", np.inf)
+        monkeypatch.setattr(metrics, "_lane_matrices",
+                            lambda pairs, cut, width: kernels(pairs, np.inf, width))
         assert fast == reports()
 
     def test_each_metric_alone_equals_evaluate(self):
@@ -619,3 +627,122 @@ class TestTopLsls:
         rep, calls = self.evaluate_counting(monkeypatch, pred, scene)
         assert len(calls) == 3
         assert rep.lane_segments.top_lsls == top_lsls != rep.top_ll
+
+
+def group_corpus(seed):
+    """(prediction, scene) pairs over point counts 3, 11 and 20: grids
+    predicted with point noise, dropped and spurious lanes, one prediction
+    with every third lane resampled to 7 points, one without lanes and one
+    scene without lanes."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k, n_points in enumerate((11, 20, 11, 3, 11, 20, 11, 11)):
+        scene = lt.generate_scene(lt.SynthParams(
+            n_corridors=int(rng.integers(2, 5)), n_segments=int(rng.integers(2, 5)),
+            n_points=n_points, seed=int(rng.integers(0, 1000))))
+        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.5, drop_rate=0.1,
+                                                spurious_rate=0.2, score_noise=0.3), seed=k)
+        if k == 2:
+            pred = replace(pred, lanes=[lt.Polyline3D(resample_stack(lane.points[None], 7)[0])
+                                        if i % 3 == 0 else lane
+                                        for i, lane in enumerate(pred.lanes)])
+        pairs.append((pred, scene))
+    pairs.insert(3, (empty_prediction(pairs[3][1]), pairs[3][1]))
+    empty = lt.Scene(lanes=[], traffic=[], topo=lt.TopologyGraph(ll=np.zeros((0, 0)),
+                                                                  lt=np.zeros((0, 0))))
+    lanes = pairs[0][0].lanes
+    pairs.insert(6, (scored_prediction(empty, ll=np.zeros((len(lanes),) * 2), lanes=lanes),
+                     empty))
+    return pairs
+
+
+class TestGroupedKernels:
+    """The kernel stage on a group of scenes against the per-scene list
+    kernels it replaced (oracles.lane_matrices_per_scene), bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cut, width", [(3.0, None), (3.0, 1.75), (np.inf, 1.75),
+                                            (0.5, 2.5)])
+    def test_matrices_equal_the_per_scene_kernels(self, seed, cut, width):
+        pairs = group_corpus(seed)
+        got = metrics._lane_matrices(pairs, cut, width)
+        for (pred, scene), (lanes, segments) in zip(pairs, got):
+            want_lanes, want_segments = lane_matrices_per_scene(
+                pred, scene, cut, width, metrics.SEGMENT_CUT)
+            assert lanes.shape == (len(pred.lanes), len(scene.lanes))
+            assert lanes.tobytes() == want_lanes.tobytes()
+            if width is None:
+                assert segments is None and want_segments is None
+            else:
+                assert segments.tobytes() == want_segments.tobytes()
+
+    def test_groups_straddle_chunks_and_scene_boundaries(self, monkeypatch):
+        # every pair kept: more pairs of one point count than PAIR_CHUNK, and
+        # of 20 points (40 boundary points) than a GAP_CELLS chunk holds
+        pairs = group_corpus(4)
+        n11 = sum(len(p.lanes) * len(s.lanes) for p, s in pairs if s.n_points == 11)
+        n20 = sum(len(p.lanes) * len(s.lanes) for p, s in pairs if s.n_points == 20)
+        assert n11 > 2 * geometry.PAIR_CHUNK and n20 > 2 * geometry.GAP_CELLS // (40 * 40)
+        monkeypatch.setattr(metrics, "SEGMENT_CUT", np.inf)
+        whole = metrics._lane_matrices(pairs, np.inf, 1.75)
+        for parts in ([1] * len(pairs), [3, 1, 4, 2], [len(pairs) - 1, 1]):
+            start = 0
+            for size in parts:
+                got = metrics._lane_matrices(pairs[start:start + size], np.inf, 1.75)
+                for (lanes, segments), (w_lanes, w_segments) in zip(got, whole[start:]):
+                    assert lanes.tobytes() == w_lanes.tobytes()
+                    assert segments.tobytes() == w_segments.tobytes()
+                start += size
+
+    def test_group_reports_equal_evaluate(self):
+        pairs = group_corpus(3)
+        for kwargs in (dict(), dict(lane_width=1.75),
+                       dict(det_l_thresholds=(0.5, 2.5), top_frechet=4.0, lane_width=3.0)):
+            alone = [lt.evaluate(pred, scene, **kwargs) for pred, scene in pairs]
+            assert metrics.evaluate_group(pairs, **kwargs) == alone
+            assert metrics.evaluate_group(pairs[2:5], **kwargs) == alone[2:5]
+        assert metrics.evaluate_group([]) == []
+
+    def test_first_unscorable_pair_is_named(self):
+        pairs = group_corpus(2)
+        pred, scene = pairs[5]
+        far = pred.lanes[1].points.copy()
+        far[:2] = [[-1.7e308, -1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]]
+        lanes = list(pred.lanes)
+        lanes[1] = lt.Polyline3D(far)
+        pairs[5] = (replace(pred, lanes=lanes), scene)
+        pairs[7] = (pairs[7][0], replace(pairs[7][1], topo=replace(pairs[7][1].topo,
+                                                                   ll=np.zeros((1, 1)))))
+        with pytest.raises(metrics.ScoringError) as err:
+            metrics.evaluate_group(pairs, lane_width=1.75)
+        assert (err.value.item, err.value.side) == (7, 1)
+        assert str(err.value).startswith("topology ll: shape (1, 1)")
+        del pairs[7]
+        with pytest.raises(metrics.ScoringError) as err:
+            metrics.evaluate_group(pairs, lane_width=1.75)
+        assert (err.value.item, err.value.side) == (5, 0)
+        assert str(err.value) == ("lane 1: left boundary at lane width 1.75: "
+                                  "polyline has non-finite coordinates")
+        # without a lane width nothing is widened, and the overflowing gaps are inf
+        report = metrics.evaluate_group(pairs)[5]
+        assert report == lt.evaluate(*pairs[5])
+
+    def test_boundary_errors_come_in_group_order_prediction_first(self):
+        pairs = group_corpus(2)
+
+        def overflowing(doc):
+            lanes = list(doc.lanes)
+            far = lanes[0].points.copy()
+            far[:2] = [[-1.7e308, -1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]]
+            lanes[0] = lt.Polyline3D(far)
+            return replace(doc, lanes=lanes)
+
+        pairs[5] = (overflowing(pairs[5][0]), pairs[5][1])
+        pairs[2] = (pairs[2][0], overflowing(pairs[2][1]))
+        with pytest.raises(metrics.ScoringError) as err:
+            metrics.evaluate_group(pairs, lane_width=1.75)
+        assert (err.value.item, err.value.side) == (2, 1)
+        pairs[2] = (overflowing(pairs[2][0]), pairs[2][1])
+        with pytest.raises(metrics.ScoringError) as err:
+            metrics.evaluate_group(pairs, lane_width=1.75)
+        assert (err.value.item, err.value.side) == (2, 0)

@@ -176,6 +176,41 @@ class TestGtSource:
         assert np.array_equal(C, merges) == (source == "gt")
 
 
+class TestGivenParameters:
+    """run_pipeline with parameters drawn once and passed in, as a directory
+    predict runs it, against its own draw."""
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert [lane.points.tobytes() for lane in a.lanes] \
+            == [lane.points.tobytes() for lane in b.lanes]
+        assert a.lane_scores.tobytes() == b.lane_scores.tobytes()
+        assert a.topo.ll.tobytes() == b.topo.ll.tobytes()
+        assert a.topo.lt.tobytes() == b.topo.lt.tobytes()
+        assert a.traffic == b.traffic
+
+    @pytest.mark.parametrize("source", ["gt", "perturbed"])
+    def test_given_parameters_score_bitwise_alike(self, source):
+        cfg = small_cfg(source=source, noise=lt.NoiseParams(point_sigma=0.3, drop_rate=0.1))
+        scenes = [lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3, n_points=n,
+                                                   seed=seed))
+                  for seed, n in ((0, 11), (1, 7), (2, 11), (3, 7))]
+        params = {n: init_pipeline_params(cfg, n) for n in (7, 11)}
+        for scene in scenes:
+            self.assert_bitwise(lt.run_pipeline(scene, cfg, params=params[scene.n_points]),
+                                lt.run_pipeline(scene, cfg))
+        # the shared parameters are read, never written
+        for n, fresh in ((n, init_pipeline_params(cfg, n)) for n in (7, 11)):
+            assert {k: v.tobytes() for k, v in param_arrays(params[n]).items()} \
+                == {k: v.tobytes() for k, v in param_arrays(fresh).items()}
+
+    def test_parameters_for_another_point_count_raise(self, grid_scene):
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match="drawn for 7 points per lane do not fit "
+                                             "scene n_points 11"):
+            lt.run_pipeline(grid_scene, cfg, params=init_pipeline_params(cfg, 7))
+
+
 class TestGeometryEncoder:
     def test_a_stack_is_encoded_as_its_flattened_rows(self):
         rng = np.random.default_rng(3)

@@ -30,7 +30,7 @@ from lanetopo.serialize import (
     write_json,
     write_manifest,
 )
-from lanetopo.serialize import _ONE_PASS_MIN, _float_array, _short_digits
+from lanetopo.serialize import _ONE_PASS_MIN, _SHORT_MIN, _float_array, _short_digits
 from conftest import chain_scene, perfect_prediction
 from oracles import dumps_walk, float_array_9g, parse_lanes_loops
 
@@ -235,6 +235,36 @@ class TestShortValueCells:
         lanes = rng.normal(size=(7, 11, 3)) * 10.0 ** rng.integers(-5, 3, (7, 11, 3))
         self.check(lanes)
         assert dumps([*lanes]) == dumps_walk([*lanes])
+
+
+class TestPlainCells:
+    """The array pass without short cells, which arrays under _SHORT_MIN
+    values take, against the one-"%.9g"-pass writer, byte for byte."""
+
+    @staticmethod
+    def check(a):
+        assert _float_array(a, short_cells=False) == float_array_9g(a)
+
+    def test_values_across_decades_and_specials(self):
+        rng = np.random.default_rng(37)
+        x = rng.uniform(1.0, 10.0, 20000) * 10.0 ** rng.integers(-7, 11, 20000)
+        self.check(_signed(x).reshape(200, -1))
+        specials = np.array([0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf, 0.5, 1e-4,
+                             1.0, -1.0, 1e9, 1e16, 0.1000000005, 0.0999999999499, 12.5])
+        self.check(specials)
+        self.check(np.stack([specials, specials[::-1]]).astype(np.float32))
+
+    def test_lane_stacks_and_score_rows(self):
+        rng = np.random.default_rng(38)
+        self.check(rng.normal(0.0, 30.0, (6, 11, 3)))
+        self.check(1.0 / (1.0 + np.exp(-rng.normal(size=(9, 9)))))
+
+    @pytest.mark.parametrize("size", [_ONE_PASS_MIN, _SHORT_MIN - 1, _SHORT_MIN])
+    def test_dumps_on_either_side_of_the_short_cells(self, size):
+        # scores: nearly every value short
+        x = np.random.default_rng(size).uniform(1e-4, 1.0, size)
+        for shape in ((-1,), (1, -1), (-1, 1)):
+            assert dumps(x.reshape(shape)) == dumps_walk(x.reshape(shape))
 
 
 NAN, INF = float("nan"), float("inf")
