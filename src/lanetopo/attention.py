@@ -44,7 +44,8 @@ from .scene import bounded, check_fields
 class ModelDims:
     """Feature width and head count used across the query stack."""
 
-    c: int = bounded(32, lo=1)
+    # at most 512: a lane encoder is 49 MB at scene.MAX_POINTS points per lane
+    c: int = bounded(32, lo=1, hi=512)
     n_heads: int = bounded(4, lo=1)
 
     def __post_init__(self):

@@ -40,7 +40,8 @@ def connected_curves(scene: Scene) -> np.ndarray:
     its junction, counted once, and all merges are resampled to the scene's
     point count in one resample_rows call. A marked pair whose endpoints
     do not coincide within the junction tolerance is a contract violation
-    and raises; so does a merged curve that cannot be resampled or that
+    and raises; so does a merged curve whose arc length overflows (named by
+    its edge, without a warning), that cannot be resampled or that
     Polyline3D would reject. The first such edge in row-major order
     raises, with the message a one-edge-at-a-time build would give.
     """
@@ -52,11 +53,16 @@ def connected_curves(scene: Scene) -> np.ndarray:
     curves = np.zeros((0, scene.n_points, 3))
     if k:
         merged = np.concatenate([L[rows[:k]], L[cols[:k], 1:]], axis=1)
-        curves, zero = resample_rows(merged, scene.n_points)
-        # per edge: zero length, then the polyline flaws in Polyline3D's order
-        bad = np.argwhere(np.column_stack([zero, polyline_flaws(curves)]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            curves, length = resample_rows(merged, scene.n_points)
+        # per edge: a length not finite, zero length, the polyline flaws in order
+        bad = np.argwhere(np.column_stack([~np.isfinite(length), length <= 0.0,
+                                           polyline_flaws(curves)]))
         if bad.size:
-            raise ValueError((ZERO_LENGTH, *FLAWS)[bad[0, 1]])
+            e, flaw = bad[0]
+            raise ValueError((f"lanes ({rows[e]}, {cols[e]}) are marked connected but their "
+                              f"merged curve's arc length is not finite",
+                              ZERO_LENGTH, *FLAWS)[flaw])
     if gaps:
         raise ValueError(
             f"lanes ({rows[k]}, {cols[k]}) are marked connected but their junction is "

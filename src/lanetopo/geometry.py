@@ -10,25 +10,23 @@ import functools
 
 import numpy as np
 
-from .scene import Polyline3D, checked, polyline_flaws
+from .scene import checked, polyline_flaws
 
 
 def _as_points(poly) -> np.ndarray:
-    if isinstance(poly, Polyline3D):
-        return poly.points
-    return np.asarray(poly, dtype=np.float64)
+    return np.asarray(getattr(poly, "points", poly), dtype=np.float64)
 
 
 ZERO_LENGTH = "cannot resample a zero-length polyline"
 
 
 def resample_rows(P, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(resample_stack(P, m), flags of the zero-length rows), raising for
-    none of those rows.
+    """(resample_stack(P, m), each row's arc length), raising for no row.
 
-    A zero-length row's points are not meaningful; callers that order
-    several per-row errors read the flags instead of catching one error.
-    A stack of empty rows (n = 0) still raises.
+    The points of a row whose length is zero or not finite are not
+    meaningful; callers that order several per-row errors read the lengths
+    instead of catching one error. A stack of empty rows (n = 0) still
+    raises.
     """
     if m < 2:
         raise ValueError(f"resample target must be >= 2 points, got {m}")
@@ -59,7 +57,7 @@ def resample_rows(P, m: int) -> tuple[np.ndarray, np.ndarray]:
     # downstream junction checks can rely on bitwise equality.
     out[:, 0] = P[:, 0]
     out[:, -1] = P[:, -1]
-    return out, total <= 0.0
+    return out, total
 
 
 def resample_stack(P, m: int) -> np.ndarray:
@@ -73,8 +71,8 @@ def resample_stack(P, m: int) -> np.ndarray:
     The first and last points are preserved exactly. A zero-length row
     raises.
     """
-    out, zero = resample_rows(P, m)
-    if zero.any():
+    out, length = resample_rows(P, m)
+    if (length <= 0.0).any():
         raise ValueError(ZERO_LENGTH)
     return out
 
@@ -269,17 +267,6 @@ def endpoint_bounds(A, B, ia, ib) -> np.ndarray:
         gaps = d if gaps is None else np.add(gaps, d, out=gaps)
     np.sqrt(gaps, out=gaps)
     return np.maximum(gaps[0], gaps[1])
-
-
-def stacks_by_count(polys: list):
-    """(indices, stacked (len, n, 3) array) for each point count n among polys;
-    a stack is one concatenate, a third of np.stack's per-array cost."""
-    pts = [_as_points(p) for p in polys]
-    counts = np.array([len(p) for p in pts], dtype=int)
-    for n in np.unique(counts):
-        idx = np.flatnonzero(counts == n)
-        group = pts if idx.size == len(pts) else [pts[i] for i in idx]
-        yield idx, np.concatenate(group).reshape(idx.size, *group[0].shape)
 
 
 # the lane width widen and evaluate accept, as the CLI checks it too

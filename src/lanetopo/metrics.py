@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +60,11 @@ from .geometry import (
     check_width,
     endpoint_bounds,
     frechet_pairs,
-    stacks_by_count,
     widen,
 )
 from .scene import (
     FLAWS,
+    Lanes,
     Prediction,
     Scene,
     checked,
@@ -188,60 +187,47 @@ def greedy_match(dist: np.ndarray, scores: np.ndarray, threshold: float,
     return to_gt >= 0, to_gt[np.argsort(order)], order
 
 
-class _Side(NamedTuple):
-    """Every lane of one side of a group (the predictions or the scenes), in
-    group order: offsets (S + 1,) where each document's lanes start, and per
-    lane its first and last points (N, 2, 3), its point count and its row in
-    stacks, which holds one (k, n, 3) array per point count n."""
-
-    offsets: np.ndarray
-    ends: np.ndarray
-    count: np.ndarray
-    row: np.ndarray
-    stacks: dict
+def _group_lanes(docs) -> tuple[np.ndarray, Lanes]:
+    """(offsets (S + 1,) where each document's lanes start, every lane of the
+    documents docs in order as one Lanes)."""
+    parts = [doc.lanes for doc in docs]
+    return np.cumsum([0, *map(len, parts)]), Lanes(
+        np.concatenate([np.zeros((0, 3)), *(p.points for p in parts)]),
+        np.cumsum(np.concatenate([[0], *(p.counts for p in parts)])))
 
 
-def _side(docs) -> _Side:
-    lanes = [lane for doc in docs for lane in doc.lanes]
-    count, row = np.empty(len(lanes), dtype=int), np.empty(len(lanes), dtype=int)
-    ends = np.empty((len(lanes), 2, 3))
-    stacks = {}
-    for idx, P in stacks_by_count(lanes):
-        count[idx], row[idx], ends[idx] = P.shape[1], np.arange(idx.size), P[:, [0, -1]]
-        stacks[P.shape[1]] = P
-    return _Side(np.cumsum([0, *[len(doc.lanes) for doc in docs]]), ends, count, row, stacks)
-
-
-def _pair_kernel(kernel, a: _Side, b: _Side, a_stacks: dict, b_stacks: dict,
-                 pa: np.ndarray, pb: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """kernel(a_stacks lane pa[k], b_stacks lane pb[k]) for the pairs k where
-    keep, inf elsewhere: one call per pair of point counts. The stacks are
-    keyed and rowed as a.stacks and b.stacks are."""
+def _pair_kernel(kernel, a: Lanes, b: Lanes, pa: np.ndarray, pb: np.ndarray,
+                 keep: np.ndarray) -> np.ndarray:
+    """kernel(lane pa[k] of a, lane pb[k] of b) for the pairs k where keep,
+    inf elsewhere: one call per pair of point counts."""
     out = np.full(pa.shape, np.inf)
     keep = np.flatnonzero(keep)
-    ca, cb = a.count[pa[keep]], b.count[pb[keep]]
-    for n, A in a_stacks.items():
-        for m, B in b_stacks.items():
+    ca, cb = a.counts[pa[keep]], b.counts[pb[keep]]
+    for n in np.unique(ca).tolist():
+        for m in np.unique(cb).tolist():
             sel = keep[(ca == n) & (cb == m)]
             if sel.size:
-                out[sel] = kernel(A[a.row[pa[sel]]], B[b.row[pb[sel]]])
+                out[sel] = kernel(a.gather(pa[sel], n), b.gather(pb[sel], m))
     return out
 
 
-def _boundaries(side: _Side, width: float, which: int):
-    """(boundary stacks keyed as side.stacks: each lane's left then right
-    boundary points, (k, 2n, 3); the first lane of side whose boundary
-    Polyline3D would reject, as a ScoringError with which as its side, or None)."""
-    bounds, flaws = {}, np.zeros((len(side.count), 4), dtype=bool)
-    for n, P in side.stacks.items():
-        left, right, flaws[side.count == n] = widen(P, width)
-        bounds[n] = np.concatenate([left, right], axis=1)
+def _boundaries(lanes: Lanes, offsets: np.ndarray, width: float, which: int):
+    """(each lane's left then right boundary points as a Lanes; the first lane,
+    its document's at offsets, whose boundary Polyline3D would reject, as a
+    ScoringError with which as its side, or None)."""
+    bounds = Lanes(np.empty((2 * len(lanes.points), 3)), 2 * lanes.offsets)
+    flaws = np.zeros((len(lanes), 4), dtype=bool)
+    for n in np.unique(lanes.counts).tolist():
+        idx = np.flatnonzero(lanes.counts == n)
+        left, right, flaws[idx] = widen(lanes.gather(idx, n), width)
+        bounds.points[bounds.offsets[idx, None] + np.arange(2 * n)] = \
+            np.concatenate([left, right], axis=1)
     bad = np.flatnonzero(flaws.any(axis=1))
     if not bad.size:
         return bounds, None
-    item = int(np.searchsorted(side.offsets, bad[0], side="right")) - 1
+    item = int(np.searchsorted(offsets, bad[0], side="right")) - 1
     flaw = int(np.argmax(flaws[bad[0]]))
-    return bounds, ScoringError(item, which, f"lane {bad[0] - side.offsets[item]}: "
+    return bounds, ScoringError(item, which, f"lane {bad[0] - offsets[item]}: "
                                 f"{('left', 'right')[flaw // 2]} boundary at lane width "
                                 f"{width:g}: {FLAWS[flaw % 2]}")
 
@@ -257,25 +243,25 @@ def _lane_matrices(pairs: list, cut: float, width: float | None) -> list:
     whose boundary cannot be built raises ScoringError, the first in group
     order, before any distance is taken. A distance that overflows is inf.
     """
-    a, b = _side([p for p, _ in pairs]), _side([s for _, s in pairs])
+    (ao, a), (bo, b) = _group_lanes([p for p, _ in pairs]), _group_lanes([s for _, s in pairs])
     if width is not None:
-        a_bounds, a_err = _boundaries(a, width, 0)
-        b_bounds, b_err = _boundaries(b, width, 1)
+        a_bounds, a_err = _boundaries(a, ao, width, 0)
+        b_bounds, b_err = _boundaries(b, bo, width, 1)
         errors = [err for err in (a_err, b_err) if err is not None]
         if errors:
             raise min(errors, key=lambda err: err.item)
         cut = max(cut, 2.0 * SEGMENT_CUT)
     # every (prediction lane, scene lane) pair of every scene, scene by scene, row-major
-    na, nb = np.diff(a.offsets), np.diff(b.offsets)
+    na, nb = np.diff(ao), np.diff(bo)
     starts = np.cumsum([0, *(na * nb)])
     item = np.repeat(np.arange(len(pairs)), na * nb)
     i, j = np.divmod(np.arange(starts[-1]) - starts[item], nb[item])
-    pa, pb = a.offsets[item] + i, b.offsets[item] + j
+    pa, pb = ao[item] + i, bo[item] + j
     with np.errstate(over="ignore"):
         bound = endpoint_bounds(a.ends, b.ends, pa, pb)
-        lanes = _pair_kernel(frechet_pairs, a, b, a.stacks, b.stacks, pa, pb, bound < cut)
+        lanes = _pair_kernel(frechet_pairs, a, b, pa, pb, bound < cut)
         segments = None if width is None else 0.5 * (_pair_kernel(
-            chamfer_pairs, a, b, a_bounds, b_bounds, pa, pb, lanes < 2.0 * SEGMENT_CUT) + lanes)
+            chamfer_pairs, a_bounds, b_bounds, pa, pb, lanes < 2.0 * SEGMENT_CUT) + lanes)
     blocks = zip(starts[:-1].tolist(), starts[1:].tolist(), na.tolist(), nb.tolist())
     return [(lanes[s:e].reshape(n, m), None if segments is None else segments[s:e].reshape(n, m))
             for s, e, n, m in blocks]
@@ -298,15 +284,12 @@ def _traffic_matches(pred: Prediction, scene: Scene, thresholds) -> dict:
 
 
 def _mean_ap(matches, thresholds, n_gt: int) -> float:
-    """Mean over thresholds of the AP of each matching's ranked flags."""
-    return float(np.mean([average_precision(matches(thr)[0], n_gt) for thr in thresholds]))
-
-
-def _det_l(pred: Prediction, scene: Scene, lanes: dict, thresholds) -> float:
-    n_pred, n_gt = len(pred.lanes), len(scene.lanes)
-    if n_gt == 0:
-        return 1.0 if n_pred == 0 else 0.0
-    return _mean_ap(lanes.get, thresholds, n_gt) if n_pred else 0.0
+    """Mean over thresholds of the AP (average_precision) of each matching's
+    ranked flags, one _precision_sums call for all of them."""
+    flags = np.array([matches(thr)[0] for thr in thresholds], dtype=bool)
+    if n_gt == 0 or not flags.shape[1]:
+        return average_precision(flags[0], n_gt)
+    return float(np.mean(_precision_sums(flags) / n_gt))
 
 
 def _det_t(pred: Prediction, scene: Scene, match) -> float:
@@ -329,7 +312,7 @@ def det_l(pred: Prediction, scene: Scene,
     thresholds = valid_distances(thresholds)
     [(dist, _)] = _lane_matrices([(pred, scene)], max(thresholds), None)
     lanes = _lane_matches(dist, pred, thresholds)
-    return _det_l(pred, scene, lanes, thresholds)
+    return _mean_ap(lanes.get, thresholds, len(scene.lanes))
 
 
 def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray, order: np.ndarray,
@@ -411,7 +394,7 @@ def _scene_report(pred: Prediction, scene: Scene, lane_dist: np.ndarray,
     kernel-stage matrices, the thresholds already checked."""
     lanes = _lane_matches(lane_dist, pred, (*det_l_thresholds, top_frechet))
     traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
-    d_l = _det_l(pred, scene, lanes, det_l_thresholds)
+    d_l = _mean_ap(lanes.get, det_l_thresholds, len(scene.lanes))
     d_t = _det_t(pred, scene, traffic[det_t_iou])
     lane_to_gt = lanes[top_frechet][1]
     ll_ranks = rank_by_score(pred.topo.ll)  # TOP_ll and TOP_lsls rank the same rows

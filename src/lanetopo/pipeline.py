@@ -194,21 +194,21 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
 
     C = connected_curves(scene)
     if cfg.source == "gt":
-        lanes = list(scene.lanes)
+        L = scene.lane_stack()
     else:
-        lanes = list(perturb(scene, cfg.noise, cfg.noise_seed).lanes)
+        L = perturb(scene, cfg.noise, cfg.noise_seed).lanes.stack(scene.n_points)
         if cfg.noise.point_sigma > 0:
             # junctions no longer coincide after jitter, so connection queries
             # are the ground-truth merges degraded with the same point noise
             C = jittered(C, cfg.noise.point_sigma, np.random.default_rng(cfg.noise_seed + 1))
 
     cut = [f"{budget} of {len(items)} {what}" for items, budget, what in (
-        (lanes, cfg.n_lane_queries, "lanes"),
+        (L, cfg.n_lane_queries, "lanes"),
         (C, cfg.n_lane_queries, "connected lanes"),
         (scene.traffic, cfg.n_traffic_queries, "traffic elements")) if len(items) > budget]
     if cut and warn is not None:
         warn(f"query budget keeps {', '.join(cut)}")
-    lanes = lanes[: cfg.n_lane_queries]
+    L = L[: cfg.n_lane_queries]
     C = C[: cfg.n_lane_queries]
     traffic = list(scene.traffic)[: cfg.n_traffic_queries]
 
@@ -221,12 +221,11 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     out_traffic = [TrafficElement(bbox=el.bbox, category=el.category, score=float(t_scores[k]))
                    for k, el in enumerate(traffic)]
 
-    if not lanes:
+    if not len(L):
         return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
                           topo=TopologyGraph(ll=np.zeros((0, 0)),
                                              lt=np.zeros((0, len(traffic)))))
 
-    L = np.stack([lane.points for lane in lanes])
     q_hat, ll, _ = params.stack.forward(*queries(params, L, C), cfg.use_tam)
     np.fill_diagonal(ll, 0.0)
 
@@ -235,5 +234,5 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
     lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
     lt = predict_lt(q_hat, qt_bar, params.stack.heads)
 
-    return Prediction(lanes=lanes, lane_scores=lane_scores, traffic=out_traffic,
+    return Prediction(lanes=L, lane_scores=lane_scores, traffic=out_traffic,
                       topo=TopologyGraph(ll=ll, lt=lt))

@@ -1,10 +1,10 @@
 """Scene data model: lane polylines, traffic elements, topology graphs.
 
-A Scene is the ground-truth container used everywhere else: an ordered list
-of 3D lane centerlines sampled at a fixed point count, front-view traffic
-element boxes, and two adjacency structures (lane-lane and lane-traffic).
-A Prediction mirrors the Scene but carries confidence scores instead of
-binary adjacency.
+A Scene is the ground-truth container used everywhere else: 3D lane
+centerlines sampled at a fixed point count, in one Lanes array, front-view
+traffic element boxes, and two adjacency structures (lane-lane and
+lane-traffic). A Prediction mirrors the Scene but carries confidence
+scores instead of binary adjacency.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 JUNCTION_TOL = 0.01
 
 DEFAULT_N_POINTS = 11
+MAX_POINTS = 500  # per lane: a lane encoder is 49 MB here at ModelDims' largest c
 
 # Polyline3D's messages for coordinates it rejects; batched kernels that
 # build or read polylines as arrays raise the same text.
-NON_FINITE = "polyline has non-finite coordinates"
-DUPLICATE_POINTS = "polyline has consecutive duplicate points"
-FLAWS = (NON_FINITE, DUPLICATE_POINTS)
+FLAWS = ("polyline has non-finite coordinates", "polyline has consecutive duplicate points")
 
 
 def checked(name: str, value, lo=-math.inf, hi=math.inf, above=False):
@@ -58,11 +57,27 @@ def check_fields(obj) -> None:
             field_check(f)(getattr(obj, f.name))
 
 
-def polyline_flaws(P: np.ndarray) -> np.ndarray:
-    """(k, 2) flags per polyline of P (k, n, 3), one column per FLAWS message:
-    the value rules Polyline3D checks once the shape is right, in its order."""
-    return np.stack([~np.isfinite(P).all(axis=(1, 2)),
-                     (P[:, 1:] == P[:, :-1]).all(axis=2).any(axis=1)], axis=1)
+def polyline_flaws(P: np.ndarray, offsets=None) -> np.ndarray:
+    """(k, 2) flags per polyline, one column per FLAWS message: the value
+    rules Polyline3D checks once the shape is right, in its order. P is a
+    (k, n, 3) stack, or with offsets the points of a Lanes."""
+    if offsets is None:
+        P, offsets = P.reshape(-1, 3), np.arange(len(P) + 1) * P.shape[1]
+    # per point: not finite; equal to the point before it in its lane
+    flags = np.zeros((len(P), 2), dtype=bool)
+    flags[:, 0] = ~np.isfinite(P).all(axis=1)
+    flags[1:, 1] = (P[1:] == P[:-1]).all(axis=1)
+    flags[offsets[:-1], 1] = False
+    return np.logical_or.reduceat(flags, offsets[:-1], axis=0)
+
+
+def checked_polylines(P: np.ndarray) -> np.ndarray:
+    """The stack P (k, n, 3) if Polyline3D accepts every row, else a
+    ValueError with its message for the first row it rejects."""
+    bad = np.argwhere(polyline_flaws(P))
+    if bad.size:
+        raise ValueError(FLAWS[bad[0, 1]])
+    return P
 
 
 @dataclass(frozen=True)
@@ -77,32 +92,65 @@ class Polyline3D:
             raise ValueError(f"polyline must have shape (n, 3), got {pts.shape}")
         if pts.shape[0] < 2:
             raise ValueError("polyline needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(NON_FINITE)
-        if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
-            raise ValueError(DUPLICATE_POINTS)
+        checked_polylines(pts[None])
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def unchecked(cls, points: np.ndarray) -> Polyline3D:
         """A polyline over a float64 (n, 3) array that already passed
-        __post_init__'s checks, for instance as one row of a stack checked
-        with polyline_flaws."""
+        __post_init__'s checks, for instance one lane of a Lanes."""
         line = object.__new__(cls)
         object.__setattr__(line, "points", points)
         return line
 
-    @property
-    def n_points(self) -> int:
-        return int(self.points.shape[0])
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.points[0]
+@dataclass(frozen=True, eq=False)
+class Lanes:
+    """Polylines in CSR layout, as scipy.sparse keeps rows: lane i is
+    points[offsets[i]:offsets[i + 1]] of the (P, 3) float64 points.
+    Indexing and iteration give Polyline3D views."""
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.points[-1]
+    points: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, lanes) -> Lanes:
+        """lanes if it is a Lanes, the rows of a checked (k, n, 3) stack with
+        points a view of it, or the lanes of a sequence of Polyline3D."""
+        if isinstance(lanes, Lanes):
+            return lanes
+        if isinstance(lanes, np.ndarray):
+            return cls(lanes.reshape(-1, 3), np.arange(len(lanes) + 1) * lanes.shape[1])
+        pts = [lane.points for lane in lanes]
+        return cls(np.concatenate([np.zeros((0, 3)), *pts]), np.cumsum([0, *map(len, pts)]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i) -> Polyline3D:
+        i = range(len(self))[i]  # a list's negative indices and IndexError
+        return Polyline3D.unchecked(self.points[self.offsets[i]:self.offsets[i + 1]])
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """Each lane's first and last points, (k, 2, 3)."""
+        return self.points[np.stack([self.offsets[:-1], self.offsets[1:] - 1], axis=1)]
+
+    def stack(self, n: int | None = None) -> np.ndarray | None:
+        """The lanes as a (k, n, 3) view of points if every lane has n points,
+        n by default the first lane's count (0 for no lanes), else None."""
+        k = len(self)
+        n = self.offsets[min(k, 1)] if n is None else n
+        return self.points.reshape(k, n, 3) \
+            if np.array_equal(self.offsets, np.arange(k + 1) * n) else None
+
+    def gather(self, idx: np.ndarray, n: int) -> np.ndarray:
+        """The lanes idx, each of n points, as one (len(idx), n, 3) array."""
+        return self.points[self.offsets[idx, None] + np.arange(n)]
 
 
 @dataclass(frozen=True)
@@ -157,50 +205,53 @@ class TopologyGraph:
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground-truth scene: lanes, traffic elements, binary topology."""
+    """Ground-truth scene: lanes (given as anything Lanes.of takes), traffic
+    elements, binary topology."""
 
-    lanes: list[Polyline3D]
+    lanes: Lanes
     traffic: list[TrafficElement]
     topo: TopologyGraph
     n_points: int = DEFAULT_N_POINTS
 
+    def __post_init__(self):
+        object.__setattr__(self, "lanes", Lanes.of(self.lanes))
+
     def lane_stack(self) -> np.ndarray:
-        """The lanes as one (k, n_points, 3) array, (0, n_points, 3) for
-        none; the first lane whose point count is not n_points, else an
-        n_points below 2, raises validate_scene's message for it."""
+        """The lanes as one (k, n_points, 3) view; the first lane whose point
+        count is not n_points, else an n_points outside [2, MAX_POINTS],
+        raises validate_scene's message for it."""
         errors = point_count_errors(self)
         if errors:
             raise ValueError(errors[0])
-        if not self.lanes:
-            return np.zeros((0, self.n_points, 3))
-        return np.stack([lane.points for lane in self.lanes])
+        return self.lanes.stack(self.n_points)
 
 
 @dataclass(frozen=True)
 class Prediction:
     """Predicted scene: lanes with confidences, scored traffic, scored topology."""
 
-    lanes: list[Polyline3D]
+    lanes: Lanes
     lane_scores: np.ndarray
     traffic: list[TrafficElement]
     topo: TopologyGraph
 
     def __post_init__(self):
+        object.__setattr__(self, "lanes", Lanes.of(self.lanes))
         scores = np.asarray(self.lane_scores, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "lane_scores", scores)
 
 
-def endpoint_gaps(lanes: list[Polyline3D], rows, cols) -> np.ndarray:
-    """Gaps from the terminal points of lanes[rows] to the initial points of
-    lanes[cols] (index arrays that broadcast), in one array pass: the
-    distances every junction verdict compares with JUNCTION_TOL."""
-    ends = np.array([lane.terminal for lane in lanes]).reshape(-1, 3)
-    starts = np.array([lane.initial for lane in lanes]).reshape(-1, 3)
-    d = ends[rows] - starts[cols]
+def endpoint_gaps(lanes, rows, cols) -> np.ndarray:
+    """Gaps from the last points of lanes[rows] to the first points of
+    lanes[cols] (index arrays that broadcast), lanes anything Lanes.of
+    takes, in one array pass: the distances every junction verdict
+    compares with JUNCTION_TOL."""
+    ends = Lanes.of(lanes).ends
+    d = ends[rows, 1] - ends[cols, 0]
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]]:
+def junction_gaps(lanes, rows, cols) -> list[tuple[int, float]]:
     """(e, gap) for each edge e, from lanes[rows[e]] to lanes[cols[e]], whose
     junction is open, in edge order: its endpoint gap (endpoint_gaps) is
     more than JUNCTION_TOL."""
@@ -210,11 +261,12 @@ def junction_gaps(lanes: list[Polyline3D], rows, cols) -> list[tuple[int, float]
 
 def point_count_errors(scene: Scene) -> list[str]:
     """One message per lane whose point count is not the scene's n_points,
-    then checked's message if n_points is below the 2 points of a polyline."""
-    out = [f"lane {i}: point count {lane.n_points} != scene n_points {scene.n_points}"
-           for i, lane in enumerate(scene.lanes) if lane.n_points != scene.n_points]
+    then checked's message if n_points is outside [2, MAX_POINTS]."""
+    counts = scene.lanes.counts
+    out = [f"lane {i}: point count {counts[i]} != scene n_points {scene.n_points}"
+           for i in np.flatnonzero(counts != scene.n_points)]
     try:
-        checked("n_points", scene.n_points, lo=2)
+        checked("n_points", scene.n_points, lo=2, hi=MAX_POINTS)
     except ValueError as err:
         out.append(str(err))
     return out
@@ -281,11 +333,9 @@ def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[s
     n_lanes = len(pred.lanes)
 
     if n_points is not None:
-        for i, lane in enumerate(pred.lanes):
-            if lane.n_points != n_points:
-                out.append(
-                    f"lane {i}: point count {lane.n_points} != expected n_points {n_points}"
-                )
+        counts = pred.lanes.counts
+        out += [f"lane {i}: point count {counts[i]} != expected n_points {n_points}"
+                for i in np.flatnonzero(counts != n_points)]
     out += prediction_shape_errors(pred)
 
     if pred.lane_scores.shape == (n_lanes,):

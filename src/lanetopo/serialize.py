@@ -34,8 +34,8 @@ and those whose digits round up to 10**9, take "%.9g". For every other
 short value "%.9g" writes the same digits in fixed notation, its decimal
 exponent being -4 to -1, with its trailing zeros stripped. A numpy mask
 finds a superset of the values "%.9g" cannot write, so every other value
-costs one "%d" or one "%.9g". The reader checks the lanes that share a
-point count as one (k, n, 3) stack.
+costs one "%d" or one "%.9g". Lanes sharing a point count are written as
+one (k, n, 3) stack, and read into one Lanes array checked once.
 
 Every file is written to a temporary name in its directory and renamed
 into place, so an interrupted or failed run leaves no partial file.
@@ -59,6 +59,7 @@ from .connect import ConnectedLane
 from .metrics import MetricReport
 from .scene import (
     FLAWS,
+    Lanes,
     Polyline3D,
     Prediction,
     Scene,
@@ -206,10 +207,6 @@ def _json(obj) -> str:
             return _float_array(obj, obj.size >= _SHORT_MIN)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if len(obj) > 1 and all(isinstance(v, np.ndarray) and v.dtype.kind == "f"
-                                and v.shape == obj[0].shape for v in obj):
-            # such a list has its stack's text, written in one pass
-            return _json(np.stack(obj))
         return "[" + ",".join([_json(v) for v in obj]) + "]"
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
@@ -256,11 +253,17 @@ def _traffic_to_dict(el: TrafficElement) -> dict:
     return d
 
 
+def _lane_arrays(lanes: Lanes):
+    """The lanes as one (k, n, 3) stack when every lane has n points, else one array each."""
+    P = lanes.stack()
+    return np.split(lanes.points, lanes.offsets[1:-1]) if P is None else P
+
+
 def scene_to_dict(scene: Scene) -> dict:
     return {
         "version": SCHEMA_VERSION,
         "n_points": scene.n_points,
-        "lanes": [lane.points for lane in scene.lanes],
+        "lanes": _lane_arrays(scene.lanes),
         "traffic": [_traffic_to_dict(el) for el in scene.traffic],
         "topo": {"ll": scene.topo.ll, "lt": scene.topo.lt},
     }
@@ -269,7 +272,7 @@ def scene_to_dict(scene: Scene) -> dict:
 def prediction_to_dict(pred: Prediction) -> dict:
     return {
         "version": SCHEMA_VERSION,
-        "lanes": [lane.points for lane in pred.lanes],
+        "lanes": _lane_arrays(pred.lanes),
         "lane_scores": pred.lane_scores,
         "traffic": [_traffic_to_dict(el) for el in pred.traffic],
         "topo": {"ll": pred.topo.ll, "lt": pred.topo.lt},
@@ -309,44 +312,22 @@ def _parse_lane(k: int, pts) -> Polyline3D:
         raise SchemaError([f"lane {k}: {err}"]) from err
 
 
-def _lane_stacks(items):
-    """[(lane indices, (k, n, 3) float array)] per point count n >= 2, or
-    None when the lanes do not all stack into that shape."""
-    if not isinstance(items, list):
-        return None
-    groups: dict[int, list[int]] = {}
+def _parse_lanes(items) -> Lanes:
+    """The lanes of a document as one Lanes, checked once; the first bad lane
+    raises Polyline3D's message. Lanes that are not all lists of at least 2
+    (x, y, z) points are read one Polyline3D at a time, for its error."""
     try:
-        for k, pts in enumerate(items):
-            groups.setdefault(len(pts), []).append(k)
-        stacks = [(idx, np.asarray([items[k] for k in idx], dtype=np.float64))
-                  for idx in groups.values()]
+        counts = [len(pts) for pts in items]
+        points = np.array([p for pts in items for p in pts], dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if all(P.ndim == 3 and P.shape[1] >= 2 and P.shape[2] == 3 for _, P in stacks):
-        return stacks
-    return None
-
-
-def _parse_lanes(items) -> list[Polyline3D]:
-    """One Polyline3D per lane, checked one stack per point count; the
-    lowest-indexed bad lane raises Polyline3D's message. A list that does
-    not stack is read lane by lane, so its error is Polyline3D's own."""
-    stacks = _lane_stacks(items)
-    if stacks is None:
-        return [_parse_lane(k, pts) for k, pts in enumerate(items)]
-    bad = []
-    for idx, P in stacks:
-        flawed = np.argwhere(polyline_flaws(P))
-        if flawed.size:
-            bad.append((idx[flawed[0, 0]], FLAWS[flawed[0, 1]]))
-    if bad:
-        k, message = min(bad)
-        raise SchemaError([f"lane {k}: {message}"])
-    lanes = [None] * len(items)
-    for idx, P in stacks:
-        for k, pts in zip(idx, P):
-            lanes[k] = Polyline3D.unchecked(pts)
-    return lanes
+        points = None
+    if points is None or points.shape != (sum(counts), 3) or min(counts, default=2) < 2:
+        return Lanes.of([_parse_lane(k, pts) for k, pts in enumerate(items)])
+    offsets = np.cumsum([0, *counts])
+    bad = np.argwhere(polyline_flaws(points, offsets))
+    if bad.size:
+        raise SchemaError([f"lane {bad[0, 0]}: {FLAWS[bad[0, 1]]}"])
+    return Lanes(points, offsets)
 
 
 def _parse_traffic(items, need_score: bool) -> list[TrafficElement]:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .scene import (
     DEFAULT_N_POINTS,
-    FLAWS,
     JUNCTION_TOL,
-    Polyline3D,
+    MAX_POINTS,
     Prediction,
     Scene,
     TopologyGraph,
@@ -28,8 +27,8 @@ from .scene import (
     bounded,
     check_fields,
     checked,
+    checked_polylines,
     endpoint_gaps,
-    polyline_flaws,
 )
 
 TRAFFIC_CATEGORIES = ("traffic_light", "stop_sign", "speed_limit", "yield_sign")
@@ -47,7 +46,7 @@ class SynthParams:
     lane_spacing: float = bounded(4.0, lo=3.0)  # metres: keeps lanes separable
     split_prob: float = bounded(0.3, lo=0.0, hi=1.0)
     merge_prob: float = bounded(0.2, lo=0.0, hi=1.0)
-    n_points: int = bounded(DEFAULT_N_POINTS, lo=3)
+    n_points: int = bounded(DEFAULT_N_POINTS, lo=3, hi=MAX_POINTS)
     n_traffic: int = bounded(3, lo=0)
     grade: float = bounded(0.0)
     seed: int = bounded(0, lo=0)
@@ -70,17 +69,10 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-def _straight(x0: float, x1: float, y: float, grade: float, n: int) -> np.ndarray:
-    x = np.linspace(x0, x1, n)
-    pts = np.empty((n, 3))
-    pts[:, 0] = x
-    pts[:, 1] = y
-    pts[:, 2] = grade * x
-    return pts
-
-
 def _lateral_blend(x0: float, x1: float, y0: float, y1: float,
                    grade: float, n: int) -> np.ndarray:
+    """n points from (x0, y0) to (x1, y1), blended from y0 to y1 by a
+    smoothstep: a straight lane at y0 when y1 is y0."""
     x = np.linspace(x0, x1, n)
     t = np.linspace(0.0, 1.0, n)
     pts = np.empty((n, 3))
@@ -90,7 +82,7 @@ def _lateral_blend(x0: float, x1: float, y0: float, y1: float,
     return pts
 
 
-def infer_ll(lanes: list[Polyline3D]) -> np.ndarray:
+def infer_ll(lanes) -> np.ndarray:
     """Adjacency from geometry: edge (i, j), i != j, iff lane i ends where
     lane j starts, its endpoint gap (endpoint_gaps) at most JUNCTION_TOL;
     all pairs INFER_CHUNK rows at a time."""
@@ -131,7 +123,7 @@ def generate_scene(params: SynthParams = SynthParams()) -> Scene:
     for c in range(p.n_corridors):
         y = c * p.lane_spacing
         for s in range(p.n_segments):
-            lanes.append(_straight(xs[s], xs[s + 1], y, p.grade, p.n_points))
+            lanes.append(_lateral_blend(xs[s], xs[s + 1], y, y, p.grade, p.n_points))
 
     # splits leave the bottom corridor downward, merges join the top corridor
     # from above; interior corridors stay clean so unrelated lanes never
@@ -147,11 +139,16 @@ def generate_scene(params: SynthParams = SynthParams()) -> Scene:
             lanes.append(_lateral_blend(xs[s] - p.segment_length, xs[s],
                                         merge_y, y_top, p.grade, p.n_points))
 
-    polylines = [Polyline3D(pts) for pts in lanes]
-    ll = infer_ll(polylines)
-    traffic, lt = _draw_traffic(rng, p.n_traffic, len(polylines))
-    return Scene(lanes=polylines, traffic=traffic,
-                 topo=TopologyGraph(ll=ll, lt=lt), n_points=p.n_points)
+    return _scene(lanes, rng, p.n_traffic, p.n_points)
+
+
+def _scene(lanes: list, rng: np.random.Generator, n_traffic: int, n_points: int) -> Scene:
+    """The scene of the lane point arrays lanes, each checked as Polyline3D
+    checks it, their derived topology and n_traffic traffic elements."""
+    lanes = checked_polylines(np.stack(lanes))
+    traffic, lt = _draw_traffic(rng, n_traffic, len(lanes))
+    return Scene(lanes=lanes, traffic=traffic,
+                 topo=TopologyGraph(ll=infer_ll(lanes), lt=lt), n_points=n_points)
 
 
 # generate_roundabout's radius and arm count, as the CLI checks them too
@@ -170,7 +167,7 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
     """
     check_radius(radius)
     check_arms(n_arms)
-    checked("n_points", n_points, lo=3)
+    checked("n_points", n_points, lo=3, hi=MAX_POINTS)
     rng = np.random.default_rng(seed)
     thetas = [2.0 * np.pi * k / n_arms for k in range(n_arms)]
     ring = lambda th: np.array([radius * np.cos(th), radius * np.sin(th), 0.0])
@@ -198,11 +195,7 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
     for k in range(n_arms):
         lanes.append(chord(ring(thetas[k]), outer(thetas[k] + delta)))  # exit
 
-    polylines = [Polyline3D(pts) for pts in lanes]
-    ll = infer_ll(polylines)
-    traffic, lt = _draw_traffic(rng, n_arms, len(polylines))
-    return Scene(lanes=polylines, traffic=traffic,
-                 topo=TopologyGraph(ll=ll, lt=lt), n_points=n_points)
+    return _scene(lanes, rng, n_arms, n_points)
 
 
 def blend_topology(topo: TopologyGraph, kept: np.ndarray, n_out: int,
@@ -230,11 +223,7 @@ def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarra
     The noise is one draw of size P.shape, the stream of one draw per row;
     at sigma 0 none is drawn and -0.0 becomes 0.0. The first row Polyline3D
     would reject raises its message."""
-    P = P + (rng.normal(0.0, sigma, size=P.shape) if sigma > 0 else 0.0)
-    bad = np.argwhere(polyline_flaws(P))
-    if bad.size:
-        raise ValueError(FLAWS[bad[0, 1]])
-    return P
+    return checked_polylines(P + (rng.normal(0.0, sigma, size=P.shape) if sigma > 0 else 0.0))
 
 
 def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
@@ -253,18 +242,21 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
 
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
     kept = np.flatnonzero(keep)
-    lanes = [Polyline3D.unchecked(row) for row in jittered(L[kept], noise.point_sigma, rng)]
+    lanes = jittered(L[kept], noise.point_sigma, rng)
 
     n_spurious = int(rng.poisson(noise.spurious_rate * n)) if noise.spurious_rate > 0 else 0
     if n_spurious:
         y_far = float(L[..., 1].max()) + 25.0
         x_lo = float(L[..., 0].min())
-        length = max(5.0, float(np.mean([np.linalg.norm(l.points[-1] - l.points[0])
-                                         for l in scene.lanes])))
+        # mean chord length, each a dot product as np.linalg.norm takes one vector's
+        d = L[:, -1] - L[:, 0]
+        length = max(5.0, float(np.mean(np.sqrt(np.matmul(d[:, None], d[:, :, None]).ravel()))))
+        spurious = []
         for k in range(n_spurious):
             x0 = x_lo + rng.uniform(0.0, length)
             y = y_far + 10.0 * k + rng.uniform(0.0, 2.0)
-            lanes.append(Polyline3D(_straight(x0, x0 + length, y, 0.0, scene.n_points)))
+            spurious.append(_lateral_blend(x0, x0 + length, y, y, 0.0, scene.n_points))
+        lanes = np.concatenate([lanes, checked_polylines(np.stack(spurious))])
 
     n_out = len(lanes)
     scores = np.ones(n_out)

@@ -21,8 +21,8 @@ axis, the float-array writer that prints every plain value with "%.9g",
 the softmax that builds a new array per step, and the per-scene lane
 matrices that metrics built before it scored a group of scenes at once
 (endpoint_bound, frechet_matrix, lane_boundaries and segment_matrix, each
-called on one scene's lane lists). None of this is imported by the
-package itself.
+called on one scene's lane lists, grouped by stacks_by_count). None of
+this is imported by the package itself.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from lanetopo.connect import ConnectedLane
-from lanetopo.geometry import _point_gaps, chamfer_pairs, frechet_pairs, stacks_by_count, widen
+from lanetopo.geometry import _point_gaps, chamfer_pairs, frechet_pairs, widen
 from lanetopo.heads import TopologyHeadParams
 from lanetopo.metrics import rank_by_score
 from lanetopo.nn import add_mlp_grads, mlp_backward, mlp_forward, mlp_forward_cached, sigmoid
@@ -208,8 +208,8 @@ def junction_point(a, b):
     """Shared junction of predecessor polyline a and successor b: a's
     terminal point when it lies within JUNCTION_TOL of b's initial point,
     else None."""
-    gap = float(np.linalg.norm(a.terminal - b.initial))
-    return a.terminal.copy() if gap <= JUNCTION_TOL else None
+    gap = float(np.linalg.norm(a.points[-1] - b.points[0]))
+    return a.points[-1].copy() if gap <= JUNCTION_TOL else None
 
 
 def merge_at_junction(a, b):
@@ -228,7 +228,7 @@ def infer_ll_loops(lanes):
         for j in range(n):
             if i == j:
                 continue
-            gap = np.linalg.norm(lanes[i].terminal - lanes[j].initial)
+            gap = np.linalg.norm(lanes[i].points[-1] - lanes[j].points[0])
             if gap <= JUNCTION_TOL:
                 ll[i, j] = 1.0
     return ll
@@ -236,19 +236,25 @@ def infer_ll_loops(lanes):
 
 def build_connected_gt_loops(scene):
     """Connected lanes one ll edge at a time, in row-major order: check the
-    junction, merge, resample with resample_loops and validate the curve as
-    a Polyline3D, raising at the first edge that fails."""
+    junction, merge, check that the merge's arc length is finite, resample
+    with resample_loops and validate the curve as a Polyline3D, raising at
+    the first edge that fails."""
     out = []
     for i, j in zip(*np.nonzero(scene.topo.ll)):
         i, j = int(i), int(j)
         a, b = scene.lanes[i], scene.lanes[j]
         if junction_point(a, b) is None:
-            gap = float(np.linalg.norm(a.terminal - b.initial))
+            gap = float(np.linalg.norm(a.points[-1] - b.points[0]))
             raise ValueError(
                 f"lanes ({i}, {j}) are marked connected but their junction is "
                 f"{gap:.4f} m apart (tolerance {JUNCTION_TOL})"
             )
-        curve = Polyline3D(resample_loops(merge_at_junction(a, b), scene.n_points))
+        merged = merge_at_junction(a, b)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(cumulative_lengths(merged)[-1]):
+                raise ValueError(f"lanes ({i}, {j}) are marked connected but their merged "
+                                 f"curve's arc length is not finite")
+        curve = Polyline3D(resample_loops(merged, scene.n_points))
         out.append(ConnectedLane(source=(i, j), curve=curve))
     return out
 
@@ -436,6 +442,16 @@ def widen_loops(lanes, width):
         out.append((Polyline3D(pts + half * normal).points,
                     Polyline3D(pts - half * normal).points))
     return out
+
+
+def stacks_by_count(polys: list):
+    """(indices, stacked (len, n, 3) array) for each point count n among the
+    polylines or point arrays polys, in increasing n."""
+    pts = [np.asarray(getattr(p, "points", p), dtype=np.float64) for p in polys]
+    counts = np.array([len(p) for p in pts], dtype=int)
+    for n in np.unique(counts):
+        idx = np.flatnonzero(counts == n)
+        yield idx, np.stack([pts[i] for i in idx])
 
 
 def endpoint_bound(a: list, b: list) -> np.ndarray:

@@ -40,8 +40,14 @@ def affine_mask_params(w: float, b: float) -> SigmoidMaskParams:
 
 @pytest.mark.parametrize("c, n_heads", [(0, 4), (8, 0), (8, -2), (-4, 2)])
 def test_model_sizes_below_one_raise(c, n_heads):
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match=r"must be finite and (>= 1|in \[1, 512\]), got"):
         lt.ModelDims(c=c, n_heads=n_heads)
+
+
+def test_model_width_above_its_bound_raises():
+    assert lt.ModelDims(c=512, n_heads=1).c == 512
+    with pytest.raises(ValueError, match=r"^c must be finite and in \[1, 512\], got 513$"):
+        lt.ModelDims(c=513, n_heads=1)
 
 
 class TestMlp:

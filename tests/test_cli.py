@@ -1,6 +1,12 @@
 """End-to-end CLI runs, exercised in process through main()."""
 
+import os
+import re
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,7 +277,7 @@ class TestPredict:
         assert run("predict", "--scene", scene_path, "--out", out, "--source", "perturbed",
                    "--drop-rate", 1.0) == 0
         pred = read_prediction(out, n_points=read_scene(scene_path).n_points)
-        assert pred.lanes == [] and len(pred.traffic) == 3
+        assert len(pred.lanes) == 0 and len(pred.traffic) == 3
         assert run("eval", "--pred", out, "--gt", scene_path, "--out", report) == 0
         assert read_json(report)["scenes"]["pred"]["det_t"] > 0.0
 
@@ -478,36 +484,6 @@ class TestEval:
         assert "--lane-width" in err[0] and "lane width must be finite and positive" in err[0]
         assert not out.exists()
 
-    def test_eval_builds_no_polyline_beyond_its_inputs(self, tmp_path, monkeypatch):
-        # the lane-segment block widens lanes as arrays; a per-lane object
-        # path would build three more polylines per lane
-        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
-        assert run("synth", "--corridors", 6, "--segments", 12, "--seed", 3,
-                   "--out", scene_path) == 0
-        assert run("predict", "--scene", scene_path, "--out", pred_path,
-                   "--source", "perturbed", "--point-sigma", 0.3, "--drop-rate", 0.1) == 0
-        n_lanes = len(read_scene(scene_path).lanes) + len(read_prediction(pred_path).lanes)
-        # every polyline built, checked one by one or read from a checked stack
-        built = []
-        check = lt.Polyline3D.__post_init__
-        unchecked = lt.Polyline3D.unchecked.__func__
-
-        def counted(self):
-            built.append(1)
-            check(self)
-
-        def counted_unchecked(cls, points):
-            built.append(1)
-            return unchecked(cls, points)
-
-        monkeypatch.setattr(lt.Polyline3D, "__post_init__", counted)
-        monkeypatch.setattr(lt.Polyline3D, "unchecked", classmethod(counted_unchecked))
-        assert run("eval", "--pred", pred_path, "--gt", scene_path,
-                   "--out", tmp_path / "report.json") == 0
-        assert n_lanes > 100
-        assert len(built) == n_lanes
-        assert read_json(tmp_path / "report.json")["scenes"]["pred"]["lane_segments"] is not None
-
     def test_file_dir_mismatch_exits_2(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
@@ -652,7 +628,8 @@ class TestTwoPointScenes:
             run("synth", "--n-points", 2, "--seed", 1, "--out", out)
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and errors[0].endswith("n_points must be finite and >= 3, got 2")
+        assert len(errors) == 1 \
+            and errors[0].endswith("n_points must be finite and in [3, 500], got 2")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "fitdemo"])
@@ -703,7 +680,7 @@ class TestInputErrors:
         scene_path, out = tmp_path / "scene.json", tmp_path / "p.json"
         write_json(scene_path, {"version": 1, "n_points": n_points, "lanes": [],
                                 "traffic": [], "topo": {"ll": [], "lt": []}})
-        msg = f"n_points must be finite and >= 2, got {n_points}"
+        msg = f"n_points must be finite and in [2, 500], got {n_points}"
         with pytest.raises(SchemaError) as err:
             read_scene(scene_path)
         assert err.value.violations == [msg]
@@ -712,7 +689,7 @@ class TestInputErrors:
         assert not out.exists() and not manifest_path_for(out).exists()
         scene = lt.Scene(lanes=[], traffic=[], topo=lt.TopologyGraph(
             ll=np.zeros((0, 0)), lt=np.zeros((0, 0))), n_points=n_points)
-        with pytest.raises(ValueError, match=f"^{msg}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             scene.lane_stack()
 
     @pytest.mark.parametrize("command, where", [
@@ -745,4 +722,97 @@ class TestInputErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and f"{where}: " in lines[0]
         assert "too large" in lines[0]
+        assert not out.exists()
+
+
+class TestNoPerLaneObjects:
+    """Lanes stay arrays from reader, generator or pipeline to writer: no
+    command builds a Polyline3D per lane, checked or not, except connected,
+    which returns one curve per connected lane."""
+
+    def test_command_paths(self, tmp_path, monkeypatch):
+        scene, pred, conn = tmp_path / "scene.json", tmp_path / "pred.json", tmp_path / "c.json"
+        built = []
+        check = lt.Polyline3D.__post_init__
+        unchecked = lt.Polyline3D.unchecked.__func__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        def counted_unchecked(cls, points):
+            built.append(1)
+            return unchecked(cls, points)
+
+        monkeypatch.setattr(lt.Polyline3D, "__post_init__", counted)
+        monkeypatch.setattr(lt.Polyline3D, "unchecked", classmethod(counted_unchecked))
+        counts = {}
+        for argv in (("synth", "--corridors", 3, "--segments", 4, "--seed", 100, "--out", scene),
+                     ("predict", "--scene", scene, "--out", pred, "--source", "perturbed",
+                      "--spurious-rate", 0.2),
+                     ("eval", "--pred", pred, "--gt", scene, "--out", tmp_path / "r.json"),
+                     ("connected", "--scene", scene, "--out", conn)):
+            built.clear()
+            assert run(*argv) == 0
+            counts[argv[0]] = len(built)
+        monkeypatch.undo()
+        n_connected = len(read_json(conn)["connected"])
+        assert len(read_scene(scene).lanes) == 14 and len(read_prediction(pred).lanes) > 14
+        assert read_json(tmp_path / "r.json")["scenes"]["pred"]["lane_segments"] is not None
+        assert counts == {"synth": 0, "predict": 0, "eval": 0, "connected": n_connected}
+
+
+class TestOverflowingMerge:
+    @pytest.mark.parametrize("command", ["connected", "predict", "fitdemo"])
+    def test_exits_2_naming_the_edge_unwritten(self, tmp_path, capsys, command):
+        # the default grid's ll edges are (0, 1) and (2, 3); the scene is
+        # valid and scored, but its (0, 1) merge is longer than any float
+        scene_path, out = tmp_path / "scene.json", tmp_path / "out.json"
+        assert run("synth", "--out", scene_path) == 0
+        manifest = manifest_path_for(scene_path)
+        doc = read_json(scene_path)
+        doc["lanes"][0][0] = [1e308, -1e308, 0.0]
+        write_json(scene_path, doc)
+        assert read_json(scene_path)["topo"]["ll"][0][1] == 1.0
+        capsys.readouterr()
+        assert run(command, "--scene", scene_path, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lanes (0, 1) are marked connected but their merged curve's arc length "
+            "is not finite"]
+        assert sorted(tmp_path.iterdir()) == [scene_path, manifest]
+
+
+def run_limited(*argv, limit=2**30):
+    """The CLI in a child process whose address space is capped at limit
+    bytes, so a model too large for memory fails there, not here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lt.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "lanetopo", *map(str, argv)], env=env, capture_output=True,
+        text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+class TestOversizedModels:
+    """Sizes that bound the model's parameters are refused before anything
+    is drawn: exit 2 and one error line, not a MemoryError traceback."""
+
+    def test_scene_with_too_many_points_per_lane(self, tmp_path):
+        scene_path, out = tmp_path / "scene.json", tmp_path / "p.json"
+        write_json(scene_path, {"version": 1, "n_points": 100000000, "lanes": [],
+                                "traffic": [], "topo": {"ll": [], "lt": []}})
+        proc = run_limited("predict", "--scene", scene_path, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: n_points must be finite and in [2, 500], got 100000000"]
+        assert not out.exists()
+
+    def test_too_many_channels(self, tmp_path):
+        scene_path, out = tmp_path / "scene.json", tmp_path / "p.json"
+        write_chain(scene_path)
+        proc = run_limited("predict", "--scene", scene_path, "--out", out,
+                           "--channels", 100000000, "--heads", 1)
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith("c must be finite and in [1, 512], got 100000000")
         assert not out.exists()

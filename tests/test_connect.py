@@ -1,5 +1,7 @@
 """Connected-lane construction and the lane-to-half distance matrices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import lanetopo as lt
 from lanetopo.connect import ConnectedLane, _halves
 from lanetopo.geometry import L1_CHUNK, PAIR_CHUNK, resample_stack
 from lanetopo.scene import JUNCTION_TOL
-from conftest import chain_scene, point_stack, straight_lane
+from conftest import chain_scene, perfect_prediction, point_stack, straight_lane
 from oracles import (
     avg_l1_loops,
     build_connected_gt_loops,
@@ -98,13 +100,13 @@ class TestBuildConnectedGt:
                                                  split_prob=0.5, seed=2))
         for c in lt.build_connected_gt(scene):
             i, j = c.source
-            assert np.array_equal(c.curve.initial, scene.lanes[i].initial)
-            assert np.array_equal(c.curve.terminal, scene.lanes[j].terminal)
+            assert np.array_equal(c.curve.points[0], scene.lanes[i].points[0])
+            assert np.array_equal(c.curve.points[-1], scene.lanes[j].points[-1])
 
     def test_curves_resampled_to_scene_count(self):
         scene = lt.generate_scene(lt.SynthParams(seed=3))
         for c in lt.build_connected_gt(scene):
-            assert c.curve.n_points == scene.n_points
+            assert len(c.curve.points) == scene.n_points
 
 
 def assert_same_connected(got, ref):
@@ -141,7 +143,7 @@ class TestBuildConnectedGtOracle:
         for x, joined in ((JUNCTION_TOL, True), (np.nextafter(JUNCTION_TOL, 1.0), False)):
             b = lane_through([x, 0.0, 0.0], [5.0, 1.0, 0.0], [10.0, 2.0, 0.0])
             scene = edge_scene([a, b], [(0, 1)])
-            assert float(np.linalg.norm(b.initial - a.terminal)) == x
+            assert float(np.linalg.norm(b.points[0] - a.points[-1])) == x
             assert (junction_point(a, b) is not None) == joined
             if joined:
                 assert_same_connected(lt.build_connected_gt(scene),
@@ -156,9 +158,9 @@ class TestBuildConnectedGtOracle:
     @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)])
     def test_first_failing_edge_raises_its_own_error(self, order):
         # three broken edges: a merged curve whose chords underflow to zero
-        # length, one whose chords overflow so the resampled points repeat,
-        # and an open junction; whichever comes first in row-major order
-        # raises, with the message a one-edge-at-a-time build gives
+        # length, one whose chords overflow, and an open junction; whichever
+        # comes first in row-major order raises, with the message a
+        # one-edge-at-a-time build gives, and the library warns of nothing
         tiny = [lane_through([0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [2e-170, 0.0, 0.0]),
                 lane_through([2e-170, 0.0, 0.0], [3e-170, 0.0, 0.0], [4e-170, 0.0, 0.0])]
         huge = [lane_through([-1.5e308, 9.0, 0.0], [0.0, 9.0, 0.0], [1.5e308, 9.0, 0.0]),
@@ -167,15 +169,30 @@ class TestBuildConnectedGtOracle:
         pairs = [tiny, huge, open_]
         lanes = [lane for k in order for lane in pairs[k]]
         scene = edge_scene(lanes, [(0, 1), (2, 3), (4, 5)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError) as ref:
-                build_connected_gt_loops(scene)
-            with pytest.raises(ValueError) as got:
-                lt.build_connected_gt(scene)
+        with pytest.raises(ValueError) as ref:
+            build_connected_gt_loops(scene)
+        with pytest.raises(ValueError) as got:
+            lt.build_connected_gt(scene)
         assert str(got.value) == str(ref.value)
-        assert str(got.value).startswith(("cannot resample a zero-length polyline",
-                                          "polyline has consecutive duplicate points",
-                                          "lanes (0, 1)")[order[0]])
+        assert str(got.value).startswith((
+            "cannot resample a zero-length polyline",
+            "lanes (0, 1) are marked connected but their merged curve's arc length is not finite",
+            "lanes (0, 1) are marked connected but their junction")[order[0]])
+
+    def test_merge_whose_length_overflows_names_its_edge(self):
+        # the default grid's ll edges are (0, 1) and (2, 3); a far first point
+        # leaves lane 0 a valid polyline, and the scene valid and scored
+        scene = lt.generate_scene(lt.SynthParams())
+        lanes = [lane.points.copy() for lane in scene.lanes]
+        lanes[0][0] = [1e308, -1e308, 0.0]
+        scene = replace(scene, lanes=[lt.Polyline3D(p) for p in lanes])
+        assert lt.validate_scene(scene) == []
+        assert lt.evaluate(perfect_prediction(scene), scene).det_l == 1.0
+        for step in (lt.connected_curves, lt.build_connected_gt, lt.run_pipeline):
+            with pytest.raises(ValueError) as err:
+                step(scene)
+            assert str(err.value) == ("lanes (0, 1) are marked connected but their merged "
+                                      "curve's arc length is not finite")
 
     @pytest.mark.parametrize("n_points", [1, 0, -1])
     def test_too_few_points_raise_like_the_oracle(self, n_points):

@@ -14,7 +14,6 @@ from lanetopo.geometry import (
     endpoint_bounds,
     frechet_pairs,
     resample_stack,
-    stacks_by_count,
     widen,
 )
 from conftest import straight_lane
@@ -580,7 +579,7 @@ class TestWidenKernel:
         for width in (0.5, 1.75, 3.3):
             self.assert_bitwise(lanes, width)
         # one stack of equal point counts, straight through the kernel
-        stack = np.stack([lane.points for lane in lanes if lane.n_points == 11])
+        stack = np.stack([lane.points for lane in lanes if len(lane.points) == 11])
         left, right, _ = widen(stack, 1.75)
         for k, (l_loop, r_loop) in enumerate(widen_loops(stack, 1.75)):
             assert np.array_equal(left[k], l_loop) and np.array_equal(right[k], r_loop)
@@ -636,35 +635,3 @@ class TestWidenKernel:
     def test_unusable_width_raises(self, width):
         with pytest.raises(ValueError, match="lane width must be finite and positive"):
             lane_boundaries([straight_lane(0.0, 10.0, 0.0)], width)
-
-
-class TestStacksByCount:
-    def grouped(self, polys):
-        # the grouping by np.unique, whatever the counts
-        counts = np.array([len(p) for p in polys])
-        groups = [np.flatnonzero(counts == n) for n in np.unique(counts)]
-        return [(idx, np.stack([polys[i] for i in idx])) for idx in groups]
-
-    def assert_same(self, got, want):
-        assert len(got) == len(want)
-        for (gi, gp), (wi, wp) in zip(got, want):
-            assert gi.dtype == wi.dtype
-            assert np.array_equal(gi, wi)
-            assert np.array_equal(gp, wp)
-
-    def test_one_count_is_one_stack(self):
-        rng = np.random.default_rng(0)
-        polys = [random_polyline(rng, 6) for _ in range(5)]
-        got = list(stacks_by_count(polys))
-        assert len(got) == 1
-        self.assert_same(got, self.grouped(polys))
-
-    def test_mixed_counts_group_by_count(self):
-        rng = np.random.default_rng(1)
-        polys = [random_polyline(rng, n) for n in (5, 3, 5, 7, 3)]
-        got = list(stacks_by_count(polys))
-        assert [len(i) for i, _ in got] == [2, 2, 1]
-        self.assert_same(got, self.grouped(polys))
-
-    def test_empty_list_yields_nothing(self):
-        assert list(stacks_by_count([])) == []

@@ -79,6 +79,24 @@ class TestAveragePrecision:
             got = lt.average_precision(flags, n_gt)
             assert got == average_precision_loops(flags, n_gt) and type(got) is float
 
+    def test_one_family_in_one_call_is_the_mean_of_the_loop_oracle(self, monkeypatch):
+        # _mean_ap ranks every threshold's flags in one _precision_sums call;
+        # each AP, and so the mean, is bitwise the one-list oracle's
+        calls = []
+        sums = metrics._precision_sums
+        monkeypatch.setattr(metrics, "_precision_sums",
+                            lambda flags: calls.append(flags.shape) or sums(flags))
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            k, n_thr = int(rng.integers(0, 80)), int(rng.integers(1, 5))
+            flags = {thr: (rng.random(k) < rng.random(),) for thr in range(n_thr)}
+            n_gt = int(rng.integers(0, k + 3))
+            calls.clear()
+            got = metrics._mean_ap(flags.get, range(n_thr), n_gt)
+            want = np.mean([average_precision_loops(f, n_gt) for f, in flags.values()])
+            assert got == want and type(got) is float
+            assert calls == ([(n_thr, k)] if n_gt and k else [])
+
 
 class TestRankByScore:
     def test_descending_with_stable_ties(self):

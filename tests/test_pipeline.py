@@ -108,7 +108,7 @@ class TestGtSource:
         empty = lt.Scene(lanes=[], traffic=[],
                          topo=lt.TopologyGraph(ll=np.zeros((0, 0)), lt=np.zeros((0, 0))))
         pred = lt.run_pipeline(empty, small_cfg())
-        assert pred.lanes == []
+        assert len(pred.lanes) == 0
         assert pred.lane_scores.shape == (0,)
         assert pred.topo.ll.shape == (0, 0)
 

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.scene import junction_gaps
+from lanetopo.scene import Lanes, junction_gaps, polyline_flaws
 from conftest import chain_scene, perfect_prediction, straight_lane
-from oracles import build_connected_gt_loops, merge_at_junction
+from oracles import build_connected_gt_loops, merge_at_junction, random_polyline, stacks_by_count
 
 
 class TestPolyline:
     def test_accepts_well_formed_points(self):
         poly = lt.Polyline3D(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        assert poly.n_points == 2
+        assert poly.points.shape == (2, 3)
         assert poly.points.dtype == np.float64
 
     def test_rejects_single_point(self):
@@ -37,12 +37,95 @@ class TestPolyline:
 
     def test_nonconsecutive_repeat_is_fine(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert lt.Polyline3D(pts).n_points == 3
+        assert len(lt.Polyline3D(pts).points) == 3
 
-    def test_endpoint_accessors(self):
-        poly = straight_lane(0.0, 10.0, 2.0, n=5)
-        assert np.array_equal(poly.initial, [0.0, 2.0, 0.0])
-        assert np.array_equal(poly.terminal, [10.0, 2.0, 0.0])
+
+class TestLanes:
+    """One points array cut by offsets, read as the polylines it holds."""
+
+    def polylines(self, *counts):
+        rng = np.random.default_rng(sum(counts))
+        return [lt.Polyline3D(random_polyline(rng, n)) for n in counts]
+
+    def test_a_list_of_polylines_is_one_points_array(self):
+        polys = self.polylines(5, 3, 5, 7)
+        lanes = Lanes.of(polys)
+        assert lanes.points.shape == (20, 3) and lanes.offsets.tolist() == [0, 5, 8, 13, 20]
+        assert len(lanes) == 4 and lanes.counts.tolist() == [5, 3, 5, 7]
+        for got, want in zip(lanes, polys, strict=True):
+            assert isinstance(got, lt.Polyline3D) and np.array_equal(got.points, want.points)
+            assert np.shares_memory(got.points, lanes.points)
+        assert np.array_equal(lanes[-1].points, polys[-1].points)
+        assert np.array_equal(lanes.ends, [p.points[[0, -1]] for p in polys])
+        with pytest.raises(IndexError):
+            lanes[4]
+        assert Lanes.of(lanes) is lanes
+        empty = Lanes.of([])
+        assert len(empty) == 0 and empty.points.shape == (0, 3) and empty.ends.shape == (0, 2, 3)
+
+    def test_equal_counts_stack_as_a_view(self):
+        P = np.stack([p.points for p in self.polylines(6, 6, 6)])
+        lanes = Lanes.of(P)
+        assert lanes.offsets.tolist() == [0, 6, 12, 18]
+        assert np.shares_memory(lanes.stack(), P) and np.array_equal(lanes.stack(6), P)
+        assert lanes.stack(5) is None
+        assert Lanes.of(self.polylines(6, 5)).stack() is None
+        assert Lanes.of([]).stack(7).shape == (0, 7, 3) and Lanes.of([]).stack().shape == (0, 0, 3)
+
+    def test_scene_and_prediction_keep_their_lanes_as_lanes(self, chain):
+        assert isinstance(chain.lanes, Lanes) and len(chain.lanes) == 2
+        pred = perfect_prediction(chain)
+        assert isinstance(pred.lanes, Lanes)
+        assert np.array_equal(pred.lanes.points, chain.lanes.points)
+        again = replace(chain, lanes=[chain.lanes[1]])
+        assert np.array_equal(again.lanes.points, chain.lanes[1].points)
+
+    @pytest.mark.parametrize("counts", [(5, 3, 5, 7, 2), (4, 4), (2,), ()])
+    def test_flaws_of_the_points_array_are_those_of_each_lane(self, counts):
+        rng = np.random.default_rng(len(counts))
+        lanes = Lanes.of(self.polylines(*counts))
+        clean = np.zeros((len(counts), 2), dtype=bool)
+        assert np.array_equal(polyline_flaws(lanes.points, lanes.offsets), clean)
+        for k, n in enumerate(counts):
+            for flaw, col in ((np.nan, 0), ("dup", 1)):
+                points = lanes.points.copy()
+                i = lanes.offsets[k] + rng.integers(1, n)
+                points[i] = points[i - 1] if flaw == "dup" else flaw
+                want = clean.copy()
+                want[k, col] = True
+                assert np.array_equal(polyline_flaws(points, lanes.offsets), want)
+            # a lane that starts where the lane before it ends has no duplicate
+            if k:
+                points = lanes.points.copy()
+                points[lanes.offsets[k]] = points[lanes.offsets[k] - 1]
+                assert not polyline_flaws(points, lanes.offsets).any()
+
+
+class TestLanesByCount:
+    """Lanes.gather per point count against the grouping it replaced
+    (oracles.stacks_by_count)."""
+
+    def assert_same(self, polys):
+        lanes = Lanes.of(polys)
+        want = list(stacks_by_count(polys))
+        assert [P.shape[1] for _, P in want] == np.unique(lanes.counts).tolist()
+        for idx, P in want:
+            got = lanes.gather(idx, P.shape[1])
+            assert got.dtype == P.dtype and np.array_equal(got, P)
+
+    def test_one_count_is_one_stack(self):
+        rng = np.random.default_rng(0)
+        self.assert_same([lt.Polyline3D(random_polyline(rng, 6)) for _ in range(5)])
+
+    def test_mixed_counts_group_by_count(self):
+        rng = np.random.default_rng(1)
+        polys = [lt.Polyline3D(random_polyline(rng, n)) for n in (5, 3, 5, 7, 3)]
+        assert [len(i) for i, _ in stacks_by_count(polys)] == [2, 2, 1]
+        self.assert_same(polys)
+
+    def test_empty_list_yields_nothing(self):
+        assert list(stacks_by_count([])) == []
+        assert Lanes.of([]).gather(np.zeros(0, dtype=int), 4).shape == (0, 4, 3)
 
 
 class TestTrafficElement:
@@ -143,7 +226,7 @@ class TestLaneStack:
         scene = chain_scene()
         b = lt.Polyline3D(scene.lanes[1].points[[0, 2, 4, 6, 10]])
         scene = lt.Scene(lanes=[scene.lanes[0], b], traffic=scene.traffic, topo=scene.topo)
-        assert np.array_equal(scene.lanes[1].initial, scene.lanes[0].terminal)
+        assert np.array_equal(scene.lanes[1].points[0], scene.lanes[0].points[-1])
         msg = r"^lane 1: point count 5 != scene n_points 11$"
         for step in (lt.Scene.lane_stack, lt.build_connected_gt,
                      lambda s: lt.perturb(s, lt.NoiseParams(), 0),

@@ -334,7 +334,7 @@ class TestLaneReader:
         path = tmp_path / "pred.json"
         write_json(path, _prediction_doc(lanes))
         pred = read_prediction(path)
-        assert [lane.n_points for lane in pred.lanes] == [7, 11, 7, 20, 11]
+        assert [len(lane.points) for lane in pred.lanes] == [7, 11, 7, 20, 11]
         for lane, pts in zip(pred.lanes, lanes):
             assert lane.points.dtype == np.float64 and lane.points.flags.c_contiguous
             assert np.array_equal(lane.points, [[round9(v) for v in p] for p in pts])
