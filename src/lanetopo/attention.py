@@ -12,9 +12,10 @@ Two blocks live here, both pure numpy with analytic backward passes:
 
 The mask path (sigmoid_mask_forward) is an elementwise MLP + sigmoid with a
 numeric floor so the log never sees 0. The MLP runs over blocks of D's
-entries, so its hidden layer is never held for all of them at once. One
-parameter set serves every layer that needs the mask; callers share the
-instance.
+entries, so its hidden layer is never held for more than one block: a D of
+one block keeps it for the backward, a larger D keeps only D and the
+backward rebuilds each block's. One parameter set serves every layer that
+needs the mask; callers share the instance.
 """
 
 from __future__ import annotations
@@ -149,30 +150,45 @@ def sigmoid_mask_forward(params: SigmoidMaskParams, d: np.ndarray):
     """S = clip(sigmoid(MLP(D)), MASK_EPS, 1), applied entrywise, with cache.
 
     The MLP runs on blocks of MASK_BLOCK entries; every entry gets the
-    arithmetic of the one-shot pass, so S is bitwise the same. The cache
-    keeps D itself, not the hidden layer.
+    arithmetic of the one-shot pass, so S is bitwise the same, except in a
+    last block of one entry, whose numpy matrix-vector product may round
+    the last place differently. A D of one block keeps that block's MLP
+    cache, at most MASK_BLOCK x c per layer, so the backward does not
+    rebuild it; a larger D keeps D itself, not the hidden layer, and its
+    blocks write into one logits array through one buffer per hidden layer.
     """
+    mlp = params.mlp
     flat = d.reshape(-1, 1)
-    logits = np.concatenate([mlp_forward(params.mlp, flat[s:s + MASK_BLOCK])
-                             for s in range(0, max(1, len(flat)), MASK_BLOCK)])
+    n = len(flat)
+    mlp_cache = None
+    if n <= MASK_BLOCK or not mlp.weights:  # one block, or the identity
+        logits, mlp_cache = mlp_forward_cached(mlp, flat)
+    else:
+        logits = np.empty((n, 1))
+        hidden = [np.empty((MASK_BLOCK, w.shape[1])) for w in mlp.weights[:-1]]
+        for s in range(0, n, MASK_BLOCK):
+            mlp_forward(mlp, flat[s:s + MASK_BLOCK], out=[*hidden, logits[s:]])
     sg = sigmoid(logits)
     s = np.clip(sg, MASK_EPS, 1.0).reshape(d.shape)
-    return s, (d, sg)
+    return s, (d, sg, mlp_cache)
 
 
 def sigmoid_mask_backward(params: SigmoidMaskParams, cache, gs: np.ndarray):
-    d, sg = cache
+    d, sg, mlp_cache = cache
     # the clip floor zeroes the gradient below MASK_EPS; the ceiling at 1 is
     # never strictly binding because sigmoid saturates with zero slope anyway
     g_logits = gs.reshape(-1, 1) * sg * (1.0 - sg) * (sg >= MASK_EPS)
+    if mlp_cache is not None:
+        gd, mlp_grads = mlp_backward(params.mlp, mlp_cache, g_logits)
+        return gd.reshape(d.shape), SigmoidMaskParams(mlp=mlp_grads)
     flat = d.reshape(-1, 1)
     gd = np.empty(flat.shape)
     mlp_grads = None
-    for s in range(0, max(1, len(flat)), MASK_BLOCK):
+    for s in range(0, len(flat), MASK_BLOCK):
         rows = slice(s, s + MASK_BLOCK)
         # each block's hidden layer is rebuilt from D
-        _, mlp_cache = mlp_forward_cached(params.mlp, flat[rows])
-        gd[rows], grads = mlp_backward(params.mlp, mlp_cache, g_logits[rows])
+        _, block_cache = mlp_forward_cached(params.mlp, flat[rows])
+        gd[rows], grads = mlp_backward(params.mlp, block_cache, g_logits[rows])
         mlp_grads = add_mlp_grads(mlp_grads, grads)
     return gd.reshape(d.shape), SigmoidMaskParams(mlp=mlp_grads)
 
@@ -224,10 +240,10 @@ def masked_cross_attention_forward(
     xv = qc @ params.wv + params.bv
     z = xq @ xk.T / np.sqrt(c)
     if s is not None:
-        z = z + np.log(s)
+        z += np.log(s)
     a = softmax_rows(z)
-    ctx = a @ xv
-    r = ctx + q
+    r = a @ xv
+    r += q
     y, ln_cache = layer_norm_forward(r, params.ln_gain, params.ln_bias)
     cache = (q, qc, s, xq, xk, xv, a, ln_cache)
     return y, cache
@@ -240,7 +256,6 @@ def masked_cross_attention_backward(params: CrossAttentionParams, cache, gy: np.
 
     gr, g_gain, g_bias = layer_norm_backward(ln_cache, params.ln_gain, gy)
     g_ctx = gr
-    gq = gr.copy()  # residual branch
 
     ga = g_ctx @ xv.T
     gxv = a.T @ g_ctx
@@ -254,7 +269,7 @@ def masked_cross_attention_backward(params: CrossAttentionParams, cache, gy: np.
     g_wk, g_bk = qc.T @ gxk, gxk.sum(axis=0)
     g_wv, g_bv = qc.T @ gxv, gxv.sum(axis=0)
 
-    gq += gxq @ params.wq.T
+    gq = gr + gxq @ params.wq.T  # the residual branch and the query projection
     gqc = gxk @ params.wk.T + gxv @ params.wv.T
 
     grads = CrossAttentionParams(wq=g_wq, bq=g_bq, wk=g_wk, bk=g_bk, wv=g_wv, bv=g_bv,

@@ -86,7 +86,7 @@ def _relu_margin(*mlp_caches) -> float:
 def _mask_margin(params: SigmoidMaskParams, cache) -> float:
     """Kink margin of a sigmoid_mask_forward cache: its MLP's ReLUs and the
     clip floor, which is a kink too."""
-    d, sg = cache
+    d, sg, _ = cache
     floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
     _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
     return min(_relu_margin(mlp_cache), floor)

@@ -97,14 +97,23 @@ def _first_layer(head: MlpParams, a: np.ndarray, b: np.ndarray):
     return a @ w[:c], b @ w[c:] + head.biases[0]
 
 
+def _rows_per_block(m: int) -> int:
+    return max(1, PAIR_BLOCK // max(1, m))
+
+
+def _preacts(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """The (len(za) * m, c) first-layer pre-activations of every pair of a
+    row of za with one of zb, row-major in (i, j)."""
+    return (za[:, None, :] + zb[None, :, :]).reshape(-1, za.shape[1])
+
+
 def pair_preacts(za: np.ndarray, zb: np.ndarray):
     """(rows, z) for each row block of the pair grid, z the (len(rows) * m, c)
     first-layer pre-activations of its pairs, row-major in (i, j)."""
-    n, m = len(za), len(zb)
-    step = max(1, PAIR_BLOCK // max(1, m))
-    for s in range(0, n, step):
+    step = _rows_per_block(len(zb))
+    for s in range(0, len(za), step):
         rows = slice(s, s + step)
-        yield rows, (za[rows, None, :] + zb[None, :, :]).reshape(-1, za.shape[1])
+        yield rows, _preacts(za[rows], zb)
 
 
 def _rest(head: MlpParams) -> MlpParams:
@@ -112,11 +121,17 @@ def _rest(head: MlpParams) -> MlpParams:
 
 
 def _pair_logits(head: MlpParams, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """(n, m) outputs of a (2c, c, 1) head on every pair, one row block at a time."""
+    """(n, m) outputs of a (2c, c, 1) head on every pair, one row block at a
+    time, each block's ReLU in place; a grid of one block is the block's
+    own output."""
     rest = _rest(head)
-    out = np.empty((len(za), len(zb)))
+    n, m = len(za), len(zb)
+    if n <= _rows_per_block(m):
+        z = _preacts(za, zb)
+        return mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(n, m)
+    out = np.empty((n, m))
     for rows, z in pair_preacts(za, zb):
-        out[rows] = mlp_forward(rest, np.maximum(z, 0.0)).reshape(-1, len(zb))
+        out[rows] = mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(-1, m)
     return out
 
 
@@ -131,9 +146,11 @@ def _pair_backward(head: MlpParams, a, b, za, zb, g: np.ndarray):
     gzb = np.zeros_like(zb)
     rest_grads = None
     for rows, z in pair_preacts(za, zb):
-        _, cache = mlp_forward_cached(rest, np.maximum(z, 0.0))
+        # the ReLU in place: z > 0 exactly where max(z, 0) > 0
+        _, cache = mlp_forward_cached(rest, np.maximum(z, 0.0, out=z))
         gz, grads = mlp_backward(rest, cache, g[rows].reshape(-1, 1))
-        gz = (gz * (z > 0.0)).reshape(-1, len(zb), gz.shape[1])
+        gz *= z > 0.0
+        gz = gz.reshape(-1, len(zb), gz.shape[1])
         gza[rows] = gz.sum(axis=1)
         gzb += gz.sum(axis=0)
         rest_grads = add_mlp_grads(rest_grads, grads)
@@ -150,8 +167,9 @@ def _max_per_pair(key: np.ndarray, s: np.ndarray) -> np.ndarray:
     lexsort is stable, so among exactly tied scores the lowest index wins.
     """
     order = np.lexsort((-s, key))
+    ranked = key[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
+    first[1:] = ranked[1:] != ranked[:-1]
     return order[first]
 
 

@@ -199,9 +199,15 @@ def _group_lanes(docs) -> tuple[np.ndarray, Lanes]:
 def _pair_kernel(kernel, a: Lanes, b: Lanes, pa: np.ndarray, pb: np.ndarray,
                  keep: np.ndarray) -> np.ndarray:
     """kernel(lane pa[k] of a, lane pb[k] of b) for the pairs k where keep,
-    inf elsewhere: one call per pair of point counts."""
+    inf elsewhere: one call per pair of point counts, and no search for the
+    counts when each side's lanes share one."""
     out = np.full(pa.shape, np.inf)
     keep = np.flatnonzero(keep)
+    sa, sb = a.stack(), b.stack()
+    if sa is not None and sb is not None:
+        if keep.size:
+            out[keep] = kernel(sa[pa[keep]], sb[pb[keep]])
+        return out
     ca, cb = a.counts[pa[keep]], b.counts[pb[keep]]
     for n in np.unique(ca).tolist():
         for m in np.unique(cb).tolist():
@@ -214,14 +220,20 @@ def _pair_kernel(kernel, a: Lanes, b: Lanes, pa: np.ndarray, pb: np.ndarray,
 def _boundaries(lanes: Lanes, offsets: np.ndarray, width: float, which: int):
     """(each lane's left then right boundary points as a Lanes; the first lane,
     its document's at offsets, whose boundary Polyline3D would reject, as a
-    ScoringError with which as its side, or None)."""
-    bounds = Lanes(np.empty((2 * len(lanes.points), 3)), 2 * lanes.offsets)
-    flaws = np.zeros((len(lanes), 4), dtype=bool)
-    for n in np.unique(lanes.counts).tolist():
-        idx = np.flatnonzero(lanes.counts == n)
-        left, right, flaws[idx] = widen(lanes.gather(idx, n), width)
-        bounds.points[bounds.offsets[idx, None] + np.arange(2 * n)] = \
-            np.concatenate([left, right], axis=1)
+    ScoringError with which as its side, or None). Lanes that share one point
+    count are widened in one call with no scatter."""
+    stack = lanes.stack() if len(lanes) else None  # np.gradient refuses 0 points
+    if stack is not None:
+        left, right, flaws = widen(stack, width)
+        bounds = Lanes(np.concatenate([left, right], axis=1).reshape(-1, 3), 2 * lanes.offsets)
+    else:
+        bounds = Lanes(np.empty((2 * len(lanes.points), 3)), 2 * lanes.offsets)
+        flaws = np.zeros((len(lanes), 4), dtype=bool)
+        for n in np.unique(lanes.counts).tolist():
+            idx = np.flatnonzero(lanes.counts == n)
+            left, right, flaws[idx] = widen(lanes.gather(idx, n), width)
+            bounds.points[bounds.offsets[idx, None] + np.arange(2 * n)] = \
+                np.concatenate([left, right], axis=1)
     bad = np.flatnonzero(flaws.any(axis=1))
     if not bad.size:
         return bounds, None

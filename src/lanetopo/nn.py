@@ -74,8 +74,19 @@ class MlpParams:
         return len(self.weights)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    return mlp_forward_cached(params, x)[0]
+def mlp_forward(params: MlpParams, x: np.ndarray, out: list | None = None) -> np.ndarray:
+    """mlp_forward_cached's output, each layer's bias and ReLU applied in
+    place on its own product and nothing kept for a backward. out, if
+    given, holds one 2-D array per layer, at least len(x) rows long, whose
+    first len(x) rows take that layer's output instead of a new array."""
+    h = x
+    last = params.n_layers - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w if out is None else np.matmul(h, w, out=out[l][:len(h)])
+        h += b
+        if l != last:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def mlp_forward_cached(params: MlpParams, x: np.ndarray):
@@ -85,7 +96,8 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = h @ w
+        z += b
         preacts.append(z)
         h = np.maximum(z, 0.0) if l != last else z
     return h, (inputs, preacts)
@@ -102,10 +114,12 @@ def mlp_backward(params: MlpParams, cache, gy: np.ndarray):
     gws, gbs = [None] * (last + 1), [None] * (last + 1)
     for l in range(last, -1, -1):
         if l != last:
-            g = g * (preacts[l] > 0.0)
-        h = inputs[l]
-        gws[l] = h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        gbs[l] = g.reshape(-1, g.shape[-1]).sum(axis=0)
+            g *= preacts[l] > 0.0  # g is the layer above's own product
+        h, g2 = inputs[l], g
+        if g.ndim != 2:
+            h, g2 = h.reshape(-1, h.shape[-1]), g.reshape(-1, g.shape[-1])
+        gws[l] = h.T @ g2
+        gbs[l] = g2.sum(axis=0)
         g = g @ params.weights[l].T
     return g, MlpParams(weights=gws, biases=gbs)
 
@@ -149,22 +163,28 @@ def descend(params, grads, lr: float) -> None:
         for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
             p -= lr * g
         return
-    for name in grads.__dataclass_fields__:
-        g = getattr(grads, name)
+    for name, g in vars(grads).items():
         if isinstance(g, np.ndarray):
             p = getattr(params, name)
             p -= lr * g
-        elif is_dataclass(g):
+        elif g is not None and not isinstance(g, int):  # a sub-tree, not a head count
             descend(getattr(params, name), g, lr)
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Row-wise layer norm with learnable affine. eps sits inside the sqrt."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    y = gain * xhat + bias
+    """Row-wise layer norm with learnable affine. eps sits inside the sqrt.
+
+    The mean and the variance are last-axis sums divided by c, the
+    arithmetic of np.mean and np.var, with x - mean taken once.
+    """
+    c = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / c
+    var = np.square(xc).sum(axis=-1, keepdims=True) / c
+    var += LN_EPS
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat = xc * inv
+    y = gain * xhat
+    y += bias
     return y, (xhat, inv)
 
 
@@ -174,11 +194,9 @@ def layer_norm_backward(cache, gain: np.ndarray, gy: np.ndarray):
     g_gain = (gy * xhat).reshape(-1, c).sum(axis=0)
     g_bias = gy.reshape(-1, c).sum(axis=0)
     gxhat = gy * gain
-    gx = inv * (
-        gxhat
-        - gxhat.mean(axis=-1, keepdims=True)
-        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    gx = gxhat - gxhat.sum(axis=-1, keepdims=True) / c
+    gx -= xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) / c)
+    gx *= inv
     return gx, g_gain, g_bias
 
 
@@ -192,4 +210,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_backward(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    return s * (gs - (gs * s).sum(axis=-1, keepdims=True))
+    g = gs - (gs * s).sum(axis=-1, keepdims=True)
+    g *= s
+    return g

@@ -305,6 +305,14 @@ def _check_version(d: dict, what: str) -> None:
         raise SchemaError([f"{what}: unsupported version {v!r}"])
 
 
+def _iterable(items, key: str):
+    """items, refused naming key when it is a JSON number, bool or null,
+    which no lane or traffic loop can iterate."""
+    if items is None or isinstance(items, (int, float)):
+        raise SchemaError([f"{key} must be a list, got {json.dumps(items)}"])
+    return items
+
+
 def _parse_lane(k: int, pts) -> Polyline3D:
     try:
         return Polyline3D(np.asarray(pts, dtype=float))
@@ -371,8 +379,8 @@ def scene_from_dict(d) -> Scene:
     _check_version(d, "scene")
     if not _is_int(d["n_points"]):
         raise SchemaError([f"scene: n_points must be an integer, got {d['n_points']!r}"])
-    lanes = _parse_lanes(d["lanes"])
-    traffic = _parse_traffic(d["traffic"], need_score=False)
+    lanes = _parse_lanes(_iterable(d["lanes"], "lanes"))
+    traffic = _parse_traffic(_iterable(d["traffic"], "traffic"), need_score=False)
     topo = _parse_topo(d["topo"], len(lanes), len(traffic))
     scene = Scene(lanes=lanes, traffic=traffic, topo=topo, n_points=d["n_points"])
     violations = validate_scene(scene)
@@ -384,12 +392,12 @@ def scene_from_dict(d) -> Scene:
 def prediction_from_dict(d, n_points: int | None = None) -> Prediction:
     _require(d, ("lanes", "lane_scores", "traffic", "topo"), "prediction")
     _check_version(d, "prediction")
-    lanes = _parse_lanes(d["lanes"])
+    lanes = _parse_lanes(_iterable(d["lanes"], "lanes"))
     try:
         scores = np.asarray(d["lane_scores"], dtype=float).reshape(-1)
     except (TypeError, ValueError, OverflowError) as err:
         raise SchemaError([f"lane_scores: {err}"]) from err
-    traffic = _parse_traffic(d["traffic"], need_score=True)
+    traffic = _parse_traffic(_iterable(d["traffic"], "traffic"), need_score=True)
     topo = _parse_topo(d["topo"], len(lanes), len(traffic))
     pred = Prediction(lanes=lanes, lane_scores=scores, traffic=traffic, topo=topo)
     violations = validate_prediction(pred, n_points)

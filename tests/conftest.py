@@ -50,6 +50,21 @@ def perfect_prediction(scene):
     )
 
 
+def same_bits(got, want) -> bool:
+    """got holds want's arrays bit for bit, in the same shapes and dtypes,
+    through tuples, lists and parameter trees; None matches only None."""
+    if want is None:
+        return got is None
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.shape == want.shape
+                and got.dtype == want.dtype and got.tobytes() == want.tobytes())
+    if isinstance(want, (tuple, list)):
+        return (isinstance(got, (tuple, list)) and len(got) == len(want)
+                and all(same_bits(g, w) for g, w in zip(got, want)))
+    got, want = lt.nn.param_arrays(got), lt.nn.param_arrays(want)
+    return list(got) == list(want) and all(same_bits(got[k], want[k]) for k in want)
+
+
 @pytest.fixture
 def chain():
     return chain_scene()

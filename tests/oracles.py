@@ -15,14 +15,18 @@ visits one entry at a time, lanes are jittered and widened one at a time
 into validated polylines, vertex APs rank a Python list of flags per
 vertex, assignment is full enumeration, JSON is written by rounding
 every float on its own before json.dumps, and lanes are read one
-validated polyline at a time. Four replaced kernels are kept as they
-were: the mean L1 matrix with each pair's points on a contiguous last
-axis, the float-array writer that prints every plain value with "%.9g",
-the softmax that builds a new array per step, and the per-scene lane
-matrices that metrics built before it scored a group of scenes at once
-(endpoint_bound, frechet_matrix, lane_boundaries and segment_matrix, each
-called on one scene's lane lists, grouped by stacks_by_count). None of
-this is imported by the package itself.
+validated polyline at a time. Replaced kernels are kept as they were:
+the mean L1 matrix with each pair's points on a contiguous last axis, the
+float-array writer that prints every plain value with "%.9g", the softmax
+that builds a new array per step, the per-scene lane matrices that
+metrics built before it scored a group of scenes at once (endpoint_bound,
+frechet_matrix, lane_boundaries and segment_matrix, each called on one
+scene's lane lists, grouped by stacks_by_count), and the topology stack's
+primitives before they worked in place: the list-building MLP forward and
+its reshaping backward, the np.mean/np.var layer norm, the copying softmax
+backward and cross-attention, the mask that concatenated its blocks and
+rebuilt every block's hidden layer in its backward, and the pair-head
+blocks. None of this is imported by the package itself.
 """
 
 import itertools
@@ -35,7 +39,17 @@ from lanetopo.connect import ConnectedLane
 from lanetopo.geometry import _point_gaps, chamfer_pairs, frechet_pairs, widen
 from lanetopo.heads import TopologyHeadParams
 from lanetopo.metrics import rank_by_score
-from lanetopo.nn import add_mlp_grads, mlp_backward, mlp_forward, mlp_forward_cached, sigmoid
+from lanetopo.attention import CrossAttentionParams, SigmoidMaskParams
+from lanetopo.nn import (
+    LN_EPS,
+    MASK_EPS,
+    MlpParams,
+    add_mlp_grads,
+    mlp_backward,
+    mlp_forward,
+    mlp_forward_cached,
+    sigmoid,
+)
 from lanetopo.scene import FLAWS, JUNCTION_TOL, Polyline3D
 from lanetopo.serialize import round9
 
@@ -620,6 +634,157 @@ def softmax_rows_copies(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def mlp_forward_lists(params, x):
+    """mlp_forward_cached as it was, and, through its output alone,
+    mlp_forward: each layer's product, bias sum and ReLU a new array, every
+    layer input and pre-activation kept in lists."""
+    h = x
+    inputs, preacts = [], []
+    last = params.n_layers - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        z = h @ w + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if l != last else z
+    return h, (inputs, preacts)
+
+
+def mlp_backward_reshaped(params, cache, gy):
+    """mlp_backward as it was: every layer's input and gradient reshaped to
+    rows, 2-D or not, and the ReLU mask applied to a new array."""
+    inputs, preacts = cache
+    last = params.n_layers - 1
+    g = gy
+    gws, gbs = [None] * (last + 1), [None] * (last + 1)
+    for l in range(last, -1, -1):
+        if l != last:
+            g = g * (preacts[l] > 0.0)
+        h = inputs[l]
+        gws[l] = h.reshape(-1, h.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gbs[l] = g.reshape(-1, g.shape[-1]).sum(axis=0)
+        g = g @ params.weights[l].T
+    return g, MlpParams(weights=gws, biases=gbs)
+
+
+def layer_norm_mean_var(x, gain, bias):
+    """Layer norm forward by np.mean and np.var, x - mean taken in each."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    return gain * xhat + bias, (xhat, inv)
+
+
+def layer_norm_backward_means(cache, gain, gy):
+    """Layer norm backward with np.mean for its two row means."""
+    xhat, inv = cache
+    c = xhat.shape[-1]
+    gxhat = gy * gain
+    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return gx, (gy * xhat).reshape(-1, c).sum(axis=0), gy.reshape(-1, c).sum(axis=0)
+
+
+def softmax_backward_copies(s, gs):
+    return s * (gs - (gs * s).sum(axis=-1, keepdims=True))
+
+
+def masked_cross_attention_copies(params, q, qc, s):
+    """masked_cross_attention_forward as it was, a new array per step, on
+    the mean/var layer norm: (y, cache), the cache as the library's."""
+    c = q.shape[1]
+    xq = q @ params.wq + params.bq
+    xk = qc @ params.wk + params.bk
+    xv = qc @ params.wv + params.bv
+    z = xq @ xk.T / np.sqrt(c)
+    if s is not None:
+        z = z + np.log(s)
+    a = softmax_rows_copies(z)
+    y, ln_cache = layer_norm_mean_var(a @ xv + q, params.ln_gain, params.ln_bias)
+    return y, (q, qc, s, xq, xk, xv, a, ln_cache)
+
+
+def masked_cross_attention_copies_backward(params, cache, gy):
+    """masked_cross_attention_backward as it was: (gq, gqc, gs, grads)."""
+    q, qc, s, xq, xk, xv, a, ln_cache = cache
+    c = q.shape[1]
+    gr, g_gain, g_bias = layer_norm_backward_means(ln_cache, params.ln_gain, gy)
+    gq = gr.copy()
+    gxv = a.T @ gr
+    gz = softmax_backward_copies(a, gr @ xv.T)
+    gs = gz / s if s is not None else None
+    gxq = gz @ xk / np.sqrt(c)
+    gxk = gz.T @ xq / np.sqrt(c)
+    gq += gxq @ params.wq.T
+    gqc = gxk @ params.wk.T + gxv @ params.wv.T
+    grads = CrossAttentionParams(
+        wq=q.T @ gxq, bq=gxq.sum(axis=0), wk=qc.T @ gxk, bk=gxk.sum(axis=0),
+        wv=qc.T @ gxv, bv=gxv.sum(axis=0), ln_gain=g_gain, ln_bias=g_bias)
+    return gq, gqc, gs, grads
+
+
+def sigmoid_mask_rebuilt(params, d, block):
+    """sigmoid_mask_forward as it was, on blocks of block entries: the
+    blocks' logits concatenated, the cache D and the sigmoid only."""
+    flat = d.reshape(-1, 1)
+    logits = np.concatenate([mlp_forward_lists(params.mlp, flat[s:s + block])[0]
+                             for s in range(0, max(1, len(flat)), block)])
+    sg = sigmoid(logits)
+    return np.clip(sg, MASK_EPS, 1.0).reshape(d.shape), (d, sg)
+
+
+def sigmoid_mask_rebuilt_backward(params, cache, gs, block):
+    """sigmoid_mask_backward as it was: every block's hidden layer rebuilt
+    from D, one block or many."""
+    d, sg = cache
+    g_logits = gs.reshape(-1, 1) * sg * (1.0 - sg) * (sg >= MASK_EPS)
+    flat = d.reshape(-1, 1)
+    gd = np.empty(flat.shape)
+    mlp_grads = None
+    for s in range(0, max(1, len(flat)), block):
+        rows = slice(s, s + block)
+        _, mlp_cache = mlp_forward_lists(params.mlp, flat[rows])
+        gd[rows], grads = mlp_backward_reshaped(params.mlp, mlp_cache, g_logits[rows])
+        mlp_grads = add_mlp_grads(mlp_grads, grads)
+    return gd.reshape(d.shape), SigmoidMaskParams(mlp=mlp_grads)
+
+
+def pair_logits_blocks(head, za, zb, rows_per_block):
+    """The (n, m) pair logits of a (2c, c, 1) head as heads computed them
+    before a grid of one block skipped the loop: rows_per_block rows of
+    pairs at a time, each block's ReLU a new array."""
+    rest = MlpParams(weights=head.weights[1:], biases=head.biases[1:])
+    n, m = len(za), len(zb)
+    out = np.empty((n, m))
+    for s in range(0, n, rows_per_block):
+        z = (za[s:s + rows_per_block, None, :] + zb[None, :, :]).reshape(-1, za.shape[1])
+        out[s:s + rows_per_block] = mlp_forward_lists(rest, np.maximum(z, 0.0))[0].reshape(-1, m)
+    return out
+
+
+def pair_backward_blocks(head, a, b, za, zb, g, rows_per_block):
+    """heads._pair_backward as it was: each block's ReLU and masked
+    gradient new arrays."""
+    rest = MlpParams(weights=head.weights[1:], biases=head.biases[1:])
+    gza = np.empty_like(za)
+    gzb = np.zeros_like(zb)
+    rest_grads = None
+    for s in range(0, len(za), rows_per_block):
+        rows = slice(s, s + rows_per_block)
+        z = (za[rows, None, :] + zb[None, :, :]).reshape(-1, za.shape[1])
+        _, cache = mlp_forward_lists(rest, np.maximum(z, 0.0))
+        gz, grads = mlp_backward_reshaped(rest, cache, g[rows].reshape(-1, 1))
+        gz = (gz * (z > 0.0)).reshape(-1, len(zb), gz.shape[1])
+        gza[rows] = gz.sum(axis=1)
+        gzb += gz.sum(axis=0)
+        rest_grads = add_mlp_grads(rest_grads, grads)
+    c = a.shape[1]
+    w = head.weights[0]
+    grads = MlpParams(weights=[np.concatenate([a.T @ gza, b.T @ gzb]), *rest_grads.weights],
+                      biases=[gzb.sum(axis=0), *rest_grads.biases])
+    return gza @ w[:c].T, gzb @ w[c:].T, grads
 
 
 def parse_lanes_loops(items):

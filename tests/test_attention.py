@@ -7,12 +7,13 @@ import pytest
 from scipy.special import expit
 
 import lanetopo as lt
-from lanetopo import nn
+from lanetopo import attention, nn
 from lanetopo.attention import (
     CrossAttentionParams,
     SelfAttentionParams,
     MASK_BLOCK,
     SigmoidMaskParams,
+    masked_cross_attention_backward,
     masked_cross_attention_forward,
     self_attention_forward,
     sigmoid_mask_backward,
@@ -22,14 +23,28 @@ from lanetopo.nn import (
     MASK_EPS,
     LN_EPS,
     MlpParams,
+    layer_norm_backward,
     layer_norm_forward,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
     param_arrays,
+    softmax_backward,
     softmax_rows,
 )
-from oracles import softmax_rows_copies
+from conftest import same_bits
+from oracles import (
+    layer_norm_backward_means,
+    layer_norm_mean_var,
+    masked_cross_attention_copies,
+    masked_cross_attention_copies_backward,
+    mlp_backward_reshaped,
+    mlp_forward_lists,
+    sigmoid_mask_rebuilt,
+    sigmoid_mask_rebuilt_backward,
+    softmax_backward_copies,
+    softmax_rows_copies,
+)
 
 
 def affine_mask_params(w: float, b: float) -> SigmoidMaskParams:
@@ -73,6 +88,22 @@ class TestMlp:
             y = h @ params.weights[1] + params.biases[1]
             assert np.allclose(out[r], y, atol=1e-12)
 
+    @pytest.mark.parametrize("widths", [(5,), (5, 3), (5, 8, 3), (5, 8, 6, 1)])
+    @pytest.mark.parametrize("rows", [(7,), (4, 3)])
+    def test_bitwise_the_list_oracles_on_2d_and_3d_inputs(self, widths, rows):
+        rng = np.random.default_rng(len(widths) * 10 + len(rows))
+        params = MlpParams.init(widths, rng)
+        x = rng.normal(size=(*rows, widths[0]))
+        want = mlp_forward_lists(params, x)
+        got = mlp_forward_cached(params, x)
+        assert same_bits(got, want)
+        assert same_bits(mlp_forward(params, x), want[0])
+        gy = rng.normal(size=want[0].shape)
+        kept = gy.copy()
+        assert same_bits(mlp_backward(params, got[1], gy),
+                         mlp_backward_reshaped(params, want[1], gy))
+        assert same_bits(gy, kept)
+
     def test_relu_only_between_layers(self):
         # last layer has no activation, so outputs can go negative
         params = MlpParams(weights=[np.eye(2), np.eye(2)],
@@ -99,6 +130,17 @@ class TestLayerNorm:
         y, _ = layer_norm_forward(x, gain, bias)
         base, _ = layer_norm_forward(x, np.ones(8), np.zeros(8))
         assert np.allclose(y, gain * base + bias, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 16), (169, 32), (5, 3, 32)])
+    def test_bitwise_the_mean_var_oracle(self, shape):
+        rng = np.random.default_rng(shape[0])
+        c = shape[-1]
+        x = rng.normal(3.0, 10.0, size=shape)
+        gain, bias, gy = rng.normal(size=c), rng.normal(size=c), rng.normal(size=shape)
+        got, want = layer_norm_forward(x, gain, bias), layer_norm_mean_var(x, gain, bias)
+        assert same_bits(got, want)
+        assert same_bits(layer_norm_backward(got[1], gain, gy),
+                         layer_norm_backward_means(want[1], gain, gy))
 
     def test_constant_row_maps_to_bias(self):
         y, _ = layer_norm_forward(np.full((1, 4), 7.0), np.ones(4), np.full(4, 0.25))
@@ -129,6 +171,13 @@ class TestSoftmax:
         z[1, 3] = 700.0
         for block in (z, z[:, :7], z[0], z[0, 0]):
             assert np.array_equal(softmax_rows(block), softmax_rows_copies(block))
+
+    def test_backward_bitwise_the_copying_oracle(self):
+        rng = np.random.default_rng(9)
+        a = softmax_rows(rng.normal(0.0, 3.0, size=(3, 5, 7)))
+        gs = rng.normal(size=a.shape)
+        for s, g in ((a, gs), (a[0], gs[0])):
+            assert same_bits(softmax_backward(s, g), softmax_backward_copies(s, g))
 
     def test_rows_of_no_entries(self):
         assert softmax_rows(np.zeros((4, 0, 0))).shape == (4, 0, 0)
@@ -262,6 +311,34 @@ class TestBlockedSigmoidMask:
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("widths", [(1, 1), (1, 8, 1), (1, 4, 6, 1)])
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 4), (1, 17), (5, 7), (6, 8), (3, 0)])
+    def test_both_paths_bitwise_the_rebuilding_oracle(self, monkeypatch, shape, widths):
+        # 16 entries per block: one block up to (4, 4), then two and three
+        monkeypatch.setattr(attention, "MASK_BLOCK", 16)
+        rng = np.random.default_rng(shape[0] * 10 + shape[1] + len(widths))
+        params = SigmoidMaskParams(mlp=MlpParams.init(widths, rng))
+        d, gs = rng.uniform(0.0, 10.0, size=shape), rng.normal(size=shape)
+        s, cache = sigmoid_mask_forward(params, d)
+        want_s, want_cache = sigmoid_mask_rebuilt(params, d, 16)
+        assert same_bits(s, want_s) and same_bits(cache[:2], want_cache)
+        assert same_bits(sigmoid_mask_backward(params, cache, gs),
+                         sigmoid_mask_rebuilt_backward(params, want_cache, gs, 16))
+        # nor on the block size, unless a block holds one entry: numpy's
+        # matrix-vector product for it may round the last place differently
+        monkeypatch.setattr(attention, "MASK_BLOCK", MASK_BLOCK)
+        if d.size % 16 != 1:
+            assert same_bits(sigmoid_mask_forward(params, d)[0], s)
+
+    def test_cache_keeps_the_hidden_layer_of_one_block_only(self, monkeypatch):
+        monkeypatch.setattr(attention, "MASK_BLOCK", 16)
+        params = SigmoidMaskParams(mlp=MlpParams.init((1, 8, 1), np.random.default_rng(0)))
+        _, one = sigmoid_mask_forward(params, np.ones((4, 4)))
+        inputs, preacts = one[2]
+        assert max(a.size for a in inputs + preacts) == 16 * 8
+        _, blocked = sigmoid_mask_forward(params, np.ones((1, 17)))
+        assert blocked[2] is None
+
     def test_empty_distance_matrix(self):
         params, _, _ = self.case(3, (1, 8, 1))
         s, cache = sigmoid_mask_forward(params, np.zeros((4, 0)))
@@ -358,6 +435,17 @@ class TestMaskedCrossAttention:
         params, q, qc, s = self.make(15)
         assert np.allclose(lt.masked_cross_attention(q, qc, s, params),
                            biased_logit_oracle(params, q, qc, s), atol=1e-12)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_bitwise_the_copying_oracle(self, masked):
+        params, q, qc, s = self.make(22, n=5, m=4)
+        s = s if masked else None
+        got, want = (masked_cross_attention_forward(params, q, qc, s),
+                     masked_cross_attention_copies(params, q, qc, s))
+        assert same_bits(got, want)
+        gy = np.random.default_rng(23).normal(size=q.shape)
+        assert same_bits(masked_cross_attention_backward(params, got[1], gy),
+                         masked_cross_attention_copies_backward(params, want[1], gy))
 
     def test_all_ones_mask_is_bitwise_no_mask(self):
         for seed in range(5):

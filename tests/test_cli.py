@@ -673,6 +673,31 @@ class TestInputErrors:
         assert lines[0].startswith("error: ") and field in lines[0]
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("value, shown", [(5, "5"), (2.5, "2.5"), (True, "true"),
+                                              (None, "null")])
+    @pytest.mark.parametrize("key", ["lanes", "traffic"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_lanes_or_traffic_that_cannot_be_iterated_exit_2(self, tmp_path, capsys,
+                                                             command, key, value, shown):
+        # predict reads the scene; eval reads the prediction and names it
+        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
+        scene = write_chain(scene_path)
+        write_json(pred_path, prediction_to_dict(perfect_prediction(scene)))
+        bad = pred_path if command == "eval" else scene_path
+        doc = read_json(bad)
+        doc[key] = value
+        write_json(bad, doc)
+        out = tmp_path / "out.json"
+        if command == "eval":
+            rc = run("eval", "--pred", pred_path, "--gt", scene_path, "--out", out)
+        else:
+            rc = run("predict", "--scene", scene_path, "--out", out)
+        named = f"{pred_path}: " if command == "eval" else ""
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named}{key} must be a list, got {shown}"]
+        assert not out.exists() and not manifest_path_for(out).exists()
+
     @pytest.mark.parametrize("n_points", [-3, 0, 1])
     def test_lane_less_scene_below_two_points_exits_2(self, tmp_path, capsys, n_points):
         # no lane carries a point count to compare, so the bound on n_points
@@ -760,6 +785,36 @@ class TestNoPerLaneObjects:
         assert len(read_scene(scene).lanes) == 14 and len(read_prediction(pred).lanes) > 14
         assert read_json(tmp_path / "r.json")["scenes"]["pred"]["lane_segments"] is not None
         assert counts == {"synth": 0, "predict": 0, "eval": 0, "connected": n_connected}
+
+
+class TestFitStepCalls:
+    """A fitdemo step on a 3-lane scene runs each stack MLP forward once,
+    and once more per pair block in the backward, which rebuilds the pair
+    head's hidden layer; the one-block mask backward reuses its forward's."""
+
+    def test_mlp_forward_cached_calls_per_step(self, tmp_path, monkeypatch):
+        scene_path = tmp_path / "scene.json"
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=1, n_segments=3, split_prob=0.0,
+                                                 merge_prob=0.0, n_traffic=0, seed=0))
+        assert len(scene.lanes) == 3 and int(scene.topo.ll.sum()) == 2
+        write_json(scene_path, scene_to_dict(scene))
+        calls = []
+        cached = lt.nn.mlp_forward_cached
+
+        def counted(*args):
+            calls.append(1)
+            return cached(*args)
+
+        for module in (lt.nn, lt.attention, lt.heads):
+            monkeypatch.setattr(module, "mlp_forward_cached", counted)
+        counts = {}
+        for steps in (1, 3):
+            calls.clear()
+            assert run("fitdemo", "--scene", scene_path, "--out", tmp_path / f"{steps}.csv",
+                       "--steps", steps, "--max-loss", 1.0) == 0
+            counts[steps] = len(calls)
+        # forward: mask 1, ll head 2 unmatched + 3 matched; backward: 1 pair block
+        assert counts == {1: 7, 3: 21}
 
 
 class TestOverflowingMerge:

@@ -17,10 +17,12 @@ from lanetopo.heads import (
 )
 from lanetopo.geometry import L1_CHUNK, avg_l1_matrix
 from lanetopo.nn import MlpParams, mlp_forward, param_arrays
-from conftest import chain_scene, point_stack, straight_lane
+from conftest import chain_scene, point_stack, same_bits, straight_lane
 from oracles import (
     avg_l1_scalar,
     match_connected_loops,
+    pair_backward_blocks,
+    pair_logits_blocks,
     predict_ll_concat,
     predict_ll_concat_backward,
     predict_lt_concat,
@@ -378,6 +380,42 @@ class TestFactoredHeadsMatchConcatOracle:
 
         # the largest array kept is the (n, n) score matrix itself
         assert max(a.size for a in arrays(cache)) == n * n
+
+
+class TestPairBlocksBitwise:
+    """A pair grid of one block skips the block loop and each block's ReLU
+    works in place, bitwise the blocked loop of the old block code. Blocks
+    hold whole rows of m >= 2 pairs: a block of one pair would take numpy's
+    matrix-vector product, which may round the last place differently."""
+
+    @staticmethod
+    def case(n, m, c=6):
+        rng = np.random.default_rng(10 * n + m)
+        head = MlpParams.init((2 * c, c, 1), rng)
+        a, b = rng.normal(size=(n, c)), rng.normal(size=(m, c))
+        return (head, a, b, *heads._first_layer(head, a, b),
+                rng.normal(size=(n, m)))
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (5, 5), (7, 3), (0, 4), (0, 0)])
+    def test_one_block_logits_are_the_blocked_loops(self, monkeypatch, n, m):
+        head, _, _, za, zb, _ = self.case(n, m)
+        assert n <= heads._rows_per_block(m)
+        one = heads._pair_logits(head, za, zb)
+        assert same_bits(one, pair_logits_blocks(head, za, zb, max(1, n)))
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(heads, "PAIR_BLOCK", rows * m)
+            assert same_bits(heads._pair_logits(head, za, zb), one)
+            assert same_bits(one, pair_logits_blocks(head, za, zb, rows))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_backward_is_the_old_block_code(self, monkeypatch, rows):
+        n, m = 7, 4
+        head, a, b, za, zb, g = self.case(n, m)
+        monkeypatch.setattr(heads, "PAIR_BLOCK", rows * m)
+        kept = [arr.copy() for arr in (za, zb, g)]
+        assert same_bits(heads._pair_backward(head, a, b, za, zb, g),
+                         pair_backward_blocks(head, a, b, za, zb, g, rows))
+        assert same_bits([za, zb, g], kept)
 
 
 class TestMatchedBranchIsTheLoopOracle:

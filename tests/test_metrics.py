@@ -694,6 +694,33 @@ class TestGroupedKernels:
             else:
                 assert segments.tobytes() == want_segments.tobytes()
 
+    @pytest.mark.parametrize("cut, width", [(3.0, None), (np.inf, 1.75), (0.5, 2.5)])
+    def test_sides_of_one_point_count_skip_the_count_search(self, monkeypatch, cut, width):
+        # alone, each side of a pair but pair 2's prediction (7 and 11 points)
+        # has one point count: its lanes are indexed as one stack, never
+        # gathered by count, and widened in one call
+        gathers, widens = [], []
+        gather, widen = metrics.Lanes.gather, metrics.widen
+        monkeypatch.setattr(metrics.Lanes, "gather",
+                            lambda lanes, *a: gathers.append(1) or gather(lanes, *a))
+        monkeypatch.setattr(metrics, "widen", lambda *a: widens.append(1) or widen(*a))
+        for k, (pred, scene) in enumerate(group_corpus(0)):
+            gathers.clear()
+            widens.clear()
+            [(lanes, segments)] = metrics._lane_matrices([(pred, scene)], cut, width)
+            want_lanes, want_segments = lane_matrices_per_scene(
+                pred, scene, cut, width, metrics.SEGMENT_CUT)
+            assert lanes.tobytes() == want_lanes.tobytes()
+            if width is None:
+                assert segments is None and want_segments is None
+            else:
+                assert segments.tobytes() == want_segments.tobytes()
+            mixed = len(np.unique(pred.lanes.counts)) > 1
+            assert mixed == (k == 2)
+            assert bool(gathers) == mixed
+            if width is not None:
+                assert len(widens) == (len(pred.lanes) > 0) + (len(scene.lanes) > 0) + mixed
+
     def test_groups_straddle_chunks_and_scene_boundaries(self, monkeypatch):
         # every pair kept: more pairs of one point count than PAIR_CHUNK, and
         # of 20 points (40 boundary points) than a GAP_CELLS chunk holds
