@@ -17,7 +17,7 @@ from .attention import (
     self_attention,
 )
 from .connect import ConnectedLane, build_connected_gt, connected_curves, half_distances
-from .geometry import avg_l1, box_iou, chamfer, discrete_frechet
+from .geometry import avg_l1, chamfer, discrete_frechet
 from .gradcheck import GradCheckResult, grad_check, run_gradcheck
 from .heads import TopologyHeadParams, match_connected, predict_lt
 from .metrics import (

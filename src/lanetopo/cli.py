@@ -58,6 +58,7 @@ from .serialize import (
     build_manifest,
     connected_list_to_dict,
     manifest_path_for,
+    metrics_csv,
     prediction_to_dict,
     read_prediction,
     read_scene,
@@ -65,7 +66,6 @@ from .serialize import (
     scene_to_dict,
     write_json,
     write_manifest,
-    write_metrics_csv,
     write_text,
 )
 from .synth import NoiseParams, SynthParams, generate_roundabout, generate_scene
@@ -347,7 +347,7 @@ def cmd_eval(args) -> int:
     }
     write_json(out_json, doc)
     csv_rows = list(rows) + ([("mean", mean)] if len(rows) > 1 else [])
-    write_metrics_csv(out_csv, csv_rows)
+    write_text(out_csv, metrics_csv(csv_rows))
     inputs = sorted({str(p) for pair in jobs for p in pair})
     write_manifest(out_json, build_manifest(
         "eval",

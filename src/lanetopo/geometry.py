@@ -296,18 +296,15 @@ def widen(P, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, right, np.concatenate([polyline_flaws(left), polyline_flaws(right)], axis=1)
 
 
-def _box_area(box: np.ndarray) -> float:
-    return float((box[2] - box[0]) * (box[3] - box[1]))
-
-
-def box_iou(a, b) -> float:
-    """Intersection over union of two (x_min, y_min, x_max, y_max) boxes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def box_iou_matrix(a, b) -> np.ndarray:
+    """(n, m) intersection over union of the (n, 4) boxes a and the (m, 4)
+    boxes b, each (x_min, y_min, x_max, y_max), in one array pass: 0 where
+    the boxes do not overlap or the union is not positive."""
+    ax0, ay0, ax1, ay1 = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[..., None]
+    bx0, by0, bx1, by1 = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None]
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = iw * ih
-    union = _box_area(a) + _box_area(b) - inter
-    return float(inter / union) if union > 0.0 else 0.0
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    keep = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=keep)

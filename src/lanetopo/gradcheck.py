@@ -83,12 +83,11 @@ def _relu_margin(*mlp_caches) -> float:
     return float(min(margins)) if margins else np.inf
 
 
-def _mask_margin(params: SigmoidMaskParams, cache) -> float:
-    """Kink margin of a sigmoid_mask_forward cache: its MLP's ReLUs and the
-    clip floor, which is a kink too."""
-    d, sg, _ = cache
+def _mask_margin(cache) -> float:
+    """Kink margin of a sigmoid_mask_forward cache of one block (every
+    checked D is): its MLP's ReLUs and the clip floor, which is a kink too."""
+    _, sg, mlp_cache = cache
     floor = float(np.abs(sg - MASK_EPS).min()) if sg.size else np.inf
-    _, mlp_cache = mlp_forward_cached(params.mlp, d.reshape(-1, 1))
     return min(_relu_margin(mlp_cache), floor)
 
 
@@ -161,9 +160,9 @@ def _screened(build, seed: int, tries: int = 64):
     raise RuntimeError(f"no well-conditioned instance found from seed {seed}")
 
 
-def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
-    """One seeded instance of each checked op kind."""
-    dims = dims or ModelDims(c=8, n_heads=2)
+def build_standard_ops(seed: int) -> list[Op]:
+    """One seeded instance of each checked op kind, at width 8 with 2 heads."""
+    dims = ModelDims(c=8, n_heads=2)
     c = dims.c
 
     def mk_mlp(rng):
@@ -175,7 +174,7 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         params = SigmoidMaskParams.init(c, rng)
         d = np.abs(rng.normal(size=(3, 2))) * 2.0
         return Op("sigmoid_mask", {"d": d}, params, lambda: sigmoid_mask_forward(params, d),
-                  sigmoid_mask_backward, lambda cache: _mask_margin(params, cache))
+                  sigmoid_mask_backward, _mask_margin)
 
     def mk_self(rng):
         params = SelfAttentionParams.init(dims, rng)
@@ -225,7 +224,7 @@ def build_standard_ops(seed: int, dims: ModelDims | None = None) -> list[Op]:
         pairs = np.array([[0, 1], [1, 2]])
         return Op("topology_stack", {"q": q, "qc": qc, "d": d}, stack,
                   lambda: stack.forward(q, qc, d, pairs, True)[1:], TopologyStack.backward,
-                  lambda cache: min(_mask_margin(stack.mask, cache.mask), _ll_margin(cache.ll)))
+                  lambda cache: min(_mask_margin(cache.mask), _ll_margin(cache.ll)))
 
     builders = (mk_mlp, mk_mask, mk_self, mk_cross, mk_ll_head, mk_focal, mk_stack)
     return [_screened(build, seed + k) for k, build in enumerate(builders)]

@@ -32,9 +32,11 @@ Shared match context. For a group of scenes, the kernel stage builds
 every lane and lane-segment distance once, and each scene reads its own
 blocks as (n_pred, n_gt) matrices; the lane Frechet matrix is also the
 centerline term of the lane-segment distance. Per scene, the per-scene
-stage builds each greedy matching, the traffic IoU matrix and the ranking
-of the predicted ll rows once; DET_l, DET_t, TOP_ll, TOP_lt and the
-lane-segment block all read them.
+stage builds each greedy matching, the traffic IoU matrix (one
+box_iou_matrix pass) and the ranking of the predicted ll rows once; DET_l,
+DET_t, TOP_ll, TOP_lt and the lane-segment block all read them. One routine
+per family: _lane_family on the lane or the segment matrix, _traffic_family,
+and _mean_ap, one _precision_sums call for every AP of a family.
 
 Endpoint-bound pruning. A lane pair matches only below a threshold, so a
 pair whose distance is at least the largest threshold in use (the cut) can
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    box_iou,
+    box_iou_matrix,
     chamfer_pairs,
     check_width,
     endpoint_bounds,
@@ -94,12 +96,13 @@ class ScoringError(ValueError):
 
 @dataclass(frozen=True)
 class LaneSegmentReport:
-    """The lane-segment block of evaluate. Every segment it builds is a
+    """The lane-segment block of evaluate, scored on the segment matrix as
+    DET_l and TOP_ll are on the lane matrix. Every segment it builds is a
     "lane", so ap_ped, the pedestrian-crossing AP of the report formats, is
-    always None."""
+    always None; ap_ls is None, and map 1.0, with no lane either side."""
 
     map: float
-    ap_lane: float | None
+    ap_ls: float | None
     ap_ped: float | None
     top_lsls: float
 
@@ -279,40 +282,43 @@ def _lane_matrices(pairs: list, cut: float, width: float | None) -> list:
             for s, e, n, m in blocks]
 
 
-def _lane_matches(dist: np.ndarray, pred: Prediction, thresholds) -> dict:
-    """{threshold: greedy matching} on the lane matrix dist, one matching per
-    distinct threshold."""
-    return {thr: greedy_match(dist, pred.lane_scores, thr) for thr in set(thresholds)}
+def _mean_ap(rows, n_gts) -> float:
+    """Mean AP of ranked flag rows, row k against n_gts[k] ground truths: the
+    rows with a ground truth and a prediction in one _precision_sums call,
+    padded with false positives, which lower no interpolated precision at a
+    true positive (see _vertex_aps); average_precision scores the others."""
+    aps = np.array([np.nan if n and len(row) else average_precision(row, n)
+                    for row, n in zip(rows, n_gts)])
+    live = np.flatnonzero(np.isnan(aps))
+    if live.size:
+        flags = np.zeros((live.size, max(len(rows[k]) for k in live)), dtype=bool)
+        for flag, k in zip(flags, live.tolist()):
+            flag[:len(rows[k])] = rows[k]
+        aps[live] = _precision_sums(flags) / np.asarray(n_gts)[live]
+    return float(np.mean(aps))
 
 
-def _traffic_matches(pred: Prediction, scene: Scene, thresholds) -> dict:
-    """{threshold: greedy matching} by box IoU; boxes of different categories
-    get IoU -1 and never match."""
-    pt, gt = pred.traffic, scene.traffic
-    iou = np.array([[box_iou(pe.bbox, ge.bbox) if pe.category == ge.category else -1.0
-                     for ge in gt] for pe in pt]).reshape(len(pt), len(gt))
-    scores = [0.0 if el.score is None else el.score for el in pt]
-    return {thr: greedy_match(iou, scores, thr, better_below=False) for thr in set(thresholds)}
+def _lane_family(dist: np.ndarray, scores, n_gt: int, thresholds, top: float) -> tuple:
+    """(mean AP over thresholds, pred-to-GT map at top) of the greedy
+    matchings on the lane or lane-segment matrix dist, one per threshold."""
+    match = {thr: greedy_match(dist, scores, thr) for thr in {*thresholds, top}}
+    return _mean_ap([match[thr][0] for thr in thresholds], [n_gt] * len(thresholds)), match[top][1]
 
 
-def _mean_ap(matches, thresholds, n_gt: int) -> float:
-    """Mean over thresholds of the AP (average_precision) of each matching's
-    ranked flags, one _precision_sums call for all of them."""
-    flags = np.array([matches(thr)[0] for thr in thresholds], dtype=bool)
-    if n_gt == 0 or not flags.shape[1]:
-        return average_precision(flags[0], n_gt)
-    return float(np.mean(_precision_sums(flags) / n_gt))
-
-
-def _det_t(pred: Prediction, scene: Scene, match) -> float:
-    cats = sorted({el.category for el in scene.traffic})
-    if not cats:
-        return 1.0 if not pred.traffic else 0.0
-    flags, _, order = match
-    ranked = np.array([pred.traffic[p].category for p in order], dtype=object)
-    return float(np.mean([average_precision(
-        flags[ranked == cat], sum(el.category == cat for el in scene.traffic))
-        for cat in cats]))
+def _traffic_family(pred: Prediction, scene: Scene, iou: float, top: float) -> tuple:
+    """(DET_t, pred-to-GT map at top) of the greedy matchings by box IoU, -1
+    across categories. DET_t is the mean AP at iou over the ground-truth
+    categories, with none the AP of every prediction against none."""
+    pred_cats = np.array([el.category for el in pred.traffic], dtype=object)
+    gt_cats = np.array([el.category for el in scene.traffic], dtype=object)
+    ious = np.where(pred_cats[:, None] == gt_cats, box_iou_matrix(
+        [el.bbox for el in pred.traffic], [el.bbox for el in scene.traffic]), -1.0)
+    scores = [0.0 if el.score is None else el.score for el in pred.traffic]
+    match = {thr: greedy_match(ious, scores, thr, better_below=False) for thr in {iou, top}}
+    flags, _, order = match[iou]
+    cats, n_gts = np.unique(gt_cats, return_counts=True)
+    rows = [flags[pred_cats[order] == cat] for cat in cats] if cats.size else [flags]
+    return _mean_ap(rows, n_gts if cats.size else [0]), match[top][1]
 
 
 def det_l(pred: Prediction, scene: Scene,
@@ -323,8 +329,8 @@ def det_l(pred: Prediction, scene: Scene,
         raise ValueError(shape_errors[0])
     thresholds = valid_distances(thresholds)
     [(dist, _)] = _lane_matrices([(pred, scene)], max(thresholds), None)
-    lanes = _lane_matches(dist, pred, thresholds)
-    return _mean_ap(lanes.get, thresholds, len(scene.lanes))
+    # the map is not read: a top among the thresholds takes no matching of its own
+    return _lane_family(dist, pred.lane_scores, len(scene.lanes), thresholds, thresholds[0])[0]
 
 
 def _vertex_aps(gt_rows: np.ndarray, score_rows: np.ndarray, order: np.ndarray,
@@ -379,41 +385,25 @@ def ols(det_l_score: float, det_t_score: float, top_ll_score: float,
                    + np.sqrt(top_ll_score) + np.sqrt(top_lt_score))
 
 
-def _lane_segment_report(pred: Prediction, scene: Scene, dist: np.ndarray,
-                         ll_ranks: np.ndarray, lane_to_gt: np.ndarray,
-                         top_ll: float) -> LaneSegmentReport:
-    """The lane-segment block: the lanes of pred and scene as segments at
-    lane-segment distances dist (exact below SEGMENT_CUT), ranked by
-    pred.lane_scores, and their topology pred.topo.ll (rows ranked as
-    ll_ranks) against scene.topo.ll. AP is None, and mAP 1.0, when there is
-    no lane either side. When the segment matching is TOP_ll's matching
-    lane_to_gt, TOP_lsls is that metric's value top_ll, which is not
-    computed again."""
-    scores = pred.lane_scores
-    ap = _mean_ap(lambda thr: greedy_match(dist, scores, thr), LS_THRESHOLDS, len(scene.lanes)) \
-        if len(pred.lanes) or len(scene.lanes) else None
-    _, pred_to_gt, _ = greedy_match(dist, scores, LS_TOP_THRESHOLD)
-    top_lsls = top_ll if np.array_equal(pred_to_gt, lane_to_gt) else _topology_score(
-        scene.topo.ll, pred.topo.ll, pred_to_gt, pred_to_gt, ll_ranks)
-    return LaneSegmentReport(map=1.0 if ap is None else ap, ap_lane=ap, ap_ped=None,
-                             top_lsls=top_lsls)
-
-
 def _scene_report(pred: Prediction, scene: Scene, lane_dist: np.ndarray,
                   segment_dist: np.ndarray | None, det_l_thresholds, det_t_iou: float,
                   top_frechet: float, top_iou: float) -> MetricReport:
     """The per-scene stage: every matching and score of one scene from its
-    kernel-stage matrices, the thresholds already checked."""
-    lanes = _lane_matches(lane_dist, pred, (*det_l_thresholds, top_frechet))
-    traffic = _traffic_matches(pred, scene, (det_t_iou, top_iou))
-    d_l = _mean_ap(lanes.get, det_l_thresholds, len(scene.lanes))
-    d_t = _det_t(pred, scene, traffic[det_t_iou])
-    lane_to_gt = lanes[top_frechet][1]
+    kernel-stage matrices, the thresholds already checked. TOP_lsls is TOP_ll,
+    not computed again, when the segment matching is TOP_ll's."""
+    scores, n_gt = pred.lane_scores, len(scene.lanes)
+    d_l, lane_to_gt = _lane_family(lane_dist, scores, n_gt, det_l_thresholds, top_frechet)
+    d_t, traffic_to_gt = _traffic_family(pred, scene, det_t_iou, top_iou)
     ll_ranks = rank_by_score(pred.topo.ll)  # TOP_ll and TOP_lsls rank the same rows
     t_ll = _topology_score(scene.topo.ll, pred.topo.ll, lane_to_gt, lane_to_gt, ll_ranks)
-    t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic[top_iou][1])
-    block = None if segment_dist is None else _lane_segment_report(
-        pred, scene, segment_dist, ll_ranks, lane_to_gt, t_ll)
+    t_lt = _topology_score(scene.topo.lt, pred.topo.lt, lane_to_gt, traffic_to_gt)
+    block = None
+    if segment_dist is not None:
+        ap, seg_to_gt = _lane_family(segment_dist, scores, n_gt, LS_THRESHOLDS, LS_TOP_THRESHOLD)
+        top_lsls = t_ll if np.array_equal(seg_to_gt, lane_to_gt) else _topology_score(
+            scene.topo.ll, pred.topo.ll, seg_to_gt, seg_to_gt, ll_ranks)
+        block = LaneSegmentReport(map=ap, ap_ls=ap if len(pred.lanes) or n_gt else None,
+                                  ap_ped=None, top_lsls=top_lsls)
     return MetricReport(det_l=d_l, det_t=d_t, top_ll=t_ll, top_lt=t_lt,
                         ols=float(ols(d_l, d_t, t_ll, t_lt)),
                         lane_segments=block)
@@ -459,7 +449,7 @@ def evaluate(pred: Prediction, scene: Scene,
 
     lane_width, when given, fills the optional lane-segment block: the
     lanes of pred and scene are widened into "lane" segments of that width
-    (see widen and _lane_segment_report). A lane_scores, topo.ll or topo.lt
+    (see widen and _scene_report). A lane_scores, topo.ll or topo.lt
     whose shape does not fit pred's lanes and traffic raises ValueError
     with validate_prediction's message, and a topo.ll or topo.lt that does
     not fit scene's with validate_scene's, as do a lane width that is not

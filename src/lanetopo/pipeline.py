@@ -164,10 +164,7 @@ def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
     d_front, d_back = half_distances(L, C)
     pairs = match_connected(d_front, d_back)
 
-    if len(C):
-        qc_hat = self_attention(params.enc_conn.encode(C), params.attn)
-    else:
-        qc_hat = np.zeros((0, q_bar.shape[1]))
+    qc_hat = self_attention(params.enc_conn.encode(C), params.attn)
     return q_bar, qc_hat, np.minimum(d_front, d_back), pairs
 
 

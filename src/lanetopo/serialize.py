@@ -50,13 +50,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 import numpy as np
 
 from .connect import ConnectedLane
-from .metrics import MetricReport
+from .metrics import LaneSegmentReport, MetricReport
 from .scene import (
     FLAWS,
     Lanes,
@@ -73,7 +74,11 @@ from .scene import (
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
-CSV_HEADER = "scene,det_l,det_t,top_ll,top_lt,ols,map,ap_ls,ap_ped,top_lsls"
+# a report's JSON keys and CSV columns, in order, are its fields: the
+# scores of MetricReport, then those of its LaneSegmentReport block
+_SCORE_KEYS = tuple(f.name for f in fields(MetricReport) if f.name != "lane_segments")
+_SEGMENT_KEYS = tuple(f.name for f in fields(LaneSegmentReport))
+CSV_HEADER = ",".join(["scene", *_SCORE_KEYS, *_SEGMENT_KEYS])
 
 
 class SchemaError(ValueError):
@@ -423,30 +428,16 @@ def metrics_csv(rows: list[tuple[str, MetricReport]]) -> str:
     lines = [CSV_HEADER]
     for name, r in rows:
         ls = r.lane_segments
-        segment = (ls.map, ls.ap_lane, ls.ap_ped, ls.top_lsls) if ls is not None else (None,) * 4
-        cells = (r.det_l, r.det_t, r.top_ll, r.top_lt, r.ols, *segment)
+        cells = [*(getattr(r, k) for k in _SCORE_KEYS),
+                 *(None if ls is None else getattr(ls, k) for k in _SEGMENT_KEYS)]
         lines.append(",".join([name, *map(_csv_cell, cells)]))
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_csv(path, rows) -> None:
-    write_text(path, metrics_csv(rows))
-
-
 def report_to_dict(report: MetricReport) -> dict:
-    d = {
-        "det_l": report.det_l,
-        "det_t": report.det_t,
-        "top_ll": report.top_ll,
-        "top_lt": report.top_lt,
-        "ols": report.ols,
-    }
+    d = {k: getattr(report, k) for k in _SCORE_KEYS}
     if report.lane_segments is not None:
-        ls = report.lane_segments
-        d["lane_segments"] = {
-            "map": ls.map, "ap_ls": ls.ap_lane,
-            "ap_ped": ls.ap_ped, "top_lsls": ls.top_lsls,
-        }
+        d["lane_segments"] = {k: getattr(report.lane_segments, k) for k in _SEGMENT_KEYS}
     return d
 
 

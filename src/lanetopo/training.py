@@ -28,7 +28,8 @@ check_seed = functools.partial(checked, "seed", lo=0)
 
 def focal_loss(pred, target, alpha: float = 0.25, gamma: float = 2.0,
                reduction: str = "mean"):
-    """Binary focal loss. Predictions are clamped to [1e-7, 1 - 1e-7]."""
+    """Binary focal loss, its mean or, with reduction "none", per entry.
+    Predictions are clamped to [1e-7, 1 - 1e-7]."""
     p = np.clip(np.asarray(pred, dtype=np.float64), FOCAL_CLAMP, 1.0 - FOCAL_CLAMP)
     t = np.asarray(target, dtype=np.float64)
     p_t = np.where(t == 1.0, p, 1.0 - p)
@@ -36,8 +37,6 @@ def focal_loss(pred, target, alpha: float = 0.25, gamma: float = 2.0,
     loss = -a_t * (1.0 - p_t) ** gamma * np.log(p_t)
     if reduction == "mean":
         return float(loss.mean()) if loss.size else 0.0
-    if reduction == "sum":
-        return float(loss.sum())
     return loss
 
 

@@ -11,7 +11,8 @@ their junction point and validated one edge at a time and split one
 curve at a time, half distances are one scalar call per lane and half,
 the topology heads run on concatenated (pairs, 2c) pair features and
 resolve and scatter matched rows one at a time, topology blending
-visits one entry at a time, lanes are jittered and widened one at a time
+visits one entry at a time, box IoU is one scalar call per box pair and
+DET_t one AP per category, lanes are jittered and widened one at a time
 into validated polylines, vertex APs rank a Python list of flags per
 vertex, assignment is full enumeration, JSON is written by rounding
 every float on its own before json.dumps, and lanes are read one
@@ -550,6 +551,44 @@ def average_precision_loops(tp_flags, n_gt):
         if flag:
             at_tp.append(best)
     return float(np.sum(at_tp[::-1]) / n_gt)
+
+
+def box_area(box) -> float:
+    return float((box[2] - box[0]) * (box[3] - box[1]))
+
+
+def box_iou(a, b) -> float:
+    """Intersection over union of two (x_min, y_min, x_max, y_max) boxes."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = box_area(a) + box_area(b) - inter
+    return float(inter / union) if union > 0.0 else 0.0
+
+
+def det_t_loops(pred, scene, iou_threshold):
+    """DET_t one category at a time: box_iou per pair (-1 across
+    categories), greedy_match_loops, then the mean over the ground-truth
+    categories of average_precision_loops of each category's ranked flags;
+    with no ground truth, 1.0 for no prediction and 0.0 otherwise."""
+    cats = sorted({el.category for el in scene.traffic})
+    if not cats:
+        return 1.0 if not pred.traffic else 0.0
+    iou = np.array([[box_iou(pe.bbox, ge.bbox) if pe.category == ge.category else -1.0
+                     for ge in scene.traffic] for pe in pred.traffic])
+    flags, _, order = greedy_match_loops(iou.reshape(len(pred.traffic), len(scene.traffic)),
+                                         [el.score for el in pred.traffic],
+                                         iou_threshold, better_below=False)
+    aps = []
+    for cat in cats:
+        ranked = [f for f, p in zip(flags, order) if pred.traffic[p].category == cat]
+        aps.append(average_precision_loops(
+            ranked, sum(el.category == cat for el in scene.traffic)))
+    return float(np.mean(aps))
 
 
 def vertex_ap_loops(gt_row, score_row, col_to_gt):

@@ -10,6 +10,7 @@ from lanetopo.geometry import (
     _plane_sum,
     _point_gaps,
     avg_l1_matrix,
+    box_iou_matrix,
     chamfer_pairs,
     endpoint_bounds,
     frechet_pairs,
@@ -21,6 +22,7 @@ from oracles import (
     avg_l1_loops,
     avg_l1_matrix_lastaxis,
     avg_l1_scalar,
+    box_iou,
     chamfer_loops,
     cumulative_lengths,
     endpoint_bound,
@@ -510,20 +512,47 @@ class TestChamfer:
         assert lt.chamfer(a, b) == lt.chamfer(b, a)
 
 
+def iou(a, b) -> float:
+    """box_iou_matrix of one box against one."""
+    return box_iou_matrix([a], [b])[0, 0]
+
+
 class TestBoxes:
     def test_iou_identical(self):
-        assert lt.box_iou((0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, 2.0)) == 1.0
+        assert iou((0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, 2.0)) == 1.0
 
     def test_iou_disjoint(self):
-        assert lt.box_iou((0.0, 0.0, 1.0, 1.0), (5.0, 5.0, 6.0, 6.0)) == 0.0
+        assert iou((0.0, 0.0, 1.0, 1.0), (5.0, 5.0, 6.0, 6.0)) == 0.0
 
     def test_iou_half_overlap(self):
         # intersection 2, union 6
-        assert lt.box_iou((0.0, 0.0, 2.0, 2.0), (1.0, 0.0, 3.0, 2.0)) \
+        assert iou((0.0, 0.0, 2.0, 2.0), (1.0, 0.0, 3.0, 2.0)) \
             == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_iou_touching_edge_is_zero(self):
-        assert lt.box_iou((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0)) == 0.0
+        assert iou((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0)) == 0.0
+
+    def test_matrix_is_bitwise_the_scalar_oracle(self):
+        # touching (edge and corner), disjoint, nested and overlapping boxes,
+        # with random ones at scales where the last place matters
+        fixed = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0), (1.0, 1.0, 2.0, 2.0),
+                 (5.0, 5.0, 6.0, 6.0), (0.25, 0.25, 0.75, 0.75), (-1.0, -1.0, 3.0, 3.0),
+                 (0.5, 0.1, 1.7, 0.3)]
+        rng = np.random.default_rng(12)
+        corners = rng.uniform(-50.0, 50.0, size=(40, 2)) * rng.choice([1e-3, 1.0, 1e3], (40, 1))
+        sizes = rng.uniform(0.1, 80.0, size=(40, 2)) * rng.choice([1e-3, 1.0, 1e3], (40, 1))
+        boxes = fixed + [tuple(c) + tuple(c + d) for c, d in zip(corners, sizes)]
+        for a, b in [(fixed, fixed), (boxes, boxes), (boxes[:13], boxes[20:])]:
+            got = box_iou_matrix(a, b)
+            want = np.array([[box_iou(p, q) for q in b] for p in a])
+            assert got.shape == want.shape and np.array_equal(got, want)
+        # overlaps off the diagonal, besides the disjoint and touching pairs
+        assert (box_iou_matrix(boxes, boxes) > 0.0).sum() > len(boxes)
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_sides(self, n, m):
+        box = (0.0, 0.0, 1.0, 1.0)
+        assert box_iou_matrix([box] * n, [box] * m).shape == (n, m)
 
 
 class TestWidenToSegment:
@@ -545,7 +574,7 @@ class TestWidenToSegment:
         pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.5), seed=3)
         block = lt.evaluate(pred, scene, lane_width=1.0).lane_segments
         assert block.ap_ped is None
-        assert block.map == block.ap_lane and 0.0 < block.map < 1.0
+        assert block.map == block.ap_ls and 0.0 < block.map < 1.0
 
     def test_nonpositive_width_raises(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Detection, topology, and combined scores, plus lane-segment variants."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from lanetopo.geometry import resample_stack
 from conftest import chain_scene, perfect_prediction, straight_lane
 from oracles import (
     average_precision_loops,
+    det_t_loops,
     endpoint_bound,
     frechet_matrix,
     greedy_match_loops,
@@ -89,13 +91,32 @@ class TestAveragePrecision:
         rng = np.random.default_rng(8)
         for _ in range(300):
             k, n_thr = int(rng.integers(0, 80)), int(rng.integers(1, 5))
-            flags = {thr: (rng.random(k) < rng.random(),) for thr in range(n_thr)}
+            rows = [rng.random(k) < rng.random() for _ in range(n_thr)]
             n_gt = int(rng.integers(0, k + 3))
             calls.clear()
-            got = metrics._mean_ap(flags.get, range(n_thr), n_gt)
-            want = np.mean([average_precision_loops(f, n_gt) for f, in flags.values()])
+            got = metrics._mean_ap(rows, [n_gt] * n_thr)
+            want = np.mean([average_precision_loops(f, n_gt) for f in rows])
             assert got == want and type(got) is float
             assert calls == ([(n_thr, k)] if n_gt and k else [])
+
+    def test_padded_rows_are_each_their_own_ap(self, monkeypatch):
+        # rows of their own lengths and ground-truth counts: the ones with a
+        # ground truth and a prediction, padded to the longest, in one call
+        calls = []
+        sums = metrics._precision_sums
+        monkeypatch.setattr(metrics, "_precision_sums",
+                            lambda flags: calls.append(flags.shape) or sums(flags))
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            lengths = rng.integers(0, 60, size=int(rng.integers(1, 6)))
+            rows = [list(rng.random(k) < rng.random()) for k in lengths]
+            n_gts = [int(rng.integers(0, sum(r) + 3)) if rng.random() < 0.8 else 0 for r in rows]
+            calls.clear()
+            got = metrics._mean_ap(rows, n_gts)
+            want = np.mean([average_precision_loops(r, n) for r, n in zip(rows, n_gts)])
+            assert got == want and type(got) is float
+            live = [len(r) for r, n in zip(rows, n_gts) if n and len(r)]
+            assert calls == ([(len(live), max(live))] if live else [])
 
 
 class TestRankByScore:
@@ -290,7 +311,7 @@ class TestDetT:
                              traffic=[self.box(0, 0, 4, 3, "a", score=1.0)],
                              topo=lt.TopologyGraph(ll=np.zeros((1, 1)),
                                                    lt=np.zeros((1, 1))))
-        assert lt.box_iou((0, 0, 4, 3), (0, 0, 4, 4)) == 0.75
+        assert geometry.box_iou_matrix([(0, 0, 4, 3)], [(0, 0, 4, 4)])[0, 0] == 0.75
         assert lt.evaluate(pred, scene).det_t == 1.0
 
     def test_vacuous_conventions(self):
@@ -301,6 +322,33 @@ class TestDetT:
                              topo=lt.TopologyGraph(ll=np.zeros((1, 1)),
                                                    lt=np.zeros((1, 1))))
         assert lt.evaluate(pred, scene).det_t == 0.0
+
+    def test_padded_rows_are_the_per_category_loop_oracle(self):
+        # random traffic over four categories, some only on one side, boxes
+        # jittered around the IoU threshold and scores tied on a 0.1 grid
+        rng = np.random.default_rng(21)
+        cats = ("a", "b", "c", "d")
+        for _ in range(150):
+            gt = [self.box(*(c := rng.uniform(0, 60, 2)), *(c + rng.uniform(2, 20, 2)),
+                           str(rng.choice(cats[:3])))
+                  for _ in range(int(rng.integers(0, 9)))]
+            pred = []
+            for el in gt:
+                for _ in range(int(rng.integers(0, 3))):
+                    x0, y0, x1, y1 = np.asarray(el.bbox) + rng.normal(0, 0.6, 4)
+                    cat = el.category if rng.random() < 0.8 else str(rng.choice(cats))
+                    pred.append(self.box(x0, y0, max(x1, x0 + 0.1), max(y1, y0 + 0.1), cat,
+                                         score=round(float(rng.random()), 1)))
+            pred += [self.box(*(c := rng.uniform(0, 60, 2)), *(c + 5.0), str(rng.choice(cats)),
+                              score=round(float(rng.random()), 1))
+                     for _ in range(int(rng.integers(0, 3)))]
+            scene = self.scene_with(gt)
+            prediction = lt.Prediction(
+                lanes=list(scene.lanes), lane_scores=np.ones(1), traffic=pred,
+                topo=lt.TopologyGraph(ll=np.zeros((1, 1)), lt=np.zeros((1, len(pred)))))
+            iou = float(rng.choice([0.5, metrics.DET_T_IOU, 0.9]))
+            got = lt.evaluate(prediction, scene, det_t_iou=iou).det_t
+            assert got == det_t_loops(prediction, scene, iou) and type(got) is float
 
 
 class TestTopScore:
@@ -436,7 +484,7 @@ class TestLaneSegmentMetrics:
         scene = three_lane_chain()
         rep = lt.evaluate(perfect_prediction(scene), scene, lane_width=1.75).lane_segments
         assert rep.map == 1.0
-        assert rep.ap_lane == 1.0
+        assert rep.ap_ls == 1.0
         assert rep.ap_ped is None
         assert rep.top_lsls == 1.0
 
@@ -444,7 +492,7 @@ class TestLaneSegmentMetrics:
         scene = three_lane_chain()
         rep = lt.evaluate(empty_prediction(scene), scene, lane_width=1.75).lane_segments
         assert rep.map == 0.0
-        assert rep.ap_lane == 0.0
+        assert rep.ap_ls == 0.0
         assert rep.top_lsls == 0.0
 
 
@@ -470,6 +518,28 @@ class TestEvaluate:
         rep = lt.evaluate(pred, scene, lane_width=1.75)
         assert rep.lane_segments is not None
         assert rep.lane_segments.map == 1.0
+
+    def test_one_precision_sums_call_per_ap_family(self, monkeypatch):
+        # DET_l, DET_t and the lane-segment mAP each rank all their rows in
+        # one _precision_sums call; the other calls are the topology scores'
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=3, seed=2))
+        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.3, score_noise=0.3), seed=2)
+        calls = []
+        real = metrics._precision_sums
+
+        def counted(flags):
+            calls.append((sys._getframe(1).f_code.co_name, flags.shape))
+            return real(flags)
+
+        monkeypatch.setattr(metrics, "_precision_sums", counted)
+        lt.evaluate(pred, scene, lane_width=1.75)
+        gt_cats = [el.category for el in scene.traffic]
+        per_cat = [sum(el.category == cat for el in pred.traffic) for cat in set(gt_cats)]
+        assert len(set(gt_cats)) > 1 and min(per_cat) > 0
+        n = len(pred.lanes)
+        assert [shape for caller, shape in calls if caller == "_mean_ap"] \
+            == [(3, n), (len(per_cat), max(per_cat)), (3, n)]
+        assert {caller for caller, _ in calls} == {"_mean_ap", "_vertex_aps"}
 
     def test_removing_the_only_tp_hurts_det(self):
         scene = chain_scene()
@@ -578,7 +648,7 @@ class TestPruning:
         _, to_gt, _ = lt.greedy_match(dist, pred.lane_scores, metrics.LS_TOP_THRESHOLD)
         top_lsls = metrics._topology_score(scene.topo.ll, pred.topo.ll, to_gt, to_gt)
         assert full.lane_segments == metrics.LaneSegmentReport(
-            map=ap, ap_lane=ap, ap_ped=None, top_lsls=top_lsls)
+            map=ap, ap_ls=ap, ap_ped=None, top_lsls=top_lsls)
 
     @pytest.mark.parametrize("kwargs", [
         dict(det_l_thresholds=(float("nan"),)),

@@ -463,7 +463,7 @@ class TestMetricsCsv:
     def test_lane_segment_columns_filled(self):
         rep = lt.MetricReport(
             det_l=1.0, det_t=1.0, top_ll=1.0, top_lt=1.0, ols=1.0,
-            lane_segments=lt.LaneSegmentReport(map=0.75, ap_lane=0.5, ap_ped=None,
+            lane_segments=lt.LaneSegmentReport(map=0.75, ap_ls=0.5, ap_ped=None,
                                                top_lsls=1.0))
         csv = metrics_csv([("s", rep)])
         cells = csv.strip().split("\n")[1].split(",")
@@ -478,6 +478,16 @@ class TestMetricsCsv:
         d = report_to_dict(rep)
         assert d["det_l"] == 0.1
         assert d["ols"] == 0.25
+
+    def test_keys_and_columns_are_the_report_fields_in_order(self):
+        assert CSV_HEADER == "scene,det_l,det_t,top_ll,top_lt,ols,map,ap_ls,ap_ped,top_lsls"
+        rep = lt.MetricReport(det_l=0.1, det_t=0.2, top_ll=0.3, top_lt=0.4, ols=0.25,
+                              lane_segments=lt.LaneSegmentReport(map=0.75, ap_ls=0.5,
+                                                                 ap_ped=None, top_lsls=1.0))
+        d = report_to_dict(rep)
+        assert list(d) == CSV_HEADER.split(",")[1:6] + ["lane_segments"]
+        assert d["lane_segments"] == {"map": 0.75, "ap_ls": 0.5, "ap_ped": None,
+                                      "top_lsls": 1.0}
 
 
 class TestManifests:
