@@ -16,6 +16,13 @@ entries, so its hidden layer is never held for more than one block: a D of
 one block keeps it for the backward, a larger D keeps only D and the
 backward rebuilds each block's. One parameter set serves every layer that
 needs the mask; callers share the instance.
+
+Every forward also takes its arrays with a leading batch axis, one scene
+per entry, all of one shape. Products stay batched (B, rows, cols) matmuls
+and blocks run along each scene's own rows, so each scene's result is bit
+for bit its 2-D call: rows of different scenes are never stacked into one
+product, whose one-row and one-column cases round differently. The
+backwards take the 2-D arrays only.
 """
 
 from __future__ import annotations
@@ -81,22 +88,24 @@ class SelfAttentionParams:
 
 
 def _split_heads(x: np.ndarray, h: int) -> np.ndarray:
-    n, c = x.shape
-    return x.reshape(n, h, c // h).transpose(1, 0, 2)
+    """(..., n, c) -> (..., h, n, c / h)."""
+    *lead, n, c = x.shape
+    return x.reshape(*lead, n, h, c // h).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
 def self_attention_forward(params: SelfAttentionParams, q: np.ndarray):
-    """LN(MultiHeadAttn(q as queries, keys and values) + q), with cache."""
+    """LN(MultiHeadAttn(q as queries, keys and values) + q), with cache;
+    q is (n, c) or a batch (B, n, c)."""
     h = params.n_heads
     qh = _split_heads(q @ params.wq + params.bq, h)
     kh = _split_heads(q @ params.wk + params.bk, h)
     vh = _split_heads(q @ params.wv + params.bv, h)
-    a = softmax_rows(qh @ kh.transpose(0, 2, 1) / np.sqrt(qh.shape[-1]))
+    a = softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1]))
     ctx = _merge_heads(a @ vh)
     y, ln_cache = layer_norm_forward(ctx @ params.wo + params.bo + q,
                                      params.ln_gain, params.ln_bias)
@@ -149,25 +158,30 @@ MASK_BLOCK = 2048
 def sigmoid_mask_forward(params: SigmoidMaskParams, d: np.ndarray):
     """S = clip(sigmoid(MLP(D)), MASK_EPS, 1), applied entrywise, with cache.
 
-    The MLP runs on blocks of MASK_BLOCK entries; every entry gets the
-    arithmetic of the one-shot pass, so S is bitwise the same, except in a
-    last block of one entry, whose numpy matrix-vector product may round
-    the last place differently. A D of one block keeps that block's MLP
+    d is (n, m), or (B, n, m) for a batch, whose blocks run along each
+    scene's own entries. The MLP runs on blocks of MASK_BLOCK entries;
+    every entry gets the arithmetic of the one-shot pass, so S is bitwise
+    the same, except in a last block of one entry, whose numpy
+    matrix-vector product may round the last place differently. A D of one
+    block keeps that block's MLP
     cache, at most MASK_BLOCK x c per layer, so the backward does not
     rebuild it; a larger D keeps D itself, not the hidden layer, and its
     blocks write into one logits array through one buffer per hidden layer.
     """
     mlp = params.mlp
-    flat = d.reshape(-1, 1)
-    n = len(flat)
+    lead = d.shape[:-2]
+    # each scene's entries form its own column: a batch is (B, entries, 1)
+    flat = d.reshape(*lead, -1, 1)
+    n = flat.shape[-2]
     mlp_cache = None
     if n <= MASK_BLOCK or not mlp.weights:  # one block, or the identity
         logits, mlp_cache = mlp_forward_cached(mlp, flat)
     else:
-        logits = np.empty((n, 1))
-        hidden = [np.empty((MASK_BLOCK, w.shape[1])) for w in mlp.weights[:-1]]
+        logits = np.empty(flat.shape)
+        hidden = [np.empty((*lead, MASK_BLOCK, w.shape[1])) for w in mlp.weights[:-1]]
         for s in range(0, n, MASK_BLOCK):
-            mlp_forward(mlp, flat[s:s + MASK_BLOCK], out=[*hidden, logits[s:]])
+            mlp_forward(mlp, flat[..., s:s + MASK_BLOCK, :],
+                        out=[*hidden, logits[..., s:, :]])
     sg = sigmoid(logits)
     s = np.clip(sg, MASK_EPS, 1.0).reshape(d.shape)
     return s, (d, sg, mlp_cache)
@@ -228,17 +242,17 @@ def masked_cross_attention_forward(
     s=None runs the unmasked block: no bias term is added at all, so an
     all-ones mask and no mask produce bitwise identical outputs (log 1 == 0).
     """
-    n, c = q.shape
-    if qc.ndim != 2 or qc.shape[0] == 0:
+    c = q.shape[-1]
+    if qc.ndim != q.ndim or qc.shape[-2] == 0:
         raise ValueError(f"cross-attention needs at least one context row, got {qc.shape}")
-    if qc.shape[1] != c:
+    if qc.shape[-1] != c:
         raise ValueError(f"feature widths differ: {q.shape} vs {qc.shape}")
-    if s is not None and s.shape != (n, qc.shape[0]):
-        raise ValueError(f"mask shape {s.shape} != ({n}, {qc.shape[0]})")
+    if s is not None and s.shape != (*q.shape[:-1], qc.shape[-2]):
+        raise ValueError(f"mask shape {s.shape} != {(*q.shape[:-1], qc.shape[-2])}")
     xq = q @ params.wq + params.bq
     xk = qc @ params.wk + params.bk
     xv = qc @ params.wv + params.bv
-    z = xq @ xk.T / np.sqrt(c)
+    z = xq @ xk.mT / np.sqrt(c)
     if s is not None:
         z += np.log(s)
     a = softmax_rows(z)

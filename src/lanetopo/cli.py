@@ -13,13 +13,14 @@ traffic elements its query budgets cut, and one per run when --score-noise
 or --topo-flip-rate is nonzero (they change nothing, so its manifest omits
 them); the exit code and outputs stay as they are. Every numeric flag, and
 gradcheck's --corrupt, is checked at parse time; an output path naming an
-input or another output exits 2 unwritten. Directories are processed
-serially in sorted file order. A directory predict draws the model
-parameters once per point count and scores every scene with them; a
-directory eval reads and scores its pairs in groups of at most about
-EVAL_GROUP_LANES lanes (metrics.evaluate_group), so shared kernel work is
-done once per group and memory does not grow with the directory. Either
-way every output is byte for byte what the per-file command writes.
+input or another output exits 2 unwritten. Directory runs read their
+files in sorted order, in groups of about GROUP_LANES lanes, so memory does
+not grow with the directory. A directory predict draws the model
+parameters once per point count and runs the model once per group of
+scenes of one shape (pipeline.predict_batch); a directory eval scores each
+group at once (metrics.evaluate_group). Either way every output is byte
+for byte what the per-file command writes, and the wrote, warning and
+error lines come in sorted file order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ from .metrics import (
     valid_distances,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .scene import checked, field_check
+from .scene import Prediction, checked, field_check
 from .serialize import (
     TOOL_VERSION,
     SchemaError,
@@ -75,10 +76,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-# predicted and ground-truth lanes a directory eval reads before it scores
-# them as one group: enough to share each kernel call among dozens of small
-# scenes, few enough that memory does not grow with the directory
-EVAL_GROUP_LANES = 256
+# lanes a directory run reads before it scores them as one group (predict:
+# the lanes the model reads; eval: predicted and ground-truth lanes): enough
+# to share each kernel call among dozens of small scenes, few enough that
+# memory does not grow with the directory
+GROUP_LANES = 256
 
 
 def _data_files(directory: Path) -> list[Path]:
@@ -192,20 +194,96 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _predict_one(scene_path: Path, out_path: Path, cfg: PipelineConfig,
-                 manifest_params: dict, params: dict) -> str:
-    """Predict one scene with params[n_points], drawn into params on first use."""
+                 manifest_params: dict) -> str:
     t0 = time.perf_counter()
     scene = read_scene(scene_path)
-    if scene.n_points not in params:
-        params[scene.n_points] = pipeline.init_pipeline_params(cfg, scene.n_points)
     pred = run_pipeline(scene, cfg, warn=lambda msg: print(
-        f"warning: {scene_path.name}: {msg}", file=sys.stderr), params=params[scene.n_points])
+        f"warning: {scene_path.name}: {msg}", file=sys.stderr))
+    return _write_prediction(pred, scene_path, out_path, cfg, manifest_params,
+                             time.perf_counter() - t0)
+
+
+def _write_prediction(pred, scene_path: Path, out_path: Path, cfg: PipelineConfig,
+                      manifest_params: dict, seconds: float) -> str:
+    t0 = time.perf_counter()
     write_json(out_path, prediction_to_dict(pred))
     write_manifest(out_path, build_manifest(
         "predict", manifest_params,
         {"param_seed": cfg.param_seed, "noise_seed": cfg.noise_seed},
-        [scene_path], [out_path], time.perf_counter() - t0))
+        [scene_path], [out_path], seconds + time.perf_counter() - t0))
     return f"wrote {out_path}: {len(pred.lanes)} lanes"
+
+
+@dataclass
+class _Job:
+    """One scene of a directory predict: its model inputs or the error that
+    stopped it, and the warnings the per-file command prints for it."""
+
+    scene_path: Path
+    inputs: pipeline.SceneInputs | None = None
+    pred: Prediction | None = None
+    error: Exception | None = None
+    warnings: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+
+
+def _prepare(scene_path: Path, cfg: PipelineConfig, params: dict) -> _Job:
+    """A job holding the scene's model inputs, its parameters drawn into
+    params[n_points] on first use, or the error that stopped it."""
+    job = _Job(scene_path)
+    t0 = time.perf_counter()
+    try:
+        scene = read_scene(scene_path)
+        if scene.n_points not in params:
+            params[scene.n_points] = pipeline.init_pipeline_params(cfg, scene.n_points)
+        job.inputs = pipeline.scene_inputs(scene, cfg, warn=job.warnings.append)
+    except (OSError, ValueError) as err:
+        job.error = err
+    job.seconds = time.perf_counter() - t0
+    return job
+
+
+def _predict_chunk(jobs: list, out_dir: Path, cfg: PipelineConfig, manifest_params: dict,
+                   params: dict) -> bool:
+    """Predict the prepared jobs, one forward per group of one shape, and
+    write them in order, each with its warnings, its wrote line or its
+    errors, as the per-file command prints them; False if any failed."""
+    groups: dict[tuple, list] = {}
+    for job in jobs:
+        if job.error is None:
+            groups.setdefault(job.inputs.shape, []).append(job)
+    for (n_points, *_), group in groups.items():
+        t0 = time.perf_counter()
+        try:
+            preds = pipeline.predict_batch(params[n_points], [j.inputs for j in group], cfg)
+        except ValueError as err:
+            # every error of the forward depends on the shape alone, so
+            # each scene of the group raises it in the per-file command too
+            preds = [None] * len(group)
+            for job in group:
+                job.error = err
+        for job, pred in zip(group, preds):
+            job.pred = pred
+            job.seconds += (time.perf_counter() - t0) / len(group)
+    ok = True
+    for job in jobs:
+        out_path = out_dir / job.scene_path.name
+        for msg in job.warnings:
+            print(f"warning: {job.scene_path.name}: {msg}", file=sys.stderr)
+        if job.error is None:
+            try:
+                print(_write_prediction(job.pred, job.scene_path, out_path, cfg,
+                                        manifest_params, job.seconds))
+                continue
+            except (OSError, ValueError) as err:
+                job.error = err
+        # a bad scene is reported and skipped; the others still get output
+        _print_error(job.error, f"{job.scene_path.name}: ")
+        ok = False
+        # an earlier run's output must not be scored as this scene's
+        for stale in (out_path, manifest_path_for(out_path)):
+            stale.unlink(missing_ok=True)
+    return ok
 
 
 def cmd_predict(args) -> int:
@@ -238,20 +316,17 @@ def cmd_predict(args) -> int:
             # outputs would replace the scenes, and a failed scene's file be removed
             raise ValueError(f"output directory {out_path} is the scene directory")
         out_path.mkdir(parents=True, exist_ok=True)
-        failed, params = False, {}
-        for f in files:
-            # a bad scene is reported and skipped; the others still get output
-            try:
-                print(_predict_one(f, out_path / f.name, cfg, manifest_params, params))
-            except (OSError, ValueError) as err:
-                _print_error(err, f"{f.name}: ")
-                failed = True
-                # an earlier run's output must not be scored as this scene's
-                for stale in (out_path / f.name, manifest_path_for(out_path / f.name)):
-                    stale.unlink(missing_ok=True)
-        return EXIT_INPUT_ERROR if failed else EXIT_OK
+        ok, params, chunk, n_lanes = True, {}, [], 0
+        for k, f in enumerate(files):
+            job = _prepare(f, cfg, params)
+            chunk.append(job)
+            n_lanes += 0 if job.inputs is None else len(job.inputs.L)
+            if n_lanes >= GROUP_LANES or k == len(files) - 1:
+                ok &= _predict_chunk(chunk, out_path, cfg, manifest_params, params)
+                chunk, n_lanes = [], 0
+        return EXIT_OK if ok else EXIT_INPUT_ERROR
     _check_distinct([scene_path], [out_path])
-    print(_predict_one(scene_path, out_path, cfg, manifest_params, {}))
+    print(_predict_one(scene_path, out_path, cfg, manifest_params))
     return EXIT_OK
 
 
@@ -333,7 +408,7 @@ def cmd_eval(args) -> int:
             continue
         group.append((pf, gf, pred, scene))
         n_lanes += len(pred.lanes) + len(scene.lanes)
-        if n_lanes >= EVAL_GROUP_LANES or k == len(jobs) - 1:
+        if n_lanes >= GROUP_LANES or k == len(jobs) - 1:
             failed = not _score_group(group, args, rows)
             group, n_lanes = [], 0
     if failed:

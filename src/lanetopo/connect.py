@@ -81,24 +81,31 @@ def build_connected_gt(scene: Scene) -> list[ConnectedLane]:
 
 
 def _halves(C: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Front and back halves of every curve of C (k, N_P, 3), split at index
-    floor(N_P / 2) and resampled to n points; the midpoint is in both."""
-    mid = C.shape[1] // 2
-    return resample_stack(C[:, : mid + 1], n), resample_stack(C[:, mid:], n)
+    """Front and back halves of every curve of C (..., k, N_P, 3), split at
+    index floor(N_P / 2) and resampled to n points; the midpoint is in both.
+    Each curve is resampled on its own, so a batch is resampled as one stack."""
+    *lead, k, N, _ = C.shape
+    C = C.reshape(-1, N, 3)
+    mid = N // 2
+    return (resample_stack(C[:, : mid + 1], n).reshape(*lead, k, n, 3),
+            resample_stack(C[:, mid:], n).reshape(*lead, k, n, 3))
 
 
 def half_distances(L: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean L1 distances of every lane of the stack L (n, N_P, 3) to the two
     halves of every curve of the stack C (m, N_P, 3): (d_front, d_back),
-    each (n, m). C need not hold valid polylines, only resamplable halves.
+    each (n, m), or (B, n, m) for a batch of scenes, L (B, n, N_P, 3) and
+    C (B, m, N_P, 3). C need not hold valid polylines, only resamplable
+    halves.
 
     A small d_front[i, c] marks lane i as a plausible predecessor of c, a
     small d_back[i, c] as a plausible successor; their elementwise minimum
     is the geometric correlation matrix D the cross-attention mask is built
     from. Each half needs at least two points, so C needs at least three.
     """
-    if C.shape[1] < 3:
-        raise ValueError(f"cannot split {C.shape[1]}-point curves into halves: one half "
+    N = C.shape[-2]
+    if N < 3:
+        raise ValueError(f"cannot split {N}-point curves into halves: one half "
                          f"would be a zero-length polyline (at least 3 points are needed)")
-    fronts, backs = _halves(C, C.shape[1])
+    fronts, backs = _halves(C, N)
     return avg_l1_matrix(L, fronts), avg_l1_matrix(L, backs)

@@ -34,14 +34,16 @@ class GeometryEncoder:
         return self.projection.shape[0] // (2 * len(FREQS))
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """(n_items, ...) -> (n_items, c) features; each item's values are
-        flattened in row-major order, so (k, n, 3) is (k, 3n); no items give
-        (0, c)."""
+        """(k, n_values) -> (k, c) features, or (B, k, n_values) -> (B, k, c)
+        for a batch of scenes, each scene's product its own; items given as
+        (..., k, n, 3) polylines are flattened in row-major order, so
+        (k, n, 3) is (k, 3n). No items give (0, c)."""
         values = np.asarray(values, dtype=np.float64)
-        values = values.reshape(len(values), math.prod(values.shape[1:]))
-        phases = values[:, :, None] * FREQS[None, None, :]
-        enc = np.concatenate([np.sin(phases), np.cos(phases)], axis=2)
-        return enc.reshape(len(values), 2 * len(FREQS) * values.shape[1]) @ self.projection
+        if values.shape[-1] != self.n_values:
+            values = values.reshape(*values.shape[:-2], math.prod(values.shape[-2:]))
+        phases = values[..., None] * FREQS
+        enc = np.concatenate([np.sin(phases), np.cos(phases)], axis=-1)
+        return enc.reshape(*values.shape[:-1], 2 * len(FREQS) * self.n_values) @ self.projection
 
 
 BOX_SCALE = 1000.0  # pixels; keeps box phases in the same range as lane coords

@@ -7,6 +7,7 @@ Polyline3D or a raw (n, 3) array; internal callers mostly pass arrays.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -124,37 +125,41 @@ def _plane_sum(d: np.ndarray) -> np.ndarray:
 
 def avg_l1_matrix(L, H) -> np.ndarray:
     """(n, m) mean L1 distances between index-aligned points of every lane in
-    L (n, N, 3) and every polyline in H (m, N, 3).
+    L (n, N, 3) and every polyline in H (m, N, 3); for a batch of scenes,
+    L (B, n, N, 3) and H (B, m, N, 3), each scene's (n, m) as its own call.
 
-    The coordinates' differences fill one (3, N, lanes, m) block, curves
+    The coordinates' differences fill one (3, N, [B,] lanes, m) block, curves
     innermost; each point sums (|dx| + |dy|) + |dz|, as numpy sums one
     pair's three coordinates, and _plane_sum adds the N point planes as
     numpy sums one pair's N points before the mean divides by N, so every
     entry is bitwise the one-pair result. Lanes go in chunks of
-    L1_CHUNK // m (at least one), so no block holds many more than
+    L1_CHUNK // (B * m) (at least one), so no block holds many more than
     L1_CHUNK pairs.
     """
     L = np.asarray(L, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    if L.ndim != 3 or H.ndim != 3 or L.shape[2] != 3 or H.shape[2] != 3:
+    if L.ndim not in (3, 4) or H.ndim != L.ndim or H.shape[:-3] != L.shape[:-3] \
+            or L.shape[-1] != 3 or H.shape[-1] != 3:
         raise ValueError(f"expected (n, N, 3) and (m, N, 3) arrays, got {L.shape} and {H.shape}")
-    (n, N), m = L.shape[:2], H.shape[0]
-    if N != H.shape[1]:
-        raise ValueError(f"point counts differ: {N} vs {H.shape[1]}")
+    *lead, n, N, _ = L.shape
+    m = H.shape[-3]
+    if N != H.shape[-2]:
+        raise ValueError(f"point counts differ: {N} vs {H.shape[-2]}")
     if N == 0:
         raise ValueError("cannot average over polylines of zero points")
-    # (3, N, lanes) planes: a block's differences are contiguous along the curves
-    Lp = np.ascontiguousarray(L.transpose(2, 1, 0))[..., None]
-    Hp = np.ascontiguousarray(H.transpose(2, 1, 0))[:, :, None]
-    out = np.empty((n, m))
-    rows = max(1, L1_CHUNK // max(1, m))
-    block = np.empty((3, N, min(rows, n), m))
+    # (3, N, [B,] lanes) planes: a block's differences are contiguous along the curves
+    planes = (L.ndim - 1, L.ndim - 2, *range(L.ndim - 2))
+    Lp = np.ascontiguousarray(L.transpose(planes))[..., None]
+    Hp = np.ascontiguousarray(H.transpose(planes))[..., None, :]
+    out = np.empty((*lead, n, m))
+    rows = max(1, L1_CHUNK // max(1, m * math.prod(lead)))
+    block = np.empty((3, N, *lead, min(rows, n), m))
     for s in range(0, n, rows):
-        d = block[:, :, :min(rows, n - s)]
-        np.abs(np.subtract(Lp[:, :, s:s + rows], Hp, out=d), out=d)
+        d = block[..., :min(rows, n - s), :]
+        np.abs(np.subtract(Lp[..., s:s + rows, :], Hp, out=d), out=d)
         d[0] += d[1]
         d[0] += d[2]
-        np.divide(_plane_sum(d[0]), N, out=out[s:s + rows])
+        np.divide(_plane_sum(d[0]), N, out=out[..., s:s + rows, :])
     return out
 
 

@@ -15,6 +15,11 @@ and the layers after it run in row blocks of about PAIR_BLOCK pairs. No
 built, forward or backward: the backward rebuilds each block's hidden
 layer from the two (n, c) first-layer terms. The matched branch, one row
 per connected lane, goes through the same MLP on concatenated rows.
+
+The forward heads also take a leading batch axis of scenes of one shape:
+every product is a batched matmul, each scene's pairs form their own
+blocks and the matched pairs' keys are offset by scene, so each scene's
+scores are bit for bit its own 2-D call's.
 """
 
 from __future__ import annotations
@@ -38,17 +43,18 @@ def match_connected(d_front: np.ndarray, d_back: np.ndarray) -> np.ndarray:
     """Resolve each connected lane to its best (predecessor, successor) pair.
 
     d_front and d_back are the (n_lanes, n_connected) half distances of
-    connect.half_distances. Row c of the (n_connected, 2) result is
-    connected lane c's (i*, j*): i* minimises column c of d_front, j* column
-    c of d_back. np.argmin breaks ties toward the lower lane index.
+    connect.half_distances, or a batch of them (B, n_lanes, n_connected).
+    Row c of the (n_connected, 2) result, or of each scene's, is connected
+    lane c's (i*, j*): i* minimises column c of d_front, j* column c of
+    d_back. np.argmin breaks ties toward the lower lane index.
     """
-    n, m = np.shape(d_front)
+    *lead, n, m = np.shape(d_front)
     if n == 0:
         # numpy's argmin raises on an empty axis even when m is 0 too
         if m:
             raise ValueError("cannot match connected lanes against an empty lane list")
-        return np.zeros((0, 2), dtype=np.intp)
-    return np.stack([np.argmin(d_front, axis=0), np.argmin(d_back, axis=0)], axis=1)
+        return np.zeros((*lead, 0, 2), dtype=np.intp)
+    return np.stack([np.argmin(d_front, axis=-2), np.argmin(d_back, axis=-2)], axis=-1)
 
 
 @dataclass
@@ -92,7 +98,7 @@ def _first_layer(head: MlpParams, a: np.ndarray, b: np.ndarray):
     The pre-activation of pair (i, j) is za[i] + zb[j], so the concatenated
     (n * m, 2c) pair features are never built.
     """
-    c = a.shape[1]
+    c = a.shape[-1]
     w = head.weights[0]
     return a @ w[:c], b @ w[c:] + head.biases[0]
 
@@ -102,18 +108,20 @@ def _rows_per_block(m: int) -> int:
 
 
 def _preacts(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """The (len(za) * m, c) first-layer pre-activations of every pair of a
-    row of za with one of zb, row-major in (i, j)."""
-    return (za[:, None, :] + zb[None, :, :]).reshape(-1, za.shape[1])
+    """The (n * m, c) first-layer pre-activations of every pair of a row of
+    za (n, c) with one of zb (m, c), row-major in (i, j); a batch of scenes
+    gives (B, n * m, c), each scene's pairs its own."""
+    *lead, n, c = za.shape
+    return (za[..., :, None, :] + zb[..., None, :, :]).reshape(*lead, -1, c)
 
 
 def pair_preacts(za: np.ndarray, zb: np.ndarray):
-    """(rows, z) for each row block of the pair grid, z the (len(rows) * m, c)
-    first-layer pre-activations of its pairs, row-major in (i, j)."""
-    step = _rows_per_block(len(zb))
-    for s in range(0, len(za), step):
+    """(rows, z) for each row block of the pair grid, z the pre-activations
+    of its pairs as _preacts gives them, rows a slice of za's rows."""
+    step = _rows_per_block(zb.shape[-2])
+    for s in range(0, za.shape[-2], step):
         rows = slice(s, s + step)
-        yield rows, _preacts(za[rows], zb)
+        yield rows, _preacts(za[..., rows, :], zb)
 
 
 def _rest(head: MlpParams) -> MlpParams:
@@ -121,17 +129,19 @@ def _rest(head: MlpParams) -> MlpParams:
 
 
 def _pair_logits(head: MlpParams, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """(n, m) outputs of a (2c, c, 1) head on every pair, one row block at a
-    time, each block's ReLU in place; a grid of one block is the block's
-    own output."""
+    """(n, m) outputs of a (2c, c, 1) head on every pair, or (B, n, m) for a
+    batch, one row block at a time, each block's ReLU in place; a grid of
+    one block is the block's own output. Each scene of a batch gets the
+    blocks of its own call."""
     rest = _rest(head)
-    n, m = len(za), len(zb)
+    *lead, n, _ = za.shape
+    m = zb.shape[-2]
     if n <= _rows_per_block(m):
         z = _preacts(za, zb)
-        return mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(n, m)
-    out = np.empty((n, m))
+        return mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(*lead, n, m)
+    out = np.empty((*lead, n, m))
     for rows, z in pair_preacts(za, zb):
-        out[rows] = mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(-1, m)
+        out[..., rows, :] = mlp_forward(rest, np.maximum(z, 0.0, out=z)).reshape(*lead, -1, m)
     return out
 
 
@@ -198,6 +208,11 @@ class LlCache(NamedTuple):
     matched: MatchedCache | None
 
 
+def _rows_of(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[idx] of x (n, c) and idx (m,), or scene by scene of a batch."""
+    return x[idx] if x.ndim == 2 else x[np.arange(len(x))[:, None], idx]
+
+
 def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
                       qc_hat: np.ndarray, pairs: np.ndarray):
     """Lane-lane score matrix with the caches needed for backward.
@@ -206,24 +221,30 @@ def predict_ll_cached(params: TopologyHeadParams, q_hat: np.ndarray,
     pairs[k] through the matched branch with connected query qc_hat[k].
     Diagonal entries are produced like any other pair; callers zero them
     when assembling a topology graph. Duplicates of one (i, j) keep the
-    maximum-scoring row, the lowest row index on an exact tie.
+    maximum-scoring row, the lowest row index on an exact tie. A batch,
+    (B, n, c), (B, m, c) and (B, m, 2), gives (B, n, n) scores, each
+    scene's its own call's; predict_ll_backward takes the 2-D cache only.
     """
-    n = q_hat.shape[0]
+    n = q_hat.shape[-2]
     u1, cache_u1 = mlp_forward_cached(params.unmatch_i, q_hat)
     u2, cache_u2 = mlp_forward_cached(params.unmatch_j, q_hat)
     za, zb = _first_layer(params.ll_score, u1, u2)
     scores = sigmoid(_pair_logits(params.ll_score, za, zb))
 
     matched = None
-    if len(pairs):
-        pi, pj = pairs.T
-        m1, cache_m1 = mlp_forward_cached(params.match_i, qc_hat + q_hat[pi])
-        m2, cache_m2 = mlp_forward_cached(params.match_j, qc_hat + q_hat[pj])
+    if np.size(pairs):
+        pi, pj = pairs[..., 0], pairs[..., 1]
+        m1, cache_m1 = mlp_forward_cached(params.match_i, qc_hat + _rows_of(q_hat, pi))
+        m2, cache_m2 = mlp_forward_cached(params.match_j, qc_hat + _rows_of(q_hat, pj))
         logit_m, cache_head = mlp_forward_cached(params.ll_score,
-                                                 np.concatenate([m1, m2], axis=1))
+                                                 np.concatenate([m1, m2], axis=-1))
         s_m = sigmoid(logit_m.reshape(-1))
-        win = _max_per_pair(pi * n + pj, s_m)
-        scores[pi[win], pj[win]] = s_m[win]
+        # the flat index of (i, j) in scores, so no pair key crosses scenes
+        key = pi * n + pj
+        if key.ndim > 1:
+            key = (key + n * n * np.arange(len(key))[:, None]).reshape(-1)
+        win = _max_per_pair(key, s_m)
+        scores.reshape(-1)[key[win]] = s_m[win]
         matched = MatchedCache(pairs, win, cache_m1, cache_m2, cache_head)
 
     return scores, LlCache(scores, u1, u2, za, zb, cache_u1, cache_u2, matched)
@@ -273,11 +294,11 @@ def predict_ll_backward(params: TopologyHeadParams, cache: LlCache, g_scores: np
 
 
 def predict_lt(q_hat: np.ndarray, qt: np.ndarray, params: TopologyHeadParams) -> np.ndarray:
-    """Lane-traffic score matrix, shape (n_lanes, n_traffic)."""
-    n = q_hat.shape[0]
-    t = qt.shape[0]
+    """Lane-traffic score matrix, shape (n_lanes, n_traffic), or
+    (B, n_lanes, n_traffic) for a batch of scenes."""
+    t = qt.shape[-2]
     if t == 0:
-        return np.zeros((n, 0))
+        return np.zeros((*q_hat.shape[:-1], 0))
     lf = mlp_forward(params.lt_lane, q_hat)
     tf = mlp_forward(params.lt_traffic, qt)
     za, zb = _first_layer(params.lt_score, lf, tf)

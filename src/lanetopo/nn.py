@@ -77,12 +77,14 @@ class MlpParams:
 def mlp_forward(params: MlpParams, x: np.ndarray, out: list | None = None) -> np.ndarray:
     """mlp_forward_cached's output, each layer's bias and ReLU applied in
     place on its own product and nothing kept for a backward. out, if
-    given, holds one 2-D array per layer, at least len(x) rows long, whose
-    first len(x) rows take that layer's output instead of a new array."""
+    given, holds one array per layer, with x's leading axes and at least as
+    many rows, whose first rows take that layer's output instead of a new
+    array. x may carry a leading batch axis: each of its (rows, width)
+    matrices is multiplied on its own, bit for bit as its 2-D call."""
     h = x
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w if out is None else np.matmul(h, w, out=out[l][:len(h)])
+        h = h @ w if out is None else np.matmul(h, w, out=out[l][..., :x.shape[-2], :])
         h += b
         if l != last:
             np.maximum(h, 0.0, out=h)

@@ -9,10 +9,18 @@ scored last, from the same queries. Every query is the encoding of its own
 geometry, with no per-slot term, so on ground-truth input permuting the
 lanes permutes the prediction and changes nothing else. queries builds the
 stack's inputs from two arrays, a lane stack L (n, N_P, 3) and a
-connected-curve stack C (m, N_P, 3), whatever produced them; run_pipeline
-and toy_fit build each once (C from connect.connected_curves). The stack
-has one cached forward and one backward; toy_fit trains
-init_pipeline_params' stack through the same three calls.
+connected-curve stack C (m, N_P, 3), whatever produced them; scene_inputs
+builds each once per scene (C from connect.connected_curves), and toy_fit
+builds them once per fit. The stack has one cached forward and one
+backward; toy_fit trains init_pipeline_params' stack through the same
+three calls.
+
+predict_batch is the one forward of a prediction. It runs scenes of one
+shape (point count, lanes, connected curves, traffic elements) together,
+along a leading batch axis that every stage keeps: products are batched
+matmuls and blocks run within each scene, so each scene's prediction is
+bit for bit its own batch of one, which is what run_pipeline runs. The
+2-D arrays toy_fit and every backward take are the no-batch case.
 
 The mean L1 distances between every lane and both halves of every
 connected curve are computed once per run, by one batched kernel: their
@@ -44,7 +52,7 @@ from .features import BOX_SCALE, GeometryEncoder
 from .heads import LlCache, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
 from .scene import Prediction, Scene, TopologyGraph, TrafficElement, bounded, check_fields
-from .synth import NoiseParams, jittered, perturb
+from .synth import NoiseParams, degrade_lanes, jittered
 
 
 @dataclass(frozen=True)
@@ -98,14 +106,15 @@ class TopologyStack:
         """(q_hat, ll, cache): lane queries refined by the masked
         cross-attention over the connected queries qc, with S = mask(d), and
         the lane-lane scores of q_hat; row k of the (m, 2) pairs is the lane
-        pair that connected query qc[k] scores.
+        pair that connected query qc[k] scores. Every array may carry a
+        leading batch axis, as queries gives it; backward takes the 2-D cache.
 
         Without use_tam (the ablation) or without connected lanes, lane
         queries skip the cross-attention and pass through unchanged.
         """
         mask_cache = tam_cache = None
         q_hat = q
-        if use_tam and len(qc):
+        if use_tam and qc.shape[-2]:
             s, mask_cache = attention.sigmoid_mask_forward(self.mask, d)
             q_hat, tam_cache = attention.masked_cross_attention_forward(self.tam, q, qc, s)
         ll, ll_cache = heads.predict_ll_cached(self.heads, q_hat, qc, pairs)
@@ -154,11 +163,12 @@ def init_pipeline_params(cfg: PipelineConfig, n_points: int) -> PipelineParams:
 
 def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
     """(q_bar, qc_hat, d, pairs), as TopologyStack.forward takes them, from
-    the lane stack L (n, N_P, 3) and the connected-curve stack C (m, N_P, 3):
-    lane and connected-curve queries encoded and refined by the shared
-    self-attention (qc_hat is (0, c) when m is 0), D = the elementwise
-    minimum of the half distances, and match_connected's (m, 2) pairs, row k
-    the (predecessor, successor) lanes of curve k."""
+    the lane stack L (n, N_P, 3) and the connected-curve stack C (m, N_P, 3),
+    or from a batch of scenes of one shape, (B, n, N_P, 3) and
+    (B, m, N_P, 3): lane and connected-curve queries encoded and refined by
+    the shared self-attention (qc_hat is (0, c) when m is 0), D = the
+    elementwise minimum of the half distances, and match_connected's (m, 2)
+    pairs, row k the (predecessor, successor) lanes of curve k."""
     q_bar = self_attention(params.enc_lane.encode(L), params.attn)
 
     d_front, d_back = half_distances(L, C)
@@ -168,32 +178,37 @@ def queries(params: PipelineParams, L: np.ndarray, C: np.ndarray) -> tuple:
     return q_bar, qc_hat, np.minimum(d_front, d_back), pairs
 
 
-def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
-                 warn: Callable[[str], None] | None = None,
-                 params: PipelineParams | None = None) -> Prediction:
-    """Produce a Prediction for one scene, scored with params, by default
-    init_pipeline_params(cfg, scene.n_points); parameters drawn for another
-    point count raise ValueError naming both counts.
+class SceneInputs(NamedTuple):
+    """What the model reads of one scene, after the degradation model and
+    the query budgets: the lane stack L (n, N_P, 3), the connected-curve
+    stack C (m, N_P, 3) and the traffic elements."""
 
-    source="gt" passes the ground-truth geometry through; "perturbed" runs
-    the degradation model first. Either way the connection queries keep the
-    ground-truth source pair of the merge they were built from. Lane,
-    connection and traffic counts are truncated to the query budgets; warn,
-    if given, receives one message naming every count that was cut. All
-    emitted confidence and topology scores are sigmoids, strictly inside
-    (0, 1); the lane-lane diagonal is zeroed at graph assembly.
+    L: np.ndarray
+    C: np.ndarray
+    traffic: list[TrafficElement]
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """(N_P, n, m, traffic elements): scenes of one shape run as one batch."""
+        return (self.L.shape[1], len(self.L), len(self.C), len(self.traffic))
+
+
+def scene_inputs(scene: Scene, cfg: PipelineConfig,
+                 warn: Callable[[str], None] | None = None) -> SceneInputs:
+    """The model's inputs for scene under cfg; warn, if given, receives one
+    message naming every count the query budgets cut.
+
+    source="gt" passes the ground-truth geometry through; "perturbed" draws
+    the degraded lanes (synth.degrade_lanes, perturb's lanes). Either way
+    the connection queries keep the ground-truth source pair of the merge
+    they were built from. Lane, connection and traffic counts are truncated
+    to the query budgets.
     """
-    if params is None:
-        params = init_pipeline_params(cfg, scene.n_points)
-    elif params.enc_lane.n_values != 3 * scene.n_points:
-        raise ValueError(f"parameters drawn for {params.enc_lane.n_values // 3} points per "
-                         f"lane do not fit scene n_points {scene.n_points}")
-
     C = connected_curves(scene)
     if cfg.source == "gt":
         L = scene.lane_stack()
     else:
-        L = perturb(scene, cfg.noise, cfg.noise_seed).lanes.stack(scene.n_points)
+        L, _ = degrade_lanes(scene.lane_stack(), cfg.noise, np.random.default_rng(cfg.noise_seed))
         if cfg.noise.point_sigma > 0:
             # junctions no longer coincide after jitter, so connection queries
             # are the ground-truth merges degraded with the same point noise
@@ -205,31 +220,66 @@ def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
         (scene.traffic, cfg.n_traffic_queries, "traffic elements")) if len(items) > budget]
     if cut and warn is not None:
         warn(f"query budget keeps {', '.join(cut)}")
-    L = L[: cfg.n_lane_queries]
-    C = C[: cfg.n_lane_queries]
-    traffic = list(scene.traffic)[: cfg.n_traffic_queries]
+    return SceneInputs(L[: cfg.n_lane_queries], C[: cfg.n_lane_queries],
+                       list(scene.traffic)[: cfg.n_traffic_queries])
 
+
+def predict_batch(params: PipelineParams, batch: list[SceneInputs],
+                  cfg: PipelineConfig) -> list[Prediction]:
+    """One Prediction per scene of batch, all of one SceneInputs.shape, from
+    one forward over a leading batch axis. Each scene's prediction is bit
+    for bit its batch-of-one's: every stage keeps the batch axis and never
+    stacks rows of different scenes into one product or block.
+
+    All emitted confidence and topology scores are sigmoids, strictly
+    inside (0, 1); the lane-lane diagonal is zeroed at graph assembly.
+    """
+    B, (_, n, _, t) = len(batch), batch[0].shape
     # traffic queries depend on no lane, so a scene without lanes keeps them
-    qt_bar = np.zeros((0, cfg.dims.c))
-    if traffic:
-        qt = params.enc_traffic.encode(np.array([el.bbox for el in traffic]) / BOX_SCALE)
-        qt_bar = self_attention(qt, params.attn)
-    t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
-    out_traffic = [TrafficElement(bbox=el.bbox, category=el.category, score=float(t_scores[k]))
-                   for k, el in enumerate(traffic)]
+    qt_bar = np.zeros((B, 0, cfg.dims.c))
+    if t:
+        boxes = np.array([[el.bbox for el in item.traffic] for item in batch])
+        qt_bar = self_attention(params.enc_traffic.encode(boxes / BOX_SCALE), params.attn)
+    t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(B, t))
+    traffic = [[TrafficElement(bbox=el.bbox, category=el.category, score=float(score))
+                for el, score in zip(item.traffic, scores)]
+               for item, scores in zip(batch, t_scores)]
 
-    if not len(L):
-        return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
-                          topo=TopologyGraph(ll=np.zeros((0, 0)),
-                                             lt=np.zeros((0, len(traffic)))))
+    if not n:
+        return [Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
+                           topo=TopologyGraph(ll=np.zeros((0, 0)), lt=np.zeros((0, t))))
+                for out_traffic in traffic]
 
+    L = np.stack([item.L for item in batch])
+    C = np.stack([item.C for item in batch])
     q_hat, ll, _ = params.stack.forward(*queries(params, L, C), cfg.use_tam)
-    np.fill_diagonal(ll, 0.0)
+    ll.reshape(B, -1)[:, :: n + 1] = 0.0  # each scene's diagonal
 
     # a full system would refine queries with BEV deformable attention and a
     # traffic-element GCN at this point; both stages are pass-throughs here
-    lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
+    lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(B, n))
     lt = predict_lt(q_hat, qt_bar, params.stack.heads)
 
-    return Prediction(lanes=L, lane_scores=lane_scores, traffic=out_traffic,
-                      topo=TopologyGraph(ll=ll, lt=lt))
+    return [Prediction(lanes=item.L, lane_scores=lane_scores[b], traffic=traffic[b],
+                       topo=TopologyGraph(ll=ll[b], lt=lt[b]))
+            for b, item in enumerate(batch)]
+
+
+def run_pipeline(scene: Scene, cfg: PipelineConfig = PipelineConfig(),
+                 warn: Callable[[str], None] | None = None,
+                 params: PipelineParams | None = None) -> Prediction:
+    """Produce a Prediction for one scene, scored with params, by default
+    init_pipeline_params(cfg, scene.n_points); parameters drawn for another
+    point count raise ValueError naming both counts.
+
+    The scene's inputs are scene_inputs(scene, cfg, warn): lane,
+    connection and traffic counts are truncated to the query budgets, and
+    warn, if given, receives one message naming every count that was cut.
+    The prediction is predict_batch's for a batch of this one scene.
+    """
+    if params is None:
+        params = init_pipeline_params(cfg, scene.n_points)
+    elif params.enc_lane.n_values != 3 * scene.n_points:
+        raise ValueError(f"parameters drawn for {params.enc_lane.n_values // 3} points per "
+                         f"lane do not fit scene n_points {scene.n_points}")
+    return predict_batch(params, [scene_inputs(scene, cfg, warn)], cfg)[0]

@@ -226,20 +226,13 @@ def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarra
     return checked_polylines(P + (rng.normal(0.0, sigma, size=P.shape) if sigma > 0 else 0.0))
 
 
-def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
-    """Degraded copy of a scene posing as a prediction.
-
-    Lane points get isotropic Gaussian noise (jittered); lanes are dropped
-    and spurious far-away lanes appended; topology scores are the binary
-    ground truth blended toward 0.5 by score_noise, then flipped entrywise
-    with probability topo_flip_rate. With all-zero noise the prediction
-    reproduces the ground truth and every metric is 1. The scene's lanes
-    must share one point count (Scene.lane_stack).
-    """
-    L = scene.lane_stack()
-    rng = np.random.default_rng(seed)
-    n = len(scene.lanes)
-
+def degrade_lanes(L: np.ndarray, noise: NoiseParams,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(lanes, kept): the degraded lane stack of the ground-truth stack L
+    (n, N_P, 3) and the indices of the lanes it keeps, drawn from rng in
+    this order: which lanes are kept, their jitter (jittered), then the
+    spurious far-away lanes, which follow the kept ones."""
+    n = len(L)
     keep = rng.random(n) >= noise.drop_rate if noise.drop_rate > 0 else np.ones(n, bool)
     kept = np.flatnonzero(keep)
     lanes = jittered(L[kept], noise.point_sigma, rng)
@@ -255,8 +248,24 @@ def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
         for k in range(n_spurious):
             x0 = x_lo + rng.uniform(0.0, length)
             y = y_far + 10.0 * k + rng.uniform(0.0, 2.0)
-            spurious.append(_lateral_blend(x0, x0 + length, y, y, 0.0, scene.n_points))
+            spurious.append(_lateral_blend(x0, x0 + length, y, y, 0.0, L.shape[1]))
         lanes = np.concatenate([lanes, checked_polylines(np.stack(spurious))])
+    return lanes, kept
+
+
+def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
+    """Degraded copy of a scene posing as a prediction.
+
+    Lane points get isotropic Gaussian noise (jittered); lanes are dropped
+    and spurious far-away lanes appended (degrade_lanes, the first draws of
+    the stream); topology scores are the binary ground truth blended
+    toward 0.5 by score_noise, then flipped entrywise with probability
+    topo_flip_rate. With all-zero noise the prediction reproduces the
+    ground truth and every metric is 1. The scene's lanes must share one
+    point count (Scene.lane_stack).
+    """
+    rng = np.random.default_rng(seed)
+    lanes, kept = degrade_lanes(scene.lane_stack(), noise, rng)
 
     n_out = len(lanes)
     scores = np.ones(n_out)

@@ -27,7 +27,10 @@ primitives before they worked in place: the list-building MLP forward and
 its reshaping backward, the np.mean/np.var layer norm, the copying softmax
 backward and cross-attention, the mask that concatenated its blocks and
 rebuilt every block's hidden layer in its backward, and the pair-head
-blocks. None of this is imported by the package itself.
+blocks. run_pipeline_per_scene is the pipeline as it ran before its
+forward took a batch axis: one scene, every stage's 2-D call, its lanes
+read off perturb's whole degraded prediction. None of this is imported by
+the package itself.
 """
 
 import itertools
@@ -36,11 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from lanetopo.connect import ConnectedLane
+from lanetopo.attention import CrossAttentionParams, SigmoidMaskParams, self_attention
+from lanetopo.connect import ConnectedLane, connected_curves
+from lanetopo.features import BOX_SCALE
 from lanetopo.geometry import _point_gaps, chamfer_pairs, frechet_pairs, widen
-from lanetopo.heads import TopologyHeadParams
+from lanetopo.heads import TopologyHeadParams, predict_lt
 from lanetopo.metrics import rank_by_score
-from lanetopo.attention import CrossAttentionParams, SigmoidMaskParams
 from lanetopo.nn import (
     LN_EPS,
     MASK_EPS,
@@ -51,8 +55,17 @@ from lanetopo.nn import (
     mlp_forward_cached,
     sigmoid,
 )
-from lanetopo.scene import FLAWS, JUNCTION_TOL, Polyline3D
+from lanetopo.pipeline import queries
+from lanetopo.scene import (
+    FLAWS,
+    JUNCTION_TOL,
+    Polyline3D,
+    Prediction,
+    TopologyGraph,
+    TrafficElement,
+)
 from lanetopo.serialize import round9
+from lanetopo.synth import jittered, perturb
 
 
 def frechet_recursive(a, b) -> float:
@@ -865,3 +878,37 @@ def brute_force_assignment(cost):
 def random_polyline(rng, n, scale=10.0):
     """Random polyline with no consecutive duplicates (scale >> tolerance)."""
     return rng.uniform(-scale, scale, size=(n, 3))
+
+
+def run_pipeline_per_scene(scene, cfg, params):
+    """One scene's Prediction from its own 2-D forward, scored with params."""
+    C = connected_curves(scene)
+    if cfg.source == "gt":
+        L = scene.lane_stack()
+    else:
+        L = perturb(scene, cfg.noise, cfg.noise_seed).lanes.stack(scene.n_points)
+        if cfg.noise.point_sigma > 0:
+            C = jittered(C, cfg.noise.point_sigma, np.random.default_rng(cfg.noise_seed + 1))
+    L = L[: cfg.n_lane_queries]
+    C = C[: cfg.n_lane_queries]
+    traffic = list(scene.traffic)[: cfg.n_traffic_queries]
+
+    qt_bar = np.zeros((0, cfg.dims.c))
+    if traffic:
+        qt = params.enc_traffic.encode(np.array([el.bbox for el in traffic]) / BOX_SCALE)
+        qt_bar = self_attention(qt, params.attn)
+    t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(-1))
+    out_traffic = [TrafficElement(bbox=el.bbox, category=el.category, score=float(t_scores[k]))
+                   for k, el in enumerate(traffic)]
+
+    if not len(L):
+        return Prediction(lanes=[], lane_scores=np.zeros(0), traffic=out_traffic,
+                          topo=TopologyGraph(ll=np.zeros((0, 0)),
+                                             lt=np.zeros((0, len(traffic)))))
+
+    q_hat, ll, _ = params.stack.forward(*queries(params, L, C), cfg.use_tam)
+    np.fill_diagonal(ll, 0.0)
+    lane_scores = sigmoid(mlp_forward(params.conf_lane, q_hat).reshape(-1))
+    lt = predict_lt(q_hat, qt_bar, params.stack.heads)
+    return Prediction(lanes=L, lane_scores=lane_scores, traffic=out_traffic,
+                      topo=TopologyGraph(ll=ll, lt=lt))

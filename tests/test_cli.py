@@ -288,9 +288,9 @@ class TestPredict:
         out = tmp_path / "pred.json"
 
         def refuse(*args, **kwargs):
-            raise AssertionError("perturb ran")
+            raise AssertionError("degrade_lanes ran")
 
-        monkeypatch.setattr(pipeline, "perturb", refuse)
+        monkeypatch.setattr(pipeline, "degrade_lanes", refuse)
         with pytest.raises(SystemExit) as exc:
             run("predict", "--scene", scene_path, "--out", out, "--source", "perturbed",
                 "--spurious-rate", "1e9")

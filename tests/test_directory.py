@@ -100,7 +100,7 @@ class TestDirectoryEqualsPerFile:
             assert (tmp_path / f"{name}.json").read_bytes() \
                 == (files / f"{name}.json").read_bytes()
 
-    @pytest.mark.parametrize("group_lanes", [1, 40, cli.EVAL_GROUP_LANES])
+    @pytest.mark.parametrize("group_lanes", [1, 40, cli.GROUP_LANES])
     def test_reports_are_byte_equal(self, corpus, tmp_path, monkeypatch, group_lanes):
         root, scenes, _, batch = corpus
         preds = tmp_path / "preds"
@@ -116,14 +116,14 @@ class TestDirectoryEqualsPerFile:
             assert run("eval", "--pred", preds / f"{name}.json",
                        "--gt", scenes / f"{name}.json", "--out", report) == 0
             expected.update(eval_rows(report))
-        monkeypatch.setattr(cli, "EVAL_GROUP_LANES", group_lanes)
+        monkeypatch.setattr(cli, "GROUP_LANES", group_lanes)
         report = tmp_path / "report.json"
         assert run("eval", "--pred", preds, "--gt", scenes, "--out", report) == 0
         assert eval_rows(report) == expected
         assert len(expected) == len(SCENES)
         assert expected["c_empty"][0].startswith('{"det_l": 1.0')
 
-    @pytest.mark.parametrize("group_lanes", [1, cli.EVAL_GROUP_LANES])
+    @pytest.mark.parametrize("group_lanes", [1, cli.GROUP_LANES])
     def test_an_unreadable_file_in_the_middle_blocks_the_report(
             self, corpus, tmp_path, capsys, monkeypatch, group_lanes):
         _, scenes, _, batch = corpus
@@ -132,7 +132,7 @@ class TestDirectoryEqualsPerFile:
         for name in SCENES:
             (preds / f"{name}.json").write_bytes((batch / f"{name}.json").read_bytes())
         (preds / "d_no_traffic.json").write_text("{not json", encoding="utf-8")
-        monkeypatch.setattr(cli, "EVAL_GROUP_LANES", group_lanes)
+        monkeypatch.setattr(cli, "GROUP_LANES", group_lanes)
         out = tmp_path / "report.json"
         assert run("eval", "--pred", preds, "--gt", scenes, "--out", out) == 2
         err = capsys.readouterr().err.splitlines()

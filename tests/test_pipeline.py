@@ -8,7 +8,6 @@ import pytest
 
 import lanetopo as lt
 from lanetopo import pipeline
-from lanetopo.connect import half_distances
 from lanetopo.attention import (
     CrossAttentionParams,
     SigmoidMaskParams,
@@ -156,20 +155,12 @@ class TestGtSource:
         ("gt", lt.NoiseParams()),
         ("perturbed", lt.NoiseParams(point_sigma=0.3, drop_rate=0.2)),
     ])
-    def test_connection_queries_keep_their_source_pairs(self, grid_scene, monkeypatch,
-                                                        source, noise):
+    def test_connection_queries_keep_their_source_pairs(self, grid_scene, source, noise):
         # row k of the curve stack is the merge of ll edge k: on gt input
         # it is that merge, jittered it is still nearest to it
-        seen = []
-
-        def spy(L, C):
-            seen.append(C)
-            return half_distances(L, C)
-
-        monkeypatch.setattr(pipeline, "half_distances", spy)
-        lt.run_pipeline(grid_scene, small_cfg(source=source, noise=noise, noise_seed=2))
+        C = pipeline.scene_inputs(grid_scene, small_cfg(source=source, noise=noise,
+                                                        noise_seed=2)).C
         merges = lt.connected_curves(grid_scene)
-        [C] = seen
         assert C.shape == merges.shape and len(C) > 1
         gaps = np.abs(C[:, None] - merges[None]).sum(axis=(2, 3))
         assert list(np.argmin(gaps, axis=1)) == list(range(len(C)))
