@@ -37,6 +37,7 @@ from .scene import (
     Prediction,
     Scene,
     TopologyGraph,
+    Traffic,
     TrafficElement,
     validate_prediction,
     validate_scene,

@@ -167,8 +167,8 @@ def cmd_connected(args) -> int:
 # predict flags that only --source perturbed reads
 NOISE_FLAGS = ("point_sigma", "drop_rate", "spurious_rate", "score_noise",
                "topo_flip_rate", "noise_seed")
-# noise flags that only perturb the scores and topology of the degraded
-# prediction, which the pipeline replaces with its own: they change nothing
+# noise flags that degraded scores and topology the pipeline replaces with
+# its own: nothing draws them, so they change nothing
 SCORE_NOISE_FLAGS = ("score_noise", "topo_flip_rate")
 
 
@@ -185,8 +185,7 @@ def _pipeline_config(args) -> PipelineConfig:
         source=args.source,
         noise=NoiseParams(
             point_sigma=args.point_sigma, drop_rate=args.drop_rate,
-            spurious_rate=args.spurious_rate, score_noise=args.score_noise,
-            topo_flip_rate=args.topo_flip_rate,
+            spurious_rate=args.spurious_rate,
         ),
         noise_seed=args.noise_seed,
         use_tam=not args.no_tam,
@@ -558,8 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=("gt", "perturbed"), default="gt")
     p.add_argument("--param-seed", **_field(PipelineConfig, "param_seed"))
     p.add_argument("--noise-seed", **_field(PipelineConfig, "noise_seed"))
-    for name in ("point_sigma", "drop_rate", "spurious_rate", "score_noise", "topo_flip_rate"):
+    for name in ("point_sigma", "drop_rate", "spurious_rate"):
         p.add_argument(_flag(name), **_field(NoiseParams, name))
+    for name in SCORE_NOISE_FLAGS:
+        p.add_argument(_flag(name), default=0.0,
+                       type=_checked(functools.partial(checked, name, lo=0.0, hi=1.0)))
     p.add_argument("--no-tam", action="store_true",
                    help="ablation: skip the masked cross-attention")
     p.add_argument("--channels", **_field(ModelDims, "c"))

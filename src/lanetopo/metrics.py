@@ -309,11 +309,10 @@ def _traffic_family(pred: Prediction, scene: Scene, iou: float, top: float) -> t
     """(DET_t, pred-to-GT map at top) of the greedy matchings by box IoU, -1
     across categories. DET_t is the mean AP at iou over the ground-truth
     categories, with none the AP of every prediction against none."""
-    pred_cats = np.array([el.category for el in pred.traffic], dtype=object)
-    gt_cats = np.array([el.category for el in scene.traffic], dtype=object)
-    ious = np.where(pred_cats[:, None] == gt_cats, box_iou_matrix(
-        [el.bbox for el in pred.traffic], [el.bbox for el in scene.traffic]), -1.0)
-    scores = [0.0 if el.score is None else el.score for el in pred.traffic]
+    pred_cats, gt_cats = pred.traffic.categories, scene.traffic.categories
+    ious = np.where(pred_cats[:, None] == gt_cats,
+                    box_iou_matrix(pred.traffic.boxes, scene.traffic.boxes), -1.0)
+    scores = np.zeros(len(pred.traffic)) if pred.traffic.scores is None else pred.traffic.scores
     match = {thr: greedy_match(ious, scores, thr, better_below=False) for thr in {iou, top}}
     flags, _, order = match[iou]
     cats, n_gts = np.unique(gt_cats, return_counts=True)

@@ -51,7 +51,7 @@ from .connect import connected_curves, half_distances
 from .features import BOX_SCALE, GeometryEncoder
 from .heads import LlCache, TopologyHeadParams, match_connected, predict_lt
 from .nn import MlpParams, mlp_forward, sigmoid
-from .scene import Prediction, Scene, TopologyGraph, TrafficElement, bounded, check_fields
+from .scene import Prediction, Scene, TopologyGraph, Traffic, bounded, check_fields
 from .synth import NoiseParams, degrade_lanes, jittered
 
 
@@ -185,7 +185,7 @@ class SceneInputs(NamedTuple):
 
     L: np.ndarray
     C: np.ndarray
-    traffic: list[TrafficElement]
+    traffic: Traffic
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -220,8 +220,9 @@ def scene_inputs(scene: Scene, cfg: PipelineConfig,
         (scene.traffic, cfg.n_traffic_queries, "traffic elements")) if len(items) > budget]
     if cut and warn is not None:
         warn(f"query budget keeps {', '.join(cut)}")
+    traffic, t = scene.traffic, cfg.n_traffic_queries
     return SceneInputs(L[: cfg.n_lane_queries], C[: cfg.n_lane_queries],
-                       list(scene.traffic)[: cfg.n_traffic_queries])
+                       traffic[:t] if len(traffic) > t else traffic)
 
 
 def predict_batch(params: PipelineParams, batch: list[SceneInputs],
@@ -238,11 +239,10 @@ def predict_batch(params: PipelineParams, batch: list[SceneInputs],
     # traffic queries depend on no lane, so a scene without lanes keeps them
     qt_bar = np.zeros((B, 0, cfg.dims.c))
     if t:
-        boxes = np.array([[el.bbox for el in item.traffic] for item in batch])
+        boxes = np.stack([item.traffic.boxes for item in batch])
         qt_bar = self_attention(params.enc_traffic.encode(boxes / BOX_SCALE), params.attn)
     t_scores = sigmoid(mlp_forward(params.conf_traffic, qt_bar).reshape(B, t))
-    traffic = [[TrafficElement(bbox=el.bbox, category=el.category, score=float(score))
-                for el, score in zip(item.traffic, scores)]
+    traffic = [Traffic(item.traffic.boxes, item.traffic.categories, scores)
                for item, scores in zip(batch, t_scores)]
 
     if not n:

@@ -2,9 +2,10 @@
 
 A Scene is the ground-truth container used everywhere else: 3D lane
 centerlines sampled at a fixed point count, in one Lanes array, front-view
-traffic element boxes, and two adjacency structures (lane-lane and
-lane-traffic). A Prediction mirrors the Scene but carries confidence
-scores instead of binary adjacency.
+traffic element boxes and categories, in one Traffic array, and two
+adjacency structures (lane-lane and lane-traffic). A Prediction mirrors the
+Scene but carries confidence scores, per lane and per traffic element,
+and topology scores instead of binary adjacency.
 """
 
 from __future__ import annotations
@@ -153,6 +154,25 @@ class Lanes:
         return self.points[self.offsets[idx, None] + np.arange(n)]
 
 
+def traffic_flaw(boxes: np.ndarray, scores: np.ndarray | None) -> tuple[int, str] | None:
+    """(k, message) for the first element of the (T, 4) boxes and (T,)
+    scores (None: unscored) that TrafficElement rejects, with its message,
+    found in one array pass; None when it accepts every element."""
+    flags = np.zeros((len(boxes), 3), dtype=bool)
+    flags[:, 0] = ~np.isfinite(boxes).all(axis=1)
+    flags[:, 1] = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
+    if scores is not None:  # NaN fails both comparisons
+        flags[:, 2] = ~((scores >= 0.0) & (scores <= 1.0))
+    bad = np.argwhere(flags)
+    if not bad.size:
+        return None
+    k, rule = bad[0].tolist()
+    box = tuple(boxes[k].tolist())
+    return k, (f"bbox must be 4 finite numbers, got {box!r}" if rule == 0 else
+               f"degenerate bbox {box}: need x_min < x_max and y_min < y_max" if rule == 1
+               else f"score {scores[k].item()!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class TrafficElement:
     """Front-view axis-aligned box with a category label.
@@ -167,17 +187,63 @@ class TrafficElement:
 
     def __post_init__(self):
         box = tuple(float(v) for v in self.bbox)
-        if len(box) != 4 or not all(np.isfinite(box)):
+        if len(box) != 4:
             raise ValueError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
-        x0, y0, x1, y1 = box
-        if x0 >= x1 or y0 >= y1:
-            raise ValueError(f"degenerate bbox {box}: need x_min < x_max and y_min < y_max")
-        if self.score is not None:
-            s = float(self.score)
-            if not (0.0 <= s <= 1.0) or not np.isfinite(s):
-                raise ValueError(f"score {self.score!r} outside [0, 1]")
-            object.__setattr__(self, "score", s)
+        score = None if self.score is None else float(self.score)
+        Traffic([box], [self.category], None if score is None else [score])  # its checks, on one
         object.__setattr__(self, "bbox", box)
+        object.__setattr__(self, "score", score)
+
+
+@dataclass(frozen=True, eq=False)
+class Traffic:
+    """Traffic elements as arrays: element k is the box boxes[k] of the (T, 4)
+    float64 boxes (x_min, y_min, x_max, y_max) in pixels, the category
+    string categories[k] and, in a prediction, the confidence scores[k]
+    (ground truth: scores None). TrafficElement's rules are checked once,
+    over the arrays. Indexing and iteration give TrafficElement views."""
+
+    boxes: np.ndarray
+    categories: np.ndarray
+    scores: np.ndarray | None = None
+
+    def __post_init__(self):
+        boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        categories = np.asarray(self.categories, dtype=object).reshape(-1)
+        scores = None if self.scores is None else np.asarray(self.scores, np.float64).reshape(-1)
+        if len(categories) != len(boxes) or scores is not None and len(scores) != len(boxes):
+            raise ValueError("traffic needs one category, and one score or none, per box")
+        flaw = traffic_flaw(boxes, scores)
+        if flaw:
+            raise ValueError(flaw[1])
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "scores", scores)
+
+    @classmethod
+    def of(cls, traffic) -> Traffic:
+        """traffic if it is a Traffic, else the elements of a sequence of
+        TrafficElement, which all carry a score or none does."""
+        if isinstance(traffic, Traffic):
+            return traffic
+        traffic = list(traffic)
+        scores = [el.score for el in traffic]
+        if None in scores and any(s is not None for s in scores):
+            raise ValueError(f"traffic element {scores.index(None)} has no score; others have")
+        return cls(np.array([el.bbox for el in traffic]), [el.category for el in traffic],
+                   scores if scores and None not in scores else None)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i):
+        """Element i as a TrafficElement, or the elements of a slice as a Traffic."""
+        if isinstance(i, slice):
+            return Traffic(self.boxes[i], self.categories[i],
+                           None if self.scores is None else self.scores[i])
+        i = range(len(self))[i]  # a list's negative indices and IndexError
+        return TrafficElement(tuple(self.boxes[i].tolist()), self.categories[i],
+                              None if self.scores is None else self.scores[i].item())
 
 
 @dataclass(frozen=True)
@@ -206,15 +272,16 @@ class TopologyGraph:
 @dataclass(frozen=True)
 class Scene:
     """Ground-truth scene: lanes (given as anything Lanes.of takes), traffic
-    elements, binary topology."""
+    elements (anything Traffic.of takes), binary topology."""
 
     lanes: Lanes
-    traffic: list[TrafficElement]
+    traffic: Traffic
     topo: TopologyGraph
     n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
         object.__setattr__(self, "lanes", Lanes.of(self.lanes))
+        object.__setattr__(self, "traffic", Traffic.of(self.traffic))
 
     def lane_stack(self) -> np.ndarray:
         """The lanes as one (k, n_points, 3) view; the first lane whose point
@@ -228,15 +295,17 @@ class Scene:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted scene: lanes with confidences, scored traffic, scored topology."""
+    """Predicted scene: lanes with confidences, scored traffic (anything
+    Traffic.of takes), scored topology."""
 
     lanes: Lanes
     lane_scores: np.ndarray
-    traffic: list[TrafficElement]
+    traffic: Traffic
     topo: TopologyGraph
 
     def __post_init__(self):
         object.__setattr__(self, "lanes", Lanes.of(self.lanes))
+        object.__setattr__(self, "traffic", Traffic.of(self.traffic))
         scores = np.asarray(self.lane_scores, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "lane_scores", scores)
 
@@ -344,9 +413,9 @@ def validate_prediction(pred: Prediction, n_points: int | None = None) -> list[s
         for i in np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0))):
             out.append(f"lane {i}: score {scores[i]!r} outside [0, 1]")
 
-    for j, el in enumerate(pred.traffic):
-        if el.score is None:
-            out.append(f"traffic {j}: predicted element is missing a score")
+    if pred.traffic.scores is None:
+        out += [f"traffic {j}: predicted element is missing a score"
+                for j in range(len(pred.traffic))]
 
     ll, lt = pred.topo.ll, pred.topo.lt
     if ll.shape == (n_lanes, n_lanes):

@@ -65,8 +65,9 @@ from .scene import (
     Prediction,
     Scene,
     TopologyGraph,
-    TrafficElement,
+    Traffic,
     polyline_flaws,
+    traffic_flaw,
     validate_prediction,
     validate_scene,
 )
@@ -251,11 +252,13 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _traffic_to_dict(el: TrafficElement) -> dict:
-    d = {"bbox": list(el.bbox), "category": el.category}
-    if el.score is not None:
-        d["score"] = el.score
-    return d
+def _traffic_list(traffic: Traffic) -> list[dict]:
+    """One {"bbox", "category"[, "score"]} object per element, read from the arrays."""
+    boxes, categories = traffic.boxes.tolist(), traffic.categories.tolist()
+    if traffic.scores is None:
+        return [{"bbox": box, "category": cat} for box, cat in zip(boxes, categories)]
+    return [{"bbox": box, "category": cat, "score": score}
+            for box, cat, score in zip(boxes, categories, traffic.scores.tolist())]
 
 
 def _lane_arrays(lanes: Lanes):
@@ -269,7 +272,7 @@ def scene_to_dict(scene: Scene) -> dict:
         "version": SCHEMA_VERSION,
         "n_points": scene.n_points,
         "lanes": _lane_arrays(scene.lanes),
-        "traffic": [_traffic_to_dict(el) for el in scene.traffic],
+        "traffic": _traffic_list(scene.traffic),
         "topo": {"ll": scene.topo.ll, "lt": scene.topo.lt},
     }
 
@@ -279,7 +282,7 @@ def prediction_to_dict(pred: Prediction) -> dict:
         "version": SCHEMA_VERSION,
         "lanes": _lane_arrays(pred.lanes),
         "lane_scores": pred.lane_scores,
-        "traffic": [_traffic_to_dict(el) for el in pred.traffic],
+        "traffic": _traffic_list(pred.traffic),
         "topo": {"ll": pred.topo.ll, "lt": pred.topo.lt},
     }
 
@@ -343,21 +346,45 @@ def _parse_lanes(items) -> Lanes:
     return Lanes(points, offsets)
 
 
-def _parse_traffic(items, need_score: bool) -> list[TrafficElement]:
-    out = []
+def _is_number(v) -> bool:
+    """A JSON number: true and false are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _refused(k: int, rule: str, value) -> SchemaError:
+    return SchemaError([f"traffic element {k}: {rule}, got {json.dumps(value, default=repr)}"])
+
+
+def _parse_traffic(items, need_score: bool) -> Traffic:
+    """The traffic elements of a document as one Traffic, checked once: each
+    an object with a bbox of 4 numbers, a string category and a number
+    score, in every element or (unless need_score) in none. A JSON value of
+    another type is refused, never converted."""
+    boxes, categories, scores = [], [], []
     for k, d in enumerate(items):
         _require(d, ("bbox", "category"), f"traffic element {k}")
-        if need_score and "score" not in d:
-            raise SchemaError([f"traffic element {k} is missing a score"])
+        box, cat, score = d["bbox"], d["category"], d.get("score")
+        if not (isinstance(box, list) and len(box) == 4 and all(map(_is_number, box))):
+            raise _refused(k, "bbox must be 4 finite numbers", box)
+        if not isinstance(cat, str):
+            raise _refused(k, "category must be a string", cat)
+        if "score" in d and not _is_number(score):
+            raise _refused(k, "score must be a number", score)
         try:
-            out.append(TrafficElement(
-                bbox=tuple(float(v) for v in d["bbox"]),
-                category=str(d["category"]),
-                score=float(d["score"]) if "score" in d else None,
-            ))
-        except (TypeError, ValueError, OverflowError) as err:
+            boxes.append([float(v) for v in box])
+            scores.append(None if score is None else float(score))
+        except OverflowError as err:
             raise SchemaError([f"traffic element {k}: {err}"]) from err
-    return out
+        categories.append(cat)
+    scored = need_score or any(s is not None for s in scores)
+    if scored and None in scores:
+        raise SchemaError([f"traffic element {scores.index(None)} is missing a score"])
+    boxes = np.array(boxes).reshape(-1, 4)
+    scores = np.array(scores) if scored else None
+    try:
+        return Traffic(boxes, categories, scores)
+    except ValueError as err:
+        raise SchemaError([f"traffic element {traffic_flaw(boxes, scores)[0]}: {err}"]) from err
 
 
 def _parse_topo(d, n_lanes: int, n_traffic: int) -> TopologyGraph:

@@ -6,13 +6,14 @@ the outer corridors and diverge outward by exactly the lane spacing, which
 keeps every pair of lanes that share no junction at least one lane spacing
 apart (the separation guarantee the correlation margin rests on).
 Lane-lane topology is derived from shared junction points, never stored
-independently of the geometry.
+independently of the geometry. The degradation model degrades what predict
+reads: which lanes are kept, their points and the spurious lanes added.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .scene import (
     Prediction,
     Scene,
     TopologyGraph,
-    TrafficElement,
+    Traffic,
     bounded,
     check_fields,
     checked,
@@ -59,8 +60,6 @@ class NoiseParams:
     point_sigma: float = bounded(0.0, lo=0.0)
     drop_rate: float = bounded(0.0, lo=0.0, hi=1.0)
     spurious_rate: float = bounded(0.0, lo=0.0, hi=10.0)
-    score_noise: float = bounded(0.0, lo=0.0, hi=1.0)
-    topo_flip_rate: float = bounded(0.0, lo=0.0, hi=1.0)
 
     __post_init__ = check_fields
 
@@ -97,20 +96,23 @@ def infer_ll(lanes) -> np.ndarray:
 
 
 def _draw_traffic(rng: np.random.Generator, n_traffic: int, n_lanes: int):
-    traffic = []
-    for _ in range(n_traffic):
+    """(traffic, lt): n_traffic boxes and categories, each drawn in turn as
+    corner, size and category, then the 1-2 lanes each element relates to."""
+    boxes = np.empty((n_traffic, 4))
+    categories = []
+    for k in range(n_traffic):
         x0 = rng.uniform(0.0, CANVAS[0] - 170.0)
         y0 = rng.uniform(0.0, CANVAS[1] - 170.0)
         w = rng.uniform(40.0, 150.0)
         h = rng.uniform(40.0, 150.0)
-        cat = str(rng.choice(TRAFFIC_CATEGORIES))
-        traffic.append(TrafficElement(bbox=(x0, y0, x0 + w, y0 + h), category=cat))
+        boxes[k] = x0, y0, x0 + w, y0 + h
+        categories.append(str(rng.choice(TRAFFIC_CATEGORIES)))
     lt = np.zeros((n_lanes, n_traffic))
     for t in range(n_traffic):
         k = int(1 + rng.integers(0, 2))
         for lane in rng.choice(n_lanes, size=min(k, n_lanes), replace=False):
             lt[int(lane), t] = 1.0
-    return traffic, lt
+    return Traffic(boxes, categories), lt
 
 
 def generate_scene(params: SynthParams = SynthParams()) -> Scene:
@@ -198,25 +200,6 @@ def generate_roundabout(radius: float = 20.0, n_arms: int = 4,
     return _scene(lanes, rng, n_arms, n_points)
 
 
-def blend_topology(topo: TopologyGraph, kept: np.ndarray, n_out: int,
-                   lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ll, lt) scores of a degraded prediction with n_out lanes, before flips.
-
-    Lane a < len(kept) is ground-truth lane kept[a]; its entries are the
-    ground truth blended toward 0.5 by lam. Every entry of a later (spurious)
-    lane is the blend of 0.
-    """
-    def blended(gt_val):
-        return (1.0 - lam) * gt_val + 0.5 * lam
-
-    k = len(kept)
-    ll = np.full((n_out, n_out), blended(0.0))
-    ll[:k, :k] = blended(topo.ll[np.ix_(kept, kept)])
-    lt = np.full((n_out, topo.lt.shape[1]), blended(0.0))
-    lt[:k] = blended(topo.lt[kept])
-    return ll, lt
-
-
 def jittered(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """The stack P (k, n, 3) plus N(0, sigma) noise, checked row by row.
 
@@ -254,36 +237,27 @@ def degrade_lanes(L: np.ndarray, noise: NoiseParams,
 
 
 def perturb(scene: Scene, noise: NoiseParams, seed: int = 0) -> Prediction:
-    """Degraded copy of a scene posing as a prediction.
+    """Degraded copy of a scene posing as a prediction: what the pipeline's
+    perturbed source reads, with the ground truth's scores and topology.
 
-    Lane points get isotropic Gaussian noise (jittered); lanes are dropped
-    and spurious far-away lanes appended (degrade_lanes, the first draws of
-    the stream); topology scores are the binary ground truth blended
-    toward 0.5 by score_noise, then flipped entrywise with probability
-    topo_flip_rate. With all-zero noise the prediction reproduces the
-    ground truth and every metric is 1. The scene's lanes must share one
-    point count (Scene.lane_stack).
+    The lanes are degrade_lanes's (the first draws of the stream); a kept
+    lane scores 1.0 and a spurious one U(0.1, 0.5), drawn next. Topology is
+    the binary ground truth of the kept lanes, and 0 for spurious ones;
+    every traffic element is kept with score 1.0. With all-zero noise the
+    prediction reproduces the ground truth and every metric is 1. The
+    scene's lanes must share one point count (Scene.lane_stack).
     """
     rng = np.random.default_rng(seed)
     lanes, kept = degrade_lanes(scene.lane_stack(), noise, rng)
-
-    n_out = len(lanes)
+    n_out, k = len(lanes), len(kept)
     scores = np.ones(n_out)
-    if noise.score_noise > 0:
-        jitter = np.abs(rng.normal(0.0, noise.score_noise, size=n_out))
-        scores = np.clip(1.0 - 0.3 * jitter, 0.05, 1.0)
-    for k in range(len(kept), n_out):
-        scores[k] = rng.uniform(0.1, 0.5)  # spurious lanes rank low
-
-    ll, lt = blend_topology(scene.topo, kept, n_out, noise.score_noise)
-    if noise.topo_flip_rate > 0:
-        flip = rng.random(ll.shape) < noise.topo_flip_rate
-        ll = np.where(flip, 1.0 - ll, ll)
+    scores[k:] = rng.uniform(0.1, 0.5, size=n_out - k)  # spurious lanes rank low
+    ll = np.zeros((n_out, n_out))
+    ll[:k, :k] = scene.topo.ll[np.ix_(kept, kept)]
     np.fill_diagonal(ll, 0.0)
-    if noise.topo_flip_rate > 0 and lt.size:
-        flip = rng.random(lt.shape) < noise.topo_flip_rate
-        lt = np.where(flip, 1.0 - lt, lt)
-
-    traffic = [replace(el, score=1.0) for el in scene.traffic]
-    return Prediction(lanes=lanes, lane_scores=scores, traffic=traffic,
+    lt = np.zeros((n_out, scene.topo.lt.shape[1]))
+    lt[:k] = scene.topo.lt[kept]
+    traffic = scene.traffic
+    return Prediction(lanes=lanes, lane_scores=scores,
+                      traffic=Traffic(traffic.boxes, traffic.categories, np.ones(len(traffic))),
                       topo=TopologyGraph(ll=ll, lt=lt))

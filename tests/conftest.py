@@ -65,6 +65,13 @@ def same_bits(got, want) -> bool:
     return list(got) == list(want) and all(same_bits(got[k], want[k]) for k in want)
 
 
+def traffic_bits(traffic):
+    """A Traffic's boxes, categories and scores, the arrays as bytes; an
+    empty score array reads as no scores, as both hold none."""
+    scores = np.zeros(0) if traffic.scores is None else traffic.scores
+    return traffic.boxes.tobytes(), traffic.categories.tolist(), scores.tobytes()
+
+
 @pytest.fixture
 def chain():
     return chain_scene()

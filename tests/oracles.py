@@ -29,12 +29,16 @@ backward and cross-attention, the mask that concatenated its blocks and
 rebuilt every block's hidden layer in its backward, and the pair-head
 blocks. run_pipeline_per_scene is the pipeline as it ran before its
 forward took a batch axis: one scene, every stage's 2-D call, its lanes
-read off perturb's whole degraded prediction. None of this is imported by
-the package itself.
+read off perturb's whole degraded prediction. perturb_graded is perturb
+as it was while it also graded lane scores and topology with score noise
+and flips, which predict never read: the factory of graded-score
+predictions for the metric tests, and perturb's oracle without them. None
+of this is imported by the package itself.
 """
 
 import itertools
 import json
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +69,7 @@ from lanetopo.scene import (
     TrafficElement,
 )
 from lanetopo.serialize import round9
-from lanetopo.synth import jittered, perturb
+from lanetopo.synth import degrade_lanes, jittered, perturb
 
 
 def frechet_recursive(a, b) -> float:
@@ -438,6 +442,42 @@ def blend_topology_loops(topo, kept, n_out, lam):
         for t in range(n_traffic):
             lt[a, t] = blended(0.0)
     return ll, lt
+
+
+def perturb_graded(scene, noise, seed=0, score_noise=0.0, topo_flip_rate=0.0):
+    """A degraded prediction with graded scores and topology: perturb as it
+    was before predict stopped reading anything but its lanes, and the
+    oracle of perturb at zero score_noise and topo_flip_rate.
+
+    The lanes are degrade_lanes's, the first draws of the stream; lane
+    scores are 1 less 0.3 |N(0, score_noise)|, clipped to [0.05, 1], and
+    U(0.1, 0.5) for spurious lanes; topology scores are the binary ground
+    truth blended toward 0.5 by score_noise (blend_topology_loops), then
+    flipped entrywise with probability topo_flip_rate; traffic scores 1.
+    """
+    rng = np.random.default_rng(seed)
+    lanes, kept = degrade_lanes(scene.lane_stack(), noise, rng)
+
+    n_out = len(lanes)
+    scores = np.ones(n_out)
+    if score_noise > 0:
+        jitter = np.abs(rng.normal(0.0, score_noise, size=n_out))
+        scores = np.clip(1.0 - 0.3 * jitter, 0.05, 1.0)
+    for k in range(len(kept), n_out):
+        scores[k] = rng.uniform(0.1, 0.5)  # spurious lanes rank low
+
+    ll, lt = blend_topology_loops(scene.topo, kept, n_out, score_noise)
+    if topo_flip_rate > 0:
+        flip = rng.random(ll.shape) < topo_flip_rate
+        ll = np.where(flip, 1.0 - ll, ll)
+    np.fill_diagonal(ll, 0.0)
+    if topo_flip_rate > 0 and lt.size:
+        flip = rng.random(lt.shape) < topo_flip_rate
+        lt = np.where(flip, 1.0 - lt, lt)
+
+    traffic = [replace(el, score=1.0) for el in scene.traffic]
+    return Prediction(lanes=lanes, lane_scores=scores, traffic=traffic,
+                      topo=TopologyGraph(ll=ll, lt=lt))
 
 
 def perturb_lanes_loops(scene, noise, seed=0):

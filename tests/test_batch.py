@@ -40,7 +40,7 @@ from lanetopo.serialize import (
     scene_to_dict,
     write_json,
 )
-from conftest import chain_scene
+from conftest import chain_scene, traffic_bits
 from oracles import run_pipeline_per_scene
 from test_predict_corpus import DIGESTS, RUNS
 from test_predict_corpus import SCENES as CORPUS
@@ -109,7 +109,7 @@ def assert_bitwise(a, b):
     for x, y in ((a.lane_scores, b.lane_scores), (a.topo.ll, b.topo.ll),
                  (a.topo.lt, b.topo.lt)):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert a.traffic == b.traffic
+    assert traffic_bits(a.traffic) == traffic_bits(b.traffic)
 
 
 def grouped(scenes, cfg):

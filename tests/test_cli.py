@@ -19,10 +19,12 @@ from lanetopo.serialize import (
     SchemaError,
     manifest_path_for,
     manifests_equivalent,
+    prediction_from_dict,
     prediction_to_dict,
     read_json,
     read_prediction,
     read_scene,
+    scene_from_dict,
     scene_to_dict,
     write_json,
 )
@@ -698,6 +700,48 @@ class TestInputErrors:
             f"error: {named}{key} must be a list, got {shown}"]
         assert not out.exists() and not manifest_path_for(out).exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("category", None, "category must be a string, got null"),
+        ("category", 5, "category must be a string, got 5"),
+        ("category", ["a"], 'category must be a string, got ["a"]'),
+        ("category", True, "category must be a string, got true"),
+        ("score", True, "score must be a number, got true"),
+        ("score", None, "score must be a number, got null"),
+        ("score", "0.5", 'score must be a number, got "0.5"'),
+        ("bbox", [True, 0, 50, 60], "bbox must be 4 finite numbers, got [true, 0, 50, 60]"),
+        ("bbox", "1234", 'bbox must be 4 finite numbers, got "1234"'),
+        ("bbox", [0, 0, 50], "bbox must be 4 finite numbers, got [0, 0, 50]"),
+        ("bbox", [0, 0, 50, "60"], 'bbox must be 4 finite numbers, got [0, 0, 50, "60"]'),
+    ])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_traffic_values_of_another_type_exit_2(self, tmp_path, capsys, command, key,
+                                                   value, message):
+        # the reader refuses them, where it converted each to a string or float;
+        # predict reads the scene, eval reads the prediction and names it
+        scene_path, pred_path = tmp_path / "scene.json", tmp_path / "pred.json"
+        assert run("synth", "--traffic", 3, "--out", scene_path) == 0
+        scene = read_scene(scene_path)
+        write_json(pred_path, prediction_to_dict(perfect_prediction(scene)))
+        bad = pred_path if command == "eval" else scene_path
+        doc = read_json(bad)
+        doc["traffic"][1][key] = value
+        write_json(bad, doc)
+        read = prediction_from_dict if command == "eval" else scene_from_dict
+        with pytest.raises(SchemaError) as err:
+            read(read_json(bad))
+        assert err.value.violations == [f"traffic element 1: {message}"]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        if command == "eval":
+            rc = run("eval", "--pred", pred_path, "--gt", scene_path, "--out", out)
+        else:
+            rc = run("predict", "--scene", scene_path, "--out", out)
+        named = f"{pred_path}: " if command == "eval" else ""
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named}traffic element 1: {message}"]
+        assert not out.exists() and not manifest_path_for(out).exists()
+
     @pytest.mark.parametrize("n_points", [-3, 0, 1])
     def test_lane_less_scene_below_two_points_exits_2(self, tmp_path, capsys, n_points):
         # no lane carries a point count to compare, so the bound on n_points
@@ -785,6 +829,40 @@ class TestNoPerLaneObjects:
         assert len(read_scene(scene).lanes) == 14 and len(read_prediction(pred).lanes) > 14
         assert read_json(tmp_path / "r.json")["scenes"]["pred"]["lane_segments"] is not None
         assert counts == {"synth": 0, "predict": 0, "eval": 0, "connected": n_connected}
+
+
+class TestNoPerElementTraffic:
+    """Traffic stays arrays from reader, generator or pipeline to writer: no
+    command builds a TrafficElement per element, checked or as a view."""
+
+    def test_command_paths(self, tmp_path, monkeypatch):
+        scenes, preds = tmp_path / "scenes", tmp_path / "preds"
+        built = []
+        check = lt.TrafficElement.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(lt.TrafficElement, "__post_init__", counted)
+        scenes.mkdir()
+        for seed in range(3):
+            assert run("synth", "--traffic", 3 + seed, "--seed", seed,
+                       "--out", scenes / f"s{seed}.json") == 0
+        assert built == []
+        for source in ("gt", "perturbed"):
+            out = preds / source
+            extra = ("--drop-rate", 0.3, "--spurious-rate", 0.2) if source == "perturbed" else ()
+            assert run("predict", "--scene", scenes, "--out", out, "--source", source,
+                       "--traffic-queries", 4, *extra) == 0
+            assert run("eval", "--pred", out, "--gt", scenes,
+                       "--out", tmp_path / f"{source}.json") == 0
+        assert built == []
+        monkeypatch.undo()
+        assert [len(read_prediction(preds / "gt" / f"s{k}.json").traffic) for k in range(3)] \
+            == [3, 4, 4]
+        report = read_json(tmp_path / "perturbed.json")["scenes"]
+        assert sorted(report) == ["s0", "s1", "s2"] and report["s0"]["det_t"] > 0.0
 
 
 class TestFitStepCalls:

@@ -18,6 +18,7 @@ from oracles import (
     greedy_match_loops,
     lane_boundaries,
     lane_matrices_per_scene,
+    perturb_graded,
     segment_matrix,
     topology_score_loops,
 )
@@ -506,7 +507,7 @@ class TestEvaluate:
 
     def test_ols_consistent_with_components(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3, seed=1))
-        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.4, score_noise=0.3), seed=1)
+        pred = perturb_graded(scene, lt.NoiseParams(point_sigma=0.4), seed=1, score_noise=0.3)
         rep = lt.evaluate(pred, scene)
         assert rep.ols == lt.ols(rep.det_l, rep.det_t, rep.top_ll, rep.top_lt)
         for v in (rep.det_l, rep.det_t, rep.top_ll, rep.top_lt, rep.ols):
@@ -523,7 +524,7 @@ class TestEvaluate:
         # DET_l, DET_t and the lane-segment mAP each rank all their rows in
         # one _precision_sums call; the other calls are the topology scores'
         scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=3, seed=2))
-        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.3, score_noise=0.3), seed=2)
+        pred = perturb_graded(scene, lt.NoiseParams(point_sigma=0.3), seed=2, score_noise=0.3)
         calls = []
         real = metrics._precision_sums
 
@@ -699,7 +700,7 @@ class TestTopLsls:
 
     def test_equal_matchings_reuse_top_ll(self, monkeypatch):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=4, n_segments=5, seed=5))
-        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.3, score_noise=0.3), seed=5)
+        pred = perturb_graded(scene, lt.NoiseParams(point_sigma=0.3), seed=5, score_noise=0.3)
         lane_to_gt, seg_to_gt = self.matchings(pred, scene)
         assert np.array_equal(lane_to_gt, seg_to_gt)
         top_lsls = metrics._topology_score(scene.topo.ll, pred.topo.ll, seg_to_gt, seg_to_gt)
@@ -728,8 +729,8 @@ def group_corpus(seed):
         scene = lt.generate_scene(lt.SynthParams(
             n_corridors=int(rng.integers(2, 5)), n_segments=int(rng.integers(2, 5)),
             n_points=n_points, seed=int(rng.integers(0, 1000))))
-        pred = lt.perturb(scene, lt.NoiseParams(point_sigma=0.5, drop_rate=0.1,
-                                                spurious_rate=0.2, score_noise=0.3), seed=k)
+        pred = perturb_graded(scene, lt.NoiseParams(point_sigma=0.5, drop_rate=0.1,
+                                                    spurious_rate=0.2), seed=k, score_noise=0.3)
         if k == 2:
             pred = replace(pred, lanes=[lt.Polyline3D(resample_stack(lane.points[None], 7)[0])
                                         if i % 3 == 0 else lane

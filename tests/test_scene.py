@@ -144,6 +144,71 @@ class TestTrafficElement:
             lt.TrafficElement(bbox=(0.0, 0.0, 1.0, 1.0), category="x", score=1.5)
 
 
+class TestTraffic:
+    ELEMENTS = [lt.TrafficElement(bbox=(0.0, 0.0, 10.0, 20.0), category="stop_sign", score=0.5),
+                lt.TrafficElement(bbox=(5.0, 1.0, 6.0, 2.5), category="yield_sign", score=1.0),
+                lt.TrafficElement(bbox=(-3.0, 4.0, 7.0, 9.0), category="stop_sign", score=0.0)]
+
+    def test_a_list_an_empty_list_and_a_traffic_give_the_same_arrays(self):
+        traffic = lt.Traffic.of(self.ELEMENTS)
+        assert traffic.boxes.dtype == np.float64
+        assert np.array_equal(traffic.boxes, [el.bbox for el in self.ELEMENTS])
+        assert traffic.categories.tolist() == ["stop_sign", "yield_sign", "stop_sign"]
+        assert np.array_equal(traffic.scores, [0.5, 1.0, 0.0])
+        direct = lt.Traffic(traffic.boxes, ["stop_sign", "yield_sign", "stop_sign"],
+                            [0.5, 1.0, 0.0])
+        for got in (direct, lt.Traffic.of(traffic)):
+            assert got.boxes.tobytes() == traffic.boxes.tobytes()
+            assert got.categories.tolist() == traffic.categories.tolist()
+            assert got.scores.tobytes() == traffic.scores.tobytes()
+        assert lt.Traffic.of(traffic) is traffic
+        unscored = lt.Traffic.of([replace(el, score=None) for el in self.ELEMENTS])
+        assert unscored.scores is None and unscored.boxes.tobytes() == traffic.boxes.tobytes()
+        for empty in (lt.Traffic.of([]), lt.Traffic(np.zeros((0, 4)), []),
+                      lt.Scene(lanes=[], traffic=[], topo=lt.TopologyGraph(
+                          ll=np.zeros((0, 0)), lt=np.zeros((0, 0)))).traffic):
+            assert empty.boxes.shape == (0, 4) and empty.boxes.dtype == np.float64
+            assert empty.categories.shape == (0,) and empty.scores is None
+            assert len(empty) == 0 and list(empty) == []
+
+    def test_indexing_gives_the_elements(self):
+        traffic = lt.Traffic.of(self.ELEMENTS)
+        assert list(traffic) == self.ELEMENTS
+        assert [traffic[k] for k in range(-3, 3)] == self.ELEMENTS * 2
+        assert all(type(el.category) is str and type(el.score) is float for el in traffic)
+        with pytest.raises(IndexError):
+            traffic[3]
+        head = traffic[:2]
+        assert isinstance(head, lt.Traffic) and list(head) == self.ELEMENTS[:2]
+        assert lt.Traffic.of([replace(el, score=None) for el in self.ELEMENTS])[1].score is None
+
+    @pytest.mark.parametrize("bbox, score", [
+        ((5.0, 0.0, 5.0, 10.0), None), ((0.0, 10.0, 10.0, 0.0), 0.5),
+        ((0.0, np.nan, 1.0, 2.0), None), ((0.0, 0.0, np.inf, 2.0), 0.5),
+        ((0.0, 0.0, 1.0, 1.0), 1.5), ((0.0, 0.0, 1.0, 1.0), -0.25),
+        ((0.0, 0.0, 1.0, 1.0), np.nan), ((np.nan, 0.0, 0.0, 1.0), 2.0),
+    ])
+    def test_a_bad_element_raises_the_element_message(self, bbox, score):
+        with pytest.raises(ValueError) as want:
+            lt.TrafficElement(bbox=bbox, category="x", score=score)
+        good = [replace(el, score=None if score is None else el.score) for el in self.ELEMENTS]
+        boxes = [el.bbox for el in good]
+        scores = None if score is None else [el.score for el in good]
+        for k in range(4):
+            with pytest.raises(ValueError) as got:
+                lt.Traffic(boxes[:k] + [bbox] + boxes[k:], ["x"] * 4,
+                           None if scores is None else scores[:k] + [score] + scores[k:])
+            assert str(got.value) == str(want.value)
+
+    def test_unmatched_lengths_and_mixed_scores_raise(self):
+        with pytest.raises(ValueError, match="one category"):
+            lt.Traffic(np.zeros((2, 4)) + [0.0, 0.0, 1.0, 1.0], ["x"])
+        with pytest.raises(ValueError, match="one score or none"):
+            lt.Traffic(np.zeros((2, 4)) + [0.0, 0.0, 1.0, 1.0], ["x", "y"], [0.5])
+        with pytest.raises(ValueError, match="traffic element 1 has no score"):
+            lt.Traffic.of([self.ELEMENTS[0], replace(self.ELEMENTS[1], score=None)])
+
+
 class TestTopologyGraph:
     def test_requires_2d(self):
         with pytest.raises(ValueError, match="2D"):

@@ -390,6 +390,21 @@ class TestSceneRoundTrip:
         with pytest.raises(SchemaError):
             scene_from_dict([1, 2, 3])
 
+    def test_traffic_scores_in_every_element_or_in_none(self):
+        scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=2, n_traffic=3,
+                                                 seed=0))
+        d = scene_to_dict(scene)
+        assert scene_from_dict(d).traffic.scores is None
+        for k, el in enumerate(d["traffic"]):
+            el["score"] = 0.25 * k
+        scored = scene_from_dict(d)
+        assert scored.traffic.scores.tolist() == [0.0, 0.25, 0.5]
+        assert dumps(scene_to_dict(scored)) == dumps(d)
+        del d["traffic"][1]["score"]
+        with pytest.raises(SchemaError) as err:
+            scene_from_dict(d)
+        assert err.value.violations == ["traffic element 1 is missing a score"]
+
 
 class TestPredictionRoundTrip:
     def test_round_trip(self, tmp_path):

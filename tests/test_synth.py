@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import lanetopo as lt
-from lanetopo.synth import blend_topology
-from conftest import perfect_prediction
-from oracles import blend_topology_loops, infer_ll_loops, perturb_lanes_loops
+from conftest import perfect_prediction, same_bits
+from oracles import infer_ll_loops, perturb_graded, perturb_lanes_loops
 
 
 class TestSynthParams:
@@ -26,7 +25,7 @@ class TestSynthParams:
         with pytest.raises(ValueError):
             lt.NoiseParams(drop_rate=1.5)
         with pytest.raises(ValueError):
-            lt.NoiseParams(topo_flip_rate=-0.2)
+            lt.NoiseParams(spurious_rate=-0.2)
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(split_prob=float("nan"), grade=float("inf")), "split_prob"),
@@ -255,24 +254,24 @@ class TestPerturb:
             assert float(extra.points[:, 1].min()) >= y_max + 25.0
             assert score <= 0.5
 
-    def test_score_noise_blends_toward_half(self):
+    def test_graded_score_noise_blends_toward_half(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3, seed=4))
         lam = 0.4
-        pred = lt.perturb(scene, lt.NoiseParams(score_noise=lam), seed=0)
+        pred = perturb_graded(scene, lt.NoiseParams(), seed=0, score_noise=lam)
         expected = (1.0 - lam) * scene.topo.ll + 0.5 * lam
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(pred.topo.ll, expected, atol=1e-12)
 
-    def test_flip_rate_one_inverts_off_diagonal(self):
+    def test_graded_flip_rate_one_inverts_off_diagonal(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3, seed=5))
-        pred = lt.perturb(scene, lt.NoiseParams(topo_flip_rate=1.0), seed=0)
+        pred = perturb_graded(scene, lt.NoiseParams(), seed=0, topo_flip_rate=1.0)
         expected = 1.0 - scene.topo.ll
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(pred.topo.ll, expected)
 
     def test_jitter_is_seed_deterministic(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3, seed=6))
-        noise = lt.NoiseParams(point_sigma=0.3, score_noise=0.2)
+        noise = lt.NoiseParams(point_sigma=0.3)
         a = lt.perturb(scene, noise, seed=9)
         b = lt.perturb(scene, noise, seed=9)
         c = lt.perturb(scene, noise, seed=10)
@@ -287,8 +286,7 @@ class TestPerturb:
         # one draw over the kept stack is the stream of one draw per kept lane
         scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
                                                  merge_prob=0.5, seed=12))
-        noise = lt.NoiseParams(point_sigma=sigma, drop_rate=drop, spurious_rate=0.2,
-                               score_noise=0.1)
+        noise = lt.NoiseParams(point_sigma=sigma, drop_rate=drop, spurious_rate=0.2)
         for seed in range(3):
             got = [lane.points for lane in lt.perturb(scene, noise, seed).lanes]
             ref = perturb_lanes_loops(scene, noise, seed)
@@ -339,10 +337,10 @@ class TestPerturb:
     def test_perturbed_output_is_a_valid_prediction(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
                                                  n_traffic=2, seed=7))
-        noise = lt.NoiseParams(point_sigma=0.5, drop_rate=0.2, spurious_rate=0.3,
-                               score_noise=0.3, topo_flip_rate=0.1)
-        pred = lt.perturb(scene, noise, seed=11)
-        assert lt.validate_prediction(pred, scene.n_points) == []
+        noise = lt.NoiseParams(point_sigma=0.5, drop_rate=0.2, spurious_rate=0.3)
+        assert lt.validate_prediction(lt.perturb(scene, noise, seed=11), scene.n_points) == []
+        graded = perturb_graded(scene, noise, seed=11, score_noise=0.3, topo_flip_rate=0.1)
+        assert lt.validate_prediction(graded, scene.n_points) == []
 
     def test_more_noise_scores_worse(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=2, n_segments=3,
@@ -354,30 +352,46 @@ class TestPerturb:
         assert harsh.ols <= mild.ols
 
 
-class TestBlendTopology:
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0 / 3.0, 0.7, 1.0])
-    def test_bitwise_equal_to_loop_oracle(self, lam):
-        scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
-                                                 merge_prob=0.5, n_traffic=4, seed=9))
-        n = len(scene.lanes)
-        rng = np.random.default_rng(1)
-        for kept, n_spurious in ((np.arange(n), 0), (np.flatnonzero(rng.random(n) < 0.6), 5),
-                                 (np.arange(0), 3), (np.arange(0), 0)):
-            n_out = len(kept) + n_spurious
-            ll, lt_ = blend_topology(scene.topo, kept, n_out, lam)
-            ref_ll, ref_lt = blend_topology_loops(scene.topo, kept, n_out, lam)
-            assert ll.shape == (n_out, n_out) and lt_.shape == (n_out, 4)
-            assert np.array_equal(ll, ref_ll)
-            assert np.array_equal(lt_, ref_lt)
+class TestPerturbOracle:
+    """perturb is perturb_graded without score noise or flips, bit for bit:
+    the same stream, lanes, scores, topology and traffic."""
 
-    def test_perturb_without_flips_is_the_oracle_blend(self):
+    SCENES = [dict(n_corridors=3, n_segments=4, split_prob=0.5, merge_prob=0.5, n_traffic=4,
+                   seed=9),
+              dict(n_corridors=2, n_segments=3, n_traffic=0, seed=10),
+              dict(n_corridors=1, n_segments=2, n_traffic=1, seed=11)]
+
+    @pytest.mark.parametrize("noise", [
+        dict(), dict(point_sigma=0.3), dict(drop_rate=0.4), dict(spurious_rate=0.5),
+        dict(drop_rate=1.0, spurious_rate=1.0), dict(spurious_rate=10.0),
+        dict(point_sigma=0.2, drop_rate=0.3, spurious_rate=0.3),
+    ])
+    def test_bitwise_equal_to_the_graded_factory_without_grading(self, noise):
+        noise = lt.NoiseParams(**noise)
+        for kw in self.SCENES:
+            scene = lt.generate_scene(lt.SynthParams(**kw))
+            for seed in range(4):
+                got, want = lt.perturb(scene, noise, seed), perturb_graded(scene, noise, seed)
+                assert same_bits([got.lanes.points, got.lanes.offsets, got.lane_scores,
+                                  got.topo.ll, got.topo.lt],
+                                 [want.lanes.points, want.lanes.offsets, want.lane_scores,
+                                  want.topo.ll, want.topo.lt])
+                assert same_bits(got.traffic.boxes, want.traffic.boxes)
+                assert list(got.traffic) == list(want.traffic)
+
+    def test_topology_is_the_binary_ground_truth_of_the_kept_lanes(self):
         scene = lt.generate_scene(lt.SynthParams(n_corridors=3, n_segments=4, split_prob=0.5,
                                                  n_traffic=3, seed=10))
-        lam = 0.35
-        pred = lt.perturb(scene, lt.NoiseParams(spurious_rate=0.3, score_noise=lam), seed=2)
-        n = len(scene.lanes)
-        assert len(pred.lanes) > n
-        ref_ll, ref_lt = blend_topology_loops(scene.topo, range(n), len(pred.lanes), lam)
-        np.fill_diagonal(ref_ll, 0.0)
-        assert np.array_equal(pred.topo.ll, ref_ll)
-        assert np.array_equal(pred.topo.lt, ref_lt)
+        pred = lt.perturb(scene, lt.NoiseParams(drop_rate=0.3, spurious_rate=0.3), seed=2)
+        # without jitter a kept lane is its ground-truth lane, point for point
+        stack = scene.lane_stack()
+        kept = [int(np.flatnonzero((stack == lane.points).all(axis=(1, 2)))[0])
+                for lane in pred.lanes if (stack == lane.points).all(axis=(1, 2)).any()]
+        k = len(kept)
+        assert 0 < k < len(scene.lanes) and len(pred.lanes) > k
+        assert np.array_equal(pred.topo.ll[:k, :k], scene.topo.ll[np.ix_(kept, kept)])
+        assert np.array_equal(pred.topo.lt[:k], scene.topo.lt[kept])
+        assert not pred.topo.ll[k:].any() and not pred.topo.ll[:, k:].any()
+        assert not pred.topo.lt[k:].any()
+        assert np.array_equal(pred.lane_scores[:k], np.ones(k))
+        assert np.array_equal(pred.traffic.scores, np.ones(3))
